@@ -26,8 +26,15 @@ from .errors import DomainError
 MARGULIS_EPSILON_LOWER = 0.104
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def parallel_disk_area(R: float) -> float:
     """Area of a geodesic parallel disk of radius R: 2 pi (cosh R - 1)."""
+    _require_finite(R=R)
     if R < 0.0:
         raise DomainError("disk radius must be nonnegative")
     # 4 pi sinh^2(R/2) avoids cancellation at small R.
@@ -38,14 +45,14 @@ def parallel_disk_area(R: float) -> float:
 class ProjectionReport:
     max_singular_value: float
     per_direction_max: tuple  # (z, theta, r) directions
-    grid: tuple
+    grid: int  # number of radii
 
     @property
     def contraction(self) -> bool:
         return self.max_singular_value <= 1.0 + 1e-12
 
 
-def projection_contraction_check(length: float, r_grid, n_theta: int = 50) -> ProjectionReport:
+def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     """Singular values of the geodesic projection (z, theta, r) ->
     (z0, theta, r) from the tube metric onto the parallel-disk metric
     sinh^2(r) dtheta^2 + dr^2, over the given radius grid.
@@ -54,11 +61,12 @@ def projection_contraction_check(length: float, r_grid, n_theta: int = 50) -> Pr
     every singular value is 0 or 1; the report records the measured
     maxima.
     """
+    _require_finite(length=length)
     if length <= 0.0:
         raise DomainError("geodesic length must be positive")
     rs = np.asarray(r_grid, dtype=float)
-    if rs.ndim != 1 or rs.size == 0 or np.any(rs <= 0.0):
-        raise DomainError("radius grid must be positive")
+    if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs) & (rs > 0.0)):
+        raise DomainError("radius grid must be finite and positive")
     dP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # rows (theta, r)
     max_sv = 0.0
     per_dir = [0.0, 0.0, 0.0]
@@ -74,7 +82,7 @@ def projection_contraction_check(length: float, r_grid, n_theta: int = 50) -> Pr
     return ProjectionReport(
         max_singular_value=max_sv,
         per_direction_max=tuple(per_dir),
-        grid=(rs.size, n_theta),
+        grid=int(rs.size),
     )
 
 
@@ -89,6 +97,8 @@ class BandEstimate:
     tube_radius: float
 
     def __post_init__(self):
+        _require_finite(rho1=self.rho1, rho2=self.rho2,
+                        systole_bound=self.systole_bound, tube_radius=self.tube_radius)
         if not 0.0 <= self.rho1 <= self.rho2 <= self.tube_radius:
             raise DomainError("need 0 <= rho1 <= rho2 <= tube_radius")
         if not 0.0 < self.systole_bound <= 1.0:
@@ -118,6 +128,8 @@ def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
                          kappa2: float = 1.0) -> float:
     """The crossing chain (pi / (8 kappa'')) (s0 / cosh RL)
     (cosh R - cosh(3/2)); vanishes at R = 3/2 by construction."""
+    _require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
+                    kappa2=kappa2)
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
     return (
@@ -130,6 +142,9 @@ def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
 def simplified_crossing_constant(kappa2: float = 1.0) -> float:
     """kappa''' with chain >= kappa''' s0 exp(R - RL) for 3 <= R <= RL:
     (pi / (16 kappa'')) (1 - cosh(3/2)/cosh 3) / (1 + exp(-6))."""
+    _require_finite(kappa2=kappa2)
+    if kappa2 <= 0.0:
+        raise DomainError("kappa'' must be positive")
     return (
         math.pi / (16.0 * kappa2)
         * (1.0 - math.cosh(1.5) / math.cosh(3.0))
@@ -165,6 +180,7 @@ def crossing_lower_bound(R: float, tube_radius: float, systole_bound: float,
 def margulis_area_bound(eps: float) -> float:
     """Monotonicity-formula area bound from a Margulis-type constant:
     2 pi (cosh(eps) - 1)."""
+    _require_finite(eps=eps)
     if eps < 0.0:
         raise DomainError("epsilon must be nonnegative")
     return 4.0 * math.pi * math.sinh(0.5 * eps) ** 2

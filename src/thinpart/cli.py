@@ -355,8 +355,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="thinpart", description=__doc__)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized test utilities")
     sub = p.add_subparsers(dest="command", required=True)
 
     mey = sub.add_parser("meyerhoff", help="guaranteed embedded tube radius")

@@ -139,44 +139,16 @@ def systole(lat: FlatTorusLattice) -> float:
     return reduce_basis(lat).a1
 
 
-def _voronoi_vertices(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vertices of the origin's Voronoi cell of the lattice spanned by u, w.
-
-    For a Gauss-reduced basis the Voronoi-relevant vectors are among
-    {m*u + n*w : m, n in {-1, 0, 1}} \\ {0}; intersecting those eight
-    bisector half-planes gives the exact cell.
-    """
-    neighbors = []
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            if m == 0 and n == 0:
-                continue
-            neighbors.append(m * u + n * w)
-    neighbors = np.array(neighbors)
-    half = 0.5 * np.einsum("ij,ij->i", neighbors, neighbors)
-    scale2 = float(max(u @ u, w @ w))
-    verts = []
-    k = len(neighbors)
-    for i in range(k):
-        for j in range(i + 1, k):
-            A = np.array([neighbors[i], neighbors[j]])
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            if abs(det) <= 1e-14 * scale2:
-                continue
-            x = np.linalg.solve(A, np.array([half[i], half[j]]))
-            if np.all(neighbors @ x <= half + 1e-9 * scale2):
-                verts.append(x)
-    if not verts:  # pragma: no cover - cannot happen for valid bases
-        raise RuntimeError("empty Voronoi vertex set")
-    return np.array(verts)
-
-
 def diameter(lat: FlatTorusLattice) -> float:
     """Covering radius: the largest distance of a plane point to the lattice.
 
-    Computed exactly as the farthest Voronoi-cell vertex of the reduced
-    basis.
+    For a Gauss-reduced basis u, w with u.w >= 0 the triangle (0, u, w) is
+    non-obtuse, so its circumcenter is a deepest hole and the covering
+    radius is the circumradius |u| |w| |w - u| / (2 |det(u, w)|)
+    (Conway-Sloane, Sphere Packings, Lattices and Groups, 2-d covering
+    radius).  The reduced form is u = (a1, 0), w = (a2, b2); reflecting w
+    when a2 < 0 gives u.w >= 0.
     """
     red = reduce_basis(lat)
-    verts = _voronoi_vertices(red.v1, red.v2)
-    return float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
+    far = math.hypot(abs(red.a2) - red.a1, red.b2)
+    return red.norm1 * red.norm2 * far / (2.0 * red.area)

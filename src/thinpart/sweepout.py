@@ -12,6 +12,7 @@ explicit width upper bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,31 +145,106 @@ class FormalCurrent:
 
 # --------------------------------------------------------- discrete family
 
+# Families hold multiplicities as int64; below 2^62 in magnitude, every
+# difference of two of them fits as well.
+_MULT_LIMIT = 2**62
 
-@dataclass(frozen=True)
+
+def _require_storable(pid, mult: int) -> None:
+    if abs(mult) >= _MULT_LIMIT:
+        raise DomainError(f"patch {pid!r}: multiplicity {mult} exceeds 2^62 in magnitude")
+
+
+class _Currents(Sequence):
+    """Read-only view of a family's rows as formal currents, each built
+    on access."""
+
+    def __init__(self, family: "DiscreteFamily"):
+        self._family = family
+
+    def __len__(self) -> int:
+        return self._family.multiplicities.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        fam = self._family
+        row = fam.multiplicities[i]
+        present = np.flatnonzero(row)
+        ids = fam.patch_ids
+        return FormalCurrent(tuple(zip(
+            [ids[j] for j in present], row[present].tolist(),
+            fam.areas[present].tolist(),
+        )))
+
+
 class DiscreteFamily:
-    """Map from the level-j vertices of [0,1] to formal currents."""
+    """Map from the level-j vertices of [0,1] to formal currents.
 
-    level: int
-    currents: tuple
+    Stored as the family's patch ids (in order of first appearance), their
+    areas and an integer multiplicity matrix with one row per vertex and
+    one column per patch.  ``currents`` is a read-only sequence that
+    builds each vertex's FormalCurrent from its row on access: the patches
+    with nonzero multiplicity, in the family's patch order.
 
-    def __post_init__(self):
-        if len(self.currents) != 3**self.level + 1:
+    A patch id that carries two areas differing by more than 1e-12
+    relative, or a multiplicity of magnitude 2^62 or more, raises a
+    DomainError at construction.
+    """
+
+    def __init__(self, level: int, currents):
+        currents = tuple(currents)
+        index, areas = {}, []
+        for cur in currents:
+            for pid, (_, area) in cur._table.items():
+                j = index.setdefault(pid, len(areas))
+                if j == len(areas):
+                    areas.append(area)
+                elif abs(areas[j] - area) > 1e-12 * max(areas[j], area, 1e-300):
+                    raise DomainError(
+                        f"patch {pid!r} carries inconsistent areas {areas[j]!r} != {area!r}"
+                    )
+        mults = np.zeros((len(currents), len(areas)), dtype=np.int64)
+        for row, cur in enumerate(currents):
+            for pid, (mult, _) in cur._table.items():
+                _require_storable(pid, mult)
+                mults[row, index[pid]] = mult
+        self._init(level, tuple(index), np.array(areas, dtype=float), mults)
+
+    @classmethod
+    def _from_arrays(cls, level: int, patch_ids: tuple, areas: np.ndarray,
+                     multiplicities: np.ndarray) -> "DiscreteFamily":
+        fam = cls.__new__(cls)
+        fam._init(level, patch_ids, areas, multiplicities)
+        return fam
+
+    def _init(self, level, patch_ids, areas, multiplicities):
+        if multiplicities.shape[0] != 3**level + 1:
             raise DomainError(
-                f"a level-{self.level} family needs {3**self.level + 1} currents"
+                f"a level-{level} family needs {3**level + 1} currents"
             )
+        areas.flags.writeable = False
+        multiplicities.flags.writeable = False
+        self.level = level
+        self.patch_ids = patch_ids
+        self.areas = areas
+        self.multiplicities = multiplicities
+
+    @property
+    def currents(self) -> Sequence:
+        return _Currents(self)
 
     @property
     def is_zero_anchored(self) -> bool:
         """Whether the endpoints carry the zero current (families
         representing maps into (currents, {0}))."""
-        return self.currents[0].is_zero() and self.currents[-1].is_zero()
+        return not (self.multiplicities[0].any() or self.multiplicities[-1].any())
 
     def vertex(self, i: int) -> GridVertex:
         return GridVertex.from_indices(self.level, i)
 
     def masses(self) -> np.ndarray:
-        return np.array([c.mass for c in self.currents])
+        return np.einsum("ij,j->i", np.abs(self.multiplicities), self.areas)
 
 
 def fineness(fam: DiscreteFamily) -> float:
@@ -176,33 +252,22 @@ def fineness(fam: DiscreteFamily) -> float:
 
     The mass of a difference is a metric and the grid distance is
     additive along the line, so the supremum is attained on adjacent
-    pairs (triangle inequality); adjacent pairs have distance 1.
+    pairs (triangle inequality); adjacent pairs have distance 1, and
+    their masses are |diff(multiplicities)| @ areas.
     """
-    if len(fam.currents) < 2:
+    if fam.multiplicities.shape[0] < 2:
         raise DomainError("fineness needs at least two vertices")
-    return max(
-        a.mass_of_difference(b)
-        for a, b in zip(fam.currents, fam.currents[1:])
-    )
-
-
-def fineness_exhaustive(fam: DiscreteFamily) -> float:
-    """O(n^2) reference evaluation of the same supremum (tests)."""
-    best = 0.0
-    n = len(fam.currents)
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = max(
-                best, fam.currents[i].mass_of_difference(fam.currents[j]) / (j - i)
-            )
-    return best
+    steps = np.diff(fam.multiplicities, axis=0)
+    np.abs(steps, out=steps)
+    # einsum casts the integer steps in buffered chunks, not all at once.
+    return float(np.max(np.einsum("ij,j->i", steps, fam.areas)))
 
 
 def max_mass(obj) -> float:
     """Largest mass of a family, largest area of a profile, or max over a
     list of either."""
     if isinstance(obj, DiscreteFamily):
-        return float(max(c.mass for c in obj.currents))
+        return float(np.max(obj.masses()))
     if isinstance(obj, SweepoutProfile):
         return obj.width_upper_bound
     if isinstance(obj, FormalCurrent):
@@ -217,9 +282,11 @@ def interpolate_patches(a: FormalCurrent, b: FormalCurrent, k: int) -> DiscreteF
     """A chain from a to b in k equal-mass steps, embedded at the
     smallest level j with 3^j >= k.
 
-    Every patch is split into k equal-area sub-patches; step m switches
-    the m-th sub-patch of every patch from its multiplicity in a to its
-    multiplicity in b.  Step masses telescope exactly to M(a - b).
+    Every patch is split into k equal-area sub-patches "<id>#<piece>/<k>";
+    step m switches the m-th sub-patch of every patch from its
+    multiplicity in a to its multiplicity in b, so at vertex i sub-patch
+    ``piece`` carries b's multiplicity exactly when piece < min(i, k).
+    Step masses telescope exactly to M(a - b).
     """
     if k < 1:
         raise DomainError("need at least one interpolation step")
@@ -228,28 +295,27 @@ def interpolate_patches(a: FormalCurrent, b: FormalCurrent, k: int) -> DiscreteF
         level += 1
 
     ids = sorted(set(a._table) | set(b._table), key=repr)
-    rows = []
+    mult_a, mult_b, areas = [], [], []
     for pid in ids:
         n, area_a = a._table.get(pid, (0, None))
         m, area_b = b._table.get(pid, (0, None))
         if area_a is not None and area_b is not None:
             if abs(area_a - area_b) > 1e-12 * max(area_a, area_b, 1e-300):
                 raise DomainError(f"patch {pid!r} carries inconsistent areas")
-        area = area_a if area_a is not None else area_b
-        rows.append((pid, n, m, area))
+        _require_storable(pid, n)
+        _require_storable(pid, m)
+        mult_a.append(n)
+        mult_b.append(m)
+        areas.append(area_a if area_a is not None else area_b)
 
-    def chain_current(t: int) -> FormalCurrent:
-        patches = []
-        for pid, n, m, area in rows:
-            sub = area / k
-            for piece in range(k):
-                mult = m if piece < t else n
-                if mult != 0:
-                    patches.append((f"{pid}#{piece}/{k}", mult, sub))
-        return FormalCurrent(tuple(patches))
-
-    currents = [chain_current(min(i, k)) for i in range(3**level + 1)]
-    return DiscreteFamily(level, tuple(currents))
+    piece = np.tile(np.arange(k), len(ids))
+    steps = np.minimum(np.arange(3**level + 1), k)
+    mults = np.where(piece < steps[:, None],
+                     np.repeat(np.array(mult_b, dtype=np.int64), k),
+                     np.repeat(np.array(mult_a, dtype=np.int64), k))
+    patch_ids = tuple(f"{pid}#{p}/{k}" for pid in ids for p in range(k))
+    sub_areas = np.repeat(np.array(areas, dtype=float) / k, k)
+    return DiscreteFamily._from_arrays(level, patch_ids, sub_areas, mults)
 
 
 # ------------------------------------------------------------ area profiles

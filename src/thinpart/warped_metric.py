@@ -68,7 +68,9 @@ class CallableCoefficients:
 
     ``fn(x1, x2, x3, axes)`` must return the 3x3 matrix of partial
     derivatives ``d_axes a_kl`` (``axes`` a tuple of 1-based directions,
-    empty for the plain value).
+    empty for the plain value).  ``check_hypotheses`` calls it once per
+    (sample point, derivative multi-index of order 0-3), with Python
+    floats, before it validates any sample; ``fn`` must be pure.
     """
 
     def __init__(self, fn):
@@ -226,52 +228,70 @@ class HypothesisReport:
         return max(self.a_h1, self.a_h2, self.a_h3)
 
 
-def _deriv_multi_indices(order: int):
-    return list(itertools.combinations_with_replacement(_AXES, order))
+# The 20 derivative multi-indices of orders 0-3, in increasing order;
+# _ORDER_BOUNDS[p]:_ORDER_BOUNDS[p + 1] is the block of order p.
+_MULTI_INDICES = [
+    axes for order in range(4)
+    for axes in itertools.combinations_with_replacement(_AXES, order)
+]
+_ORDER_BOUNDS = (0, 1, 4, 10, 20)
+# H3 weighs |d_axes a_kl| by h^{n_p(k, l, axes)}; only k <= l is measured.
+_UPPER = np.triu_indices(3)
+_H3_EXPONENTS = np.array(
+    [[[n_p(k, l, *axes) for l in _AXES] for k in _AXES] for axes in _MULTI_INDICES]
+)[:, _UPPER[0], _UPPER[1]]
+_MAX_EXPONENT = int(_H3_EXPONENTS.max())
 
 
 def _sample_points(spec: WarpedMetricSpec, n1: int, n2: int, n3: int):
+    """Sample coordinates (x1, x2, x3) as flat arrays, x3 varying fastest."""
     x3s = np.linspace(spec.x3_min, spec.x3_max, n3)
     if spec.diagonal_form:
-        return [(0.0, 0.0, float(t)) for t in x3s]
-    pts = []
+        zero = np.zeros_like(x3s)
+        return zero, zero, x3s
     ss = np.linspace(0.0, 1.0, n1, endpoint=False)
     ts = np.linspace(0.0, 1.0, n2, endpoint=False)
+    S, T, X3 = (a.ravel() for a in np.meshgrid(ss, ts, x3s, indexing="ij"))
     v1, v2 = spec.lattice.v1, spec.lattice.v2
-    for s in ss:
-        for t in ts:
-            x1 = s * v1[0] + t * v2[0]
-            x2 = s * v1[1] + t * v2[1]
-            for x3 in x3s:
-                pts.append((float(x1), float(x2), float(x3)))
-    return pts
+    return S * v1[0] + T * v2[0], S * v1[1] + T * v2[1], X3
 
 
-def _mean_convexity_indicator(spec: WarpedMetricSpec, x1, x2, x3) -> float:
-    """(g_T)^{ab} Gamma^3_{ab}; positive when the mean curvature vector of
-    the level torus points toward +x3."""
-    G = spec.coefficient_matrix(x1, x2, x3)
-    dG = [spec.coefficient_deriv((i,), x1, x2, x3) for i in _AXES]
-    Ginv = np.linalg.inv(G)
-    gT_inv = np.linalg.inv(G[:2, :2])
-    total = 0.0
-    for a in range(2):
-        for b in range(2):
-            gamma3 = 0.0
-            for m in range(3):
-                gamma3 += 0.5 * Ginv[2, m] * (
-                    dG[a][b, m] + dG[b][a, m] - dG[m][a, b]
-                )
-            total += gT_inv[a, b] * gamma3
-    return float(total)
+def _field_samples(f, x3: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(f(x3), dtype=float), x3.shape)
+
+
+def _first_failure(points, failures) -> None:
+    """Raise for the first point (in sample order) failing any check; at
+    that point the checks are tried in the order given."""
+    masks = np.stack([mask for mask, _ in failures], axis=1)
+    bad = np.flatnonzero(masks.any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        x1, x2, x3 = (float(c[i]) for c in points)
+        message = failures[int(np.argmax(masks[i]))][1]
+        raise DomainError(message.format(point=(x1, x2, x3), x3=x3))
+
+
+def _mean_convexity_indicator(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """(g_T)^{ab} Gamma^3_{ab} per sample, from the stacked coefficient
+    matrices G and their first derivatives dG[:, m] = d_{m+1} G; positive
+    when the mean curvature vector of the level torus points toward +x3."""
+    first = dG[:, :2, :2, :]                     # [n, a, b, m] = d_a G_bm
+    christoffel = (first + first.transpose(0, 2, 1, 3)
+                   - dG.transpose(0, 2, 3, 1)[:, :2, :2, :])
+    gamma3 = 0.5 * np.einsum("nm,nabm->nab", np.linalg.inv(G)[:, 2, :], christoffel)
+    return np.einsum("nab,nab->n", np.linalg.inv(G[:, :2, :2]), gamma3)
 
 
 def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     """Measure the H1-H4 comparison ratios on a sample grid.
 
     ``grid`` is points per axis (scalar or (n1, n2, n3)); at least 8 per
-    sampled axis.  Raises on a non-positive-definite coefficient sample,
-    naming the offending point.
+    sampled axis.  Every sample is validated before anything is measured:
+    the first point (in sample order) whose coefficient matrix is not
+    finite, not symmetric or not positive definite, whose warping is not
+    finite or not positive, or whose derivatives are not finite raises a
+    DomainError naming it.
     """
     if np.isscalar(grid):
         n1 = n2 = n3 = int(grid)
@@ -281,49 +301,51 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
         raise DomainError("need at least 8 grid points per axis")
 
     points = _sample_points(spec, n1, n2, n3)
-    sup_h1 = 0.0
-    sup_h2 = [0.0, 0.0, 0.0]
-    sup_h3 = [0.0, 0.0, 0.0, 0.0]
-    h_monotone = True
-    mean_convex = True
-    conv_tol = 0.0
+    x3 = points[2]
+    # derivs[n, j] = d_{_MULTI_INDICES[j]} a_kl at sample n; j = 0 is a_kl.
+    derivs = np.empty((x3.size, len(_MULTI_INDICES), 3, 3))
+    for n, (x1, x2, t) in enumerate(zip(*(c.tolist() for c in points))):
+        for j, axes in enumerate(_MULTI_INDICES):
+            derivs[n, j] = spec.coefficient_deriv(axes, x1, x2, t)
+    G = derivs[:, 0]
+    h = _field_samples(spec.warping, x3)
+    hd = [_field_samples(f, x3) for f in (spec.warping.d1, spec.warping.d2, spec.warping.d3)]
 
-    for (x1, x2, x3) in points:
-        G = spec.coefficient_matrix(x1, x2, x3)
-        if not np.allclose(G, G.T, rtol=1e-10, atol=1e-14):
-            raise DomainError(f"coefficient matrix not symmetric at {(x1, x2, x3)}")
-        ev = np.linalg.eigvalsh(G)
-        if ev[0] <= 0.0:
-            raise DomainError(
-                f"coefficient matrix not positive definite at {(x1, x2, x3)}"
-            )
-        h = float(spec.warping(x3))
-        if h <= 0.0:
-            raise DomainError(f"warping not positive at x3 = {x3!r}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        g_finite = np.isfinite(G).all(axis=(1, 2))
+        Gt = G.transpose(0, 2, 1)
+        asymmetric = ~(np.abs(G - Gt) <= 1e-14 + 1e-10 * np.abs(Gt)).all(axis=(1, 2))
+        # Non-finite samples are reported before their eigenvalues matter.
+        ev_min = np.linalg.eigvalsh(np.where(g_finite[:, None, None], G, np.eye(3)))[:, 0]
+        h_finite = np.isfinite(h)
+        derivs_finite = (np.isfinite(derivs).all(axis=(1, 2, 3))
+                         & np.isfinite(np.stack(hd)).all(axis=0))
+        _first_failure(points, [
+            (~g_finite, "coefficient matrix not finite at {point}"),
+            (asymmetric, "coefficient matrix not symmetric at {point}"),
+            (ev_min <= 0.0, "coefficient matrix not positive definite at {point}"),
+            (~h_finite, "warping not finite at x3 = {x3!r}"),
+            (h <= 0.0, "warping not positive at x3 = {x3!r}"),
+            (~derivs_finite, "coefficient or warping derivatives not finite at {point}"),
+        ])
 
-        D = np.diag([1.0 / h, 1.0 / h, 1.0])
-        ratios = np.linalg.eigvalsh(D @ G @ D)
-        sup_h1 = max(sup_h1, math.sqrt(ratios[-1]), 1.0 / math.sqrt(ratios[0]))
+    scale = np.stack([1.0 / h, 1.0 / h, np.ones_like(h)], axis=1)
+    ratios = np.linalg.eigvalsh(G * scale[:, :, None] * scale[:, None, :])
+    sup_h1 = max(0.0, float(np.max(np.sqrt(ratios[:, -1]))),
+                 float(np.max(1.0 / np.sqrt(ratios[:, 0]))))
 
-        derivs = (spec.warping.d1(x3), spec.warping.d2(x3), spec.warping.d3(x3))
-        for i, d in enumerate(derivs):
-            sup_h2[i] = max(sup_h2[i], abs(float(d)) / h)
-        if float(derivs[0]) > conv_tol:
-            h_monotone = False
+    sup_h2 = [max(0.0, float(np.max(np.abs(d) / h))) for d in hd]
+    h_monotone = not bool(np.any(hd[0] > 0.0))
 
-        for order in range(4):
-            best = sup_h3[order]
-            for axes in _deriv_multi_indices(order):
-                M = spec.coefficient_deriv(axes, x1, x2, x3)
-                for k in range(3):
-                    for l in range(k, 3):
-                        n = n_p(k + 1, l + 1, *axes)
-                        best = max(best, abs(float(M[k, l])) / h**n)
-            sup_h3[order] = best
+    # Powers of h through Python's float pow, one row per sample.
+    h_pow = np.array([[v**n for n in range(_MAX_EXPONENT + 1)] for v in h.tolist()])
+    weighted = np.abs(derivs[:, :, _UPPER[0], _UPPER[1]]) / h_pow[:, _H3_EXPONENTS]
+    sup_h3 = [
+        max(0.0, float(np.max(weighted[:, lo:hi])))
+        for lo, hi in zip(_ORDER_BOUNDS, _ORDER_BOUNDS[1:])
+    ]
 
-        ind = _mean_convexity_indicator(spec, x1, x2, x3)
-        if ind < -1e-12:
-            mean_convex = False
+    mean_convex = not bool(np.any(_mean_convexity_indicator(G, derivs[:, 1:4]) < -1e-12))
 
     if spec.diagonal_form:
         desc = f"x3: {n3} points (coefficients x1,x2-independent)"
@@ -338,7 +360,7 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
         h_monotone=h_monotone,
         mean_convex=mean_convex,
         grid=desc,
-        npoints=len(points),
+        npoints=int(x3.size),
     )
 
 

@@ -7,10 +7,12 @@ from quadrature, derivatives from finite differences.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from thinpart.errors import DomainError
 from thinpart.flat_torus import FlatTorusLattice
 
 
@@ -101,3 +103,133 @@ def random_lattice(rng: np.random.RandomState, min_quality: float = 0.0) -> Flat
             return lat
         if systole(lat) / diameter(lat) >= min_quality:
             return lat
+
+
+# ------------------------------------------------- comparison constants
+
+
+def _reference_points(spec, n1, n2, n3):
+    x3s = np.linspace(spec.x3_min, spec.x3_max, n3)
+    if spec.diagonal_form:
+        return [(0.0, 0.0, float(t)) for t in x3s]
+    pts = []
+    v1, v2 = spec.lattice.v1, spec.lattice.v2
+    for s in np.linspace(0.0, 1.0, n1, endpoint=False):
+        for t in np.linspace(0.0, 1.0, n2, endpoint=False):
+            x1 = s * v1[0] + t * v2[0]
+            x2 = s * v1[1] + t * v2[1]
+            for x3 in x3s:
+                pts.append((float(x1), float(x2), float(x3)))
+    return pts
+
+
+def _reference_mean_convexity(spec, x1, x2, x3) -> float:
+    G = spec.coefficient_matrix(x1, x2, x3)
+    dG = [spec.coefficient_deriv((i,), x1, x2, x3) for i in (1, 2, 3)]
+    Ginv = np.linalg.inv(G)
+    gT_inv = np.linalg.inv(G[:2, :2])
+    total = 0.0
+    for a in range(2):
+        for b in range(2):
+            gamma3 = 0.0
+            for m in range(3):
+                gamma3 += 0.5 * Ginv[2, m] * (dG[a][b, m] + dG[b][a, m] - dG[m][a, b])
+            total += gT_inv[a, b] * gamma3
+    return float(total)
+
+
+def check_hypotheses_loop(spec, grid):
+    """Per-point reference for ``check_hypotheses``: one sample at a time,
+    raising at the first failing point with the library's messages."""
+    from thinpart.warped_metric import HypothesisReport
+
+    n1 = n2 = n3 = int(grid)
+    points = _reference_points(spec, n1, n2, n3)
+    sup_h1 = 0.0
+    sup_h2 = [0.0, 0.0, 0.0]
+    sup_h3 = [0.0, 0.0, 0.0, 0.0]
+    h_monotone = True
+    mean_convex = True
+    for (x1, x2, x3) in points:
+        G = spec.coefficient_matrix(x1, x2, x3)
+        if not np.allclose(G, G.T, rtol=1e-10, atol=1e-14):
+            raise DomainError(f"coefficient matrix not symmetric at {(x1, x2, x3)}")
+        if np.linalg.eigvalsh(G)[0] <= 0.0:
+            raise DomainError(
+                f"coefficient matrix not positive definite at {(x1, x2, x3)}"
+            )
+        h = float(spec.warping(x3))
+        if h <= 0.0:
+            raise DomainError(f"warping not positive at x3 = {x3!r}")
+        D = np.diag([1.0 / h, 1.0 / h, 1.0])
+        ratios = np.linalg.eigvalsh(D @ G @ D)
+        sup_h1 = max(sup_h1, math.sqrt(ratios[-1]), 1.0 / math.sqrt(ratios[0]))
+        derivs = (spec.warping.d1(x3), spec.warping.d2(x3), spec.warping.d3(x3))
+        for i, d in enumerate(derivs):
+            sup_h2[i] = max(sup_h2[i], abs(float(d)) / h)
+        if float(derivs[0]) > 0.0:
+            h_monotone = False
+        for order in range(4):
+            for axes in itertools.combinations_with_replacement((1, 2, 3), order):
+                M = spec.coefficient_deriv(axes, x1, x2, x3)
+                for k in range(3):
+                    for l in range(k, 3):
+                        n = sum(1 for i in (k + 1, l + 1, *axes) if i != 3)
+                        sup_h3[order] = max(sup_h3[order], abs(float(M[k, l])) / h**n)
+        if _reference_mean_convexity(spec, x1, x2, x3) < -1e-12:
+            mean_convex = False
+    if spec.diagonal_form:
+        desc = f"x3: {n3} points (coefficients x1,x2-independent)"
+    else:
+        desc = f"{n1}x{n2}x{n3} points over fundamental domain x [a,b]"
+    return HypothesisReport(
+        a_h1=sup_h1,
+        a_h2=max(sup_h2),
+        a_h3=max(sup_h3),
+        h2_ratios=tuple(sup_h2),
+        h3_ratios=tuple(sup_h3),
+        h_monotone=h_monotone,
+        mean_convex=mean_convex,
+        grid=desc,
+        npoints=len(points),
+    )
+
+
+# ------------------------------------------------------------ sweep-outs
+
+
+def fineness_exhaustive(fam) -> float:
+    """O(n^2) sup over vertex pairs of M(phi(x) - phi(y)) / d(x, y), from
+    the currents' own patchwise mass of a difference."""
+    currents = list(fam.currents)
+    best = 0.0
+    n = len(currents)
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = max(best, currents[i].mass_of_difference(currents[j]) / (j - i))
+    return best
+
+
+def interpolated_patches(a, b, k):
+    """Per-vertex patch tuples of the k-step chain from a to b, built one
+    labelled sub-patch at a time: sub-patch ``piece`` of every patch
+    carries its multiplicity in b once ``piece < min(i, k)``, else its
+    multiplicity in a; zero multiplicities are left out."""
+    ids = sorted(set(a._table) | set(b._table), key=repr)
+    level = 0
+    while 3**level < k:
+        level += 1
+    out = []
+    for i in range(3**level + 1):
+        t = min(i, k)
+        patches = []
+        for pid in ids:
+            n, area_a = a._table.get(pid, (0, None))
+            m, area_b = b._table.get(pid, (0, None))
+            area = area_a if area_a is not None else area_b
+            for piece in range(k):
+                mult = m if piece < t else n
+                if mult != 0:
+                    patches.append((f"{pid}#{piece}/{k}", mult, area / k))
+        out.append(tuple(patches))
+    return out

@@ -32,7 +32,6 @@ from thinpart.sweepout import (
     FormalCurrent,
     GridVertex,
     fineness,
-    fineness_exhaustive,
     grid_distance,
     interpolate_patches,
     profile,
@@ -50,7 +49,12 @@ from thinpart.tube_geometry import (
 )
 from thinpart.warped_metric import WarpedMetricSpec
 
-from oracles import random_lattice, shortest_vector_brute, solve_stripe_ode
+from oracles import (
+    fineness_exhaustive,
+    random_lattice,
+    shortest_vector_brute,
+    solve_stripe_ode,
+)
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -244,7 +248,7 @@ def test_criterion_7_area_bound_identities():
             oracle = quad(lambda r: 2 * math.pi * math.sinh(r), 0.0, R,
                           epsabs=1e-13, epsrel=1e-13)[0]
             assert abs(parallel_disk_area(R) - oracle) <= 1e-10 * max(oracle, 1.0)
-        rep = projection_contraction_check(0.01, np.linspace(0.05, 3.0, 50), 50)
+        rep = projection_contraction_check(0.01, np.linspace(0.05, 3.0, 50))
         assert rep.max_singular_value <= 1.0 + 1e-12
 
 

@@ -128,6 +128,20 @@ def test_crossing_domain_errors():
         crossing_lower_bound(5.0, 10.0, 2.0)
 
 
+def test_nonfinite_inputs_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            crossing_lower_bound(bad, bad, 1.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            simplified_crossing_constant(bad)
+        with pytest.raises(DomainError):
+            projection_contraction_check(0.01, [0.5, bad])
+        with pytest.raises(DomainError, match="must be finite"):
+            projection_contraction_check(bad, [0.5])
+    with pytest.raises(DomainError):
+        simplified_crossing_constant(0.0)
+
+
 def test_crossing_below_parallel_disk_with_defaults():
     # With the default constants the transverse-crossing bound is the
     # stronger (smaller) one at equal R.

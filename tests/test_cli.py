@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from thinpart.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
+from thinpart.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, run
 from thinpart.tube_geometry import meyerhoff_radius
 
 
@@ -169,3 +172,37 @@ def test_twelve_significant_digits(capsys):
     assert run(["bounds", "disk", "--R", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "17.3553873818" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_reject_nonfinite(capsys, value):
+    commands = [
+        ["bounds", "disk", "--R", value],
+        ["bounds", "band", "--rho1", "0", "--rho2", value, "--sys", "1", "--RL", value],
+        ["bounds", "band", "--rho1", value, "--rho2", "4", "--sys", "1", "--RL", "10"],
+        ["bounds", "crossing", "--R", value, "--RL", value, "--sys", "1"],
+        ["bounds", "crossing", "--R", "5", "--RL", "10", "--sys", "1", "--kpp", value],
+        ["bounds", "margulis", "--eps", value],
+    ]
+    for argv in commands:
+        assert run(["--json"] + argv) == EXIT_DOMAIN, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
+
+def _readme_command_lines():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read().replace("\\\n", " ")
+    lines = [line.strip() for line in text.splitlines()]
+    return [line for line in lines if line.startswith("thinpart ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 12
+    for line in lines:
+        # "[--flag value]" marks an optional flag; parse it as given.
+        argv = shlex.split(re.sub(r"[\[\]]", "", line), comments=True)[1:]
+        build_parser().parse_args(argv)

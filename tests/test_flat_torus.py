@@ -130,3 +130,11 @@ def test_json_round_trip():
     lat = FlatTorusLattice(2.5, -0.75, 1.25)
     again = FlatTorusLattice.from_json_dict(lat.to_json_dict())
     assert (again.a1, again.a2, again.b2) == (lat.a1, lat.a2, lat.b2)
+
+
+def test_diameter_closed_form_has_no_spurious_vertex():
+    # u = (0.001, 0), w = (0, 50) after reduction: the deep hole is the
+    # rectangle's center, sqrt(0.001^2 + 50^2) / 2 = 25.000000005.
+    assert diameter(FlatTorusLattice(0.001, 0.4, 50.0)) == pytest.approx(
+        25.000000005, rel=1e-15
+    )

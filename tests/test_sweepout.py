@@ -14,7 +14,6 @@ from thinpart.sweepout import (
     FormalCurrent,
     GridVertex,
     fineness,
-    fineness_exhaustive,
     grid_distance,
     interpolate_patches,
     max_mass,
@@ -22,6 +21,8 @@ from thinpart.sweepout import (
     project_vertex,
 )
 from thinpart.tube_geometry import CuspParams, TubeParams, meyerhoff_radius, slice_area
+
+from oracles import fineness_exhaustive, interpolated_patches
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -269,3 +270,57 @@ def test_zero_anchoring_flag():
     anchored = DiscreteFamily(1, (z, t, t, z))
     assert anchored.is_zero_anchored
     assert not DiscreteFamily(1, (t, t, t, t)).is_zero_anchored
+
+
+def test_interpolate_patches_matches_per_patch_construction():
+    a = FormalCurrent((("TA", 2, 1.3), ("TC", 1, 0.4), ("TD", 0, 0.7)))
+    b = FormalCurrent((("TB", 1, 0.8), ("TC", -1, 0.4), ("TE", -3, 0.25)))
+    for k in (1, 2, 5, 16):
+        fam = interpolate_patches(a, b, k)
+        reference = interpolated_patches(a, b, k)
+        assert len(fam.currents) == len(reference)
+        for i, patches in enumerate(reference):
+            assert fam.currents[i].patches == patches
+        assert [c.patches for c in fam.currents] == reference
+        assert fam.currents[-1].patches == reference[-1]
+
+
+def test_family_rejects_inconsistent_areas_at_construction():
+    a = FormalCurrent((("T1", 1, 1.0),))
+    b = FormalCurrent((("T1", 1, 2.0),))
+    with pytest.raises(DomainError, match="inconsistent areas"):
+        DiscreteFamily(0, (a, b))
+    # Agreement to 1e-12 relative is consistent.
+    c = FormalCurrent((("T1", 2, 1.0 + 1e-13),))
+    assert fineness(DiscreteFamily(0, (a, c))) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_family_currents_round_trip():
+    currents = (
+        FormalCurrent((("A", 1, 2.0), ("B", -2, 0.5))),
+        FormalCurrent.zero(),
+        FormalCurrent((("B", 3, 0.5), ("C", 1, 1.5))),
+        FormalCurrent((("A", 1, 2.0),)),
+    )
+    fam = DiscreteFamily(1, currents)
+    assert fam.patch_ids == ("A", "B", "C")
+    assert fam.multiplicities.tolist() == [[1, -2, 0], [0, 0, 0], [0, 3, 1], [1, 0, 0]]
+    assert tuple(fam.currents) == currents
+    assert fam.masses() == pytest.approx([c.mass for c in currents], rel=1e-15)
+    assert fineness(fam) == pytest.approx(fineness_exhaustive(fam), rel=1e-15)
+    with pytest.raises(ValueError):
+        fam.multiplicities[0, 0] = 5
+    with pytest.raises(DomainError):
+        DiscreteFamily(1, currents[:3])
+
+
+def test_family_rejects_multiplicities_beyond_int64_differences():
+    big = FormalCurrent((("A", 2**62, 1.0),))
+    small = FormalCurrent((("A", 2**62 - 1, 1.0),))
+    neg = FormalCurrent((("A", 1 - 2**62, 1.0),))
+    assert fineness(DiscreteFamily(0, (small, neg))) == float(2**63 - 2)
+    for a, b in ((big, neg), (neg, FormalCurrent((("A", 2**70, 1.0),)))):
+        with pytest.raises(DomainError, match="2\\^62"):
+            DiscreteFamily(0, (a, b))
+    with pytest.raises(DomainError, match="2\\^62"):
+        interpolate_patches(big, neg, 3)

@@ -15,6 +15,7 @@ from thinpart.tube_geometry import (
     tube_as_warped,
 )
 from thinpart.warped_metric import (
+    CallableCoefficients,
     WarpedMetricSpec,
     blowup_rescale,
     check_hypotheses,
@@ -22,6 +23,8 @@ from thinpart.warped_metric import (
     n_p,
     spec_from_json,
 )
+
+from oracles import check_hypotheses_loop
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -132,8 +135,6 @@ def test_level_torus_mean_curvature_rejects_nondiagonal():
         if axes:
             return np.zeros((3, 3))
         return np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    from thinpart.warped_metric import CallableCoefficients
 
     spec = WarpedMetricSpec(
         UNIT, 0.0, 1.0, Field1D.constant(1.0), coefficients=CallableCoefficients(fn)
@@ -263,3 +264,130 @@ def test_sampled_spec_tracks_closed_form():
         assert float(spec.a1(t)) == pytest.approx(math.exp(-t), rel=1e-8)
         assert float(spec.a1.d1(t)) == pytest.approx(-math.exp(-t), rel=1e-5)
         assert float(spec.a1.d2(t)) == pytest.approx(math.exp(-t), rel=1e-3)
+
+
+# ------------------------------------------- batched vs per-point reference
+
+SHEAR = np.array([[1.0, 0.3], [0.3, 1.0]])
+
+
+def _sheared_cusp(t1=3.0):
+    def fn(x1, x2, x3, axes):
+        out = np.zeros((3, 3))
+        if any(a != 3 for a in axes):
+            return out
+        out[:2, :2] = (-2.0) ** len(axes) * math.exp(-2.0 * x3) * SHEAR
+        out[2, 2] = 1.0 if not axes else 0.0
+        return out
+
+    return WarpedMetricSpec(
+        FlatTorusLattice(1.0, 0.2, 1.1), 0.0, t1, Field1D.exp_decay(),
+        coefficients=CallableCoefficients(fn),
+    )
+
+
+def _equivalence_specs():
+    sheared = _sheared_cusp()
+    cusp = cusp_as_warped(CuspParams(FlatTorusLattice(1.05, -0.1, 0.9), 0.0, 3.0))
+    tube = tube_as_warped(TubeParams(1e-5, 0.3, 5.0), margin=0.5)
+    return {
+        "sheared": sheared,
+        "cusp": cusp,
+        "tube": tube,
+        "blowup_sheared": blowup_rescale(sheared, 1.2, 2.5),
+        "blowup_tube": blowup_rescale(tube, 2.0, 1.0 / float(tube.warping(2.0))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_specs()))
+def test_check_hypotheses_matches_per_point_reference(name):
+    spec = _equivalence_specs()[name]
+    for grid in (8, 11):
+        assert check_hypotheses(spec, grid=grid) == check_hypotheses_loop(spec, grid)
+
+
+def _failing_spec(bad):
+    """Non-diagonal spec whose coefficient matrix is diag(1, 1, c(x3))."""
+
+    def fn(x1, x2, x3, axes):
+        if axes:
+            return np.zeros((3, 3))
+        return np.diag([1.0, 1.0, bad(x3)])
+
+    return WarpedMetricSpec(
+        UNIT, 0.0, 2.0, Field1D.constant(1.0), coefficients=CallableCoefficients(fn)
+    )
+
+
+def test_check_hypotheses_names_first_failing_point_like_reference():
+    # Non-positive-definite from x3 = 1 onward: the first failing sample
+    # in sample order is (0, 0, 8/7), and both evaluations name it.
+    spec = _failing_spec(lambda t: 1.0 - t)
+    with pytest.raises(DomainError) as batched:
+        check_hypotheses(spec, grid=8)
+    with pytest.raises(DomainError) as looped:
+        check_hypotheses_loop(spec, 8)
+    assert str(batched.value) == str(looped.value)
+    assert str(batched.value) == (
+        f"coefficient matrix not positive definite at {(0.0, 0.0, 8.0 / 7.0)}"
+    )
+
+    # An earlier point failing a later check still wins.
+    def fn(x1, x2, x3, axes):
+        if axes:
+            return np.zeros((3, 3))
+        G = np.eye(3)
+        if x3 > 1.5:
+            G[0, 1] = 0.5  # not symmetric, but only from x3 = 12/7 on
+        if x3 > 0.5:
+            G[2, 2] = -1.0
+        return G
+
+    spec = WarpedMetricSpec(
+        UNIT, 0.0, 2.0, Field1D.constant(1.0), coefficients=CallableCoefficients(fn)
+    )
+    with pytest.raises(DomainError, match="positive definite") as batched:
+        check_hypotheses(spec, grid=8)
+    with pytest.raises(DomainError) as looped:
+        check_hypotheses_loop(spec, 8)
+    assert str(batched.value) == str(looped.value)
+
+
+def test_check_hypotheses_rejects_nonfinite_coefficient():
+    spec = _failing_spec(lambda t: math.nan if t > 0.5 else 1.0)
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == (
+        f"coefficient matrix not finite at {(0.0, 0.0, 4.0 / 7.0)}"
+    )
+
+
+def test_check_hypotheses_rejects_nonfinite_warping():
+    def h(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.5, np.nan, 1.0)
+
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    one = Field1D.constant(1.0)
+    spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, one, one,
+                                     warping=Field1D(h, zero, zero, zero))
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == f"warping not finite at x3 = {4.0 / 7.0!r}"
+
+
+def test_check_hypotheses_rejects_nonfinite_derivatives():
+    def d3(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.5, np.inf, 0.0)
+
+    one = Field1D.constant(1.0)
+    warping = Field1D(one, one.d1, one.d2, d3)
+    spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, one, one, warping=warping)
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == (
+        f"coefficient or warping derivatives not finite at {(0.0, 0.0, 4.0 / 7.0)}"
+    )
