@@ -79,6 +79,26 @@ class ManifoldDescription:
         return desc
 
 
+def _load_json(path, build):
+    """``build(data)`` for the JSON document in the file at ``path``.
+
+    Malformed JSON, and a KeyError/TypeError/ValueError raised while
+    building from it (a missing field, a field of the wrong type), become
+    a DomainError naming the file.
+    """
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except DomainError:  # a ValueError, but already says what is wrong
+            raise
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: malformed JSON: {exc}") from exc
+        except KeyError as exc:
+            raise DomainError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{path}: bad field value: {exc}") from exc
+
+
 def parse_lattice_literal(text: str) -> FlatTorusLattice:
     """Lattice literal "a1,a2,b2"."""
     parts = text.split(",")
@@ -257,11 +277,8 @@ def _boundary_function(bc: dict):
 
 
 def _cmd_graph(args) -> int:
-    with open(args.metric) as fh:
-        spec = spec_from_json(json.load(fh))
-    with open(args.bc) as fh:
-        bc = json.load(fh)
-    fn = _boundary_function(bc)
+    spec = _load_json(args.metric, spec_from_json)
+    fn = _load_json(args.bc, _boundary_function)
     shape = _parse_grid(args.grid)
     if args.domain == "torus":
         init = minimal_graph.DiscreteGraph.on_torus(spec.lattice, shape, fn)
@@ -294,10 +311,20 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _family_from_json(data: dict) -> sweepout.DiscreteFamily:
+    currents = tuple(
+        sweepout.FormalCurrent(
+            tuple((p["patch"], int(p["multiplicity"]), float(p["area"]))
+                  for p in entry)
+        )
+        for entry in data["currents"]
+    )
+    return sweepout.DiscreteFamily(int(data["level"]), currents)
+
+
 def _cmd_sweepout(args) -> int:
     if args.action == "profile":
-        with open(args.manifold) as fh:
-            desc = ManifoldDescription.from_json_dict(json.load(fh))
+        desc = _load_json(args.manifold, ManifoldDescription.from_json_dict)
         prof = sweepout.profile(
             cusps=desc.cusps,
             tubes=desc.tubes,
@@ -326,16 +353,7 @@ def _cmd_sweepout(args) -> int:
             else:
                 print(json.dumps(payload))
         return EXIT_OK
-    with open(args.family) as fh:
-        data = json.load(fh)
-    currents = tuple(
-        sweepout.FormalCurrent(
-            tuple((p["patch"], int(p["multiplicity"]), float(p["area"]))
-                  for p in entry)
-        )
-        for entry in data["currents"]
-    )
-    fam = sweepout.DiscreteFamily(int(data["level"]), currents)
+    fam = _load_json(args.family, _family_from_json)
     _emit(
         {
             "level": fam.level,

@@ -3,10 +3,15 @@ variation, the minimal-surface operator, a damped-Newton solver, and the
 uniform-graph rescaling bounds.
 
 The area element is W = sqrt(a1^2 a2^2 + a2^2 u_x1^2 + a1^2 u_x2^2) with
-a_i evaluated at u.  Discretely, the area is a sum of cell-midpoint values
-of W; the Euler-Lagrange residual is minus the exact gradient of that sum
-(per unit cell weight), which keeps the divergence term in conservative
-form and makes the discrete integration-by-parts identity
+a_i evaluated at u.  Each grid cell is split into two linear triangles,
+and the discrete area is the sum of W at the triangle centroids.  One
+element kernel, ``_element``, gives W and its first and second
+derivatives in the centroid fields (u, u_x1, u_x2); the area, its
+gradient, the first variation and the Hessian are contractions of that
+kernel with each triangle's nodal map B.  The Euler-Lagrange residual is
+minus the exact gradient of the discrete area (per unit cell weight),
+which keeps the divergence term in conservative form and makes the
+discrete integration-by-parts identity
     first_variation(u, v) = -<el_residual(u), v>
 hold to machine precision.
 """
@@ -64,13 +69,8 @@ class DiscreteGraph:
             raise DomainError(
                 "periodic graphs require a rectangular lattice (a2 = 0)"
             )
-        n1, n2 = shape
-        g = cls(
-            _fill(fn_or_values, (n1, n2), (lattice.a1 / n1, lattice.b2 / n2), (0.0, 0.0)),
-            (lattice.a1 / n1, lattice.b2 / n2),
-            periodic=(True, True),
-        )
-        return g
+        return cls.on_rectangle((lattice.a1, lattice.b2), shape, fn_or_values,
+                                periodic=(True, True))
 
     @classmethod
     def on_rectangle(cls, extent, shape, fn_or_values, origin=(0.0, 0.0),
@@ -150,66 +150,89 @@ def _check_range(spec: WarpedMetricSpec, values: np.ndarray):
         )
 
 
-def _cell_corners(g: DiscreteGraph):
-    """Index arrays of the four corners of each cell (wrapping on
-    periodic axes)."""
-    n1, n2 = g.shape
-    m1 = n1 if g.periodic[0] else n1 - 1
-    m2 = n2 if g.periodic[1] else n2 - 1
-    i0 = np.arange(m1)
-    j0 = np.arange(m2)
-    i1 = (i0 + 1) % n1
-    j1 = (j0 + 1) % n2
-    return i0, i1, j0, j1
+def _mesh(g: DiscreteGraph):
+    """The two linear triangles of every grid cell, one triangle type at
+    a time, as pairs (nodes, B): ``nodes`` holds the flat indices of each
+    triangle's three corners, shape (3, m1, m2), and the 3x3 matrix B maps
+    those nodal values to the triangle's centroid value and (constant)
+    gradient, row k = corner k, columns (c, x, y).
 
-
-def _triangles(g: DiscreteGraph):
-    """Node stencils of the two linear triangles per grid cell.
-
-    Each triangle is a list of (i_idx, j_idx, c_coef, x_coef, y_coef):
-    the nodal coefficients producing the triangle's centroid value and
-    its (constant) gradient.  Splitting cells kills the odd-even
+    Cells wrap on periodic axes.  Splitting cells kills the odd-even
     decoupling a pure cell-centered stencil would have; on the flat
     metric the assembled operator is the classic 5-point scheme.
     """
-    i0, i1, j0, j1 = _cell_corners(g)
-    h1, h2 = g.spacing
+    n1, n2 = g.shape
+    i0 = np.arange(n1 if g.periodic[0] else n1 - 1)[:, None]
+    j0 = np.arange(n2 if g.periodic[1] else n2 - 1)[None, :]
+    i1 = (i0 + 1) % n1
+    j1 = (j0 + 1) % n2
+    dx, dy = 1.0 / g.spacing[0], 1.0 / g.spacing[1]
     third = 1.0 / 3.0
-    lower = [
-        (i0, j0, third, -1.0 / h1, -1.0 / h2),
-        (i1, j0, third, +1.0 / h1, 0.0),
-        (i0, j1, third, 0.0, +1.0 / h2),
+    return [
+        # Lower triangle: corners (i, j), (i + 1, j), (i, j + 1).
+        (np.stack([i0 * n2 + j0, i1 * n2 + j0, i0 * n2 + j1]),
+         np.array([[third, -dx, -dy], [third, dx, 0.0], [third, 0.0, dy]])),
+        # Upper triangle: corners (i + 1, j), (i, j + 1), (i + 1, j + 1).
+        (np.stack([i1 * n2 + j0, i0 * n2 + j1, i1 * n2 + j1]),
+         np.array([[third, 0.0, -dy], [third, -dx, 0.0], [third, dx, dy]])),
     ]
-    upper = [
-        (i1, j0, third, 0.0, -1.0 / h2),
-        (i0, j1, third, -1.0 / h1, 0.0),
-        (i1, j1, third, +1.0 / h1, +1.0 / h2),
-    ]
-    return (lower, upper)
 
 
-def _tri_fields(g: DiscreteGraph, tri, values=None):
-    """Centroid value and gradient of a nodal field on one triangle set."""
-    u = g.values if values is None else values
-    uc = 0.0
-    ux = 0.0
-    uy = 0.0
-    for (ii, jj, c, bx, by) in tri:
-        uv = u[np.ix_(ii, jj)]
-        uc = uc + c * uv
-        if bx:
-            ux = ux + bx * uv
-        if by:
-            uy = uy + by * uv
-    return uc, ux, uy
+def _fields(values, nodes, B):
+    """Centroid value and gradient (c, x, y) of a nodal field on one
+    triangle type."""
+    u0, u1, u2 = values.ravel()[nodes]
+    return tuple(B[0, a] * u0 + B[1, a] * u1 + B[2, a] * u2 for a in range(3))
 
 
-def _coefficients(spec, uc):
-    a1v = np.asarray(spec.a1(uc), dtype=float)
-    a2v = np.asarray(spec.a2(uc), dtype=float)
+def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int):
+    """The area element W = sqrt(a1^2 a2^2 + a2^2 ux^2 + a1^2 uy^2), a_i
+    at uc, and its derivatives in (uc, ux, uy) up to ``order``.
+
+    Returns (W, dW, d2W): dW is a 3-tuple, d2W a symmetric 3x3 nested
+    tuple whose mirrored entries are the same arrays; orders above
+    ``order`` are None and their coefficient derivatives are not
+    evaluated.
+    """
+    a1 = np.asarray(spec.a1(uc), dtype=float)
+    a2 = np.asarray(spec.a2(uc), dtype=float)
+    prod = a1 * a2
+    c0, c1, c2 = prod**2, a1**2, a2**2
+    p2, q2 = ux**2, uy**2
+    W = np.sqrt(c0 + c2 * p2 + c1 * q2)
+    if order == 0:
+        return W, None, None
+
     a1p = np.asarray(spec.a1.d1(uc), dtype=float)
     a2p = np.asarray(spec.a2.d1(uc), dtype=float)
-    return a1v, a2v, a1p, a2p
+    dprod = a1p * a2 + a1 * a2p
+    c0p = 2.0 * prod * dprod
+    c1p = 2.0 * a1 * a1p
+    c2p = 2.0 * a2 * a2p
+    Wc = (c0p + c2p * p2 + c1p * q2) / (2.0 * W)
+    Wx = c2 * ux / W
+    Wy = c1 * uy / W
+    if order == 1:
+        return W, (Wc, Wx, Wy), None
+
+    a1s = np.asarray(spec.a1.d2(uc), dtype=float)
+    a2s = np.asarray(spec.a2.d2(uc), dtype=float)
+    c0pp = 2.0 * (dprod**2 + prod * (a1s * a2 + 2.0 * a1p * a2p + a1 * a2s))
+    c1pp = 2.0 * (a1p**2 + a1 * a1s)
+    c2pp = 2.0 * (a2p**2 + a2 * a2s)
+    Wcc = (c0pp + c2pp * p2 + c1pp * q2) / (2.0 * W) - Wc**2 / W
+    Wcx = c2p * ux / W - Wc * Wx / W
+    Wcy = c1p * uy / W - Wc * Wy / W
+    Wxx = c2 / W - Wx**2 / W
+    Wxy = -Wx * Wy / W
+    Wyy = c1 / W - Wy**2 / W
+    return W, (Wc, Wx, Wy), ((Wcc, Wcx, Wcy), (Wcx, Wxx, Wxy), (Wcy, Wxy, Wyy))
+
+
+def _elements(spec: WarpedMetricSpec, g: DiscreteGraph, order: int):
+    """(nodes, B, W, dW, d2W) for each triangle type of the graph."""
+    for nodes, B in _mesh(g):
+        yield (nodes, B) + _element(spec, *_fields(g.values, nodes, B), order)
 
 
 def area(spec: WarpedMetricSpec, g: DiscreteGraph) -> float:
@@ -217,12 +240,7 @@ def area(spec: WarpedMetricSpec, g: DiscreteGraph) -> float:
     triangulated grid."""
     _require_diagonal(spec)
     _check_range(spec, g.values)
-    total = 0.0
-    for tri in _triangles(g):
-        uc, ux, uy = _tri_fields(g, tri)
-        a1v, a2v, _, _ = _coefficients(spec, uc)
-        W = np.sqrt((a1v * a2v) ** 2 + a2v**2 * ux**2 + a1v**2 * uy**2)
-        total += float(np.sum(W))
+    total = sum(float(np.sum(W)) for _, _, W, _, _ in _elements(spec, g, 0))
     return total * 0.5 * g.spacing[0] * g.spacing[1]
 
 
@@ -230,23 +248,13 @@ def _gradient(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray:
     """Exact gradient of the discrete area w.r.t. the nodal values
     (full-shape array; boundary entries are meaningful only as reactions)."""
     tri_w = 0.5 * g.spacing[0] * g.spacing[1]
-    acc = np.zeros(g.shape)
-    for tri in _triangles(g):
-        uc, ux, uy = _tri_fields(g, tri)
-        a1v, a2v, a1p, a2p = _coefficients(spec, uc)
-        W = np.sqrt((a1v * a2v) ** 2 + a2v**2 * ux**2 + a1v**2 * uy**2)
-        # dW/d(uc, ux, uy) at the centroids.
-        wc = (
-            a1v * a1p * a2v**2
-            + a1v**2 * a2v * a2p
-            + a2v * a2p * ux**2
-            + a1v * a1p * uy**2
-        ) / W
-        wp = a2v**2 * ux / W
-        wq = a1v**2 * uy / W
-        for (ii, jj, c, bx, by) in tri:
-            np.add.at(acc, np.ix_(ii, jj), (c * wc + bx * wp + by * wq) * tri_w)
-    return acc
+    acc = np.zeros(g.values.size)
+    for nodes, B, _, dW, _ in _elements(spec, g, 1):
+        # Corner k of each triangle receives (dW . B[k]) * tri_w.
+        weights = np.stack([(B[k, 0] * dW[0] + B[k, 1] * dW[1] + B[k, 2] * dW[2]) * tri_w
+                            for k in range(3)])
+        acc += np.bincount(nodes.ravel(), weights.ravel(), minlength=acc.size)
+    return acc.reshape(g.shape)
 
 
 def el_residual(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray:
@@ -271,96 +279,42 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     if v.shape != g.shape:
         raise DomainError(f"variation shape {v.shape} != graph shape {g.shape}")
     scale = float(np.max(np.abs(v))) or 1.0
-    for axis in (0, 1):
-        if not g.periodic[axis]:
-            ring = np.concatenate(
-                [np.take(v, 0, axis=axis).ravel(), np.take(v, -1, axis=axis).ravel()]
-            )
-            if np.max(np.abs(ring)) > 1e-12 * scale:
-                raise DomainError("variation must vanish on the Dirichlet boundary")
+    ring = v[~g.free_mask()]
+    if np.max(np.abs(ring), initial=0.0) > 1e-12 * scale:
+        raise DomainError("variation must vanish on the Dirichlet boundary")
 
     total = 0.0
-    for tri in _triangles(g):
-        uc, ux, uy = _tri_fields(g, tri)
-        vc, vx, vy = _tri_fields(g, tri, v)
-        a1v, a2v, a1p, a2p = _coefficients(spec, uc)
-        W = np.sqrt((a1v * a2v) ** 2 + a2v**2 * ux**2 + a1v**2 * uy**2)
-        integrand = (
-            a1v * a1p * a2v**2 * vc
-            + a1v**2 * a2v * a2p * vc
-            + a2v * a2p * ux**2 * vc
-            + a2v**2 * ux * vx
-            + a1v * a1p * uy**2 * vc
-            + a1v**2 * uy * vy
-        ) / W
-        total += float(np.sum(integrand))
+    for nodes, B, _, dW, _ in _elements(spec, g, 1):
+        vc, vx, vy = _fields(v, nodes, B)
+        total += float(np.sum(dW[0] * vc + dW[1] * vx + dW[2] * vy))
     return total * 0.5 * g.spacing[0] * g.spacing[1]
 
 
 def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph) -> sp.csr_matrix:
-    """Hessian of the discrete area restricted to the free nodes."""
-    free = g.free_mask()
-    free_index = -np.ones(g.shape, dtype=np.int64)
-    free_index[free] = np.arange(int(free.sum()))
+    """Hessian of the discrete area restricted to the free nodes:
+    B d2W B^T per triangle, scattered onto the free nodes.  Each
+    triangle's (k, l) entry with k <= l is computed once and mirrored, so
+    the assembled matrix is exactly symmetric."""
+    free = g.free_mask().ravel()
     nfree = int(free.sum())
+    free_index = np.full(free.size, -1, dtype=np.int32)
+    free_index[free] = np.arange(nfree, dtype=np.int32)
     tri_w = 0.5 * g.spacing[0] * g.spacing[1]
 
     rows, cols, data = [], [], []
-    for tri in _triangles(g):
-        uc, ux, uy = _tri_fields(g, tri)
-        a1v = np.asarray(spec.a1(uc), dtype=float)
-        a2v = np.asarray(spec.a2(uc), dtype=float)
-        a1p = np.asarray(spec.a1.d1(uc), dtype=float)
-        a2p = np.asarray(spec.a2.d1(uc), dtype=float)
-        a1s = np.asarray(spec.a1.d2(uc), dtype=float)
-        a2s = np.asarray(spec.a2.d2(uc), dtype=float)
-
-        prod = a1v * a2v
-        dprod = a1p * a2v + a1v * a2p
-        c0 = prod**2
-        c0p = 2.0 * prod * dprod
-        c0pp = 2.0 * (dprod**2 + prod * (a1s * a2v + 2.0 * a1p * a2p + a1v * a2s))
-        c1 = a1v**2
-        c1p = 2.0 * a1v * a1p
-        c1pp = 2.0 * (a1p**2 + a1v * a1s)
-        c2 = a2v**2
-        c2p = 2.0 * a2v * a2p
-        c2pp = 2.0 * (a2p**2 + a2v * a2s)
-
-        p, q = ux, uy
-        W = np.sqrt(c0 + c2 * p**2 + c1 * q**2)
-        Wc = (c0p + c2p * p**2 + c1p * q**2) / (2.0 * W)
-        Wp = c2 * p / W
-        Wq = c1 * q / W
-        second = {
-            ("c", "c"): (c0pp + c2pp * p**2 + c1pp * q**2) / (2.0 * W) - Wc**2 / W,
-            ("c", "x"): c2p * p / W - Wc * Wp / W,
-            ("c", "y"): c1p * q / W - Wc * Wq / W,
-            ("x", "x"): c2 / W - Wp**2 / W,
-            ("x", "y"): -Wp * Wq / W,
-            ("y", "y"): c1 / W - Wq**2 / W,
-        }
-
-        def entry(ka, kb):
-            key = (ka, kb) if (ka, kb) in second else (kb, ka)
-            return second[key]
-
-        for (ia, ja, ca, bxa, bya) in tri:
-            ra = free_index[np.ix_(ia, ja)]
-            for (ib, jb, cb, bxb, byb) in tri:
-                rb = free_index[np.ix_(ib, jb)]
-                val = tri_w * (
-                    ca * cb * entry("c", "c")
-                    + (ca * bxb + bxa * cb) * entry("c", "x")
-                    + (ca * byb + bya * cb) * entry("c", "y")
-                    + bxa * bxb * entry("x", "x")
-                    + (bxa * byb + bya * bxb) * entry("x", "y")
-                    + bya * byb * entry("y", "y")
-                )
-                keep = (ra >= 0) & (rb >= 0)
-                rows.append(ra[keep])
-                cols.append(rb[keep])
-                data.append(np.broadcast_to(val, ra.shape)[keep])
+    for nodes, B, _, _, d2W in _elements(spec, g, 2):
+        idx = free_index[nodes]
+        for k in range(3):
+            for l in range(k, 3):
+                keep = (idx[k] >= 0) & (idx[l] >= 0)
+                # (B d2W B^T)[k, l], skipping the zero entries of B.
+                val = sum(B[k, a] * B[l, b] * d2W[a][b]
+                          for a in range(3) for b in range(3) if B[k, a] and B[l, b])
+                val = (tri_w * val)[keep]
+                rk, rl = idx[k][keep], idx[l][keep]
+                rows += [rk] if k == l else [rk, rl]
+                cols += [rl] if k == l else [rl, rk]
+                data += [val] if k == l else [val, val]
     H = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nfree, nfree),
@@ -416,21 +370,16 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     cell_w = h1 * h2
     pinned = False
     history = []
-
-    def residual_max(graph):
-        return float(np.max(np.abs(_gradient(spec, graph)[free]))) / cell_w
-
-    def merit(graph):
-        F = _gradient(spec, graph)[free]
-        return float(np.dot(F.ravel(), F.ravel()))
+    # The area gradient on the free nodes at the current iterate; each
+    # accepted trial's gradient carries over to the next iteration.
+    F = _gradient(spec, g)[free].ravel()
 
     for it in range(max_iter):
-        rmax = residual_max(g)
+        rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
             return g, SolveReport(it, True, history, pinned)
 
-        F = _gradient(spec, g)[free].ravel()
         H = _hessian(spec, g)
         # All-periodic problems on a vertically flat stretch have the
         # constants in the kernel; detect the near-kernel cheaply along
@@ -478,19 +427,18 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 if lo < spec.x3_min or hi > spec.x3_max:
                     alpha *= 0.5
                     continue
-                if merit(trial) <= (1.0 - 1e-4 * alpha) * phi0:
-                    g = trial
+                F_trial = _gradient(spec, trial)[free].ravel()
+                if float(np.dot(F_trial, F_trial)) <= (1.0 - 1e-4 * alpha) * phi0:
+                    g, F = trial, F_trial
                     accepted = True
                     break
                 alpha *= 0.5
             if accepted:
                 break
         if not accepted:
-            raise SolveError(
-                f"line search stalled at residual {rmax:.3e}", history
-            )
+            raise SolveError(f"line search stalled at residual {rmax:.3e}", history)
 
-    history.append(residual_max(g))
+    history.append(float(np.max(np.abs(F))) / cell_w)
     raise SolveError(
         f"no convergence after {max_iter} iterations; last residual "
         f"{history[-1]:.3e}", history
@@ -501,54 +449,26 @@ def _node_derivatives(g: DiscreteGraph):
     """Centered first and second derivatives on the free nodes."""
     u = g.values
     h1, h2 = g.spacing
-    if g.periodic[0]:
-        up1, um1 = np.roll(u, -1, axis=0), np.roll(u, 1, axis=0)
-    else:
-        up1 = np.empty_like(u)
-        um1 = np.empty_like(u)
-        up1[:-1] = u[1:]
-        um1[1:] = u[:-1]
-        up1[-1] = um1[0] = np.nan
-    if g.periodic[1]:
-        vp1, vm1 = np.roll(u, -1, axis=1), np.roll(u, 1, axis=1)
-    else:
-        vp1 = np.empty_like(u)
-        vm1 = np.empty_like(u)
-        vp1[:, :-1] = u[:, 1:]
-        vm1[:, 1:] = u[:, :-1]
-        vp1[:, -1] = vm1[:, 0] = np.nan
+    # One ghost layer per axis: wrapped on periodic axes, NaN beyond a
+    # Dirichlet ring (only ever read at boundary nodes, which are dropped).
+    padded = u
+    for axis, wrap in enumerate(g.periodic):
+        width = [(1, 1) if a == axis else (0, 0) for a in (0, 1)]
+        padded = (np.pad(padded, width, mode="wrap") if wrap
+                  else np.pad(padded, width, constant_values=np.nan))
+    n1, n2 = u.shape
 
-    ux = (up1 - um1) / (2 * h1)
-    uy = (vp1 - vm1) / (2 * h2)
-    uxx = (up1 - 2 * u + um1) / h1**2
-    uyy = (vp1 - 2 * u + vm1) / h2**2
+    def shift(d1, d2):
+        """u[i + d1, j + d2] at every node."""
+        return padded[1 + d1:1 + d1 + n1, 1 + d2:1 + d2 + n2]
 
-    def shift(a, d1, d2):
-        b = np.roll(a, -d1, axis=0) if g.periodic[0] else _slide(a, d1, 0)
-        return np.roll(b, -d2, axis=1) if g.periodic[1] else _slide(b, d2, 1)
-
-    uxy = (shift(u, 1, 1) - shift(u, 1, -1) - shift(u, -1, 1) + shift(u, -1, -1)) / (
-        4 * h1 * h2
-    )
+    ux = (shift(1, 0) - shift(-1, 0)) / (2 * h1)
+    uy = (shift(0, 1) - shift(0, -1)) / (2 * h2)
+    uxx = (shift(1, 0) - 2 * u + shift(-1, 0)) / h1**2
+    uyy = (shift(0, 1) - 2 * u + shift(0, -1)) / h2**2
+    uxy = (shift(1, 1) - shift(1, -1) - shift(-1, 1) + shift(-1, -1)) / (4 * h1 * h2)
     s = g.free_slices()
     return u[s], ux[s], uy[s], uxx[s], uyy[s], uxy[s]
-
-
-def _slide(a, d, axis):
-    out = np.full_like(a, np.nan)
-    if d == 1:
-        if axis == 0:
-            out[:-1] = a[1:]
-        else:
-            out[:, :-1] = a[:, 1:]
-    elif d == -1:
-        if axis == 0:
-            out[1:] = a[:-1]
-        else:
-            out[:, 1:] = a[:, :-1]
-    else:
-        out = a
-    return out
 
 
 def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray:

@@ -44,6 +44,10 @@ class TubeParams:
     radius: float
 
     def __post_init__(self):
+        for name in ("length", "twist", "radius"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"tube {name} must be finite, got {value!r}")
         if not 0.0 < self.length < ELL_MAX:
             raise DomainError(
                 f"embedded tube requires 0 < length < {ELL_MAX!r}"
@@ -80,7 +84,7 @@ def meyerhoff_radius(length: float) -> float:
     rejected.
     """
     if not math.isfinite(length) or length <= 0.0:
-        raise DomainError("geodesic length must be positive")
+        raise DomainError(f"geodesic length must be finite and positive, got {length!r}")
     if length > ELL_MAX:
         raise DomainError(
             f"length {length!r} is above the threshold {ELL_MAX!r}; "

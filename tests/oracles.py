@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from thinpart.errors import DomainError
 from thinpart.flat_torus import FlatTorusLattice
@@ -233,3 +234,166 @@ def interpolated_patches(a, b, k):
                     patches.append((f"{pid}#{piece}/{k}", mult, area / k))
         out.append(tuple(patches))
     return out
+
+
+# ------------------------------------------------------- minimal graphs
+#
+# The per-triangle gradient and Hessian of the discrete graph area, each
+# with its own hand-expanded derivatives of the area element W: the
+# reference for the library's single element kernel.
+
+
+def _cell_corners(g):
+    """Index arrays of the four corners of each cell (wrapping on
+    periodic axes)."""
+    n1, n2 = g.shape
+    m1 = n1 if g.periodic[0] else n1 - 1
+    m2 = n2 if g.periodic[1] else n2 - 1
+    i0 = np.arange(m1)
+    j0 = np.arange(m2)
+    i1 = (i0 + 1) % n1
+    j1 = (j0 + 1) % n2
+    return i0, i1, j0, j1
+
+
+def _triangles(g):
+    """Node stencils of the two linear triangles per grid cell.
+
+    Each triangle is a list of (i_idx, j_idx, c_coef, x_coef, y_coef):
+    the nodal coefficients producing the triangle's centroid value and
+    its (constant) gradient.  Splitting cells kills the odd-even
+    decoupling a pure cell-centered stencil would have; on the flat
+    metric the assembled operator is the classic 5-point scheme.
+    """
+    i0, i1, j0, j1 = _cell_corners(g)
+    h1, h2 = g.spacing
+    third = 1.0 / 3.0
+    lower = [
+        (i0, j0, third, -1.0 / h1, -1.0 / h2),
+        (i1, j0, third, +1.0 / h1, 0.0),
+        (i0, j1, third, 0.0, +1.0 / h2),
+    ]
+    upper = [
+        (i1, j0, third, 0.0, -1.0 / h2),
+        (i0, j1, third, -1.0 / h1, 0.0),
+        (i1, j1, third, +1.0 / h1, +1.0 / h2),
+    ]
+    return (lower, upper)
+
+
+def _tri_fields(g, tri, values=None):
+    """Centroid value and gradient of a nodal field on one triangle set."""
+    u = g.values if values is None else values
+    uc = 0.0
+    ux = 0.0
+    uy = 0.0
+    for (ii, jj, c, bx, by) in tri:
+        uv = u[np.ix_(ii, jj)]
+        uc = uc + c * uv
+        if bx:
+            ux = ux + bx * uv
+        if by:
+            uy = uy + by * uv
+    return uc, ux, uy
+
+
+def _coefficients(spec, uc):
+    a1v = np.asarray(spec.a1(uc), dtype=float)
+    a2v = np.asarray(spec.a2(uc), dtype=float)
+    a1p = np.asarray(spec.a1.d1(uc), dtype=float)
+    a2p = np.asarray(spec.a2.d1(uc), dtype=float)
+    return a1v, a2v, a1p, a2p
+
+
+def gradient_per_triangle(spec, g) -> np.ndarray:
+    """Exact gradient of the discrete area w.r.t. the nodal values
+    (full-shape array; boundary entries are meaningful only as reactions)."""
+    tri_w = 0.5 * g.spacing[0] * g.spacing[1]
+    acc = np.zeros(g.shape)
+    for tri in _triangles(g):
+        uc, ux, uy = _tri_fields(g, tri)
+        a1v, a2v, a1p, a2p = _coefficients(spec, uc)
+        W = np.sqrt((a1v * a2v) ** 2 + a2v**2 * ux**2 + a1v**2 * uy**2)
+        # dW/d(uc, ux, uy) at the centroids.
+        wc = (
+            a1v * a1p * a2v**2
+            + a1v**2 * a2v * a2p
+            + a2v * a2p * ux**2
+            + a1v * a1p * uy**2
+        ) / W
+        wp = a2v**2 * ux / W
+        wq = a1v**2 * uy / W
+        for (ii, jj, c, bx, by) in tri:
+            np.add.at(acc, np.ix_(ii, jj), (c * wc + bx * wp + by * wq) * tri_w)
+    return acc
+
+
+def hessian_per_triangle(spec, g):
+    """Hessian of the discrete area restricted to the free nodes."""
+    free = g.free_mask()
+    free_index = -np.ones(g.shape, dtype=np.int64)
+    free_index[free] = np.arange(int(free.sum()))
+    nfree = int(free.sum())
+    tri_w = 0.5 * g.spacing[0] * g.spacing[1]
+
+    rows, cols, data = [], [], []
+    for tri in _triangles(g):
+        uc, ux, uy = _tri_fields(g, tri)
+        a1v = np.asarray(spec.a1(uc), dtype=float)
+        a2v = np.asarray(spec.a2(uc), dtype=float)
+        a1p = np.asarray(spec.a1.d1(uc), dtype=float)
+        a2p = np.asarray(spec.a2.d1(uc), dtype=float)
+        a1s = np.asarray(spec.a1.d2(uc), dtype=float)
+        a2s = np.asarray(spec.a2.d2(uc), dtype=float)
+
+        prod = a1v * a2v
+        dprod = a1p * a2v + a1v * a2p
+        c0 = prod**2
+        c0p = 2.0 * prod * dprod
+        c0pp = 2.0 * (dprod**2 + prod * (a1s * a2v + 2.0 * a1p * a2p + a1v * a2s))
+        c1 = a1v**2
+        c1p = 2.0 * a1v * a1p
+        c1pp = 2.0 * (a1p**2 + a1v * a1s)
+        c2 = a2v**2
+        c2p = 2.0 * a2v * a2p
+        c2pp = 2.0 * (a2p**2 + a2v * a2s)
+
+        p, q = ux, uy
+        W = np.sqrt(c0 + c2 * p**2 + c1 * q**2)
+        Wc = (c0p + c2p * p**2 + c1p * q**2) / (2.0 * W)
+        Wp = c2 * p / W
+        Wq = c1 * q / W
+        second = {
+            ("c", "c"): (c0pp + c2pp * p**2 + c1pp * q**2) / (2.0 * W) - Wc**2 / W,
+            ("c", "x"): c2p * p / W - Wc * Wp / W,
+            ("c", "y"): c1p * q / W - Wc * Wq / W,
+            ("x", "x"): c2 / W - Wp**2 / W,
+            ("x", "y"): -Wp * Wq / W,
+            ("y", "y"): c1 / W - Wq**2 / W,
+        }
+
+        def entry(ka, kb):
+            key = (ka, kb) if (ka, kb) in second else (kb, ka)
+            return second[key]
+
+        for (ia, ja, ca, bxa, bya) in tri:
+            ra = free_index[np.ix_(ia, ja)]
+            for (ib, jb, cb, bxb, byb) in tri:
+                rb = free_index[np.ix_(ib, jb)]
+                val = tri_w * (
+                    ca * cb * entry("c", "c")
+                    + (ca * bxb + bxa * cb) * entry("c", "x")
+                    + (ca * byb + bya * cb) * entry("c", "y")
+                    + bxa * bxb * entry("x", "x")
+                    + (bxa * byb + bya * bxb) * entry("x", "y")
+                    + bya * byb * entry("y", "y")
+                )
+                keep = (ra >= 0) & (rb >= 0)
+                rows.append(ra[keep])
+                cols.append(rb[keep])
+                data.append(np.broadcast_to(val, ra.shape)[keep])
+    H = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nfree, nfree),
+    )
+    return H.tocsr()

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,80 @@ def test_bounds_reject_nonfinite(capsys, value):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "domain error" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--twist", "--radius"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_tube_rejects_nonfinite(capsys, flag, value):
+    assert run(["--json", "tube", "--length", "0.1", flag, value]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tube {flag[2:]} must be finite" in captured.err
+
+
+FLAT_METRIC = {
+    "kind": "flat",
+    "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+    "interval": [-5.0, 5.0],
+}
+
+
+def _malformed_input_commands(tmp_path):
+    """(argv, name of the malformed file) for each JSON-reading command."""
+    files = {
+        "truncated.json": "{bad",
+        "family.json": json.dumps(
+            {"level": 0, "currents": [[{"patch": "A", "multiplicity": 1}], []]}
+        ),
+        "bc.json": json.dumps({"kind": "affine"}),
+        "good_bc.json": json.dumps({"kind": "constant", "value": 0.0}),
+        "metric.json": json.dumps(FLAT_METRIC),
+        "manifold.json": json.dumps({"tubes": [{"twist": 0.0}]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    p = {name: str(tmp_path / name) for name in files}
+    out = str(tmp_path / "u.csv")
+    graph = ["graph", "solve", "--grid", "8x8", "--out", out]
+    return [
+        (["sweepout", "fineness", "--family", p["family.json"]], "family.json"),
+        (["sweepout", "fineness", "--family", p["truncated.json"]], "truncated.json"),
+        (graph + ["--metric", p["metric.json"], "--bc", p["bc.json"]], "bc.json"),
+        (graph + ["--metric", p["truncated.json"], "--bc", p["good_bc.json"]],
+         "truncated.json"),
+        (graph + ["--metric", p["metric.json"], "--bc", p["truncated.json"]],
+         "truncated.json"),
+        (["sweepout", "profile", "--manifold", p["truncated.json"]], "truncated.json"),
+        (["sweepout", "profile", "--manifold", p["manifold.json"]], "manifold.json"),
+    ]
+
+
+def test_malformed_input_json_exits_domain(tmp_path, capsys):
+    for argv, name in _malformed_input_commands(tmp_path):
+        # run() returning at all means no exception escaped it.
+        assert run(argv) == EXIT_DOMAIN, argv
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and name in err, (argv, err)
+        assert "Traceback" not in err
+
+
+def test_malformed_input_json_no_traceback_from_the_console(tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(
+        {"level": 0, "currents": [[{"patch": "A", "multiplicity": 1}], []]}
+    ))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thinpart.cli", "sweepout", "fineness",
+         "--family", str(family)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_DOMAIN
+    assert proc.stderr.startswith("domain error: ")
+    assert "missing field 'area'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _readme_command_lines():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thinpart import DomainError, SolveError
+from thinpart import DomainError, SolveError, minimal_graph
 from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice
 from thinpart.minimal_graph import (
@@ -49,7 +49,14 @@ def tube_radial_spec():
     return WarpedMetricSpec.diagonal(UNIT, 0.2, 6.0, a1, a2, kind="tube-radial")
 
 
-from oracles import solve_stripe_ode
+from oracles import gradient_per_triangle, hessian_per_triangle, solve_stripe_ode
+
+# Every diagonal spec of the tests, on a periodic torus and a Dirichlet square.
+SPEC_GRID = [
+    (make_spec, periodic)
+    for make_spec in (flat_spec, cusp_spec, tube_spec)
+    for periodic in (True, False)
+]
 
 
 # ---------------------------------------------------------------- area
@@ -215,10 +222,34 @@ def test_sign_convention_area_decreases_into_cusp():
 # ---------------------------------------------------------------- solve
 
 
-def test_hessian_matches_fd_of_gradient():
-    spec = cusp_spec()
+@pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)
+def test_kernel_matches_per_triangle_oracle(make_spec, periodic):
+    spec = make_spec()
+    rng = np.random.RandomState(7)
+    g, _ = _random_graph_and_variation(spec, rng, n=24, periodic=periodic)
+    grad = _gradient(spec, g)
+    ref = gradient_per_triangle(spec, g)
+    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+    H = _hessian(spec, g)
+    H_ref = hessian_per_triangle(spec, g)
+    assert H.shape == H_ref.shape
+    assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+
+
+@pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)
+def test_hessian_exactly_symmetric(make_spec, periodic):
+    spec = make_spec()
+    rng = np.random.RandomState(8)
+    g, _ = _random_graph_and_variation(spec, rng, n=24, periodic=periodic)
+    H = _hessian(spec, g)
+    assert (H != H.T).nnz == 0
+
+
+@pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)
+def test_hessian_matches_fd_of_gradient(make_spec, periodic):
+    spec = make_spec()
     rng = np.random.RandomState(1)
-    g, _ = _random_graph_and_variation(spec, rng, n=6, periodic=False)
+    g, _ = _random_graph_and_variation(spec, rng, n=6, periodic=periodic)
     H = _hessian(spec, g).toarray()
     free = g.free_slices()
     nfree = H.shape[0]
@@ -301,6 +332,29 @@ def test_solve_grid_convergence_order():
     e_fine = np.max(np.abs(sols[65] - sols[129][::2, ::2]))
     order = math.log2(e_coarse / e_fine)
     assert order >= 1.9
+
+
+def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
+    # Full Newton steps are accepted on this problem, so every iteration
+    # evaluates the gradient once, at its one trial point.
+    spec = tube_spec()
+    L = 0.35
+    init = DiscreteGraph.on_rectangle(
+        (L, L), (33, 33),
+        lambda x, y: 3.8 + 0.1 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
+    )
+    calls = []
+
+    def counting_gradient(spec, g):
+        calls.append(1)
+        return _gradient(spec, g)
+
+    monkeypatch.setattr(minimal_graph, "_gradient", counting_gradient)
+    out, rep = solve(spec, init, tol=1e-9)
+    assert rep.converged and rep.iterations == 4
+    assert len(calls) == rep.iterations + 1
+    # The reported residual is that of the returned graph, bit for bit.
+    assert rep.final_residual == float(np.max(np.abs(el_residual(spec, out))))
 
 
 def test_solve_reports_nonconvergence():

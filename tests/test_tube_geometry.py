@@ -141,6 +141,15 @@ def test_tube_params_validation():
         TubeParams(0.01, 0.0, 5.0)  # radius above the embedded guarantee
 
 
+@pytest.mark.parametrize("name", ["length", "twist", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tube_params_reject_nonfinite(name, value):
+    args = {"length": 0.01, "twist": 0.0, "radius": 1.0}
+    args[name] = value
+    with pytest.raises(DomainError, match=f"tube {name} must be finite"):
+        TubeParams(**args)
+
+
 def test_tube_as_warped_coefficients():
     p = TubeParams(0.001, 0.3, 3.0)
     spec = tube_as_warped(p)
