@@ -459,8 +459,10 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # A missing, unreadable or unwritable path, or a directory given
+        # where a file belongs; str(exc) names the path.
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

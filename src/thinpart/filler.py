@@ -173,6 +173,8 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     The lattice's first generator (alpha, 0) sets the collapse slope
     K = 2 pi exp(f(L+1)) / alpha.
     """
+    if not math.isfinite(depth):
+        raise DomainError(f"filler depth must be finite, got {depth!r}")
     if not depth > 10.0:
         raise DomainError("filler depth must exceed 10")
     f = DepthProfile()

@@ -14,6 +14,14 @@ which keeps the divergence term in conservative form and makes the
 discrete integration-by-parts identity
     first_variation(u, v) = -<el_residual(u), v>
 hold to machine precision.
+
+The Newton solve numbers the free nodes in George's nested-dissection
+order, computed in closed form from the grid shape and the periodic
+axes (``_dissection_order``), so SuperLU factors the Hessian in its
+given column order.  The sparsity pattern in that numbering is built
+once per solve (``_Pattern``); each Newton step sums the triangle
+entries per mesh edge with one ``np.bincount`` and reads both mirrored
+entries from that sum, which keeps the Hessian exactly symmetric.
 """
 
 from __future__ import annotations
@@ -290,36 +298,125 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     return total * 0.5 * g.spacing[0] * g.spacing[1]
 
 
-def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph) -> sp.csr_matrix:
-    """Hessian of the discrete area restricted to the free nodes:
-    B d2W B^T per triangle, scattered onto the free nodes.  Each
-    triangle's (k, l) entry with k <= l is computed once and mirrored, so
-    the assembled matrix is exactly symmetric."""
-    free = g.free_mask().ravel()
-    nfree = int(free.sum())
-    free_index = np.full(free.size, -1, dtype=np.int32)
-    free_index[free] = np.arange(nfree, dtype=np.int32)
-    tri_w = 0.5 * g.spacing[0] * g.spacing[1]
+# Blocks of the dissection whose shorter side is at most this are
+# numbered as bands.  Cutting such a block on down to square leaves
+# only adds separators: on the 4 x 2049 cusp stripe it takes the LU fill
+# from 94k to 176k.
+_BAND_WIDTH = 4
 
-    rows, cols, data = [], [], []
-    for nodes, B, _, _, d2W in _elements(spec, g, 2):
-        idx = free_index[nodes]
-        for k in range(3):
-            for l in range(k, 3):
-                keep = (idx[k] >= 0) & (idx[l] >= 0)
-                # (B d2W B^T)[k, l], skipping the zero entries of B.
-                val = sum(B[k, a] * B[l, b] * d2W[a][b]
-                          for a in range(3) for b in range(3) if B[k, a] and B[l, b])
-                val = (tri_w * val)[keep]
-                rk, rl = idx[k][keep], idx[l][keep]
-                rows += [rk] if k == l else [rk, rl]
-                cols += [rl] if k == l else [rl, rk]
-                data += [val] if k == l else [val, val]
-    H = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nfree, nfree),
-    )
-    return H.tocsr()
+# The (k, l), k <= l, corner pairs of a triangle: one Hessian entry each.
+_PAIRS = tuple((k, l) for k in range(3) for l in range(k, 3))
+
+
+def _dissection_order(shape, periodic):
+    """George's nested dissection of a ``shape`` grid of unknowns whose
+    couplings reach one index along each axis (wrapping on ``periodic``
+    axes): the row-major index of each unknown, in elimination order.
+
+    The longer side of a block is cut at its middle line; on an axis that
+    still wraps, lines 0 and the middle are cut, which also removes the
+    wrap.  Both halves are numbered first, then the separator.  A block
+    whose shorter side is at most ``_BAND_WIDTH`` is numbered as a band,
+    its short axis varying fastest.
+    """
+    parts = []
+
+    def number(block, wraps):
+        if block.shape[0] < block.shape[1]:
+            block, wraps = block.T, wraps[::-1]
+        if block.shape[1] <= _BAND_WIDTH:
+            parts.append(block.ravel())
+            return
+        mid = block.shape[0] // 2
+        number(block[int(wraps[0]):mid], (False, wraps[1]))
+        number(block[mid + 1:], (False, wraps[1]))
+        parts.append(block[[0, mid] if wraps[0] else [mid]].ravel())
+
+    number(np.arange(shape[0] * shape[1]).reshape(shape), tuple(periodic))
+    return np.concatenate(parts)
+
+
+class _Pattern:
+    """The unknowns of a solve and the sparsity of their Hessian.
+
+    ``order[k]`` is the row-major free-node index of unknown k, in
+    nested-dissection order, and ``rank`` is its inverse.  The Hessian in
+    that numbering is a CSC matrix with fixed ``indptr``/``indices``.
+
+    Its entries are sums over mesh edges {p, q}, p <= q in row-major
+    order (p = q on the diagonal).  The nodes of an edge are at most one
+    index apart on each axis, wrapping on periodic ones, so with (i, j)
+    the grid position of a node, i_q - i_p is 0, 1 or n1 - 1 and
+    j_q - j_p is 0, +-1 or +-(n2 - 1); on grids of at least 4 x 4 the
+    label 15 p + 5 min(i_q - i_p, 2) + clip(j_q - j_p, -2, 2) + 2 names
+    the edge.  ``slots`` holds the edge number (labels in use, counted in
+    order) of each triangle type's corner pair (k, l), k <= l, in each
+    cell, and ``data_source`` that of each stored entry, so both mirrored
+    entries read the same sum.
+    """
+
+    def __init__(self, g: DiscreteGraph):
+        n1, n2 = g.shape
+        free_nodes = np.arange(g.values.size).reshape(g.shape)[g.free_slices()]
+        self.order = _dissection_order(free_nodes.shape, g.periodic)
+        nodes = free_nodes.ravel()[self.order]
+        n = nodes.size
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[self.order] = np.arange(n)
+        unknown = np.full(g.values.size, -1, dtype=np.intp)
+        unknown[nodes] = np.arange(n)
+
+        def label(p, q):
+            lo, hi = np.minimum(p, q), np.maximum(p, q)
+            di = hi // n2 - lo // n2
+            dj = hi - lo - di * n2
+            return 15 * lo + 5 * np.minimum(di, 2) + np.clip(dj, -2, 2) + 2
+
+        slots = np.array([[label(corners[k], corners[l]) for k, l in _PAIRS]
+                          for corners, _ in _mesh(g)])
+        edge = np.zeros(15 * g.values.size, dtype=bool)
+        edge[slots] = True
+        number = np.cumsum(edge) - 1
+        self.slots = number[slots]
+        self.n_edges = int(number[-1]) + 1
+
+        # Column c holds the free nodes among the nine nodes around
+        # unknown c that share a mesh edge with it, sorted by number.
+        i = nodes[:, None] // n2
+        j = nodes[:, None] - i * n2
+        di, dj = np.divmod(np.arange(9), 3)
+        around = (i + di - 1) % n1 * n2 + (j + dj - 1) % n2
+        labels = label(nodes[:, None], around)
+        rows = np.where(edge[labels] & (unknown[around] >= 0), unknown[around], n)
+        by_row = np.argsort(rows, axis=1)
+        rows = np.take_along_axis(rows, by_row, axis=1)
+        stored = rows < n
+        self.indices = rows[stored].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.count_nonzero(stored, axis=1))]).astype(np.int32)
+        self.data_source = number[np.take_along_axis(labels, by_row, axis=1)[stored]]
+        self.shape = (n, n)
+
+
+def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
+             pattern: _Pattern) -> sp.csc_matrix:
+    """Hessian of the discrete area on the free nodes, numbered and
+    stored as ``pattern`` says: B d2W B^T per triangle.  Each triangle's
+    (k, l) entry with k <= l is computed once and summed per mesh edge;
+    both mirrored entries read that sum, so the matrix is exactly
+    symmetric."""
+    vals = np.empty(pattern.slots.shape)
+    for t, (_, B, _, _, d2W) in enumerate(_elements(spec, g, 2)):
+        for p, (k, l) in enumerate(_PAIRS):
+            # (B d2W B^T)[k, l], skipping the zero entries of B.
+            vals[t, p] = sum(B[k, a] * B[l, b] * d2W[a][b]
+                             for a in range(3) for b in range(3)
+                             if B[k, a] and B[l, b])
+    edges = np.bincount(pattern.slots.ravel(), vals.ravel(),
+                        minlength=pattern.n_edges)
+    edges *= 0.5 * g.spacing[0] * g.spacing[1]
+    return sp.csc_matrix((edges[pattern.data_source], pattern.indices,
+                          pattern.indptr), shape=pattern.shape)
 
 
 @dataclass
@@ -335,8 +432,12 @@ class SolveReport:
 
 
 def _linear_solve(H, rhs):
+    """H^-1 rhs, or None when the factorization fails or the solution is
+    not finite or does not satisfy the system to 1e-6 relative.  H comes
+    from ``_hessian``, numbered in nested-dissection order, so SuperLU
+    keeps that column order."""
     try:
-        lu = spla.splu(H.tocsc())
+        lu = spla.splu(H, permc_spec="NATURAL")
         delta = lu.solve(rhs)
     except (RuntimeError, ValueError):
         return None
@@ -373,6 +474,9 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     # The area gradient on the free nodes at the current iterate; each
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
+    # The linear algebra runs in the pattern's numbering: the right-hand
+    # side enters and the update leaves through its permutation.
+    pattern = _Pattern(g)
 
     for it in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
@@ -380,7 +484,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
         if rmax <= tol:
             return g, SolveReport(it, True, history, pinned)
 
-        H = _hessian(spec, g)
+        H = _hessian(spec, g, pattern)
+        rhs = -F[pattern.order]
         # All-periodic problems on a vertically flat stretch have the
         # constants in the kernel; detect the near-kernel cheaply along
         # that direction and pin the mean of the update.
@@ -389,15 +494,16 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
             n = H.shape[0]
             scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
             near_kernel = float(np.max(np.abs(H @ np.ones(n)))) < 1e-10 * scale
-        delta = None if near_kernel else _linear_solve(H, -F)
+        delta = None if near_kernel else _linear_solve(H, rhs)
         if delta is None:
             if any(g.periodic):
-                # KKT system constraining the update to zero mean.
+                # KKT system constraining the update to zero mean.  H is
+                # singular here, so SuperLU keeps its own column ordering.
                 n = H.shape[0]
                 e = np.ones((n, 1))
                 K = sp.bmat([[H, e], [e.T, None]], format="csc")
                 try:
-                    sol = spla.splu(K).solve(np.concatenate([-F, [0.0]]))
+                    sol = spla.splu(K).solve(np.concatenate([rhs, [0.0]]))
                 except (RuntimeError, ValueError) as exc:
                     raise SolveError("singular Jacobian", history) from exc
                 if not np.all(np.isfinite(sol)):
@@ -406,6 +512,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 pinned = True
             else:
                 raise SolveError("singular Jacobian", history)
+        delta = delta[pattern.rank]
 
         # Armijo backtracking on ||gradient||^2, with a steepest-descent
         # fallback when the Newton direction fails.

@@ -113,10 +113,12 @@ def meyerhoff_radius(length: float) -> float:
 def slice_area(length: float, radius: float) -> float:
     """Area of the r = radius torus around a geodesic of the given length:
     pi * ell * sinh(2r)."""
-    if length <= 0.0:
-        raise DomainError("geodesic length must be positive")
-    if radius < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not math.isfinite(length) or length <= 0.0:
+        raise DomainError(
+            f"geodesic length must be finite and positive, got {length!r}"
+        )
+    if not math.isfinite(radius) or radius < 0.0:
+        raise DomainError(f"radius must be finite and nonnegative, got {radius!r}")
     return math.pi * length * math.sinh(2.0 * radius)
 
 

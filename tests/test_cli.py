@@ -91,6 +91,17 @@ def test_filler_build_rejects_small_depth(tmp_path):
                 "--out", str(out)]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_filler_build_rejects_nonfinite_depth(tmp_path, capsys, value):
+    out = tmp_path / "f.json"
+    assert run(["filler", "build", "--L", value, "--lattice", "1,0,1",
+                "--out", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "filler depth must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_filler_build_verify_cycle(tmp_path, capsys):
     out = tmp_path / "f.json"
     code = run(["filler", "build", "--L", "20", "--lattice", "1,0,1",
@@ -245,6 +256,25 @@ def test_malformed_input_json_exits_domain(tmp_path, capsys):
         assert run(argv) == EXIT_DOMAIN, argv
         err = capsys.readouterr().err
         assert err.startswith("domain error: ") and name in err, (argv, err)
+        assert "Traceback" not in err
+
+
+def test_directory_as_input_or_output_path_exits_domain(tmp_path, capsys):
+    (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "constant", "value": 0.0}))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    graph = ["graph", "solve", "--grid", "8x8"]
+    cases = [
+        graph + ["--metric", str(folder), "--bc", str(tmp_path / "bc.json"),
+                 "--out", str(tmp_path / "u.csv")],
+        graph + ["--metric", str(tmp_path / "metric.json"),
+                 "--bc", str(tmp_path / "bc.json"), "--out", str(folder)],
+    ]
+    for argv in cases:
+        assert run(argv) == EXIT_DOMAIN, argv
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(folder) in err, (argv, err)
         assert "Traceback" not in err
 
 

@@ -33,6 +33,12 @@ def test_build_rejects_shallow_depth():
         build(5.0, UNIT)
 
 
+@pytest.mark.parametrize("depth", [math.nan, math.inf, -math.inf])
+def test_build_rejects_nonfinite_depth(depth):
+    with pytest.raises(DomainError, match="filler depth must be finite"):
+        build(depth, UNIT)
+
+
 def test_profile_head_is_identity():
     spec = build(20.0, UNIT)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from thinpart import DomainError, SolveError, minimal_graph
 from thinpart.fields import Field1D
@@ -15,6 +16,8 @@ from thinpart.minimal_graph import (
     graph_mean_curvature,
     rescale_graph,
     solve,
+    _Pattern,
+    _dissection_order,
     _gradient,
     _hessian,
 )
@@ -230,9 +233,11 @@ def test_kernel_matches_per_triangle_oracle(make_spec, periodic):
     grad = _gradient(spec, g)
     ref = gradient_per_triangle(spec, g)
     assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
-    H = _hessian(spec, g)
-    H_ref = hessian_per_triangle(spec, g)
-    assert H.shape == H_ref.shape
+    # The solver numbers the unknowns in nested-dissection order.
+    pattern = _Pattern(g)
+    H = _hessian(spec, g, pattern)
+    H_ref = hessian_per_triangle(spec, g)[pattern.order][:, pattern.order]
+    assert H.shape == H_ref.shape and H.nnz == H_ref.nnz
     assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
 
 
@@ -241,7 +246,7 @@ def test_hessian_exactly_symmetric(make_spec, periodic):
     spec = make_spec()
     rng = np.random.RandomState(8)
     g, _ = _random_graph_and_variation(spec, rng, n=24, periodic=periodic)
-    H = _hessian(spec, g)
+    H = _hessian(spec, g, _Pattern(g))
     assert (H != H.T).nnz == 0
 
 
@@ -250,21 +255,73 @@ def test_hessian_matches_fd_of_gradient(make_spec, periodic):
     spec = make_spec()
     rng = np.random.RandomState(1)
     g, _ = _random_graph_and_variation(spec, rng, n=6, periodic=periodic)
-    H = _hessian(spec, g).toarray()
+    pattern = _Pattern(g)
+    H = _hessian(spec, g, pattern).toarray()
     free = g.free_slices()
     nfree = H.shape[0]
     eps = 1e-6
+    # Unknown k of the solver's numbering is free node pattern.order[k].
     for k in range(nfree):
         gp = g.copy()
         gm = g.copy()
         bump = np.zeros(nfree)
-        bump[k] = eps
+        bump[pattern.order[k]] = eps
         gp.values[free] = g.values[free] + bump.reshape(g.values[free].shape)
         gm.values[free] = g.values[free] - bump.reshape(g.values[free].shape)
         col = (_gradient(spec, gp)[free] - _gradient(spec, gm)[free]).ravel() / (
             2 * eps
         )
-        assert np.allclose(H[:, k], col, rtol=2e-6, atol=1e-9)
+        assert np.allclose(H[:, k], col[pattern.order], rtol=2e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False),
+                                      (False, True), (True, True)])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8),
+                                   (4, 33), (33, 4), (5, 64), (63, 17)])
+def test_dissection_order_is_a_permutation(shape, periodic):
+    order = _dissection_order(shape, periodic)
+    assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, True)])
+def test_pattern_numbers_every_free_node_once(periodic):
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (9, 12), 0.0, periodic=periodic)
+    pattern = _Pattern(g)
+    nfree = g.values[g.free_slices()].size
+    assert np.array_equal(pattern.order[pattern.rank], np.arange(nfree))
+    assert pattern.shape == (nfree, nfree)
+
+
+def _tube_rectangle(n):
+    L = 0.35
+    return tube_spec(), DiscreteGraph.on_rectangle(
+        (L, L), (n, n),
+        lambda x, y: 3.8 + 0.1 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
+    )
+
+
+def _cusp_stripe():
+    h2 = 1.0 / 2048
+    return cusp_spec(), DiscreteGraph.on_rectangle(
+        (4 * h2, 1.0), (4, 2049), lambda x, y: 0.15 + 0.4 * y,
+        periodic=(True, False),
+    )
+
+
+@pytest.mark.parametrize("problem,ratio", [
+    (lambda: _tube_rectangle(129), 0.65),
+    (_cusp_stripe, 1.0),
+], ids=["rectangle_129", "stripe_4x2049"])
+def test_dissection_fill_against_colamd(problem, ratio):
+    # Fill counts of SuperLU: the solver's factorization of the
+    # dissection-numbered Hessian against COLAMD on the natural numbering.
+    spec, g = problem()
+    pattern = _Pattern(g)
+    H = _hessian(spec, g, pattern)
+    natural = H[pattern.rank][:, pattern.rank].tocsc()
+    colamd = spla.splu(natural).nnz
+    dissection = spla.splu(H, permc_spec="NATURAL").nnz
+    assert dissection <= ratio * colamd
 
 
 def test_solve_flat_affine_dirichlet_reproduces_plane():

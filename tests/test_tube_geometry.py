@@ -86,6 +86,14 @@ def test_slice_area_examples():
         assert a == pytest.approx(math.sqrt(3.0) / 2.0, rel=rtol)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_slice_area_rejects_nonfinite(value):
+    with pytest.raises(DomainError, match="geodesic length must be finite"):
+        slice_area(value, 1.0)
+    with pytest.raises(DomainError, match="radius must be finite"):
+        slice_area(0.1, value)
+
+
 def test_slice_area_increasing_in_radius():
     rs = np.linspace(0.0, 4.0, 40)
     areas = [slice_area(0.02, float(r)) for r in rs]
