@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 #: Published lower estimate for the Margulis constant of hyperbolic
 #: 3-manifolds.  The introduction-level bound "at least 0.104" admits two
@@ -26,15 +26,9 @@ from .errors import DomainError
 MARGULIS_EPSILON_LOWER = 0.104
 
 
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def parallel_disk_area(R: float) -> float:
     """Area of a geodesic parallel disk of radius R: 2 pi (cosh R - 1)."""
-    _require_finite(R=R)
+    require_finite(R=R)
     if R < 0.0:
         raise DomainError("disk radius must be nonnegative")
     # 4 pi sinh^2(R/2) avoids cancellation at small R.
@@ -61,7 +55,7 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     every singular value is 0 or 1; the report records the measured
     maxima.
     """
-    _require_finite(length=length)
+    require_finite(length=length)
     if length <= 0.0:
         raise DomainError("geodesic length must be positive")
     rs = np.asarray(r_grid, dtype=float)
@@ -97,8 +91,8 @@ class BandEstimate:
     tube_radius: float
 
     def __post_init__(self):
-        _require_finite(rho1=self.rho1, rho2=self.rho2,
-                        systole_bound=self.systole_bound, tube_radius=self.tube_radius)
+        require_finite(rho1=self.rho1, rho2=self.rho2,
+                       systole_bound=self.systole_bound, tube_radius=self.tube_radius)
         if not 0.0 <= self.rho1 <= self.rho2 <= self.tube_radius:
             raise DomainError("need 0 <= rho1 <= rho2 <= tube_radius")
         if not 0.0 < self.systole_bound <= 1.0:
@@ -128,8 +122,8 @@ def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
                          kappa2: float = 1.0) -> float:
     """The crossing chain (pi / (8 kappa'')) (s0 / cosh RL)
     (cosh R - cosh(3/2)); vanishes at R = 3/2 by construction."""
-    _require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
-                    kappa2=kappa2)
+    require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
+                   kappa2=kappa2)
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
     return (
@@ -142,7 +136,7 @@ def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
 def simplified_crossing_constant(kappa2: float = 1.0) -> float:
     """kappa''' with chain >= kappa''' s0 exp(R - RL) for 3 <= R <= RL:
     (pi / (16 kappa'')) (1 - cosh(3/2)/cosh 3) / (1 + exp(-6))."""
-    _require_finite(kappa2=kappa2)
+    require_finite(kappa2=kappa2)
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
     return (
@@ -180,7 +174,7 @@ def crossing_lower_bound(R: float, tube_radius: float, systole_bound: float,
 def margulis_area_bound(eps: float) -> float:
     """Monotonicity-formula area bound from a Margulis-type constant:
     2 pi (cosh(eps) - 1)."""
-    _require_finite(eps=eps)
+    require_finite(eps=eps)
     if eps < 0.0:
         raise DomainError("epsilon must be nonnegative")
     return 4.0 * math.pi * math.sinh(0.5 * eps) ** 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import area_bounds, filler, flat_torus, minimal_graph, sweepout
 from . import tube_geometry as tubes
-from .errors import DomainError, SolveError
+from .errors import DomainError, SolveError, load_json
 from .flat_torus import FlatTorusLattice
 from .warped_metric import spec_from_json
 
@@ -77,26 +77,6 @@ class ManifoldDescription:
             if "attach" in entry:
                 desc.attachments[idx] = int(entry["attach"])
         return desc
-
-
-def _load_json(path, build):
-    """``build(data)`` for the JSON document in the file at ``path``.
-
-    Malformed JSON, and a KeyError/TypeError/ValueError raised while
-    building from it (a missing field, a field of the wrong type), become
-    a DomainError naming the file.
-    """
-    with open(path) as fh:
-        try:
-            return build(json.load(fh))
-        except DomainError:  # a ValueError, but already says what is wrong
-            raise
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: malformed JSON: {exc}") from exc
-        except KeyError as exc:
-            raise DomainError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{path}: bad field value: {exc}") from exc
 
 
 def parse_lattice_literal(text: str) -> FlatTorusLattice:
@@ -277,8 +257,8 @@ def _boundary_function(bc: dict):
 
 
 def _cmd_graph(args) -> int:
-    spec = _load_json(args.metric, spec_from_json)
-    fn = _load_json(args.bc, _boundary_function)
+    spec = load_json(args.metric, spec_from_json)
+    fn = load_json(args.bc, _boundary_function)
     shape = _parse_grid(args.grid)
     if args.domain == "torus":
         init = minimal_graph.DiscreteGraph.on_torus(spec.lattice, shape, fn)
@@ -324,7 +304,7 @@ def _family_from_json(data: dict) -> sweepout.DiscreteFamily:
 
 def _cmd_sweepout(args) -> int:
     if args.action == "profile":
-        desc = _load_json(args.manifold, ManifoldDescription.from_json_dict)
+        desc = load_json(args.manifold, ManifoldDescription.from_json_dict)
         prof = sweepout.profile(
             cusps=desc.cusps,
             tubes=desc.tubes,
@@ -353,7 +333,7 @@ def _cmd_sweepout(args) -> int:
             else:
                 print(json.dumps(payload))
         return EXIT_OK
-    fam = _load_json(args.family, _family_from_json)
+    fam = load_json(args.family, _family_from_json)
     _emit(
         {
             "level": fam.level,

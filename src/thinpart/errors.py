@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, the finiteness check, and the one reader of
+JSON input files."""
+
+import json
+import math
 
 
 class DomainError(ValueError):
@@ -11,3 +15,30 @@ class SolveError(RuntimeError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+
+
+def require_finite(**values) -> None:
+    """Raise a DomainError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def load_json(path, build):
+    """``build(data)`` for the JSON document in the file at ``path``.
+
+    Malformed JSON, a KeyError/TypeError/ValueError raised while building
+    from it (a missing field, a field of the wrong type), and a
+    DomainError from the builder become a DomainError naming the file.
+    """
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: malformed JSON: {exc}") from exc
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from exc
+        except KeyError as exc:
+            raise DomainError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{path}: bad field value: {exc}") from exc

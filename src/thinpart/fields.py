@@ -18,12 +18,11 @@ class Field1D:
     All evaluators accept scalars or numpy arrays.
     """
 
-    def __init__(self, f, d1, d2, d3, description="callable"):
+    def __init__(self, f, d1, d2, d3):
         self._f = f
         self._d1 = d1
         self._d2 = d2
         self._d3 = d3
-        self.description = description
 
     def __call__(self, t):
         return self._f(t)
@@ -45,7 +44,7 @@ class Field1D:
         def zero(t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
-        return cls(f, zero, zero, zero, description=f"constant {value!r}")
+        return cls(f, zero, zero, zero)
 
     @classmethod
     def exp_decay(cls) -> "Field1D":
@@ -60,7 +59,7 @@ class Field1D:
         def d3(t):
             return -np.exp(-np.asarray(t, dtype=float))
 
-        return cls(f, d1, f, d3, description="exp(-t)")
+        return cls(f, d1, f, d3)
 
     @classmethod
     def from_samples(cls, x, y) -> "Field1D":
@@ -72,13 +71,7 @@ class Field1D:
         if np.any(np.diff(x) <= 0):
             raise DomainError("sample abscissae must be strictly increasing")
         sp = CubicSpline(x, y)
-        return cls(
-            sp,
-            sp.derivative(1),
-            sp.derivative(2),
-            sp.derivative(3),
-            description=f"cubic spline on {x.size} samples",
-        )
+        return cls(sp, sp.derivative(1), sp.derivative(2), sp.derivative(3))
 
     def compose_affine(self, in_scale: float, in_shift: float, out_scale: float = 1.0) -> "Field1D":
         """out_scale * f(in_scale * t + in_shift), with chain-rule derivatives."""
@@ -92,10 +85,7 @@ class Field1D:
 
             return g
 
-        return Field1D(
-            make(0), make(1), make(2), make(3),
-            description=f"{self.description} (affine-composed)",
-        )
+        return Field1D(make(0), make(1), make(2), make(3))
 
     def scaled(self, factor: float) -> "Field1D":
         return self.compose_affine(1.0, 0.0, factor)

@@ -16,6 +16,11 @@ residuals instead of exact zeros.  eta is 1 near 0, descends through a
 smoothstep, rounds the corner onto the exact linear tail
 eta(x) = (1 - x) * (2 pi / alpha) * exp(f(L+1)) near 1 (slope -K with
 K = 2 pi exp(f(L+1)) / alpha).
+
+``build`` is the only constructor.  A filler file stores the depth and the
+lattice together with the profile parameters they determine; reading one
+rebuilds the filler from the depth and the lattice, and a file whose
+stored parameters disagree with the rebuilt ones is rejected.
 """
 
 from __future__ import annotations
@@ -27,72 +32,71 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError
+from .errors import DomainError, load_json
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, diameter, systole
 
+_FORMAT = "thinpart-filler v1"
 _RAMP_SCALE = 0.75
 _ETA_FLAT_END = 0.02  # eta = 1 on [0, 0.02]
 
 
-def _smoothstep(u):
-    """Quintic smoothstep: 0 -> 1 with zero slope and curvature at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+# The quintic smoothstep S (order 0): 0 -> 1 with zero slope and curvature
+# at both ends; its antiderivative with value 0 at 0 (order -1); and its
+# derivatives (orders 1-3).
+_SMOOTHSTEP = {
+    -1: lambda u: 2.5 * u**4 - 3.0 * u**5 + u**6,
+    0: lambda u: u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
+    1: lambda u: 30.0 * u**2 * (1.0 - u) ** 2,
+    2: lambda u: 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u),
+    3: lambda u: 60.0 * (1.0 - 6.0 * u + 6.0 * u**2),
+}
 
 
-def _smoothstep_d1(u):
+def _smoothstep(u, order=0):
+    """S^(order)(u), continued off [0, 1] as S is: constant below and above."""
+    if order <= 0:
+        return _SMOOTHSTEP[order](np.clip(u, 0.0, 1.0))
     u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    return np.where(inside, 30.0 * u**2 * (1.0 - u) ** 2, 0.0)
+    return np.where((u > 0.0) & (u < 1.0), _SMOOTHSTEP[order](u), 0.0)
 
 
-def _smoothstep_d2(u):
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    return np.where(inside, 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u), 0.0)
+class _Profile:
+    """A profile and its first three derivatives; subclasses give the
+    order-th derivative, order 0 to 3, as ``_derivative(x, order)``."""
+
+    def __call__(self, x):
+        return self._derivative(x, 0)
+
+    def d1(self, x):
+        return self._derivative(x, 1)
+
+    def d2(self, x):
+        return self._derivative(x, 2)
+
+    def d3(self, x):
+        return self._derivative(x, 3)
 
 
-def _smoothstep_integral(u):
-    """Antiderivative of the quintic smoothstep with value 0 at 0 (and 1/2 at 1)."""
-    u = np.clip(u, 0.0, 1.0)
-    return 2.5 * u**4 - 3.0 * u**5 + u**6
+class DepthProfile(_Profile):
+    """The profile f: identity on [0, 1], then an exponential-tail ramp
+    with scale s = 3/4."""
 
-
-class DepthProfile:
-    """The profile f: identity on [0, 1], then an exponential-tail ramp."""
-
-    def __init__(self, scale: float = _RAMP_SCALE):
-        self.scale = scale
-        self.cap = 1.0 + 2.0 * scale
-
-    def __call__(self, t):
+    def _derivative(self, t, order):
         t = np.asarray(t, dtype=float)
         x = t - 1.0
-        s = self.scale
-        ramp = 1.0 + 2.0 * s - (x + 2.0 * s) * np.exp(-x / s)
-        return np.where(t <= 1.0, t, ramp)
-
-    def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        x = t - 1.0
-        s = self.scale
-        return np.where(t <= 1.0, 1.0, (1.0 + x / s) * np.exp(-x / s))
-
-    def d2(self, t):
-        t = np.asarray(t, dtype=float)
-        x = t - 1.0
-        s = self.scale
-        return np.where(t <= 1.0, 0.0, -(x / s**2) * np.exp(-x / s))
-
-    def d3(self, t):
-        t = np.asarray(t, dtype=float)
-        x = t - 1.0
-        s = self.scale
-        return np.where(t <= 1.0, 0.0, ((x - s) / s**3) * np.exp(-x / s))
+        s = _RAMP_SCALE
+        decay = np.exp(-x / s)
+        if order == 0:
+            return np.where(t <= 1.0, t, 1.0 + 2.0 * s - (x + 2.0 * s) * decay)
+        if order == 1:
+            return np.where(t <= 1.0, 1.0, (1.0 + x / s) * decay)
+        if order == 2:
+            return np.where(t <= 1.0, 0.0, -(x / s**2) * decay)
+        return np.where(t <= 1.0, 0.0, ((x - s) / s**3) * decay)
 
 
-class CollapseProfile:
+class CollapseProfile(_Profile):
     """The profile eta on [0, 1]: 1, smoothstep descent, corner rounding,
     exact linear tail K*(1 - x)."""
 
@@ -112,36 +116,20 @@ class CollapseProfile:
         if self.v1 >= 1.0:
             raise DomainError("collapse profile would exceed 1")
 
-    def __call__(self, x):
+    def _derivative(self, x, order):
         x = np.asarray(x, dtype=float)
-        gentle = 1.0 - (1.0 - self.v1) * _smoothstep(
-            (x - self.x0) / (self.x1 - self.x0)
-        )
+        span = self.x1 - self.x0
         w = self.x2 - self.x1
-        corner = self.v1 - self.K * w * _smoothstep_integral((x - self.x1) / w)
-        tail = self.K * (1.0 - x)
+        if order == 0:
+            gentle = 1.0 - (1.0 - self.v1) * _smoothstep((x - self.x0) / span)
+            corner = self.v1 - self.K * w * _smoothstep((x - self.x1) / w, -1)
+            tail, flat = self.K * (1.0 - x), 1.0
+        else:
+            gentle = -(1.0 - self.v1) * _smoothstep((x - self.x0) / span, order) / span**order
+            corner = -self.K * _smoothstep((x - self.x1) / w, order - 1) / w ** (order - 1)
+            tail, flat = (-self.K if order == 1 else 0.0), 0.0
         out = np.where(x <= self.x1, gentle, np.where(x <= self.x2, corner, tail))
-        return np.where(x <= self.x0, 1.0, out)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        gentle = -(1.0 - self.v1) * _smoothstep_d1(
-            (x - self.x0) / (self.x1 - self.x0)
-        ) / (self.x1 - self.x0)
-        w = self.x2 - self.x1
-        corner = -self.K * _smoothstep((x - self.x1) / w)
-        out = np.where(x <= self.x1, gentle, np.where(x <= self.x2, corner, -self.K))
-        return np.where(x <= self.x0, 0.0, out)
-
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        gentle = -(1.0 - self.v1) * _smoothstep_d2(
-            (x - self.x0) / (self.x1 - self.x0)
-        ) / (self.x1 - self.x0) ** 2
-        w = self.x2 - self.x1
-        corner = -self.K * _smoothstep_d1((x - self.x1) / w) / w
-        out = np.where(x <= self.x1, gentle, np.where(x <= self.x2, corner, 0.0))
-        return np.where(x <= self.x0, 0.0, out)
+        return np.where(x <= self.x0, flat, out)
 
 
 @dataclass(frozen=True)
@@ -186,6 +174,21 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     return FillerSpec(depth, lattice, f, eta)
 
 
+_BEFORE_COLLAR = (1.0, 0.0, 0.0, 0.0)  # eta = 1 and its derivatives for t < L
+
+
+def _collar(spec: FillerSpec, t, order: int = 0):
+    """eta^(order)(t - L): the collapse factor at depth t, with the value
+    (1, 0, 0, 0)[order] before the collar t = L, where eta's flat head
+    already gives it.  A float t before the collar evaluates no eta."""
+    L = spec.depth
+    if isinstance(t, float):
+        if t >= L:
+            return float(spec.eta._derivative(t - L, order))
+        return _BEFORE_COLLAR[order]
+    return spec.eta._derivative(np.asarray(t, dtype=float) - L, order)
+
+
 def metric_at(spec: FillerSpec, point) -> tuple:
     """Diagonal metric coefficients (g11, g22, g33) at (x1, x2, t).
 
@@ -199,8 +202,7 @@ def metric_at(spec: FillerSpec, point) -> tuple:
             f"t = {t!r} outside [0, L + 1); use core_chart_metric at the core"
         )
     e2f = math.exp(-2.0 * float(spec.f(t)))
-    eta = float(spec.eta(t - L)) if t >= L else 1.0
-    return (e2f * eta**2, e2f, 1.0)
+    return (e2f * _collar(spec, t) ** 2, e2f, 1.0)
 
 
 def core_chart_metric(spec: FillerSpec, rho: float) -> tuple:
@@ -226,7 +228,7 @@ def slice_lattice(spec: FillerSpec, t: float) -> FlatTorusLattice:
     if not 0.0 <= t < L + 1.0:
         raise DomainError("level torus exists for 0 <= t < L + 1")
     e_f = math.exp(-float(spec.f(t)))
-    eta = float(spec.eta(t - L)) if t >= L else 1.0
+    eta = _collar(spec, t)
     lat = spec.lattice
     return FlatTorusLattice.from_vectors(
         (e_f * eta * lat.a1, 0.0), (e_f * eta * lat.a2, e_f * lat.b2)
@@ -239,18 +241,13 @@ def slice_area(spec: FillerSpec, t: float) -> float:
     if not 0.0 <= t < L + 1.0:
         raise DomainError("level torus exists for 0 <= t < L + 1")
     e2f = math.exp(-2.0 * float(spec.f(t)))
-    eta = float(spec.eta(t - L)) if t >= L else 1.0
-    return e2f * eta * spec.lattice.area
+    return e2f * _collar(spec, t) * spec.lattice.area
 
 
-def mean_convexity(spec: FillerSpec, t: float) -> float:
-    """Signed level-torus mean curvature toward +t: f'(t) - eta'/(2 eta)."""
-    L = spec.depth
-    fp = float(spec.f.d1(t))
-    if t >= L:
-        x = t - L
-        return fp - 0.5 * float(spec.eta.d1(x)) / float(spec.eta(x))
-    return fp
+def mean_convexity(spec: FillerSpec, t):
+    """Signed level-torus mean curvature toward +t: f'(t) - eta'/(2 eta),
+    at a depth or an array of depths."""
+    return spec.f.d1(t) - 0.5 * _collar(spec, t, 1) / _collar(spec, t)
 
 
 def as_warped(spec: FillerSpec, t_max: float | None = None):
@@ -263,50 +260,33 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
     if not 0.0 < t_max < L + 1.0:
         raise DomainError("t_max must lie in (0, L + 1)")
 
-    f, eta = spec.f, spec.eta
+    f = spec.f
 
-    def eta_at(t, order):
-        x = np.asarray(t, dtype=float) - L
-        fn = (eta, eta.d1, eta.d2)[order]
-        return np.where(x >= 0.0, fn(np.maximum(x, 0.0)), (1.0, 0.0, 0.0)[order])
-
-    def a1_fn(t):
-        return np.exp(-f(t)) * eta_at(t, 0)
-
-    def a1_d1(t):
-        return np.exp(-f(t)) * (-f.d1(t) * eta_at(t, 0) + eta_at(t, 1))
-
-    def a1_d2(t):
+    def exp_f(t, order):
+        """The order-th derivative of exp(-f) at t."""
         e = np.exp(-f(t))
-        return e * (
-            (f.d1(t) ** 2 - f.d2(t)) * eta_at(t, 0)
-            - 2.0 * f.d1(t) * eta_at(t, 1)
-            + eta_at(t, 2)
+        if order == 0:
+            return e
+        fp = f.d1(t)
+        if order == 1:
+            return -fp * e
+        if order == 2:
+            return (fp**2 - f.d2(t)) * e
+        return (-fp**3 + 3.0 * fp * f.d2(t) - f.d3(t)) * e
+
+    def a1(t, order):
+        """The order-th derivative of exp(-f) * eta(t - L), by Leibniz."""
+        return sum(
+            math.comb(order, j) * exp_f(t, j) * _collar(spec, t, order - j)
+            for j in range(order + 1)
         )
 
-    def a1_d3(t):  # third derivative unused by the graph machinery
-        eps = 1e-5
-        return (a1_d2(np.asarray(t) + eps) - a1_d2(np.asarray(t) - eps)) / (2 * eps)
+    def field(fn):
+        return Field1D(*(lambda t, k=k: fn(t, k) for k in range(4)))
 
-    def a2_fn(t):
-        return np.exp(-f(t))
-
-    def a2_d1(t):
-        return -f.d1(t) * np.exp(-f(t))
-
-    def a2_d2(t):
-        return (f.d1(t) ** 2 - f.d2(t)) * np.exp(-f(t))
-
-    def a2_d3(t):
-        return (
-            -f.d1(t) ** 3 + 3.0 * f.d1(t) * f.d2(t) - f.d3(t)
-        ) * np.exp(-f(t))
-
-    a1 = Field1D(a1_fn, a1_d1, a1_d2, a1_d3, "exp(-f) * eta")
-    a2 = Field1D(a2_fn, a2_d1, a2_d2, a2_d3, "exp(-f)")
-    h = Field1D(a2_fn, a2_d1, a2_d2, a2_d3, "exp(-f)")
+    h = field(exp_f)
     return WarpedMetricSpec(
-        spec.lattice, 0.0, float(t_max), h, kind="filler", a1=a1, a2=a2
+        spec.lattice, 0.0, float(t_max), h, kind="filler", a1=field(a1), a2=h
     )
 
 
@@ -379,7 +359,7 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     ts = np.linspace(0.0, L + 1.0, grid, endpoint=False)
     diams = np.array([diameter(slice_lattice(spec, float(t))) for t in ts])
     decreasing = bool(np.all(np.diff(diams) < 0.0))
-    convex = bool(all(mean_convexity(spec, float(t)) > 0.0 for t in ts))
+    convex = bool(np.all(mean_convexity(spec, ts) > 0.0))
 
     # (iii) exact collar on [0, 1].
     collar = all(
@@ -487,6 +467,19 @@ def area_lower_bound(spec: FillerSpec, monotonicity_constant: float = math.pi) -
 # ------------------------------------------------------------------- JSON
 
 
+def _profile_parameters(spec: FillerSpec) -> dict:
+    """The profile parameters a filler file stores; ``build`` sets them
+    all from the depth and the lattice."""
+    return {
+        "ramp_scale": _RAMP_SCALE,
+        "collapse": {
+            "slope": spec.eta.K,
+            "tail": spec.eta.tail,
+            "corner_width": spec.eta.corner_width,
+        },
+    }
+
+
 def to_json_dict(spec: FillerSpec) -> dict:
     """Serializable description: exact rebuild parameters plus Chebyshev
     mirrors of the smooth profile segments for external consumers."""
@@ -498,15 +491,10 @@ def to_json_dict(spec: FillerSpec) -> dict:
         lambda x: np.asarray(spec.eta(x)), 60, domain=[spec.eta.x0, spec.eta.x1]
     )
     return {
-        "format": "thinpart-filler v1",
+        "format": _FORMAT,
         "depth": L,
         "lattice": spec.lattice.to_json_dict(),
-        "ramp_scale": spec.f.scale,
-        "collapse": {
-            "slope": spec.eta.K,
-            "tail": spec.eta.tail,
-            "corner_width": spec.eta.corner_width,
-        },
+        **_profile_parameters(spec),
         "chebyshev_mirror": {
             "f_interior": list(f_cheb.coef),
             "f_head": "f(t) = t on [0, 1]",
@@ -518,20 +506,27 @@ def to_json_dict(spec: FillerSpec) -> dict:
 
 
 def from_json_dict(data: dict) -> FillerSpec:
-    """Rebuild a filler bit-identically from its exact parameters."""
+    """Rebuild a filler with ``build`` from its stored depth and lattice.
+
+    The stored ramp scale and collapse parameters must equal the rebuilt
+    ones bit for bit; a description whose values differ is rejected.
+    """
     try:
-        if data["format"] != "thinpart-filler v1":
-            raise DomainError(f"unknown filler format {data.get('format')!r}")
+        fmt = data["format"]
         depth = float(data["depth"])
-        lattice = FlatTorusLattice.from_json_dict(data["lattice"])
-        f = DepthProfile(float(data["ramp_scale"]))
-        col = data["collapse"]
-        eta = CollapseProfile(
-            float(col["slope"]), float(col["tail"]), float(col["corner_width"])
+        lattice = data["lattice"]
+        stored = {"ramp_scale": data["ramp_scale"], "collapse": data["collapse"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed filler JSON: {exc!r}") from exc
+    if fmt != _FORMAT:
+        raise DomainError(f"unknown filler format {fmt!r}")
+    spec = build(depth, FlatTorusLattice.from_json_dict(lattice))
+    rebuilt = _profile_parameters(spec)
+    if stored != rebuilt:
+        raise DomainError(
+            f"stored filler parameters {stored!r} differ from the rebuilt {rebuilt!r}"
         )
-    except (KeyError, TypeError) as exc:
-        raise DomainError("malformed filler JSON") from exc
-    return FillerSpec(depth, lattice, f, eta)
+    return spec
 
 
 def save(spec: FillerSpec, path) -> None:
@@ -540,5 +535,4 @@ def save(spec: FillerSpec, path) -> None:
 
 
 def load(path) -> FillerSpec:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
+    return load_json(path, from_json_dict)

@@ -90,10 +90,6 @@ class FlatTorusLattice:
     def area(self) -> float:
         return self.a1 * self.b2
 
-    def vector(self, m: int, n: int) -> np.ndarray:
-        """The lattice vector m*v1 + n*v2."""
-        return m * self.v1 + n * self.v2
-
     def scaled(self, factor: float) -> "FlatTorusLattice":
         if factor <= 0.0:
             raise DomainError("scale factor must be positive")

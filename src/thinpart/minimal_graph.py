@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, SolveError
+from .errors import DomainError, SolveError, require_finite
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
 
@@ -614,6 +614,7 @@ class GraphBoundsParams:
     graph_constant: float  # the constant C sizing the graph neighborhood
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.comparison < 1.0:
             raise DomainError("comparison constant must be >= 1")
         for name in ("intrinsic_radius", "curvature_bound", "graph_constant"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
@@ -71,6 +71,7 @@ class CuspParams:
     t1: float
 
     def __post_init__(self):
+        require_finite(t0=self.t0, t1=self.t1)
         if not self.t0 < self.t1:
             raise DomainError("cusp depth range requires t0 < t1")
 
@@ -125,6 +126,7 @@ def slice_area(length: float, radius: float) -> float:
 def slice_mean_curvature(radius: float) -> float:
     """Mean curvature of the r = radius torus with respect to the inward
     normal: (tanh r + coth r)/2.  Singular at r = 0."""
+    require_finite(radius=radius)
     if radius <= 0.0:
         raise DomainError("slice mean curvature needs radius > 0")
     return 0.5 * (math.tanh(radius) + 1.0 / math.tanh(radius))
@@ -133,6 +135,7 @@ def slice_mean_curvature(radius: float) -> float:
 def boundary_lattice(params: TubeParams, radius: float) -> FlatTorusLattice:
     """Lattice of the flat torus at r = radius in orthonormal coordinates:
     v1 = (2 pi sinh r, 0), v2 = (twist sinh r, ell cosh r)."""
+    require_finite(radius=radius)
     if radius <= 0.0:
         raise DomainError("boundary lattice needs radius > 0")
     if radius > params.radius * (1.0 + 1e-12):
@@ -159,27 +162,11 @@ def tube_as_warped(params: TubeParams, margin: float = 0.5,
     sh_R = math.sinh(R)
     scale = 1.0 / sh_R if normalized else 1.0
 
-    def mk(fn, sign, factor):
-        def g(t, fn=fn, sign=sign, factor=factor):
-            return sign * factor * fn(R - np.asarray(t, dtype=float))
-
-        return g
-
-    a1 = Field1D(
-        mk(np.sinh, 1.0, scale), mk(np.cosh, -1.0, scale),
-        mk(np.sinh, 1.0, scale), mk(np.cosh, -1.0, scale),
-        description="sinh(R - t)",
-    )
-    a2 = Field1D(
-        mk(np.cosh, 1.0, scale), mk(np.sinh, -1.0, scale),
-        mk(np.cosh, 1.0, scale), mk(np.sinh, -1.0, scale),
-        description="cosh(R - t)",
-    )
-    h = Field1D(
-        mk(np.sinh, 1.0, 1.0 / sh_R), mk(np.cosh, -1.0, 1.0 / sh_R),
-        mk(np.sinh, 1.0, 1.0 / sh_R), mk(np.cosh, -1.0, 1.0 / sh_R),
-        description="sinh(R - t)/sinh(R)",
-    )
+    sinh = Field1D(np.sinh, np.cosh, np.sinh, np.cosh)
+    cosh = Field1D(np.cosh, np.sinh, np.cosh, np.sinh)
+    a1 = sinh.compose_affine(-1.0, R, scale)
+    a2 = cosh.compose_affine(-1.0, R, scale)
+    h = sinh.compose_affine(-1.0, R, 1.0 / sh_R)
     lattice = FlatTorusLattice.from_vectors(
         (2.0 * math.pi, 0.0), (params.twist, params.length)
     )

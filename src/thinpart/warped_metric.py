@@ -170,11 +170,9 @@ class WarpedMetricSpec:
     def diagonal_form(self) -> bool:
         return self.a1 is not None and self.a2 is not None
 
-    def contains(self, x3: float, slack: float = 1e-9) -> bool:
-        width = self.x3_max - self.x3_min
-        return (
-            self.x3_min - slack * width <= x3 <= self.x3_max + slack * width
-        )
+    def contains(self, x3: float) -> bool:
+        slack = 1e-9 * (self.x3_max - self.x3_min)
+        return self.x3_min - slack <= x3 <= self.x3_max + slack
 
     def require_inside(self, x3: float):
         if not self.contains(x3):
@@ -187,22 +185,6 @@ class WarpedMetricSpec:
 
     def coefficient_deriv(self, axes: tuple, x1: float, x2: float, x3: float) -> np.ndarray:
         return self.coefficients.deriv(tuple(axes), x1, x2, x3)
-
-    def reference_matrix(self, x3: float) -> np.ndarray:
-        h = float(self.warping(x3))
-        return np.diag([h * h, h * h, 1.0])
-
-    def to_json_dict(self) -> dict:
-        if self.kind not in ("flat", "cusp"):
-            raise DomainError(
-                "only flat/cusp specs serialize from this module; tube specs "
-                "serialize via their TubeParams, custom specs via samples"
-            )
-        return {
-            "kind": self.kind,
-            "lattice": self.lattice.to_json_dict(),
-            "interval": [self.x3_min, self.x3_max],
-        }
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,56 @@ def test_filler_build_verify_cycle(tmp_path, capsys):
     )
 
 
+def _set_slope(data):
+    data["collapse"]["slope"] *= 1.0 + 1e-12
+
+
+# Each edit spoils a built filler file in place.
+FILLER_FILE_EDITS = {
+    "depth3": lambda data: data.update(depth=3.0),
+    "depth_nan": lambda data: data.update(depth=math.nan),
+    "depth_abc": lambda data: data.update(depth="abc"),
+    "slope": _set_slope,
+    "ramp_scale": lambda data: data.update(ramp_scale=0.5),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FILLER_FILE_EDITS))
+def test_filler_verify_rejects_tampered_file(tmp_path, capsys, edit):
+    path = tmp_path / f"{edit}.json"
+    assert run(["filler", "build", "--L", "14", "--lattice", "1,0,1",
+                "--out", str(path)]) == EXIT_OK
+    data = json.loads(path.read_text())
+    FILLER_FILE_EDITS[edit](data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    # run() returning at all means no exception escaped it.
+    assert run(["filler", "verify", str(path)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ") and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_filler_verify_non_json_file_exits_domain(capsys):
+    assert run(["filler", "verify", os.devnull]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {os.devnull}: malformed JSON")
+
+
+def test_sweepout_profile_rejects_infinite_cusp_depth(tmp_path, capsys):
+    manifold = tmp_path / "m.json"
+    manifold.write_text(json.dumps({
+        "cusps": [{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+                   "t0": 0.0, "t1": math.inf}],
+    }))
+    argv = ["sweepout", "profile", "--manifold", str(manifold), "--emit", "json"]
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ") and "t1 must be finite" in captured.err
+
+
 def test_graph_solve_flat_affine(tmp_path, capsys):
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps({

@@ -243,3 +243,97 @@ def test_json_round_trip_bit_identical(tmp_path):
     )
     mid = np.linspace(1.5, 17.5, 50)
     assert np.max(np.abs(cheb(mid) - np.asarray(spec.f(mid)))) < 1e-9
+
+
+def test_json_round_trip_random_fillers():
+    # Reading rebuilds through build, which must give back the stored
+    # profile parameters exactly, or the file would be rejected.
+    rng = np.random.RandomState(41)
+    for _ in range(200):
+        lat = random_lattice(rng, min_quality=0.2)
+        spec = build(float(rng.uniform(10.0, 40.0)) + 1e-9, lat)
+        data = json.loads(json.dumps(to_json_dict(spec)))
+        again = from_json_dict(data)
+        assert (again.depth, again.lattice) == (spec.depth, spec.lattice)
+        assert (again.eta.K, again.eta.tail, again.eta.corner_width) == (
+            spec.eta.K, spec.eta.tail, spec.eta.corner_width)
+
+
+def _spoiled(key, value):
+    data = json.loads(json.dumps(to_json_dict(build(14.0, UNIT))))
+    if key in data:
+        data[key] = value
+    else:
+        data["collapse"][key] = value
+    return data
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("depth", 3.0, "filler depth must exceed 10"),
+    ("depth", math.nan, "filler depth must be finite"),
+    ("depth", "abc", "malformed filler JSON"),
+    ("depth", [14.0], "malformed filler JSON"),
+    ("format", "thinpart-filler v0", "unknown filler format"),
+    ("lattice", {"v1": [1.0, 0.0]}, "lattice JSON needs"),
+    ("ramp_scale", 0.5, "differ from the rebuilt"),
+    ("slope", 1.0, "differ from the rebuilt"),
+    ("tail", 0.5, "differ from the rebuilt"),
+    ("corner_width", "abc", "differ from the rebuilt"),
+])
+def test_from_json_dict_rejects_bad_or_disagreeing_values(key, value, message):
+    with pytest.raises(DomainError, match=message):
+        from_json_dict(_spoiled(key, value))
+
+
+def test_from_json_dict_rejects_missing_fields():
+    data = to_json_dict(build(14.0, UNIT))
+    for key in ("format", "depth", "lattice", "ramp_scale", "collapse"):
+        partial = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(DomainError, match="malformed filler JSON"):
+            from_json_dict(partial)
+    with pytest.raises(DomainError, match="malformed filler JSON"):
+        from_json_dict([])
+
+
+def _richardson(g, t, h):
+    """Central difference of g at t, Richardson-extrapolated: O(h^4)."""
+    def central(step):
+        return (np.asarray(g(t + step)) - np.asarray(g(t - step))) / (2.0 * step)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def test_as_warped_a1_derivatives_closed_form():
+    spec = build(14.0, UNIT)
+    a1 = as_warped(spec).a1
+    L, eta = spec.depth, spec.eta
+    # The smooth pieces of a1 = exp(-f) eta(t - L): the body, split at f's
+    # knot t = 1 (eta = 1 up to L + x0), then eta's descent, corner and
+    # linear tail.  The differences agree to <= 1.3e-7 of each piece's sup,
+    # except on the tail, where a1 is nearly linear and the rounding of
+    # a1' / h leaves 4.5e-6 of the small a1''; a wrong term is off by O(1).
+    pieces = {
+        "head": (0.0, 1.0),
+        "body": (1.0, L + eta.x0),
+        "descent": (L + eta.x0, L + eta.x1),
+        "corner": (L + eta.x1, L + eta.x2),
+        "tail": (L + eta.x2, L + 1.0),
+    }
+    orders = (a1, a1.d1, a1.d2, a1.d3)
+    for name, (lo, hi) in pieces.items():
+        width = hi - lo
+        t = lo + width * np.linspace(0.2, 0.8, 7)
+        for k in (1, 2, 3):
+            exact = np.asarray(orders[k](t))
+            approx = _richardson(orders[k - 1], t, min(width / 50.0, 1e-2))
+            assert np.max(np.abs(exact - approx)) <= 1e-5 * np.max(np.abs(exact)), (name, k)
+
+
+def test_as_warped_a1_d3_equals_a2_d3_before_collar():
+    spec = build(14.0, UNIT)
+    warped = as_warped(spec)
+    t = np.linspace(0.0, np.nextafter(spec.depth, 0.0), 1001)
+    assert np.array_equal(warped.a1.d3(t), warped.a2.d3(t))
+    for s in t[::50]:
+        assert warped.a1.d3(float(s)) == warped.a2.d3(float(s))
+    assert warped.a2 is warped.warping

@@ -47,8 +47,8 @@ def tube_spec():
 
 def tube_radial_spec():
     """Tube in radial coordinates: a1 = cosh(r), a2 = sinh(r), x3 = r."""
-    a1 = Field1D(np.cosh, np.sinh, np.cosh, np.sinh, "cosh(r)")
-    a2 = Field1D(np.sinh, np.cosh, np.sinh, np.cosh, "sinh(r)")
+    a1 = Field1D(np.cosh, np.sinh, np.cosh, np.sinh)
+    a2 = Field1D(np.sinh, np.cosh, np.sinh, np.cosh)
     return WarpedMetricSpec.diagonal(UNIT, 0.2, 6.0, a1, a2, kind="tube-radial")
 
 
@@ -479,6 +479,19 @@ def cusp_bounds_params(t_bar=2.0, C=1.5):
         tangency_level=t_bar,
         graph_constant=C,
     )
+
+
+@pytest.mark.parametrize("name", [
+    "comparison", "intrinsic_radius", "curvature_bound", "tangency_level",
+    "graph_constant",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_graph_bounds_params_reject_nonfinite(name, value):
+    args = {"comparison": 1.0, "intrinsic_radius": 1.0, "curvature_bound": 1.0,
+            "tangency_level": 2.0, "graph_constant": 1.5}
+    args[name] = value
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        GraphBoundsParams(**args)
 
 
 def _centered_rect(radius, n, fn):

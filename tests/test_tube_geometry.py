@@ -118,6 +118,23 @@ def test_slice_mean_curvature():
         )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_slice_mean_curvature_and_boundary_lattice_reject_nonfinite(value):
+    with pytest.raises(DomainError, match="radius must be finite"):
+        slice_mean_curvature(value)
+    with pytest.raises(DomainError, match="radius must be finite"):
+        boundary_lattice(TubeParams(0.01, 0.0, 1.0), value)
+
+
+@pytest.mark.parametrize("name", ["t0", "t1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cusp_params_reject_nonfinite(name, value):
+    args = {"lattice": FlatTorusLattice.unit_square(), "t0": 0.0, "t1": 3.0}
+    args[name] = value
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        CuspParams(**args)
+
+
 def test_boundary_lattice_example():
     R = meyerhoff_radius(0.01)
     p = TubeParams(length=0.01, twist=0.0, radius=R)
