@@ -284,6 +284,8 @@ def _cmd_graph(args) -> int:
             "iterations": report.iterations,
             "final_residual": report.final_residual,
             "pinned_mean": report.pinned_mean,
+            "factorizations": report.factorizations,
+            "linear_iterations": report.linear_iterations,
             "grid": f"{shape[0]}x{shape[1]}",
         },
         args.json,
@@ -326,8 +328,10 @@ def _cmd_sweepout(args) -> int:
                 "samples": [[t, label, a] for t, label, a in rows],
             }
             if args.out:
+                # One json.dumps call: json.dump streams through the
+                # pure-Python encoder, several times slower on the samples.
                 with open(args.out, "w") as fh:
-                    json.dump(payload, fh)
+                    fh.write(json.dumps(payload))
                 _emit({"out": args.out,
                        "width_upper_bound": prof.width_upper_bound}, args.json)
             else:

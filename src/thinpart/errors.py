@@ -1,8 +1,11 @@
-"""Shared exception types, the finiteness check, and the one reader of
-JSON input files."""
+"""Shared exception types, the finiteness and number checks, and the one
+reader of JSON input files."""
 
 import json
 import math
+import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -22,6 +25,26 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as a float; a DomainError naming ``name`` when it is not a
+    real number (a string, null, a list)."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_floats(name: str, value) -> np.ndarray:
+    """``value``, a sequence of real numbers, as a 1-d float array; a
+    DomainError naming ``name`` otherwise."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nested list
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be a list of numbers, got {value!r}")
+    return array.astype(float)
 
 
 def load_json(path, build):

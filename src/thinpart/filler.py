@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, load_json
+from .errors import DomainError, as_float, load_json
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, diameter, systole
 
@@ -247,6 +247,9 @@ def slice_area(spec: FillerSpec, t: float) -> float:
 def mean_convexity(spec: FillerSpec, t):
     """Signed level-torus mean curvature toward +t: f'(t) - eta'/(2 eta),
     at a depth or an array of depths."""
+    depths = np.asarray(t)
+    if not np.all((0.0 <= depths) & (depths < spec.depth + 1.0)):
+        raise DomainError("level torus exists for 0 <= t < L + 1")
     return spec.f.d1(t) - 0.5 * _collar(spec, t, 1) / _collar(spec, t)
 
 
@@ -513,7 +516,7 @@ def from_json_dict(data: dict) -> FillerSpec:
     """
     try:
         fmt = data["format"]
-        depth = float(data["depth"])
+        depth = as_float("depth", data["depth"])
         lattice = data["lattice"]
         stored = {"ramp_scale": data["ramp_scale"], "collapse": data["collapse"]}
     except (KeyError, TypeError, ValueError) as exc:

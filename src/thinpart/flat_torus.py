@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_floats
 
 # det <= DEGENERACY_RTOL * max(|v1|,|v2|)^2 is rejected: downstream code
 # divides by the area.
@@ -105,7 +105,8 @@ class FlatTorusLattice:
             v2 = data["v2"]
         except (KeyError, TypeError) as exc:
             raise DomainError("lattice JSON needs 'v1' and 'v2'") from exc
-        return cls.from_vectors(v1, v2)
+        return cls.from_vectors(as_floats("lattice v1", v1),
+                                as_floats("lattice v2", v2))
 
 
 def reduce_basis(lat: FlatTorusLattice) -> FlatTorusLattice:

@@ -22,6 +22,13 @@ given column order.  The sparsity pattern in that numbering is built
 once per solve (``_Pattern``); each Newton step sums the triangle
 entries per mesh edge with one ``np.bincount`` and reads both mirrored
 entries from that sum, which keeps the Hessian exactly symmetric.
+
+A solve factors the Hessian once, on its first Newton step.  Later
+steps keep that factor and solve with conjugate gradients preconditioned
+by it (a lagged preconditioner: between Newton steps the Hessian changes
+little); a step whose CG run does not converge within ``_CG_MAX_ITER``
+iterations factors its own Hessian, which then preconditions the steps
+after it.  No factor outlives the solve.
 """
 
 from __future__ import annotations
@@ -421,33 +428,98 @@ def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve``.  ``factorizations`` counts the sparse LU
+    factorizations made; ``linear_iterations`` holds, per Newton step, the
+    number of preconditioned CG iterations that solved the step, or 0
+    when a fresh factorization did."""
+
     iterations: int
     converged: bool
     residual_history: list = field(default_factory=list)
     pinned_mean: bool = False
+    factorizations: int = 0
+    linear_iterations: list = field(default_factory=list)
 
     @property
     def final_residual(self) -> float:
         return self.residual_history[-1] if self.residual_history else math.nan
 
 
-def _linear_solve(H, rhs):
-    """H^-1 rhs, or None when the factorization fails or the solution is
-    not finite or does not satisfy the system to 1e-6 relative.  H comes
-    from ``_hessian``, numbered in nested-dissection order, so SuperLU
-    keeps that column order."""
+# Iteration cap of the CG run preconditioned by a lagged factor.  Each
+# iteration is one product with H and one pair of triangular solves with
+# the factor; on the tube solves of criterion 4(c), 2-core machine, one
+# factorization costs more than 8 such iterations at every grid from
+# 33^2 to 257^2, so a run that has not converged by then is cut short and
+# the Hessian is factored instead.  The lagged factor of those solves
+# reaches the tolerance in 5-7 iterations.
+_CG_MAX_ITER = 8
+# CG stops at ||H delta - rhs|| <= _CG_RTOL ||rhs||, ten times inside the
+# 1e-6 every accepted direction must meet, since the recurred residual
+# drifts from the true one.
+_CG_RTOL = 1e-7
+
+
+def _solves(H, delta, rhs) -> bool:
+    """Whether delta is finite and satisfies H delta = rhs to 1e-6
+    relative."""
+    if not np.all(np.isfinite(delta)):
+        return False
+    scale = float(np.linalg.norm(rhs)) or 1.0
+    return float(np.linalg.norm(H @ delta - rhs)) <= 1e-6 * scale
+
+
+def _pcg(H, rhs, precondition):
+    """Conjugate gradients on H x = rhs from x = 0, preconditioned by
+    ``precondition``: (x, iterations), with x None when the run does not
+    reach ``_CG_RTOL`` within ``_CG_MAX_ITER`` iterations, or stops at a
+    nonpositive curvature p.Hp or product r.z (H or the preconditioner is
+    then not positive definite)."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    target = _CG_RTOL * float(np.linalg.norm(rhs))
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(1, _CG_MAX_ITER + 1):
+        q = H @ p
+        curvature = float(p @ q)
+        if not (curvature > 0.0 and rz > 0.0):
+            break
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        if float(np.linalg.norm(r)) <= target:
+            return x, k
+        z = precondition(r)
+        rz, rz_prev = float(r @ z), rz
+        p = z + (rz / rz_prev) * p
+    return None, k
+
+
+def _linear_solve(H, rhs, lu):
+    """Solve H delta = rhs, given ``lu``, the factor of an earlier Hessian
+    of the solve, or None.  Returns (delta, lu, iterations).
+
+    With a factor at hand, CG preconditioned by it runs first; its
+    iteration count is returned with the factor it used.  Otherwise, or
+    when CG fails, H is factored: H comes from ``_hessian``, numbered in
+    nested-dissection order, so SuperLU keeps that column order, and the
+    new factor is returned with 0 iterations.  Every returned delta is
+    finite and satisfies the system to 1e-6 relative; when neither path
+    gives one, delta and the factor are None.
+    """
+    if lu is not None:
+        delta, iterations = _pcg(H, rhs, lu.solve)
+        if delta is not None and _solves(H, delta, rhs):
+            return delta, lu, iterations
     try:
         lu = spla.splu(H, permc_spec="NATURAL")
         delta = lu.solve(rhs)
     except (RuntimeError, ValueError):
-        return None
-    if not np.all(np.isfinite(delta)):
-        return None
-    check = H @ delta - rhs
-    scale = float(np.linalg.norm(rhs)) or 1.0
-    if np.linalg.norm(check) > 1e-6 * scale:
-        return None
-    return delta
+        return None, None, 0
+    if not _solves(H, delta, rhs):
+        return None, None, 0
+    return delta, lu, 0
 
 
 def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
@@ -471,6 +543,10 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     cell_w = h1 * h2
     pinned = False
     history = []
+    # Per Newton step: CG iterations, or 0 for a fresh factorization.
+    linear_iterations = []
+    factorizations = 0
+    lu = None
     # The area gradient on the free nodes at the current iterate; each
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
@@ -482,7 +558,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
         rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
-            return g, SolveReport(it, True, history, pinned)
+            return g, SolveReport(it, True, history, pinned, factorizations,
+                                  linear_iterations)
 
         H = _hessian(spec, g, pattern)
         rhs = -F[pattern.order]
@@ -494,7 +571,11 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
             n = H.shape[0]
             scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
             near_kernel = float(np.max(np.abs(H @ np.ones(n)))) < 1e-10 * scale
-        delta = None if near_kernel else _linear_solve(H, rhs)
+        delta, iterations = None, 0
+        if not near_kernel:
+            delta, lu, iterations = _linear_solve(H, rhs, lu)
+            # _linear_solve factors H exactly when CG did not solve.
+            factorizations += iterations == 0
         if delta is None:
             if any(g.periodic):
                 # KKT system constraining the update to zero mean.  H is
@@ -502,6 +583,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 n = H.shape[0]
                 e = np.ones((n, 1))
                 K = sp.bmat([[H, e], [e.T, None]], format="csc")
+                factorizations += 1
                 try:
                     sol = spla.splu(K).solve(np.concatenate([rhs, [0.0]]))
                 except (RuntimeError, ValueError) as exc:
@@ -512,6 +594,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 pinned = True
             else:
                 raise SolveError("singular Jacobian", history)
+        linear_iterations.append(iterations)
         delta = delta[pattern.rank]
 
         # Armijo backtracking on ||gradient||^2, with a steepest-descent

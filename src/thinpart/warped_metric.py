@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_float, as_floats
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 
@@ -393,6 +393,14 @@ def blowup_rescale(spec: WarpedMetricSpec, s: float, lam: float) -> WarpedMetric
     )
 
 
+def _interval(data: dict) -> tuple:
+    """The descriptor's "interval" [lo, hi], [0, 1] when absent."""
+    interval = as_floats("interval", data.get("interval", [0.0, 1.0]))
+    if interval.shape != (2,):
+        raise DomainError(f"interval must be two numbers, got {data['interval']!r}")
+    return float(interval[0]), float(interval[1])
+
+
 def spec_from_json(data: dict) -> WarpedMetricSpec:
     """Build a spec from a JSON descriptor {"kind": ..., ...}."""
     try:
@@ -401,32 +409,31 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
         raise DomainError("metric descriptor needs a 'kind'") from exc
     if kind == "flat":
         lat = FlatTorusLattice.from_json_dict(data["lattice"])
-        lo, hi = data.get("interval", [0.0, 1.0])
-        return WarpedMetricSpec.flat(lat, float(lo), float(hi))
+        return WarpedMetricSpec.flat(lat, *_interval(data))
     if kind == "cusp":
         from .tube_geometry import CuspParams, cusp_as_warped
 
         lat = FlatTorusLattice.from_json_dict(data["lattice"])
-        lo, hi = data.get("interval", [0.0, 1.0])
-        return cusp_as_warped(CuspParams(lat, float(lo), float(hi)))
+        return cusp_as_warped(CuspParams(lat, *_interval(data)))
     if kind == "tube":
         from .tube_geometry import TubeParams, meyerhoff_radius, tube_as_warped
 
-        length = float(data["length"])
-        twist = float(data.get("twist", 0.0))
+        length = as_float("length", data["length"])
+        twist = as_float("twist", data.get("twist", 0.0))
         radius = data.get("radius", "meyerhoff")
         if radius == "meyerhoff":
             radius = meyerhoff_radius(length)
-        params = TubeParams(length, twist, float(radius))
+        params = TubeParams(length, twist, as_float("radius", radius))
         return tube_as_warped(
             params,
-            margin=float(data.get("margin", 0.5)),
+            margin=as_float("margin", data.get("margin", 0.5)),
             normalized=bool(data.get("normalized", False)),
         )
     if kind == "custom":
         lat = FlatTorusLattice.from_json_dict(data["lattice"])
         samples = data["samples"]
         return WarpedMetricSpec.from_sampled(
-            lat, samples["x3"], samples["a1"], samples["a2"], samples["h"]
+            lat, *(as_floats(f"samples {key}", samples[key])
+                   for key in ("x3", "a1", "a2", "h"))
         )
     raise DomainError(f"unknown metric kind {kind!r}")

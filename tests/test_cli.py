@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -197,6 +198,48 @@ def test_graph_solve_flat_affine(tmp_path, capsys):
     # Affine data solves the flat equation exactly.
     x, y = 4 / 8, 2 / 8
     assert grid[4, 2] == pytest.approx(0.1 + 0.5 * x - 0.2 * y, abs=1e-9)
+
+
+def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "kind": "cusp",
+        "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+        "interval": [0.0, 3.0],
+    }))
+    bc = tmp_path / "bc.json"
+    bc.write_text(json.dumps({"kind": "affine", "coeffs": [0.5, 0.5, -0.2]}))
+    code, data = run_json(capsys, [
+        "graph", "solve", "--metric", str(metric), "--domain", "rect",
+        "--grid", "17x17", "--bc", str(bc), "--out", str(tmp_path / "u.csv"),
+    ])
+    assert code == EXIT_OK and data["iterations"] > 1
+    steps = data["linear_iterations"]
+    assert len(steps) == data["iterations"] and steps[0] == 0
+    # Each step without CG iterations factored its Hessian.
+    assert data["factorizations"] == steps.count(0)
+
+
+def test_sweepout_profile_json_file_matches_stdout(tmp_path, capsys):
+    manifold = tmp_path / "m.json"
+    manifold.write_text(json.dumps({
+        "cusps": [{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+                   "t0": 0.0, "t1": 1.0}],
+        "tubes": [{"length": 0.01, "twist": 0.0, "radius": "meyerhoff"}],
+        "fillers": [{"L": 12.0, "attach": 0}],
+    }))
+    argv = ["sweepout", "profile", "--manifold", str(manifold),
+            "--samples", "200", "--emit", "json"]
+    assert run(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "prof.json"
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    written = out.read_bytes()
+    # The same bytes json.dump writes, and those printed without --out.
+    assert written == printed.rstrip("\n").encode()
+    streamed = io.StringIO()
+    json.dump(json.loads(written), streamed)
+    assert written == streamed.getvalue().encode()
 
 
 def test_sweepout_profile_and_fineness(tmp_path, capsys):

@@ -183,6 +183,13 @@ def test_mean_convexity_matches_warped_machinery():
         assert via_spec == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [15.0, 16.0, -1.0, math.nan,
+                               np.array([0.5, 15.0]), np.array([-1e-9, 3.0])])
+def test_mean_convexity_rejects_depths_outside_the_filler(t):
+    with pytest.raises(DomainError, match="0 <= t < L"):
+        mean_convexity(build(14.0, UNIT), t)
+
+
 def test_filler_warped_spec_hypotheses():
     spec = build(14.0, UNIT)
     warped = as_warped(spec)
@@ -282,6 +289,15 @@ def _spoiled(key, value):
 ])
 def test_from_json_dict_rejects_bad_or_disagreeing_values(key, value, message):
     with pytest.raises(DomainError, match=message):
+        from_json_dict(_spoiled(key, value))
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("depth", "abc", "depth"),
+    ("lattice", {"v1": ["x", 0.0], "v2": [0.0, 1.0]}, "lattice v1"),
+])
+def test_from_json_dict_names_a_non_numeric_field(key, value, field):
+    with pytest.raises(DomainError, match=f"{field} must be a"):
         from_json_dict(_spoiled(key, value))
 
 

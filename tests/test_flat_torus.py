@@ -132,6 +132,16 @@ def test_json_round_trip():
     assert (again.a1, again.a2, again.b2) == (lat.a1, lat.a2, lat.b2)
 
 
+@pytest.mark.parametrize("v1,v2,field", [
+    (["x", 0], [0, 1], "lattice v1"),
+    ([1, 0], [0, None], "lattice v2"),
+    ([[1], [2, 3]], [0, 1], "lattice v1"),
+])
+def test_from_json_dict_names_a_non_numeric_generator(v1, v2, field):
+    with pytest.raises(DomainError, match=f"{field} must be a list of numbers"):
+        FlatTorusLattice.from_json_dict({"v1": v1, "v2": v2})
+
+
 def test_diameter_closed_form_has_no_spurious_vertex():
     # u = (0.001, 0), w = (0, 50) after reduction: the deep hole is the
     # rectangle's center, sqrt(0.001^2 + 50^2) / 2 = 25.000000005.

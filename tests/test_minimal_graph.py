@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thinpart import DomainError, SolveError, minimal_graph
@@ -16,10 +17,12 @@ from thinpart.minimal_graph import (
     graph_mean_curvature,
     rescale_graph,
     solve,
+    _CG_MAX_ITER,
     _Pattern,
     _dissection_order,
     _gradient,
     _hessian,
+    _linear_solve,
 )
 from thinpart.tube_geometry import (
     CuspParams,
@@ -345,6 +348,9 @@ def test_solve_periodic_flat_pins_mean():
     init.values += 0.1 * rng.randn(12, 12)
     out, rep = solve(spec, init, tol=1e-11)
     assert rep.converged and rep.pinned_mean
+    # Every step here takes the KKT path: one factorization each, no CG.
+    assert rep.linear_iterations == [0] * rep.iterations
+    assert rep.factorizations == rep.iterations
     # Converges to a constant graph.
     assert np.ptp(out.values) < 1e-9
 
@@ -412,6 +418,74 @@ def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
     assert len(calls) == rep.iterations + 1
     # The reported residual is that of the returned graph, bit for bit.
     assert rep.final_residual == float(np.max(np.abs(el_residual(spec, out))))
+
+
+def _tube_4c_graph(n):
+    L = 0.35
+    return DiscreteGraph.on_rectangle(
+        (L, L), (n, n),
+        lambda x, y: 3.8 + 0.1 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
+    )
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(minimal_graph.spla, "splu", counting)
+    return calls
+
+
+def test_solve_factors_the_hessian_once(monkeypatch):
+    calls = _counting_splu(monkeypatch)
+    out, rep = solve(tube_spec(), _tube_4c_graph(129), tol=1e-9)
+    assert rep.converged and rep.iterations == 4
+    assert rep.final_residual <= 1e-9
+    assert len(calls) == 1 and rep.factorizations == 1
+    # The first step is solved by the factor; the later ones by CG
+    # preconditioned by it.
+    assert len(rep.linear_iterations) == rep.iterations
+    assert rep.linear_iterations[0] == 0
+    assert all(1 <= k <= _CG_MAX_ITER for k in rep.linear_iterations[1:])
+
+
+def _hessian_and_rhs(n=33):
+    spec, g = tube_spec(), _tube_4c_graph(n)
+    pattern = _Pattern(g)
+    H = _hessian(spec, g, pattern)
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()[pattern.order]
+    return H, rhs
+
+
+def _solves_to_1e6(H, delta, rhs):
+    return (np.all(np.isfinite(delta))
+            and np.linalg.norm(H @ delta - rhs) <= 1e-6 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("lagged", ["scaled_identity", "negated"])
+def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged):
+    H, rhs = _hessian_and_rhs()
+    # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
+    other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
+             else -H)
+    unrelated = spla.splu(other)
+    calls = _counting_splu(monkeypatch)
+    delta, lu, iterations = _linear_solve(H, rhs, unrelated)
+    assert len(calls) == 1 and iterations == 0 and lu is not unrelated
+    assert _solves_to_1e6(H, delta, rhs)
+
+
+def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
+    H, rhs = _hessian_and_rhs()
+    own = spla.splu(H, permc_spec="NATURAL")
+    calls = _counting_splu(monkeypatch)
+    delta, lu, iterations = _linear_solve(H, rhs, own)
+    assert calls == [] and lu is own and 1 <= iterations <= _CG_MAX_ITER
+    assert _solves_to_1e6(H, delta, rhs)
 
 
 def test_solve_reports_nonconvergence():

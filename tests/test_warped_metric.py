@@ -253,6 +253,25 @@ def test_spec_json_round_trip():
         spec_from_json({"kind": "nope"})
 
 
+_UNIT_JSON = {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"kind": "flat", "lattice": _UNIT_JSON, "interval": [0, "x"]},
+     "interval must be a list of numbers"),
+    ({"kind": "cusp", "lattice": _UNIT_JSON, "interval": [0.5]},
+     "interval must be two numbers"),
+    ({"kind": "tube", "length": "0.01"}, "length must be a number"),
+    ({"kind": "tube", "length": 0.01, "radius": None}, "radius must be a number"),
+    ({"kind": "custom", "lattice": _UNIT_JSON,
+      "samples": {"x3": [0, 1, 2, "x"], "a1": [1] * 4, "a2": [1] * 4, "h": [1] * 4}},
+     "samples x3 must be a list of numbers"),
+])
+def test_spec_from_json_names_a_non_numeric_field(data, message):
+    with pytest.raises(DomainError, match=message):
+        spec_from_json(data)
+
+
 def test_sampled_spec_tracks_closed_form():
     # Spline-backed cusp: coefficients and first two derivatives follow
     # the closed form away from the sample boundary.
