@@ -69,13 +69,18 @@ class ManifoldDescription:
             if "lattice" in entry:
                 lat = FlatTorusLattice.from_json_dict(entry["lattice"])
             elif "attach" in entry:
-                cusp = desc.cusps[int(entry["attach"])]
+                attach = entry["attach"]
+                if (isinstance(attach, bool) or not isinstance(attach, int)
+                        or not 0 <= attach < len(desc.cusps)):
+                    raise DomainError(
+                        f"filler {idx}: 'attach' must be an integer cusp index "
+                        f"in [0, {len(desc.cusps)}), got {attach!r}")
+                cusp = desc.cusps[attach]
                 lat = cusp.lattice.scaled(math.exp(-cusp.t1))
+                desc.attachments[idx] = attach
             else:
                 raise DomainError("filler entry needs 'lattice' or 'attach'")
             desc.fillers.append(filler.build(depth, lat))
-            if "attach" in entry:
-                desc.attachments[idx] = int(entry["attach"])
         return desc
 
 
@@ -105,12 +110,16 @@ def _emit(payload: dict, as_json: bool):
 
 
 def _write_csv(path, columns, rows):
+    """A versioned CSV file, one line per row: floats with 12 significant
+    digits (the bytes ``fmt`` gives), other values through str.  Every
+    row has the value types of the first, so one %-template formats
+    each row in one call."""
+    lines = [CSV_HEADER, "# columns: " + ",".join(columns)]
+    if rows:
+        template = ",".join("%.12g" if isinstance(x, float) else "%s" for x in rows[0])
+        lines += [template % tuple(row) for row in rows]
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write("# columns: " + ",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row))
-            fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------- subcommands
@@ -276,8 +285,8 @@ def _cmd_graph(args) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     # Row-major grid of u: one CSV line per x1 row.
-    rows = [tuple(float(v) for v in out.values[i]) for i in range(out.shape[0])]
-    _write_csv(args.out, [f"u[:,{j}]" for j in range(out.shape[1])], rows)
+    _write_csv(args.out, [f"u[:,{j}]" for j in range(out.shape[1])],
+               out.values.tolist())
     _emit(
         {
             "out": args.out,
@@ -286,6 +295,7 @@ def _cmd_graph(args) -> int:
             "pinned_mean": report.pinned_mean,
             "factorizations": report.factorizations,
             "linear_iterations": report.linear_iterations,
+            "linear_solvers": report.linear_solvers,
             "grid": f"{shape[0]}x{shape[1]}",
         },
         args.json,

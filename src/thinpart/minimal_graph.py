@@ -15,20 +15,30 @@ discrete integration-by-parts identity
     first_variation(u, v) = -<el_residual(u), v>
 hold to machine precision.
 
-The Newton solve numbers the free nodes in George's nested-dissection
-order, computed in closed form from the grid shape and the periodic
-axes (``_dissection_order``), so SuperLU factors the Hessian in its
-given column order.  The sparsity pattern in that numbering is built
-once per solve (``_Pattern``); each Newton step sums the triangle
-entries per mesh edge with one ``np.bincount`` and reads both mirrored
-entries from that sum, which keeps the Hessian exactly symmetric.
+The sparsity pattern of the Newton solve's Hessian is built once per
+solve (``_Pattern``); each Newton step sums the triangle entries per
+mesh edge with one ``np.bincount`` and reads both mirrored entries from
+that sum, which keeps the Hessian exactly symmetric.
 
-A solve factors the Hessian once, on its first Newton step.  Later
-steps keep that factor and solve with conjugate gradients preconditioned
-by it (a lagged preconditioner: between Newton steps the Hessian changes
-little); a step whose CG run does not converge within ``_CG_MAX_ITER``
-iterations factors its own Hessian, which then preconditions the steps
-after it.  No factor outlives the solve.
+On Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per side,
+the unknowns are numbered row-major and every Newton step is solved by
+conjugate gradients preconditioned by a geometric multigrid V-cycle of
+that step's Hessian (``_VCycle``: bilinear transfer, Galerkin coarse
+operators, damped-Jacobi smoothing, a factored coarsest grid).  No
+fine-grid factor is made, so memory stays linear in the unknowns.  A
+V-cycle run that fails falls back to a sparse LU factor of the Hessian,
+which then preconditions the later steps as below.
+
+Smaller grids, and grids with a periodic axis, number the free nodes in
+George's nested-dissection order, computed in closed form from the grid
+shape and the periodic axes (``_dissection_order``), so SuperLU factors
+the Hessian in its given column order.  Such a solve factors the Hessian
+once, on its first Newton step.  Later steps keep that factor and solve
+with conjugate gradients preconditioned by it (a lagged preconditioner:
+between Newton steps the Hessian changes little); a step whose CG run
+does not converge within ``_CG_MAX_ITER`` iterations factors its own
+Hessian, which then preconditions the steps after it.  No factor
+outlives the solve.
 """
 
 from __future__ import annotations
@@ -346,9 +356,14 @@ def _dissection_order(shape, periodic):
 class _Pattern:
     """The unknowns of a solve and the sparsity of their Hessian.
 
-    ``order[k]`` is the row-major free-node index of unknown k, in
-    nested-dissection order, and ``rank`` is its inverse.  The Hessian in
-    that numbering is a CSC matrix with fixed ``indptr``/``indices``.
+    ``transfers`` holds the multigrid transfer operators (``_transfers``)
+    when the Newton steps are solved by multigrid, that is, when both
+    axes are Dirichlet and both sides of the free grid have at least
+    ``_MULTIGRID_MIN`` nodes; otherwise it is None.  ``order[k]`` is the
+    row-major free-node index of unknown k: row-major itself on the
+    multigrid path, nested-dissection order otherwise; ``rank`` is its
+    inverse.  The Hessian in that numbering is a CSC matrix with fixed
+    ``indptr``/``indices``.
 
     Its entries are sums over mesh edges {p, q}, p <= q in row-major
     order (p = q on the diagonal).  The nodes of an edge are at most one
@@ -365,7 +380,10 @@ class _Pattern:
     def __init__(self, g: DiscreteGraph):
         n1, n2 = g.shape
         free_nodes = np.arange(g.values.size).reshape(g.shape)[g.free_slices()]
-        self.order = _dissection_order(free_nodes.shape, g.periodic)
+        multigrid = not any(g.periodic) and min(free_nodes.shape) >= _MULTIGRID_MIN
+        self.transfers = _transfers(free_nodes.shape) if multigrid else None
+        self.order = (np.arange(free_nodes.size) if multigrid
+                      else _dissection_order(free_nodes.shape, g.periodic))
         nodes = free_nodes.ravel()[self.order]
         n = nodes.size
         self.rank = np.empty(n, dtype=np.intp)
@@ -428,10 +446,18 @@ def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
 
 @dataclass
 class SolveReport:
-    """Outcome of ``solve``.  ``factorizations`` counts the sparse LU
-    factorizations made; ``linear_iterations`` holds, per Newton step, the
-    number of preconditioned CG iterations that solved the step, or 0
-    when a fresh factorization did."""
+    """Outcome of ``solve``.
+
+    Per Newton step, ``linear_solvers`` names what solved the step:
+    "multigrid" (CG preconditioned by a V-cycle of the step's Hessian),
+    "lagged-lu" (CG preconditioned by an earlier step's factor), "lu" (a
+    fresh factor of the Hessian) or "kkt" (the pinned-mean system).
+    ``linear_iterations`` counts the CG iterations the step ran,
+    including those of a run that was discarded for a fresh factor.
+    ``factorizations`` counts the sparse LU factorizations of fine-grid
+    systems (Hessian or KKT), not those of the multigrid's coarsest
+    grid; it equals the number of "lu" and "kkt" steps unless a fresh
+    factor fails and the KKT system takes over, which counts both."""
 
     iterations: int
     converged: bool
@@ -439,6 +465,7 @@ class SolveReport:
     pinned_mean: bool = False
     factorizations: int = 0
     linear_iterations: list = field(default_factory=list)
+    linear_solvers: list = field(default_factory=list)
 
     @property
     def final_residual(self) -> float:
@@ -458,6 +485,32 @@ _CG_MAX_ITER = 8
 # drifts from the true one.
 _CG_RTOL = 1e-7
 
+# Dirichlet grids whose free nodes number at least this many along both
+# axes solve their Newton steps by multigrid-preconditioned CG.  On the
+# criterion-4(c) tube, 2-core machine, one thread, a solve by multigrid
+# and one by the lagged factor take the same time at 65^2 (~27 ms); the
+# factor is 9-15% faster at 49^2-57^2, multigrid 7% faster at 73^2 and
+# 15% at 97^2.
+_MULTIGRID_MIN = 63
+# Levels are coarsened until the shorter side has at most this many
+# nodes; that grid is factored.
+_COARSEST = 15
+# Damped-Jacobi smoothing: _SWEEPS sweeps with weight _OMEGA before and
+# after each coarse-grid correction.  On the tube at 65^2-257^2, 1-3
+# sweeps, weights 0.7-0.9 and coarsest sides 7-31 all solve within 10%
+# of each other's time; V(2, 2) with 0.8 takes the fewest iterations
+# (6-7 per step) for its cost.
+_SWEEPS = 2
+_OMEGA = 0.8
+# Iteration cap of the multigrid CG run.  The tube solves of criterion
+# 4(c) take 6-8 iterations per step from 65^2 to 513^2, a 129^2 cusp
+# 8-10.  Point Jacobi does not smooth across stretched cells: at a cell
+# aspect ratio of 4 a step takes ~22 iterations, and the factor is
+# faster.  A run cut at this cap costs less than the factorization that
+# follows it (~5 against ~8 ms at 65^2, ~70 against ~260 ms at 257^2),
+# which then serves the rest of the solve.
+_MG_MAX_ITER = 20
+
 
 def _solves(H, delta, rhs) -> bool:
     """Whether delta is finite and satisfies H delta = rhs to 1e-6
@@ -468,10 +521,10 @@ def _solves(H, delta, rhs) -> bool:
     return float(np.linalg.norm(H @ delta - rhs)) <= 1e-6 * scale
 
 
-def _pcg(H, rhs, precondition):
+def _pcg(H, rhs, precondition, max_iter):
     """Conjugate gradients on H x = rhs from x = 0, preconditioned by
     ``precondition``: (x, iterations), with x None when the run does not
-    reach ``_CG_RTOL`` within ``_CG_MAX_ITER`` iterations, or stops at a
+    reach ``_CG_RTOL`` within ``max_iter`` iterations, or stops at a
     nonpositive curvature p.Hp or product r.z (H or the preconditioner is
     then not positive definite)."""
     x = np.zeros_like(rhs)
@@ -480,7 +533,7 @@ def _pcg(H, rhs, precondition):
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    for k in range(1, _CG_MAX_ITER + 1):
+    for k in range(1, max_iter + 1):
         q = H @ p
         curvature = float(p @ q)
         if not (curvature > 0.0 and rz > 0.0):
@@ -496,30 +549,109 @@ def _pcg(H, rhs, precondition):
     return None, k
 
 
-def _linear_solve(H, rhs, lu):
-    """Solve H delta = rhs, given ``lu``, the factor of an earlier Hessian
-    of the solve, or None.  Returns (delta, lu, iterations).
+def _prolongation(n):
+    """Vertex-centred linear interpolation onto a line of n free nodes
+    from the n // 2 coarse nodes at fine nodes 1, 3, 5, ...: the fine
+    nodes between carry the mean of their neighbours, taking the
+    Dirichlet value beyond the ends as zero.  On an even line the last
+    coarse node is the last fine node, so every fine node is reached."""
+    m = n // 2
+    j = np.arange(m)
+    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    cols = np.concatenate([j, j, j])
+    vals = np.repeat([1.0, 0.5, 0.5], m)
+    keep = rows < n
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, m))
 
-    With a factor at hand, CG preconditioned by it runs first; its
-    iteration count is returned with the factor it used.  Otherwise, or
-    when CG fails, H is factored: H comes from ``_hessian``, numbered in
-    nested-dissection order, so SuperLU keeps that column order, and the
-    new factor is returned with 0 iterations.  Every returned delta is
-    finite and satisfies the system to 1e-6 relative; when neither path
-    gives one, delta and the factor are None.
+
+def _transfers(shape):
+    """The (P, R) pair of every multigrid level of a Dirichlet grid of
+    free nodes, numbered row-major, finest first: P = kron(P1, P2) with
+    ``_prolongation`` per axis, and R = P^T.  Levels are added until the
+    shorter side has at most ``_COARSEST`` nodes."""
+    transfers = []
+    while min(shape) > _COARSEST:
+        P1, P2 = _prolongation(shape[0]), _prolongation(shape[1])
+        P = sp.kron(P1, P2, format="csr")
+        transfers.append((P, P.T.tocsr()))
+        shape = (P1.shape[1], P2.shape[1])
+    return transfers
+
+
+class _VCycle:
+    """A geometric multigrid V-cycle for a symmetric matrix A, with the
+    transfer operators of ``_transfers`` (Briggs, Henson and McCormick,
+    *A Multigrid Tutorial*).
+
+    Each coarse operator is the Galerkin product R A P, and the coarsest
+    one is factored.  Damped Jacobi smooths the same number of sweeps
+    before and after each coarse correction, so for a positive definite
+    A the cycle is a symmetric positive definite preconditioner for CG.
+    Raises RuntimeError when the coarsest operator is singular.
     """
-    if lu is not None:
-        delta, iterations = _pcg(H, rhs, lu.solve)
+
+    def __init__(self, A, transfers):
+        # A is symmetric: its transpose is A, and for the CSC Hessian
+        # that transpose is already CSR, without a copy.
+        A = A.T.tocsr()
+        self.levels = []
+        for P, R in transfers:
+            self.levels.append((A, _OMEGA / A.diagonal(), P, R))
+            A = R @ A @ P
+        self.coarsest = spla.splu(sp.csc_matrix(A))
+
+    def solve(self, r, level=0):
+        """One V-cycle on A x = r from x = 0."""
+        if level == len(self.levels):
+            return self.coarsest.solve(r)
+        A, weight, P, R = self.levels[level]
+        x = weight * r
+        for _ in range(_SWEEPS - 1):
+            x += weight * (r - A @ x)
+        x += P @ self.solve(R @ (r - A @ x), level + 1)
+        for _ in range(_SWEEPS):
+            x += weight * (r - A @ x)
+        return x
+
+
+def _linear_solve(H, rhs, lu=None, transfers=None):
+    """Solve H delta = rhs: (delta, lu, kind, iterations).
+
+    Given multigrid ``transfers`` (H numbered row-major), CG runs
+    preconditioned by a V-cycle of H (kind "multigrid").  Otherwise,
+    given ``lu``, the factor of an earlier Hessian of the solve, CG runs
+    preconditioned by it (kind "lagged-lu"), and that factor is returned.
+    When neither applies, or the CG run fails, H is factored (kind "lu")
+    and the new factor is returned: in the given column order when H is
+    numbered by nested dissection, in minimum-degree order of H + H^T
+    (fill within 7% of the dissection's at 65^2-257^2) when it is
+    row-major.  ``iterations`` counts the CG iterations run, whether or
+    not their result was kept.  Every returned delta is finite and
+    satisfies the system to 1e-6 relative; when no path gives one, delta
+    and the factor are None.
+    """
+    iterations = 0
+    if transfers is not None:
+        try:
+            delta, iterations = _pcg(H, rhs, _VCycle(H, transfers).solve,
+                                     _MG_MAX_ITER)
+        except (RuntimeError, ValueError):
+            delta = None
         if delta is not None and _solves(H, delta, rhs):
-            return delta, lu, iterations
+            return delta, None, "multigrid", iterations
+    elif lu is not None:
+        delta, iterations = _pcg(H, rhs, lu.solve, _CG_MAX_ITER)
+        if delta is not None and _solves(H, delta, rhs):
+            return delta, lu, "lagged-lu", iterations
     try:
-        lu = spla.splu(H, permc_spec="NATURAL")
+        lu = spla.splu(H, permc_spec="NATURAL" if transfers is None
+                       else "MMD_AT_PLUS_A")
         delta = lu.solve(rhs)
     except (RuntimeError, ValueError):
-        return None, None, 0
+        return None, None, "lu", iterations
     if not _solves(H, delta, rhs):
-        return None, None, 0
-    return delta, lu, 0
+        return None, None, "lu", iterations
+    return delta, lu, "lu", iterations
 
 
 def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
@@ -543,7 +675,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     cell_w = h1 * h2
     pinned = False
     history = []
-    # Per Newton step: CG iterations, or 0 for a fresh factorization.
+    # Per Newton step: what solved it, and the CG iterations it ran.
+    linear_solvers = []
     linear_iterations = []
     factorizations = 0
     lu = None
@@ -553,13 +686,14 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     # The linear algebra runs in the pattern's numbering: the right-hand
     # side enters and the update leaves through its permutation.
     pattern = _Pattern(g)
+    transfers = pattern.transfers
 
     for it in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
             return g, SolveReport(it, True, history, pinned, factorizations,
-                                  linear_iterations)
+                                  linear_iterations, linear_solvers)
 
         H = _hessian(spec, g, pattern)
         rhs = -F[pattern.order]
@@ -573,9 +707,12 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
             near_kernel = float(np.max(np.abs(H @ np.ones(n)))) < 1e-10 * scale
         delta, iterations = None, 0
         if not near_kernel:
-            delta, lu, iterations = _linear_solve(H, rhs, lu)
-            # _linear_solve factors H exactly when CG did not solve.
-            factorizations += iterations == 0
+            delta, lu, kind, iterations = _linear_solve(H, rhs, lu, transfers)
+            if kind == "lu":
+                # After a failed multigrid run, the rest of the solve
+                # takes the LU path: CG preconditioned by this factor.
+                factorizations += 1
+                transfers = None
         if delta is None:
             if any(g.periodic):
                 # KKT system constraining the update to zero mean.  H is
@@ -591,9 +728,11 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 if not np.all(np.isfinite(sol)):
                     raise SolveError("singular Jacobian", history)
                 delta = sol[:n]
+                kind = "kkt"
                 pinned = True
             else:
                 raise SolveError("singular Jacobian", history)
+        linear_solvers.append(kind)
         linear_iterations.append(iterations)
         delta = delta[pattern.rank]
 

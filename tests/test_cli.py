@@ -10,7 +10,17 @@ import sys
 import numpy as np
 import pytest
 
-from thinpart.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, run
+from thinpart.cli import (
+    CSV_HEADER,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_csv,
+    build_parser,
+    fmt,
+    run,
+)
+from thinpart.minimal_graph import _CG_MAX_ITER
 from thinpart.tube_geometry import meyerhoff_radius
 
 
@@ -214,10 +224,48 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
         "--grid", "17x17", "--bc", str(bc), "--out", str(tmp_path / "u.csv"),
     ])
     assert code == EXIT_OK and data["iterations"] > 1
-    steps = data["linear_iterations"]
-    assert len(steps) == data["iterations"] and steps[0] == 0
-    # Each step without CG iterations factored its Hessian.
-    assert data["factorizations"] == steps.count(0)
+    steps, solvers = data["linear_iterations"], data["linear_solvers"]
+    assert len(steps) == len(solvers) == data["iterations"] and steps[0] == 0
+    assert set(solvers) <= {"lu", "lagged-lu"} and solvers[0] == "lu"
+    # Each "lu" or "kkt" step made one fine-grid factorization.
+    assert data["factorizations"] == sum(s in ("lu", "kkt") for s in solvers)
+
+
+def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):
+    # The cusp stripe of criterion 4(a): on steps 2 and 3 CG with the
+    # lagged factor runs to its cap, is discarded, and H is factored.
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "kind": "cusp",
+        "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+        "interval": [0.0, 3.0],
+    }))
+    bc = tmp_path / "bc.json"
+    bc.write_text(json.dumps({"kind": "affine", "coeffs": [0.15, 0.0, 0.4]}))
+    code, data = run_json(capsys, [
+        "graph", "solve", "--metric", str(metric), "--domain", "stripe",
+        "--grid", "4x2049", "--extent", f"{4 / 2048!r}x1.0", "--bc", str(bc),
+        "--out", str(tmp_path / "u.csv"),
+    ])
+    assert code == EXIT_OK and data["iterations"] == 6
+    assert data["linear_solvers"] == ["lu"] * 3 + ["lagged-lu"] * 3
+    assert data["linear_iterations"][:3] == [0, _CG_MAX_ITER, _CG_MAX_ITER]
+    assert data["factorizations"] == 3
+
+
+def test_write_csv_matches_fmt_bytes(tmp_path):
+    values = [[0.1, -0.0, 1e-300, 1e20, 12345678901234.5, 2.0 / 3.0, math.pi,
+               -1.5e-7, 1.0, float("inf"), float("nan")]]
+    rows = [[0.25, "cusp", 1.0 / 3.0], [1.5, "tube", 2.0e-12]]
+    for name, columns, table in (("grid", ["a"] * 11, values),
+                                 ("profile", ["t", "segment", "area"], rows)):
+        path = tmp_path / f"{name}.csv"
+        _write_csv(path, columns, table)
+        expected = "".join(
+            ",".join(fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+            for row in table)
+        assert path.read_text() == (
+            f"{CSV_HEADER}\n# columns: {','.join(columns)}\n" + expected)
 
 
 def test_sweepout_profile_json_file_matches_stdout(tmp_path, capsys):
@@ -240,6 +288,24 @@ def test_sweepout_profile_json_file_matches_stdout(tmp_path, capsys):
     streamed = io.StringIO()
     json.dump(json.loads(written), streamed)
     assert written == streamed.getvalue().encode()
+
+
+@pytest.mark.parametrize("cusps,attach", [
+    ([], 0),
+    ([{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "t0": 0.0, "t1": 1.0}], -1),
+    ([{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "t0": 0.0, "t1": 1.0}], 0.7),
+], ids=["no_cusps", "negative", "fractional"])
+def test_sweepout_profile_rejects_a_bad_attach_index(tmp_path, capsys, cusps, attach):
+    manifold = tmp_path / "m.json"
+    manifold.write_text(json.dumps({
+        "cusps": cusps, "fillers": [{"L": 12.0, "attach": attach}],
+    }))
+    code = run(["sweepout", "profile", "--manifold", str(manifold),
+                "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DOMAIN
+    assert err.startswith("domain error: ") and "filler 0" in err and "attach" in err
+    assert "Traceback" not in err
 
 
 def test_sweepout_profile_and_fineness(tmp_path, capsys):

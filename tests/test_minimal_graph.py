@@ -18,11 +18,14 @@ from thinpart.minimal_graph import (
     rescale_graph,
     solve,
     _CG_MAX_ITER,
+    _MG_MAX_ITER,
     _Pattern,
+    _VCycle,
     _dissection_order,
     _gradient,
     _hessian,
     _linear_solve,
+    _prolongation,
 )
 from thinpart.tube_geometry import (
     CuspParams,
@@ -318,12 +321,15 @@ def _cusp_stripe():
 def test_dissection_fill_against_colamd(problem, ratio):
     # Fill counts of SuperLU: the solver's factorization of the
     # dissection-numbered Hessian against COLAMD on the natural numbering.
+    # The 129^2 rectangle is solved by multigrid, so its pattern numbers
+    # row-major; both Hessians are renumbered from the row-major one.
     spec, g = problem()
     pattern = _Pattern(g)
     H = _hessian(spec, g, pattern)
     natural = H[pattern.rank][:, pattern.rank].tocsc()
+    order = _dissection_order(g.values[g.free_slices()].shape, g.periodic)
     colamd = spla.splu(natural).nnz
-    dissection = spla.splu(H, permc_spec="NATURAL").nnz
+    dissection = spla.splu(natural[order][:, order].tocsc(), permc_spec="NATURAL").nnz
     assert dissection <= ratio * colamd
 
 
@@ -429,20 +435,23 @@ def _tube_4c_graph(n):
 
 
 def _counting_splu(monkeypatch):
+    """Record the order of every matrix the solver factors."""
     calls = []
     splu = spla.splu
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(minimal_graph.spla, "splu", counting)
     return calls
 
 
 def test_solve_factors_the_hessian_once(monkeypatch):
+    # 33^2 lies below the multigrid threshold: the steps are solved by
+    # the dissection-ordered factor and CG preconditioned by it.
     calls = _counting_splu(monkeypatch)
-    out, rep = solve(tube_spec(), _tube_4c_graph(129), tol=1e-9)
+    out, rep = solve(tube_spec(), _tube_4c_graph(33), tol=1e-9)
     assert rep.converged and rep.iterations == 4
     assert rep.final_residual <= 1e-9
     assert len(calls) == 1 and rep.factorizations == 1
@@ -451,6 +460,80 @@ def test_solve_factors_the_hessian_once(monkeypatch):
     assert len(rep.linear_iterations) == rep.iterations
     assert rep.linear_iterations[0] == 0
     assert all(1 <= k <= _CG_MAX_ITER for k in rep.linear_iterations[1:])
+    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 3
+
+
+def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
+    spec, g = tube_spec(), _tube_4c_graph(129)
+    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    reference, ref_rep = solve(spec, g, tol=1e-9)
+    monkeypatch.undo()
+    sizes = _counting_splu(monkeypatch)
+    out, rep = solve(spec, g, tol=1e-9)
+    assert rep.converged and rep.iterations == ref_rep.iterations == 4
+    assert rep.linear_solvers == ["multigrid"] * 4 and rep.factorizations == 0
+    # Only the coarsest grid of each step's hierarchy is factored.
+    assert len(sizes) == 4 and max(sizes) <= 15 * 15
+    assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
+    # The LU path reaches the same graph.
+    assert np.max(np.abs(out.values - reference.values)) <= 1e-12
+
+
+def test_multigrid_iterations_are_grid_independent():
+    counts = {}
+    for n in (65, 129, 257):
+        out, rep = solve(tube_spec(), _tube_4c_graph(n), tol=1e-8)
+        assert rep.converged and set(rep.linear_solvers) == {"multigrid"}
+        counts[n] = rep.linear_iterations
+    every = [k for steps in counts.values() for k in steps]
+    assert max(every) - min(every) <= 2, counts
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    # CG needs a symmetric positive definite preconditioner: the V-cycle
+    # smooths as many sweeps before the coarse correction as after.
+    spec, g = tube_spec(), _tube_4c_graph(65)
+    pattern = _Pattern(g)
+    vcycle = _VCycle(_hessian(spec, g, pattern), pattern.transfers)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, pattern.shape[0]))
+    vx, vy = vcycle.solve(x), vcycle.solve(y)
+    assert abs(y @ vx - x @ vy) <= 1e-12 * np.linalg.norm(vx) * np.linalg.norm(y)
+    assert x @ vx > 0.0 and y @ vy > 0.0
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_prolongation_reaches_every_fine_node(n):
+    P = _prolongation(n).toarray()
+    assert P.shape == (n, n // 2)
+    assert np.all(P.sum(axis=1) > 0.0)
+    # Coarse node j sits at fine node 2 j + 1.
+    assert np.array_equal(P[1::2][: n // 2], np.eye(n // 2))
+
+
+def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
+    # A V-cycle of -H is negative definite: CG stops at once and H is
+    # factored instead.
+    spec, g = tube_spec(), _tube_4c_graph(65)
+    pattern = _Pattern(g)
+    H = _hessian(spec, g, pattern)
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()[pattern.order]
+    monkeypatch.setattr(minimal_graph, "_VCycle",
+                        lambda A, transfers: _VCycle(-A, transfers))
+    sizes = _counting_splu(monkeypatch)
+    delta, lu, kind, iterations = _linear_solve(H, rhs, None, pattern.transfers)
+    assert kind == "lu" and iterations == 1 and lu is not None
+    assert sizes[-1] == H.shape[0]
+    assert _solves_to_1e6(H, delta, rhs)
+
+
+def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
+    monkeypatch.setattr(minimal_graph, "_VCycle",
+                        lambda A, transfers: _VCycle(-A, transfers))
+    out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
+    assert rep.converged and rep.iterations == 4 and rep.factorizations == 1
+    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 3
+    assert rep.linear_iterations[0] == 1
 
 
 def _hessian_and_rhs(n=33):
@@ -474,8 +557,11 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
              else -H)
     unrelated = spla.splu(other)
     calls = _counting_splu(monkeypatch)
-    delta, lu, iterations = _linear_solve(H, rhs, unrelated)
-    assert len(calls) == 1 and iterations == 0 and lu is not unrelated
+    delta, lu, kind, iterations = _linear_solve(H, rhs, unrelated)
+    assert len(calls) == 1 and kind == "lu" and lu is not unrelated
+    # The discarded run's iterations are counted: the unrelated factor
+    # runs to the cap, the indefinite one stops in its first iteration.
+    assert iterations == (_CG_MAX_ITER if lagged == "scaled_identity" else 1)
     assert _solves_to_1e6(H, delta, rhs)
 
 
@@ -483,8 +569,9 @@ def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
     own = spla.splu(H, permc_spec="NATURAL")
     calls = _counting_splu(monkeypatch)
-    delta, lu, iterations = _linear_solve(H, rhs, own)
+    delta, lu, kind, iterations = _linear_solve(H, rhs, own)
     assert calls == [] and lu is own and 1 <= iterations <= _CG_MAX_ITER
+    assert kind == "lagged-lu"
     assert _solves_to_1e6(H, delta, rhs)
 
 
