@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from . import area_bounds, filler, flat_torus, minimal_graph, sweepout
 from . import tube_geometry as tubes
-from .errors import DomainError, SolveError, load_json
+from .errors import (DomainError, SolveError, as_float, as_floats, as_int,
+                     load_json, require_finite)
 from .flat_torus import FlatTorusLattice
 from .warped_metric import spec_from_json
 
@@ -55,23 +56,23 @@ class ManifoldDescription:
         desc = cls()
         for entry in data.get("cusps", []):
             lat = FlatTorusLattice.from_json_dict(entry["lattice"])
-            desc.cusps.append(tubes.CuspParams(lat, float(entry["t0"]), float(entry["t1"])))
+            desc.cusps.append(tubes.CuspParams(lat, as_float("t0", entry["t0"]),
+                                               as_float("t1", entry["t1"])))
         for entry in data.get("tubes", []):
-            length = float(entry["length"])
+            length = as_float("length", entry["length"])
             radius = entry.get("radius", "meyerhoff")
             if radius == "meyerhoff":
                 radius = tubes.meyerhoff_radius(length)
-            desc.tubes.append(
-                tubes.TubeParams(length, float(entry.get("twist", 0.0)), float(radius))
-            )
+            desc.tubes.append(tubes.TubeParams(
+                length, as_float("twist", entry.get("twist", 0.0)),
+                as_float("radius", radius)))
         for idx, entry in enumerate(data.get("fillers", [])):
-            depth = float(entry["L"])
+            depth = as_float("L", entry["L"])
             if "lattice" in entry:
                 lat = FlatTorusLattice.from_json_dict(entry["lattice"])
             elif "attach" in entry:
-                attach = entry["attach"]
-                if (isinstance(attach, bool) or not isinstance(attach, int)
-                        or not 0 <= attach < len(desc.cusps)):
+                attach = as_int(f"filler {idx}: 'attach'", entry["attach"])
+                if not 0 <= attach < len(desc.cusps):
                     raise DomainError(
                         f"filler {idx}: 'attach' must be an integer cusp index "
                         f"in [0, {len(desc.cusps)}), got {attach!r}")
@@ -257,10 +258,15 @@ def _parse_extent(text: str):
 def _boundary_function(bc: dict):
     kind = bc.get("kind")
     if kind == "affine":
-        c0, c1, c2 = (float(c) for c in bc["coeffs"])
+        coeffs = as_floats("coeffs", bc["coeffs"])
+        if coeffs.shape != (3,):
+            raise DomainError(f"coeffs must be three numbers, got {bc['coeffs']!r}")
+        c0, c1, c2 = coeffs.tolist()
+        require_finite(c0=c0, c1=c1, c2=c2)
         return lambda x, y: c0 + c1 * x + c2 * y
     if kind == "constant":
-        v = float(bc["value"])
+        v = as_float("value", bc["value"])
+        require_finite(value=v)
         return lambda x, y: v + 0.0 * x
     raise DomainError(f"unsupported boundary data kind {kind!r}")
 
@@ -306,12 +312,13 @@ def _cmd_graph(args) -> int:
 def _family_from_json(data: dict) -> sweepout.DiscreteFamily:
     currents = tuple(
         sweepout.FormalCurrent(
-            tuple((p["patch"], int(p["multiplicity"]), float(p["area"]))
+            tuple((p["patch"], as_int("multiplicity", p["multiplicity"]),
+                   as_float("area", p["area"]))
                   for p in entry)
         )
         for entry in data["currents"]
     )
-    return sweepout.DiscreteFamily(int(data["level"]), currents)
+    return sweepout.DiscreteFamily(as_int("level", data["level"]), currents)
 
 
 def _cmd_sweepout(args) -> int:

@@ -35,6 +35,16 @@ def as_float(name: str, value) -> float:
     return float(value)
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int; a DomainError naming ``name`` when it is not an
+    integral number (a bool, a fraction such as 2.7, a string, null)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_floats(name: str, value) -> np.ndarray:
     """``value``, a sequence of real numbers, as a 1-d float array; a
     DomainError naming ``name`` otherwise."""

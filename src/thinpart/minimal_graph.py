@@ -15,26 +15,25 @@ discrete integration-by-parts identity
     first_variation(u, v) = -<el_residual(u), v>
 hold to machine precision.
 
-The sparsity pattern of the Newton solve's Hessian is built once per
-solve (``_Pattern``); each Newton step sums the triangle entries per
-mesh edge with one ``np.bincount`` and reads both mirrored entries from
-that sum, which keeps the Hessian exactly symmetric.
+The Newton solve numbers its unknowns, the free nodes, row-major on
+every grid.  The sparsity pattern of its Hessian is built once per solve
+(``_Pattern``); each Newton step sums the triangle entries per mesh edge
+with one ``np.bincount`` and reads both mirrored entries from that sum,
+which keeps the Hessian exactly symmetric.  Every sparse LU factor of a
+fine-grid system is made in one column ordering, ``_LU_ORDERING``.
 
 On Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per side,
-the unknowns are numbered row-major and every Newton step is solved by
-conjugate gradients preconditioned by a geometric multigrid V-cycle of
-that step's Hessian (``_VCycle``: bilinear transfer, Galerkin coarse
-operators, damped-Jacobi smoothing, a factored coarsest grid).  No
-fine-grid factor is made, so memory stays linear in the unknowns.  A
-V-cycle run that fails falls back to a sparse LU factor of the Hessian,
-which then preconditions the later steps as below.
+every Newton step is solved by conjugate gradients preconditioned by a
+geometric multigrid V-cycle of that step's Hessian (``_VCycle``:
+bilinear transfer, Galerkin coarse operators, damped-Jacobi smoothing, a
+factored coarsest grid).  No fine-grid factor is made, so memory stays
+linear in the unknowns.  A V-cycle run that fails falls back to a sparse
+LU factor of the Hessian, which then preconditions the later steps as
+below.
 
-Smaller grids, and grids with a periodic axis, number the free nodes in
-George's nested-dissection order, computed in closed form from the grid
-shape and the periodic axes (``_dissection_order``), so SuperLU factors
-the Hessian in its given column order.  Such a solve factors the Hessian
-once, on its first Newton step.  Later steps keep that factor and solve
-with conjugate gradients preconditioned by it (a lagged preconditioner:
+Smaller grids, and grids with a periodic axis, factor the Hessian once,
+on the first Newton step.  Later steps keep that factor and solve with
+conjugate gradients preconditioned by it (a lagged preconditioner:
 between Newton steps the Hessian changes little); a step whose CG run
 does not converge within ``_CG_MAX_ITER`` iterations factors its own
 Hessian, which then preconditions the steps after it.  No factor
@@ -315,54 +314,13 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     return total * 0.5 * g.spacing[0] * g.spacing[1]
 
 
-# Blocks of the dissection whose shorter side is at most this are
-# numbered as bands.  Cutting such a block on down to square leaves
-# only adds separators: on the 4 x 2049 cusp stripe it takes the LU fill
-# from 94k to 176k.
-_BAND_WIDTH = 4
-
 # The (k, l), k <= l, corner pairs of a triangle: one Hessian entry each.
 _PAIRS = tuple((k, l) for k in range(3) for l in range(k, 3))
 
 
-def _dissection_order(shape, periodic):
-    """George's nested dissection of a ``shape`` grid of unknowns whose
-    couplings reach one index along each axis (wrapping on ``periodic``
-    axes): the row-major index of each unknown, in elimination order.
-
-    The longer side of a block is cut at its middle line; on an axis that
-    still wraps, lines 0 and the middle are cut, which also removes the
-    wrap.  Both halves are numbered first, then the separator.  A block
-    whose shorter side is at most ``_BAND_WIDTH`` is numbered as a band,
-    its short axis varying fastest.
-    """
-    parts = []
-
-    def number(block, wraps):
-        if block.shape[0] < block.shape[1]:
-            block, wraps = block.T, wraps[::-1]
-        if block.shape[1] <= _BAND_WIDTH:
-            parts.append(block.ravel())
-            return
-        mid = block.shape[0] // 2
-        number(block[int(wraps[0]):mid], (False, wraps[1]))
-        number(block[mid + 1:], (False, wraps[1]))
-        parts.append(block[[0, mid] if wraps[0] else [mid]].ravel())
-
-    number(np.arange(shape[0] * shape[1]).reshape(shape), tuple(periodic))
-    return np.concatenate(parts)
-
-
 class _Pattern:
-    """The unknowns of a solve and the sparsity of their Hessian.
-
-    ``transfers`` holds the multigrid transfer operators (``_transfers``)
-    when the Newton steps are solved by multigrid, that is, when both
-    axes are Dirichlet and both sides of the free grid have at least
-    ``_MULTIGRID_MIN`` nodes; otherwise it is None.  ``order[k]`` is the
-    row-major free-node index of unknown k: row-major itself on the
-    multigrid path, nested-dissection order otherwise; ``rank`` is its
-    inverse.  The Hessian in that numbering is a CSC matrix with fixed
+    """The sparsity of the Hessian of a solve: the unknowns are the free
+    nodes, numbered row-major, and the Hessian is a CSC matrix with fixed
     ``indptr``/``indices``.
 
     Its entries are sums over mesh edges {p, q}, p <= q in row-major
@@ -379,15 +337,8 @@ class _Pattern:
 
     def __init__(self, g: DiscreteGraph):
         n1, n2 = g.shape
-        free_nodes = np.arange(g.values.size).reshape(g.shape)[g.free_slices()]
-        multigrid = not any(g.periodic) and min(free_nodes.shape) >= _MULTIGRID_MIN
-        self.transfers = _transfers(free_nodes.shape) if multigrid else None
-        self.order = (np.arange(free_nodes.size) if multigrid
-                      else _dissection_order(free_nodes.shape, g.periodic))
-        nodes = free_nodes.ravel()[self.order]
+        nodes = np.arange(g.values.size).reshape(g.shape)[g.free_slices()].ravel()
         n = nodes.size
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[self.order] = np.arange(n)
         unknown = np.full(g.values.size, -1, dtype=np.intp)
         unknown[nodes] = np.arange(n)
 
@@ -451,13 +402,14 @@ class SolveReport:
     Per Newton step, ``linear_solvers`` names what solved the step:
     "multigrid" (CG preconditioned by a V-cycle of the step's Hessian),
     "lagged-lu" (CG preconditioned by an earlier step's factor), "lu" (a
-    fresh factor of the Hessian) or "kkt" (the pinned-mean system).
-    ``linear_iterations`` counts the CG iterations the step ran,
-    including those of a run that was discarded for a fresh factor.
+    fresh factor of the Hessian) or "kkt" (a factor of the pinned-mean
+    system).  ``linear_iterations`` counts the CG iterations the step
+    ran, including those of a run that was discarded for a fresh factor.
     ``factorizations`` counts the sparse LU factorizations of fine-grid
-    systems (Hessian or KKT), not those of the multigrid's coarsest
-    grid; it equals the number of "lu" and "kkt" steps unless a fresh
-    factor fails and the KKT system takes over, which counts both."""
+    systems (Hessian or KKT, all in ``_LU_ORDERING``), not those of the
+    multigrid's coarsest grid; it equals the number of "lu" and "kkt"
+    steps unless a fresh factor fails and the KKT system takes over,
+    which counts both."""
 
     iterations: int
     converged: bool
@@ -484,6 +436,11 @@ _CG_MAX_ITER = 8
 # 1e-6 every accepted direction must meet, since the recurred residual
 # drifts from the true one.
 _CG_RTOL = 1e-7
+# SuperLU's column ordering for every fine-grid factor, Hessian or KKT:
+# multiple minimum degree on the pattern of A^T + A.  Its fill is 0.60x
+# COLAMD's on the 129^2 tube Hessian of criterion 4(c), and 0.84x on the
+# KKT system of a pinned-mean 32^2 torus.
+_LU_ORDERING = "MMD_AT_PLUS_A"
 
 # Dirichlet grids whose free nodes number at least this many along both
 # axes solve their Newton steps by multigrid-preconditioned CG.  On the
@@ -617,18 +574,15 @@ class _VCycle:
 def _linear_solve(H, rhs, lu=None, transfers=None):
     """Solve H delta = rhs: (delta, lu, kind, iterations).
 
-    Given multigrid ``transfers`` (H numbered row-major), CG runs
-    preconditioned by a V-cycle of H (kind "multigrid").  Otherwise,
-    given ``lu``, the factor of an earlier Hessian of the solve, CG runs
-    preconditioned by it (kind "lagged-lu"), and that factor is returned.
-    When neither applies, or the CG run fails, H is factored (kind "lu")
-    and the new factor is returned: in the given column order when H is
-    numbered by nested dissection, in minimum-degree order of H + H^T
-    (fill within 7% of the dissection's at 65^2-257^2) when it is
-    row-major.  ``iterations`` counts the CG iterations run, whether or
-    not their result was kept.  Every returned delta is finite and
-    satisfies the system to 1e-6 relative; when no path gives one, delta
-    and the factor are None.
+    Given multigrid ``transfers``, CG runs preconditioned by a V-cycle of
+    H (kind "multigrid").  Otherwise, given ``lu``, the factor of an
+    earlier Hessian of the solve, CG runs preconditioned by it (kind
+    "lagged-lu"), and that factor is returned.  When neither applies, or
+    the CG run fails, H is factored in ``_LU_ORDERING`` (kind "lu") and
+    the new factor is returned.  ``iterations`` counts the CG iterations
+    run, whether or not their result was kept.  Every returned delta is
+    finite and satisfies the system to 1e-6 relative; when no path gives
+    one, delta and the factor are None.
     """
     iterations = 0
     if transfers is not None:
@@ -644,8 +598,7 @@ def _linear_solve(H, rhs, lu=None, transfers=None):
         if delta is not None and _solves(H, delta, rhs):
             return delta, lu, "lagged-lu", iterations
     try:
-        lu = spla.splu(H, permc_spec="NATURAL" if transfers is None
-                       else "MMD_AT_PLUS_A")
+        lu = spla.splu(H, permc_spec=_LU_ORDERING)
         delta = lu.solve(rhs)
     except (RuntimeError, ValueError):
         return None, None, "lu", iterations
@@ -683,10 +636,12 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     # The area gradient on the free nodes at the current iterate; each
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
-    # The linear algebra runs in the pattern's numbering: the right-hand
-    # side enters and the update leaves through its permutation.
     pattern = _Pattern(g)
-    transfers = pattern.transfers
+    # Dirichlet grids with at least _MULTIGRID_MIN free nodes per side
+    # solve their steps by multigrid.
+    free_shape = g.values[free].shape
+    transfers = (_transfers(free_shape) if not any(g.periodic)
+                 and min(free_shape) >= _MULTIGRID_MIN else None)
 
     for it in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
@@ -696,7 +651,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                                   linear_iterations, linear_solvers)
 
         H = _hessian(spec, g, pattern)
-        rhs = -F[pattern.order]
+        rhs = -F
         # All-periodic problems on a vertically flat stretch have the
         # constants in the kernel; detect the near-kernel cheaply along
         # that direction and pin the mean of the update.
@@ -715,14 +670,14 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 transfers = None
         if delta is None:
             if any(g.periodic):
-                # KKT system constraining the update to zero mean.  H is
-                # singular here, so SuperLU keeps its own column ordering.
+                # KKT system constraining the update to zero mean.
                 n = H.shape[0]
                 e = np.ones((n, 1))
                 K = sp.bmat([[H, e], [e.T, None]], format="csc")
                 factorizations += 1
                 try:
-                    sol = spla.splu(K).solve(np.concatenate([rhs, [0.0]]))
+                    sol = spla.splu(K, permc_spec=_LU_ORDERING).solve(
+                        np.concatenate([rhs, [0.0]]))
                 except (RuntimeError, ValueError) as exc:
                     raise SolveError("singular Jacobian", history) from exc
                 if not np.all(np.isfinite(sol)):
@@ -734,7 +689,6 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                 raise SolveError("singular Jacobian", history)
         linear_solvers.append(kind)
         linear_iterations.append(iterations)
-        delta = delta[pattern.rank]
 
         # Armijo backtracking on ||gradient||^2, with a steepest-descent
         # fallback when the Newton direction fails.

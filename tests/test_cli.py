@@ -294,7 +294,8 @@ def test_sweepout_profile_json_file_matches_stdout(tmp_path, capsys):
     ([], 0),
     ([{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "t0": 0.0, "t1": 1.0}], -1),
     ([{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "t0": 0.0, "t1": 1.0}], 0.7),
-], ids=["no_cusps", "negative", "fractional"])
+    ([{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "t0": 0.0, "t1": 1.0}], True),
+], ids=["no_cusps", "negative", "fractional", "boolean"])
 def test_sweepout_profile_rejects_a_bad_attach_index(tmp_path, capsys, cusps, attach):
     manifold = tmp_path / "m.json"
     manifold.write_text(json.dumps({
@@ -338,6 +339,96 @@ def test_sweepout_profile_and_fineness(tmp_path, capsys):
     assert code == EXIT_OK
     assert data["fineness"] == pytest.approx(3.0)
     assert data["max_mass"] == pytest.approx(2.0)
+
+
+def _family(level=0, multiplicity=1, area=2.0):
+    return {"level": level, "currents": [
+        [{"patch": "A", "multiplicity": multiplicity, "area": area}],
+        [{"patch": "B", "multiplicity": 1, "area": 1.0}],
+    ]}
+
+
+@pytest.mark.parametrize("family,field", [
+    (_family(level=1.5), "level"),
+    (_family(level=True), "level"),
+    (_family(level="0"), "level"),
+    (_family(multiplicity=2.7), "multiplicity"),
+    (_family(multiplicity=False), "multiplicity"),
+    (_family(multiplicity="1"), "multiplicity"),
+    (_family(area="2.0"), "area"),
+], ids=["level_fraction", "level_bool", "level_string", "multiplicity_fraction",
+        "multiplicity_bool", "multiplicity_string", "area_string"])
+def test_sweepout_fineness_rejects_a_non_integral_or_non_numeric_field(
+        tmp_path, capsys, family, field):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(family))
+    assert run(["sweepout", "fineness", "--family", str(path)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"domain error: {path}: {field} must be")
+
+
+def test_sweepout_fineness_reads_integral_numbers_written_as_floats(tmp_path, capsys):
+    fineness = []
+    for family in (_family(multiplicity=2), _family(level=0.0, multiplicity=2.0)):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(family))
+        code, data = run_json(capsys, ["sweepout", "fineness", "--family", str(path)])
+        assert code == EXIT_OK and data["level"] == 0
+        fineness.append(data["fineness"])
+    assert fineness[0] == fineness[1] == pytest.approx(5.0)
+
+
+def _manifold(cusp=None, tube=None, filler=None):
+    """A cusp, a tube and a filler attached to the cusp, with some
+    entries' fields replaced."""
+    return {
+        "cusps": [{"lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+                   "t0": 0.0, "t1": 1.0, **(cusp or {})}],
+        "tubes": [{"length": 0.01, "twist": 0.0, "radius": "meyerhoff", **(tube or {})}],
+        "fillers": [{"L": 12.0, "attach": 0, **(filler or {})}],
+    }
+
+
+@pytest.mark.parametrize("manifold,message", [
+    (_manifold(cusp={"t0": "0"}), "t0 must be a number"),
+    (_manifold(cusp={"t1": [1.0]}), "t1 must be a number"),
+    (_manifold(tube={"length": "0.01"}), "length must be a number"),
+    (_manifold(tube={"twist": "0"}), "twist must be a number"),
+    (_manifold(tube={"radius": None}), "radius must be a number"),
+    (_manifold(filler={"L": "12"}), "L must be a number"),
+], ids=["t0", "t1", "length", "twist", "radius", "L"])
+def test_sweepout_profile_rejects_a_non_numeric_field(tmp_path, capsys, manifold, message):
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(manifold))
+    code = run(["sweepout", "profile", "--manifold", str(path),
+                "--out", str(tmp_path / "p.csv")])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"domain error: {path}: {message}"), captured.err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("bc,message", [
+    ({"kind": "affine", "coeffs": ["0.1", 0.5, -0.2]}, "coeffs must be a list of numbers"),
+    ({"kind": "affine", "coeffs": [0.1, 0.5]}, "coeffs must be three numbers"),
+    ({"kind": "affine", "coeffs": [0.1, 0.5, -0.2, 1.0]}, "coeffs must be three numbers"),
+    ({"kind": "affine", "coeffs": [0.1, math.inf, -0.2]}, "c1 must be finite"),
+    ({"kind": "constant", "value": "1.5"}, "value must be a number"),
+    ({"kind": "constant", "value": math.nan}, "value must be finite"),
+], ids=["coeff_string", "two_coeffs", "four_coeffs", "coeff_inf", "value_string",
+        "value_nan"])
+def test_graph_solve_rejects_bad_boundary_data(tmp_path, capsys, bc, message):
+    (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(bc))
+    out = tmp_path / "u.csv"
+    code = run(["graph", "solve", "--metric", str(tmp_path / "metric.json"),
+                "--grid", "8x8", "--bc", str(path), "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"domain error: {path}: {message}"), captured.err
+    assert not out.exists()
 
 
 def test_twelve_significant_digits(capsys):
@@ -457,17 +548,34 @@ def test_malformed_input_json_no_traceback_from_the_console(tmp_path):
 
 
 def _readme_command_lines():
+    """argv of every ``thinpart`` line of the README; "[--flag value]"
+    marks an optional flag, which is passed as given."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path) as fh:
         text = fh.read().replace("\\\n", " ")
     lines = [line.strip() for line in text.splitlines()]
-    return [line for line in lines if line.startswith("thinpart ")]
+    return [shlex.split(re.sub(r"[\[\]]", "", line), comments=True)[1:]
+            for line in lines if line.startswith("thinpart ")]
 
 
-def test_readme_command_lines_parse():
+# Input files the README's command lines name; filler.json is written by
+# the README's own `filler build` line before `filler verify` reads it.
+README_INPUTS = {
+    "metric.json": {"kind": "cusp", "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+                    "interval": [0.0, 3.0]},
+    "bc.json": {"kind": "affine", "coeffs": [0.5, 0.5, -0.2]},
+    "manifold.json": _manifold(),
+    "fam.json": _family(),
+}
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
+    # Each line parses, and runs to exit 0 on the input files it names.
     lines = _readme_command_lines()
     assert len(lines) >= 12
-    for line in lines:
-        # "[--flag value]" marks an optional flag; parse it as given.
-        argv = shlex.split(re.sub(r"[\[\]]", "", line), comments=True)[1:]
+    for name, data in README_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
         build_parser().parse_args(argv)
+        assert run(argv) == EXIT_OK, (argv, capsys.readouterr().err)

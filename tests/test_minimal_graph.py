@@ -18,14 +18,15 @@ from thinpart.minimal_graph import (
     rescale_graph,
     solve,
     _CG_MAX_ITER,
+    _LU_ORDERING,
     _MG_MAX_ITER,
     _Pattern,
     _VCycle,
-    _dissection_order,
     _gradient,
     _hessian,
     _linear_solve,
     _prolongation,
+    _transfers,
 )
 from thinpart.tube_geometry import (
     CuspParams,
@@ -239,10 +240,8 @@ def test_kernel_matches_per_triangle_oracle(make_spec, periodic):
     grad = _gradient(spec, g)
     ref = gradient_per_triangle(spec, g)
     assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # The solver numbers the unknowns in nested-dissection order.
-    pattern = _Pattern(g)
-    H = _hessian(spec, g, pattern)
-    H_ref = hessian_per_triangle(spec, g)[pattern.order][:, pattern.order]
+    H = _hessian(spec, g, _Pattern(g))
+    H_ref = hessian_per_triangle(spec, g)
     assert H.shape == H_ref.shape and H.nnz == H_ref.nnz
     assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
 
@@ -261,32 +260,21 @@ def test_hessian_matches_fd_of_gradient(make_spec, periodic):
     spec = make_spec()
     rng = np.random.RandomState(1)
     g, _ = _random_graph_and_variation(spec, rng, n=6, periodic=periodic)
-    pattern = _Pattern(g)
-    H = _hessian(spec, g, pattern).toarray()
+    H = _hessian(spec, g, _Pattern(g)).toarray()
     free = g.free_slices()
     nfree = H.shape[0]
     eps = 1e-6
-    # Unknown k of the solver's numbering is free node pattern.order[k].
     for k in range(nfree):
         gp = g.copy()
         gm = g.copy()
         bump = np.zeros(nfree)
-        bump[pattern.order[k]] = eps
+        bump[k] = eps
         gp.values[free] = g.values[free] + bump.reshape(g.values[free].shape)
         gm.values[free] = g.values[free] - bump.reshape(g.values[free].shape)
         col = (_gradient(spec, gp)[free] - _gradient(spec, gm)[free]).ravel() / (
             2 * eps
         )
-        assert np.allclose(H[:, k], col[pattern.order], rtol=2e-6, atol=1e-9)
-
-
-@pytest.mark.parametrize("periodic", [(False, False), (True, False),
-                                      (False, True), (True, True)])
-@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8),
-                                   (4, 33), (33, 4), (5, 64), (63, 17)])
-def test_dissection_order_is_a_permutation(shape, periodic):
-    order = _dissection_order(shape, periodic)
-    assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+        assert np.allclose(H[:, k], col, rtol=2e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
@@ -294,43 +282,54 @@ def test_pattern_numbers_every_free_node_once(periodic):
     g = DiscreteGraph.on_rectangle((1.0, 1.0), (9, 12), 0.0, periodic=periodic)
     pattern = _Pattern(g)
     nfree = g.values[g.free_slices()].size
-    assert np.array_equal(pattern.order[pattern.rank], np.arange(nfree))
-    assert pattern.shape == (nfree, nfree)
+    assert pattern.shape == (nfree, nfree) and pattern.indptr.size == nfree + 1
 
 
-def _tube_rectangle(n):
-    L = 0.35
-    return tube_spec(), DiscreteGraph.on_rectangle(
-        (L, L), (n, n),
-        lambda x, y: 3.8 + 0.1 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
-    )
+def _recording_splu(monkeypatch):
+    """Record (matrix, factor) for every factorization the solver makes."""
+    factors = []
+    splu = spla.splu
+
+    def recording(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        factors.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(minimal_graph.spla, "splu", recording)
+    return factors
 
 
-def _cusp_stripe():
-    h2 = 1.0 / 2048
-    return cusp_spec(), DiscreteGraph.on_rectangle(
-        (4 * h2, 1.0), (4, 2049), lambda x, y: 0.15 + 0.4 * y,
-        periodic=(True, False),
-    )
+def _hessian_factor(monkeypatch):
+    # The fresh factor _linear_solve makes of the 129^2 tube Hessian.
+    H, rhs = _hessian_and_rhs(129)
+    factors = _recording_splu(monkeypatch)
+    _linear_solve(H, rhs)
+    return factors[0]
 
 
-@pytest.mark.parametrize("problem,ratio", [
-    (lambda: _tube_rectangle(129), 0.65),
-    (_cusp_stripe, 1.0),
-], ids=["rectangle_129", "stripe_4x2049"])
-def test_dissection_fill_against_colamd(problem, ratio):
-    # Fill counts of SuperLU: the solver's factorization of the
-    # dissection-numbered Hessian against COLAMD on the natural numbering.
-    # The 129^2 rectangle is solved by multigrid, so its pattern numbers
-    # row-major; both Hessians are renumbered from the row-major one.
-    spec, g = problem()
-    pattern = _Pattern(g)
-    H = _hessian(spec, g, pattern)
-    natural = H[pattern.rank][:, pattern.rank].tocsc()
-    order = _dissection_order(g.values[g.free_slices()].shape, g.periodic)
-    colamd = spla.splu(natural).nnz
-    dissection = spla.splu(natural[order][:, order].tocsc(), permc_spec="NATURAL").nnz
-    assert dissection <= ratio * colamd
+def _kkt_factor(monkeypatch):
+    # The first pinned-mean KKT factor of a flat 32^2 torus solve.
+    lat = FlatTorusLattice(1.0, 0.0, 1.2)
+    init = DiscreteGraph.on_torus(
+        lat, (32, 32),
+        lambda x, y: 0.2 + 0.06 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.2)
+        + 0.03 * np.cos(4 * np.pi * x + 1.0))
+    factors = _recording_splu(monkeypatch)
+    _, rep = solve(WarpedMetricSpec.flat(lat, -5.0, 5.0), init, tol=1e-9)
+    assert rep.linear_solvers[0] == "kkt"
+    return factors[0]
+
+
+@pytest.mark.parametrize("factor,ratio", [
+    (_hessian_factor, 0.65),
+    (_kkt_factor, 1.0),
+], ids=["rectangle_129", "torus_32_kkt"])
+def test_factor_fill_against_colamd(monkeypatch, factor, ratio):
+    # Fill counts of SuperLU: the solver's own factor, in _LU_ORDERING,
+    # against COLAMD on the same row-major matrix.
+    A, lu = factor(monkeypatch)
+    monkeypatch.undo()
+    assert lu.nnz <= ratio * spla.splu(A, permc_spec="COLAMD").nnz
 
 
 def test_solve_flat_affine_dirichlet_reproduces_plane():
@@ -434,23 +433,10 @@ def _tube_4c_graph(n):
     )
 
 
-def _counting_splu(monkeypatch):
-    """Record the order of every matrix the solver factors."""
-    calls = []
-    splu = spla.splu
-
-    def counting(A, *args, **kwargs):
-        calls.append(A.shape[0])
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(minimal_graph.spla, "splu", counting)
-    return calls
-
-
 def test_solve_factors_the_hessian_once(monkeypatch):
     # 33^2 lies below the multigrid threshold: the steps are solved by
-    # the dissection-ordered factor and CG preconditioned by it.
-    calls = _counting_splu(monkeypatch)
+    # the factor and CG preconditioned by it.
+    calls = _recording_splu(monkeypatch)
     out, rep = solve(tube_spec(), _tube_4c_graph(33), tol=1e-9)
     assert rep.converged and rep.iterations == 4
     assert rep.final_residual <= 1e-9
@@ -468,12 +454,12 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
     reference, ref_rep = solve(spec, g, tol=1e-9)
     monkeypatch.undo()
-    sizes = _counting_splu(monkeypatch)
+    factors = _recording_splu(monkeypatch)
     out, rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == ref_rep.iterations == 4
     assert rep.linear_solvers == ["multigrid"] * 4 and rep.factorizations == 0
     # Only the coarsest grid of each step's hierarchy is factored.
-    assert len(sizes) == 4 and max(sizes) <= 15 * 15
+    assert len(factors) == 4 and max(A.shape[0] for A, _ in factors) <= 15 * 15
     assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
     # The LU path reaches the same graph.
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
@@ -494,7 +480,7 @@ def test_vcycle_is_symmetric_positive_definite():
     # smooths as many sweeps before the coarse correction as after.
     spec, g = tube_spec(), _tube_4c_graph(65)
     pattern = _Pattern(g)
-    vcycle = _VCycle(_hessian(spec, g, pattern), pattern.transfers)
+    vcycle = _VCycle(_hessian(spec, g, pattern), _transfers((63, 63)))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, pattern.shape[0]))
     vx, vy = vcycle.solve(x), vcycle.solve(y)
@@ -515,15 +501,14 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     # A V-cycle of -H is negative definite: CG stops at once and H is
     # factored instead.
     spec, g = tube_spec(), _tube_4c_graph(65)
-    pattern = _Pattern(g)
-    H = _hessian(spec, g, pattern)
-    rhs = -_gradient(spec, g)[g.free_slices()].ravel()[pattern.order]
+    H = _hessian(spec, g, _Pattern(g))
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()
     monkeypatch.setattr(minimal_graph, "_VCycle",
                         lambda A, transfers: _VCycle(-A, transfers))
-    sizes = _counting_splu(monkeypatch)
-    delta, lu, kind, iterations = _linear_solve(H, rhs, None, pattern.transfers)
+    factors = _recording_splu(monkeypatch)
+    delta, lu, kind, iterations = _linear_solve(H, rhs, None, _transfers((63, 63)))
     assert kind == "lu" and iterations == 1 and lu is not None
-    assert sizes[-1] == H.shape[0]
+    assert factors[-1][0].shape == H.shape
     assert _solves_to_1e6(H, delta, rhs)
 
 
@@ -538,9 +523,8 @@ def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
 
 def _hessian_and_rhs(n=33):
     spec, g = tube_spec(), _tube_4c_graph(n)
-    pattern = _Pattern(g)
-    H = _hessian(spec, g, pattern)
-    rhs = -_gradient(spec, g)[g.free_slices()].ravel()[pattern.order]
+    H = _hessian(spec, g, _Pattern(g))
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()
     return H, rhs
 
 
@@ -556,7 +540,7 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
     unrelated = spla.splu(other)
-    calls = _counting_splu(monkeypatch)
+    calls = _recording_splu(monkeypatch)
     delta, lu, kind, iterations = _linear_solve(H, rhs, unrelated)
     assert len(calls) == 1 and kind == "lu" and lu is not unrelated
     # The discarded run's iterations are counted: the unrelated factor
@@ -567,8 +551,8 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = spla.splu(H, permc_spec="NATURAL")
-    calls = _counting_splu(monkeypatch)
+    own = spla.splu(H, permc_spec=_LU_ORDERING)
+    calls = _recording_splu(monkeypatch)
     delta, lu, kind, iterations = _linear_solve(H, rhs, own)
     assert calls == [] and lu is own and 1 <= iterations <= _CG_MAX_ITER
     assert kind == "lagged-lu"
