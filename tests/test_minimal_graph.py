@@ -277,6 +277,31 @@ def test_hessian_matches_fd_of_gradient(make_spec, periodic):
         assert np.allclose(H[:, k], col, rtol=2e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("periodic", [(False, False), (True, False),
+                                      (False, True), (True, True)])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8),
+                                   (4, 33), (33, 4), (5, 64), (63, 17)])
+def test_dissection_order_is_a_permutation(shape, periodic):
+    # The name is kept from the nested-dissection numbering the solver
+    # once had.  The numbering that replaced it is row-major on every grid
+    # shape and periodicity: the Hessian in the solver's numbering is the
+    # per-triangle oracle's, which numbers the free nodes row-major, entry
+    # for entry.  A grid is shape + 2 nodes per axis (at least 4).
+    rng = np.random.default_rng(3)
+    grid = (shape[0] + 2, shape[1] + 2)
+    g = DiscreteGraph.on_rectangle((1.0, 1.3), grid,
+                                   2.0 + 0.5 * rng.uniform(-1.0, 1.0, grid),
+                                   periodic=periodic)
+    spec = tube_spec()
+    pattern = _Pattern(g)
+    nfree = g.values[g.free_slices()].size
+    assert pattern.shape == (nfree, nfree)
+    H = _hessian(spec, g, pattern)
+    H_ref = hessian_per_triangle(spec, g)
+    assert H.shape == H_ref.shape and H.nnz == H_ref.nnz
+    assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+
+
 @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
 def test_pattern_numbers_every_free_node_once(periodic):
     g = DiscreteGraph.on_rectangle((1.0, 1.0), (9, 12), 0.0, periodic=periodic)
