@@ -17,10 +17,14 @@ hold to machine precision.
 
 The Newton solve numbers its unknowns, the free nodes, row-major on
 every grid.  The sparsity pattern of its Hessian is built once per solve
-(``_Pattern``); each Newton step sums the triangle entries per mesh edge
-with one ``np.bincount`` and reads both mirrored entries from that sum,
-which keeps the Hessian exactly symmetric.  Every sparse LU factor of a
-fine-grid system is made in one column ordering, ``_LU_ORDERING``.
+(``_Pattern``), in closed form: every cell is split along the same
+diagonal, so a node couples to the 7 nodes of a fixed stencil, and the
+mesh edges at a node are of four kinds (the diagonal entry, the x-edge,
+the y-edge and the anti-diagonal).  Each Newton step sums the triangle
+entries per mesh edge with one ``np.bincount`` and reads both mirrored
+entries from that sum, which keeps the Hessian exactly symmetric.  Every
+sparse LU factor of a fine-grid system is made in one column ordering,
+``_LU_ORDERING``.
 
 On Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per side,
 every Newton step is solved by conjugate gradients preconditioned by a
@@ -69,6 +73,13 @@ class DiscreteGraph:
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        # The grid is checked before the values: values sampled on a
+        # non-finite grid are not finite either.
+        h1, h2 = self.spacing
+        o1, o2 = self.origin
+        require_finite(spacing_h1=h1, spacing_h2=h2, origin_x1=o1, origin_x2=o2)
+        if h1 <= 0 or h2 <= 0:
+            raise DomainError("grid spacing must be positive")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise DomainError("graph values must be a 2-d array")
@@ -78,9 +89,6 @@ class DiscreteGraph:
             raise DomainError("graph values must be finite")
         if isinstance(self.periodic, bool):
             self.periodic = (self.periodic, self.periodic)
-        h1, h2 = self.spacing
-        if h1 <= 0 or h2 <= 0:
-            raise DomainError("grid spacing must be positive")
 
     # -- constructors ------------------------------------------------------
 
@@ -107,6 +115,7 @@ class DiscreteGraph:
         """
         n1, n2 = shape
         X1, X2 = extent
+        require_finite(extent_x1=X1, extent_x2=X2)
         h1 = X1 / n1 if periodic[0] else X1 / (n1 - 1)
         h2 = X2 / n2 if periodic[1] else X2 / (n2 - 1)
         return cls(
@@ -174,6 +183,23 @@ def _check_range(spec: WarpedMetricSpec, values: np.ndarray):
         )
 
 
+# The corners of the two triangle types of a cell (i, j), as offsets
+# (a, b) of node (i + a, j + b): the lower triangle, then the upper one.
+_CORNERS = (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)))
+
+
+def _ghosted(a: np.ndarray, g: DiscreteGraph, before: int) -> np.ndarray:
+    """A node array with a ghost layer wrapped around each periodic
+    axis: ``before`` layers ahead of the first node, one past the last."""
+    return np.pad(a, [(before, 1) if wrap else (0, 0) for wrap in g.periodic],
+                  mode="wrap")
+
+
+def _window(a: np.ndarray, offset, shape) -> np.ndarray:
+    """a[i + offset] over the positions i of a ``shape`` window."""
+    return a[offset[0]:offset[0] + shape[0], offset[1]:offset[1] + shape[1]]
+
+
 def _mesh(g: DiscreteGraph):
     """The two linear triangles of every grid cell, one triangle type at
     a time, as pairs (nodes, B): ``nodes`` holds the flat indices of each
@@ -185,21 +211,15 @@ def _mesh(g: DiscreteGraph):
     decoupling a pure cell-centered stencil would have; on the flat
     metric the assembled operator is the classic 5-point scheme.
     """
-    n1, n2 = g.shape
-    i0 = np.arange(n1 if g.periodic[0] else n1 - 1)[:, None]
-    j0 = np.arange(n2 if g.periodic[1] else n2 - 1)[None, :]
-    i1 = (i0 + 1) % n1
-    j1 = (j0 + 1) % n2
+    node = _ghosted(np.arange(g.values.size).reshape(g.shape), g, 0)
+    shape = (node.shape[0] - 1, node.shape[1] - 1)
     dx, dy = 1.0 / g.spacing[0], 1.0 / g.spacing[1]
     third = 1.0 / 3.0
-    return [
-        # Lower triangle: corners (i, j), (i + 1, j), (i, j + 1).
-        (np.stack([i0 * n2 + j0, i1 * n2 + j0, i0 * n2 + j1]),
-         np.array([[third, -dx, -dy], [third, dx, 0.0], [third, 0.0, dy]])),
-        # Upper triangle: corners (i + 1, j), (i, j + 1), (i + 1, j + 1).
-        (np.stack([i1 * n2 + j0, i0 * n2 + j1, i1 * n2 + j1]),
-         np.array([[third, 0.0, -dy], [third, -dx, 0.0], [third, dx, dy]])),
-    ]
+    # B of the lower triangle, then of the upper one.
+    Bs = (np.array([[third, -dx, -dy], [third, dx, 0.0], [third, 0.0, dy]]),
+          np.array([[third, 0.0, -dy], [third, -dx, 0.0], [third, dx, dy]]))
+    return [(np.stack([_window(node, corner, shape) for corner in corners]), B)
+            for corners, B in zip(_CORNERS, Bs)]
 
 
 def _fields(values, nodes, B):
@@ -318,59 +338,80 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
 _PAIRS = tuple((k, l) for k in range(3) for l in range(k, 3))
 
 
+# The 7-point stencil of the split-cell mesh: the offsets (d1, d2) of the
+# nodes that share a mesh edge with a node, the node itself included, in
+# row-major order.
+_STENCIL = ((-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0))
+
+
+def _edge(p, q):
+    """The edge between the nodes at offsets p and q (p = q for the
+    diagonal), as (offset of its base node, kind): the base is the
+    componentwise minimum, and the kind is 0 for the diagonal, 1 for an
+    x-edge, 2 for a y-edge and 3 for an anti-diagonal."""
+    (a, b), (c, d) = p, q
+    return (min(a, c), min(b, d)), abs(a - c) + 2 * abs(b - d)
+
+
 class _Pattern:
     """The sparsity of the Hessian of a solve: the unknowns are the free
-    nodes, numbered row-major, and the Hessian is a CSC matrix with fixed
-    ``indptr``/``indices``.
+    nodes, numbered row-major, and the Hessian is a CSC matrix with fixed,
+    canonical ``indptr``/``indices``.
 
-    Its entries are sums over mesh edges {p, q}, p <= q in row-major
-    order (p = q on the diagonal).  The nodes of an edge are at most one
-    index apart on each axis, wrapping on periodic ones, so with (i, j)
-    the grid position of a node, i_q - i_p is 0, 1 or n1 - 1 and
-    j_q - j_p is 0, +-1 or +-(n2 - 1); on grids of at least 4 x 4 the
-    label 15 p + 5 min(i_q - i_p, 2) + clip(j_q - j_p, -2, 2) + 2 names
-    the edge.  ``slots`` holds the edge number (labels in use, counted in
-    order) of each triangle type's corner pair (k, l), k <= l, in each
-    cell, and ``data_source`` that of each stored entry, so both mirrored
-    entries read the same sum.
+    Its entries are sums over mesh edges.  A cell's diagonal runs from
+    (i + 1, j) to (i, j + 1), so the edges at node (i, j) are of four
+    kinds: the diagonal entry, the x-edge to (i + 1, j), the y-edge to
+    (i, j + 1) and the anti-diagonal from (i + 1, j) to (i, j + 1); edge
+    4 node + kind names each (``_edge``).  ``slots`` holds the edge of
+    each triangle type's corner pair (k, l), k <= l, in each cell, and
+    ``data_source`` that of each stored entry, so both mirrored entries
+    read the same sum.  Column c holds the free nodes of the 7-point
+    stencil around unknown c, sorted by number: in stencil order, unless
+    a periodic axis wraps.
     """
 
     def __init__(self, g: DiscreteGraph):
-        n1, n2 = g.shape
-        nodes = np.arange(g.values.size).reshape(g.shape)[g.free_slices()].ravel()
-        n = nodes.size
-        unknown = np.full(g.values.size, -1, dtype=np.intp)
-        unknown[nodes] = np.arange(n)
+        # The diagonal entry of every node; an edge based at the node adds
+        # its kind to this number.
+        edge = 4 * np.arange(g.values.size).reshape(g.shape)
 
-        def label(p, q):
-            lo, hi = np.minimum(p, q), np.maximum(p, q)
-            di = hi // n2 - lo // n2
-            dj = hi - lo - di * n2
-            return 15 * lo + 5 * np.minimum(di, 2) + np.clip(dj, -2, 2) + 2
+        # Cell (i, j) has node (i, j) of the ghosted grid as corner (0, 0).
+        cells = _ghosted(edge, g, 0)
+        shape = (cells.shape[0] - 1, cells.shape[1] - 1)
+        self.slots = np.empty((len(_CORNERS), len(_PAIRS)) + shape, dtype=np.intp)
+        for t, corners in enumerate(_CORNERS):
+            for p, (k, l) in enumerate(_PAIRS):
+                offset, kind = _edge(corners[k], corners[l])
+                np.add(_window(cells, offset, shape), kind, out=self.slots[t, p])
+        self.n_edges = 4 * g.values.size
 
-        slots = np.array([[label(corners[k], corners[l]) for k, l in _PAIRS]
-                          for corners, _ in _mesh(g)])
-        edge = np.zeros(15 * g.values.size, dtype=bool)
-        edge[slots] = True
-        number = np.cumsum(edge) - 1
-        self.slots = number[slots]
-        self.n_edges = int(number[-1]) + 1
-
-        # Column c holds the free nodes among the nine nodes around
-        # unknown c that share a mesh edge with it, sorted by number.
-        i = nodes[:, None] // n2
-        j = nodes[:, None] - i * n2
-        di, dj = np.divmod(np.arange(9), 3)
-        around = (i + di - 1) % n1 * n2 + (j + dj - 1) % n2
-        labels = label(nodes[:, None], around)
-        rows = np.where(edge[labels] & (unknown[around] >= 0), unknown[around], n)
-        by_row = np.argsort(rows, axis=1)
-        rows = np.take_along_axis(rows, by_row, axis=1)
+        # Free node (i, j) is node (i + 1, j + 1) of the grids ghosted on
+        # both sides; fixed nodes are numbered n, past every unknown.
+        free = g.free_slices()
+        shape = g.values[free].shape
+        n = shape[0] * shape[1]
+        unknown = np.full(g.shape, n, dtype=np.int32)
+        unknown[free] = np.arange(n).reshape(shape)
+        unknown, edge = _ghosted(unknown, g, 1), _ghosted(edge, g, 1)
+        rows = np.empty(shape + (len(_STENCIL),), dtype=np.int32)
+        source = np.empty(rows.shape, dtype=np.intp)
+        stored_per_column = np.zeros(shape, dtype=np.int32)
+        for s, (a, b) in enumerate(_STENCIL):
+            neighbour = _window(unknown, (1 + a, 1 + b), shape)
+            rows[..., s] = neighbour
+            stored_per_column += neighbour < n
+            offset, kind = _edge((1, 1), (1 + a, 1 + b))
+            np.add(_window(edge, offset, shape), kind, out=source[..., s])
+        rows, source = rows.reshape(n, -1), source.reshape(n, -1)
+        if any(g.periodic):
+            by_row = np.argsort(rows, axis=1)
+            rows = np.take_along_axis(rows, by_row, axis=1)
+            source = np.take_along_axis(source, by_row, axis=1)
         stored = rows < n
-        self.indices = rows[stored].astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.count_nonzero(stored, axis=1))]).astype(np.int32)
-        self.data_source = number[np.take_along_axis(labels, by_row, axis=1)[stored]]
+        self.indices = rows[stored]
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(stored_per_column, out=self.indptr[1:])
+        self.data_source = source[stored]
         self.shape = (n, n)
 
 
@@ -619,8 +660,9 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     failure.
     """
     _require_diagonal(spec)
+    require_finite(tolerance=tol)
     if tol <= 0:
-        raise DomainError("tolerance must be positive")
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
     g = init.copy()
     _check_range(spec, g.values)
     free = g.free_slices()

@@ -219,6 +219,8 @@ class DiscreteFamily:
         return fam
 
     def _init(self, level, patch_ids, areas, multiplicities):
+        if level < 0:
+            raise DomainError(f"family level must be nonnegative, got {level!r}")
         if multiplicities.shape[0] != 3**level + 1:
             raise DomainError(
                 f"a level-{level} family needs {3**level + 1} currents"

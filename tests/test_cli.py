@@ -368,6 +368,14 @@ def test_sweepout_fineness_rejects_a_non_integral_or_non_numeric_field(
     assert captured.err.startswith(f"domain error: {path}: {field} must be")
 
 
+def test_sweepout_fineness_rejects_a_negative_level(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(_family(level=-1)))
+    assert run(["sweepout", "fineness", "--family", str(path)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        f"domain error: {path}: family level must be nonnegative, got -1\n")
+
+
 def test_sweepout_fineness_reads_integral_numbers_written_as_floats(tmp_path, capsys):
     fineness = []
     for family in (_family(multiplicity=2), _family(level=0.0, multiplicity=2.0)):
@@ -428,6 +436,24 @@ def test_graph_solve_rejects_bad_boundary_data(tmp_path, capsys, bc, message):
     assert code == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.err.startswith(f"domain error: {path}: {message}"), captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol,extent,message", [
+    ("nan", "1.0x1.0", "tolerance must be finite, got nan"),
+    ("inf", "1.0x1.0", "tolerance must be finite, got inf"),
+    ("1e-8", "nanx1.0", "extent_x1 must be finite, got nan"),
+    ("1e-8", "1.0xinf", "extent_x2 must be finite, got inf"),
+], ids=["tol_nan", "tol_inf", "extent_nan", "extent_inf"])
+def test_graph_solve_rejects_a_nonfinite_number(tmp_path, capsys, tol, extent, message):
+    (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
+    out = tmp_path / "u.csv"
+    code = run(["--tol", tol, "graph", "solve", "--metric", str(tmp_path / "metric.json"),
+                "--grid", "8x8", "--extent", extent, "--bc", str(tmp_path / "bc.json"),
+                "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"domain error: {message}\n"
     assert not out.exists()
 
 

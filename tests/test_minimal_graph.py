@@ -94,6 +94,24 @@ def test_area_range_check():
         area(cusp_spec(), g)
 
 
+@pytest.mark.parametrize("spacing,origin,name", [
+    ((math.nan, 0.1), (0.0, 0.0), "spacing_h1"),
+    ((0.1, math.inf), (0.0, 0.0), "spacing_h2"),
+    ((0.1, 0.1), (math.nan, 0.0), "origin_x1"),
+    ((0.1, 0.1), (0.0, -math.inf), "origin_x2"),
+])
+def test_graph_rejects_a_nonfinite_grid(spacing, origin, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        DiscreteGraph(np.zeros((8, 8)), spacing, origin=origin)
+
+
+@pytest.mark.parametrize("extent,name", [((math.nan, 1.0), "extent_x1"),
+                                         ((1.0, math.inf), "extent_x2")])
+def test_rectangle_rejects_a_nonfinite_extent(extent, name):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        DiscreteGraph.on_rectangle(extent, (8, 8), lambda x, y: x + y)
+
+
 # ---------------------------------------------------------- el_residual
 
 
@@ -277,21 +295,32 @@ def test_hessian_matches_fd_of_gradient(make_spec, periodic):
         assert np.allclose(H[:, k], col, rtol=2e-6, atol=1e-9)
 
 
-@pytest.mark.parametrize("periodic", [(False, False), (True, False),
-                                      (False, True), (True, True)])
-@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8),
-                                   (4, 33), (33, 4), (5, 64), (63, 17)])
+# Free-node shapes and periodicities on which the Hessian's numbering and
+# pattern are checked; a grid is shape + 2 nodes per axis (at least 4).
+_PERIODICITIES = pytest.mark.parametrize(
+    "periodic", [(False, False), (True, False), (False, True), (True, True)])
+_FREE_SHAPES = pytest.mark.parametrize(
+    "shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8), (4, 33), (33, 4), (5, 64),
+              (63, 17)])
+
+
+def _random_grid(shape, periodic):
+    rng = np.random.default_rng(3)
+    grid = (shape[0] + 2, shape[1] + 2)
+    return DiscreteGraph.on_rectangle((1.0, 1.3), grid,
+                                      2.0 + 0.5 * rng.uniform(-1.0, 1.0, grid),
+                                      periodic=periodic)
+
+
+@_PERIODICITIES
+@_FREE_SHAPES
 def test_dissection_order_is_a_permutation(shape, periodic):
     # The name is kept from the nested-dissection numbering the solver
     # once had.  The numbering that replaced it is row-major on every grid
     # shape and periodicity: the Hessian in the solver's numbering is the
     # per-triangle oracle's, which numbers the free nodes row-major, entry
-    # for entry.  A grid is shape + 2 nodes per axis (at least 4).
-    rng = np.random.default_rng(3)
-    grid = (shape[0] + 2, shape[1] + 2)
-    g = DiscreteGraph.on_rectangle((1.0, 1.3), grid,
-                                   2.0 + 0.5 * rng.uniform(-1.0, 1.0, grid),
-                                   periodic=periodic)
+    # for entry.
+    g = _random_grid(shape, periodic)
     spec = tube_spec()
     pattern = _Pattern(g)
     nfree = g.values[g.free_slices()].size
@@ -300,6 +329,33 @@ def test_dissection_order_is_a_permutation(shape, periodic):
     H_ref = hessian_per_triangle(spec, g)
     assert H.shape == H_ref.shape and H.nnz == H_ref.nnz
     assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+
+
+@_PERIODICITIES
+@_FREE_SHAPES
+def test_hessian_pattern_is_canonical_csc(shape, periodic):
+    # Every column is sorted and holds each row once, with the oracle's
+    # sparsity exactly: the oracle is a CSR matrix, and the Hessian is
+    # symmetric, so its CSC arrays are the oracle's CSR arrays.
+    g = _random_grid(shape, periodic)
+    H = _hessian(tube_spec(), g, _Pattern(g))
+    columns = np.split(H.indices, H.indptr[1:-1])
+    assert all(np.all(np.diff(column) > 0) for column in columns)
+    H_ref = hessian_per_triangle(tube_spec(), g)
+    assert np.array_equal(H.indptr, H_ref.indptr)
+    assert np.array_equal(H.indices, H_ref.indices)
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False), (True, True)])
+def test_factoring_the_hessian_leaves_its_pattern_alone(periodic):
+    # ``splu`` puts its matrix in canonical format in place; the Hessian
+    # shares ``indices`` with the pattern every Newton step reuses.
+    g = _random_grid((7, 9), periodic)
+    pattern = _Pattern(g)
+    indices, indptr = pattern.indices.copy(), pattern.indptr.copy()
+    spla.splu(_hessian(tube_spec(), g, pattern), permc_spec=_LU_ORDERING)
+    assert np.array_equal(pattern.indices, indices)
+    assert np.array_equal(pattern.indptr, indptr)
 
 
 @pytest.mark.parametrize("periodic", [(False, False), (True, True)])
@@ -369,6 +425,13 @@ def test_solve_flat_affine_dirichlet_reproduces_plane():
     exact = DiscreteGraph.on_rectangle((1.0, 1.0), (17, 17), plane)
     assert np.max(np.abs(out.values - exact.values)) < 1e-10
     assert np.max(np.abs(el_residual(spec, out))) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_solve_rejects_a_nonfinite_tolerance(tol):
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.0)
+    with pytest.raises(DomainError, match="tolerance must be finite"):
+        solve(flat_spec(), g, tol=tol)
 
 
 def test_solve_periodic_flat_pins_mean():

@@ -198,6 +198,13 @@ def test_interpolate_fineness_decay_rate():
     assert -1.2 <= slope <= -0.8
 
 
+def test_family_rejects_a_negative_level():
+    # The level is checked before the count of currents it asks for.
+    c = FormalCurrent.single("T", 1.0)
+    with pytest.raises(DomainError, match="family level must be nonnegative, got -1"):
+        DiscreteFamily(-1, [c, c])
+
+
 def test_interpolate_rejects_zero_steps():
     a = FormalCurrent.single("TA", 1.0)
     with pytest.raises(DomainError):
