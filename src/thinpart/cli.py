@@ -214,8 +214,8 @@ def _cmd_filler(args) -> int:
         )
         return EXIT_OK
     spec = filler.load(args.spec)
-    report = filler.verify(spec, grid=args.grid)
     bound = filler.area_lower_bound(spec, args.c)
+    report = filler.verify(spec, grid=args.grid)
     payload = {
         "flat_levels": report.flat_levels,
         "diameters_strictly_decreasing": report.diameters_strictly_decreasing,

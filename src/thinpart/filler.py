@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, as_float, load_json
+from .errors import DomainError, as_float, load_json, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, diameter, systole
 
@@ -174,82 +174,83 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     return FillerSpec(depth, lattice, f, eta)
 
 
-_BEFORE_COLLAR = (1.0, 0.0, 0.0, 0.0)  # eta = 1 and its derivatives for t < L
-
-
 def _collar(spec: FillerSpec, t, order: int = 0):
-    """eta^(order)(t - L): the collapse factor at depth t, with the value
-    (1, 0, 0, 0)[order] before the collar t = L, where eta's flat head
-    already gives it.  A float t before the collar evaluates no eta."""
-    L = spec.depth
-    if isinstance(t, float):
-        if t >= L:
-            return float(spec.eta._derivative(t - L, order))
-        return _BEFORE_COLLAR[order]
-    return spec.eta._derivative(np.asarray(t, dtype=float) - L, order)
+    """eta^(order)(t - L): the collapse factor at depth t, which eta's
+    flat head makes (1, 0, 0, 0)[order] before the collar t = L."""
+    return spec.eta._derivative(np.asarray(t, dtype=float) - spec.depth, order)
+
+
+def _depths(spec: FillerSpec, t) -> np.ndarray:
+    """``t`` as a float array; a DomainError naming the first depth
+    outside [0, L + 1), the range of the level tori."""
+    depths = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= depths) & (depths < spec.depth + 1.0))
+    if outside.any():
+        raise DomainError(
+            "level torus exists for 0 <= t < L + 1 (core_chart_metric covers "
+            f"the core), got t = {float(depths[outside][0])!r}"
+        )
+    return depths
 
 
 def metric_at(spec: FillerSpec, point) -> tuple:
     """Diagonal metric coefficients (g11, g22, g33) at (x1, x2, t).
 
-    The metric is x-independent; t must lie in [0, L + 1): at the core
-    the product chart is singular and ``core_chart_metric`` applies.
+    The metric is x-independent, and g33 = 1.  t may be an array of
+    depths, each in [0, L + 1): at the core the product chart is
+    singular and ``core_chart_metric`` applies.
     """
-    x1, x2, t = point
-    L = spec.depth
-    if not 0.0 <= t < L + 1.0:
-        raise DomainError(
-            f"t = {t!r} outside [0, L + 1); use core_chart_metric at the core"
-        )
-    e2f = math.exp(-2.0 * float(spec.f(t)))
+    t = _depths(spec, point[2])
+    e2f = np.exp(-2.0 * spec.f(t))
     return (e2f * _collar(spec, t) ** 2, e2f, 1.0)
 
 
-def core_chart_metric(spec: FillerSpec, rho: float) -> tuple:
+def core_chart_metric(spec: FillerSpec, rho) -> tuple:
     """Pulled-back metric near the core in polar coordinates
-    (rho, theta, z): returns (g_theta_theta, g_zz, g_rho_rho).
+    (rho, theta, z): returns (g_theta_theta, g_zz, g_rho_rho), at a
+    radius or an array of radii.
 
     Smoothness of the solid torus shows as g_theta_theta = rho^2 + O(rho^3)
     and g_zz = exp(-2 f(L+1)) + O(rho).
     """
-    if not 0.0 < rho <= 1.0:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((0.0 < rho) & (rho <= 1.0)):
         raise DomainError("core chart needs 0 < rho <= 1")
-    L = spec.depth
+    e2f = np.exp(-2.0 * spec.f(spec.depth + 1.0 - rho))
     alpha = spec.lattice.a1
-    e2f = math.exp(-2.0 * float(spec.f(L + 1.0 - rho)))
-    eta = float(spec.eta(1.0 - rho))
-    g_theta = e2f * eta**2 * alpha**2 / (4.0 * math.pi**2)
+    g_theta = e2f * spec.eta(1.0 - rho) ** 2 * alpha**2 / (4.0 * math.pi**2)
     return (g_theta, e2f, 1.0)
+
+
+def _slice_lattices(spec: FillerSpec, t) -> list:
+    """Lattices of the level tori T_t, one per depth of the array t: the
+    boundary lattice with x1 scaled by exp(-f(t)) eta and x2 by exp(-f(t))."""
+    t = _depths(spec, t)
+    e_f = np.exp(-spec.f(t))
+    e_f_eta = e_f * _collar(spec, t)
+    lat = spec.lattice
+    return [
+        FlatTorusLattice.from_vectors((v1x, 0.0), (v2x, v2y))
+        for v1x, v2x, v2y in zip((e_f_eta * lat.a1).tolist(),
+                                 (e_f_eta * lat.a2).tolist(), (e_f * lat.b2).tolist())
+    ]
 
 
 def slice_lattice(spec: FillerSpec, t: float) -> FlatTorusLattice:
     """Lattice of the level torus T_t in orthonormal coordinates."""
-    L = spec.depth
-    if not 0.0 <= t < L + 1.0:
-        raise DomainError("level torus exists for 0 <= t < L + 1")
-    e_f = math.exp(-float(spec.f(t)))
-    eta = _collar(spec, t)
-    lat = spec.lattice
-    return FlatTorusLattice.from_vectors(
-        (e_f * eta * lat.a1, 0.0), (e_f * eta * lat.a2, e_f * lat.b2)
-    )
+    return _slice_lattices(spec, [t])[0]
 
 
-def slice_area(spec: FillerSpec, t: float) -> float:
-    """Area of the level torus T_t."""
-    L = spec.depth
-    if not 0.0 <= t < L + 1.0:
-        raise DomainError("level torus exists for 0 <= t < L + 1")
-    e2f = math.exp(-2.0 * float(spec.f(t)))
-    return e2f * _collar(spec, t) * spec.lattice.area
+def slice_area(spec: FillerSpec, t):
+    """Area of the level torus T_t, at a depth or an array of depths."""
+    t = _depths(spec, t)
+    return np.exp(-2.0 * spec.f(t)) * _collar(spec, t) * spec.lattice.area
 
 
 def mean_convexity(spec: FillerSpec, t):
     """Signed level-torus mean curvature toward +t: f'(t) - eta'/(2 eta),
     at a depth or an array of depths."""
-    depths = np.asarray(t)
-    if not np.all((0.0 <= depths) & (depths < spec.depth + 1.0)):
-        raise DomainError("level torus exists for 0 <= t < L + 1")
+    t = _depths(spec, t)
     return spec.f.d1(t) - 0.5 * _collar(spec, t, 1) / _collar(spec, t)
 
 
@@ -349,34 +350,33 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     bounds, and the core-chart smoothness residuals with their power-law
     slopes.
     """
+    if grid < 2:
+        raise DomainError(f"verify needs a grid of at least 2 depths, got {grid!r}")
     L = spec.depth
 
     # (i) flat level tori: coefficients do not depend on (x1, x2).
     ts_probe = np.linspace(0.0, L + 0.9, 23)
     flat_levels = all(
-        metric_at(spec, (0.0, 0.0, t)) == metric_at(spec, (0.3, -1.2, t))
-        for t in ts_probe
+        np.array_equal(here, there) for here, there in
+        zip(metric_at(spec, (0.0, 0.0, ts_probe)), metric_at(spec, (0.3, -1.2, ts_probe)))
     )
 
     # (ii) diameters strictly decreasing; mean convexity.
     ts = np.linspace(0.0, L + 1.0, grid, endpoint=False)
-    diams = np.array([diameter(slice_lattice(spec, float(t))) for t in ts])
+    diams = np.array([diameter(lat) for lat in _slice_lattices(spec, ts)])
     decreasing = bool(np.all(np.diff(diams) < 0.0))
     convex = bool(np.all(mean_convexity(spec, ts) > 0.0))
 
     # (iii) exact collar on [0, 1].
-    collar = all(
-        metric_at(spec, (0.0, 0.0, t))
-        == (math.exp(-2.0 * t), math.exp(-2.0 * t), 1.0)
-        for t in np.linspace(0.0, 1.0, 21, endpoint=False)
-    )
+    ts_collar = np.linspace(0.0, 1.0, 21, endpoint=False)
+    g11, g22, _ = metric_at(spec, (0.0, 0.0, ts_collar))
+    e2t = np.exp(-2.0 * ts_collar)
+    collar = np.array_equal(g11, e2t) and np.array_equal(g22, e2t)
 
     # Continuity across t = L (eta(0) = 1).
-    below = metric_at(spec, (0.0, 0.0, L - 1e-12))
-    above = metric_at(spec, (0.0, 0.0, L))
-    continuous = all(
-        abs(b - a) <= 1e-10 * max(1.0, abs(b)) for b, a in zip(below, above)
-    )
+    g11, g22, _ = metric_at(spec, (0.0, 0.0, np.array([L - 1e-12, L])))
+    below, above = np.array([g11, g22]).T
+    continuous = bool(np.all(np.abs(below - above) <= 1e-10 * np.maximum(1.0, np.abs(below))))
 
     # Profile bounds.
     tt = np.linspace(0.0, L + 1.0, 4001)
@@ -387,15 +387,10 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     cap = float(spec.f(L + 1.0))
 
     # Core-chart residuals and their slopes.
-    e2f = math.exp(-2.0 * spec.core_height)
     rho_theta = np.geomspace(spec.tail_reach / 12.0, 0.9 * spec.tail_reach, 9)
-    res_theta = np.array(
-        [abs(core_chart_metric(spec, float(r))[0] - r * r) for r in rho_theta]
-    )
+    res_theta = np.abs(core_chart_metric(spec, rho_theta)[0] - rho_theta * rho_theta)
     rho_z = np.geomspace(2e-3, 0.1, 10)
-    res_z = np.array(
-        [abs(core_chart_metric(spec, float(r))[1] - e2f) for r in rho_z]
-    )
+    res_z = np.abs(core_chart_metric(spec, rho_z)[1] - np.exp(-2.0 * spec.core_height))
     theta_const = float(np.max(res_theta / rho_theta**3))
     z_const = float(np.max(res_z / rho_z))
     theta_slope = _loglog_slope(rho_theta, np.maximum(res_theta, 1e-300))
@@ -447,6 +442,7 @@ def area_lower_bound(spec: FillerSpec, monotonicity_constant: float = math.pi) -
     default pi is the small-ball Euclidean comparison and can be
     overridden.  Returns the bound together with kappa = bound / L.
     """
+    require_finite(monotonicity_constant=monotonicity_constant)
     if monotonicity_constant <= 0.0:
         raise DomainError("monotonicity constant must be positive")
     sys = systole(spec.lattice)

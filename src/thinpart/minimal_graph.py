@@ -114,6 +114,8 @@ class DiscreteGraph:
         boundary included.
         """
         n1, n2 = shape
+        if min(n1, n2) < 4:
+            raise DomainError(f"grid {n1}x{n2} needs at least 4 points per axis")
         X1, X2 = extent
         require_finite(extent_x1=X1, extent_x2=X2)
         h1 = X1 / n1 if periodic[0] else X1 / (n1 - 1)
@@ -663,6 +665,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     require_finite(tolerance=tol)
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     g = init.copy()
     _check_range(spec, g.values)
     free = g.free_slices()
@@ -772,28 +776,23 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
 
 def _node_derivatives(g: DiscreteGraph):
     """Centered first and second derivatives on the free nodes."""
-    u = g.values
     h1, h2 = g.spacing
-    # One ghost layer per axis: wrapped on periodic axes, NaN beyond a
-    # Dirichlet ring (only ever read at boundary nodes, which are dropped).
-    padded = u
-    for axis, wrap in enumerate(g.periodic):
-        width = [(1, 1) if a == axis else (0, 0) for a in (0, 1)]
-        padded = (np.pad(padded, width, mode="wrap") if wrap
-                  else np.pad(padded, width, constant_values=np.nan))
-    n1, n2 = u.shape
+    # Free node (i, j) is node (i + 1, j + 1) of the grid ghosted on both
+    # sides, as in _Pattern; its neighbours are free or boundary nodes.
+    ghosted = _ghosted(g.values, g, 1)
+    shape = g.values[g.free_slices()].shape
 
-    def shift(d1, d2):
-        """u[i + d1, j + d2] at every node."""
-        return padded[1 + d1:1 + d1 + n1, 1 + d2:1 + d2 + n2]
+    def at(d1, d2):
+        """u[i + d1, j + d2] at every free node (i, j)."""
+        return _window(ghosted, (1 + d1, 1 + d2), shape)
 
-    ux = (shift(1, 0) - shift(-1, 0)) / (2 * h1)
-    uy = (shift(0, 1) - shift(0, -1)) / (2 * h2)
-    uxx = (shift(1, 0) - 2 * u + shift(-1, 0)) / h1**2
-    uyy = (shift(0, 1) - 2 * u + shift(0, -1)) / h2**2
-    uxy = (shift(1, 1) - shift(1, -1) - shift(-1, 1) + shift(-1, -1)) / (4 * h1 * h2)
-    s = g.free_slices()
-    return u[s], ux[s], uy[s], uxx[s], uyy[s], uxy[s]
+    u = at(0, 0)
+    ux = (at(1, 0) - at(-1, 0)) / (2 * h1)
+    uy = (at(0, 1) - at(0, -1)) / (2 * h2)
+    uxx = (at(1, 0) - 2 * u + at(-1, 0)) / h1**2
+    uyy = (at(0, 1) - 2 * u + at(0, -1)) / h2**2
+    uxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h1 * h2)
+    return u, ux, uy, uxx, uyy, uxy
 
 
 def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray:

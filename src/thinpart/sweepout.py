@@ -394,9 +394,7 @@ def profile(cusps=(), tubes=(), fillers=(), attachments=None,
         segs.append(ProfileSegment("cusp", f"cusp[{idx}]", ts, areas))
     for idx, tube in enumerate(tubes):
         rs = np.linspace(tube.radius / samples, tube.radius, samples)
-        areas = np.array(
-            [tube_geometry.slice_area(tube.length, float(r)) for r in rs]
-        )
+        areas = tube_geometry.slice_area(tube.length, rs)
         segs.append(ProfileSegment("tube", f"tube[{idx}]", rs, areas))
     for idx, fil in enumerate(fillers):
         if idx in attachments:
@@ -408,9 +406,7 @@ def profile(cusps=(), tubes=(), fillers=(), attachments=None,
                     "boundary lattices differ beyond 1e-6 relative"
                 )
         ts = np.linspace(0.0, fil.depth + 1.0, samples, endpoint=False)
-        areas = np.array(
-            [filler_mod.slice_area(fil, float(t)) for t in ts]
-        )
+        areas = filler_mod.slice_area(fil, ts)
         segs.append(ProfileSegment("filler", f"filler[{idx}]", ts, areas))
     if not segs:
         raise DomainError("empty thin-part description")

@@ -111,16 +111,20 @@ def meyerhoff_radius(length: float) -> float:
     return math.asinh(math.sqrt(s2))
 
 
-def slice_area(length: float, radius: float) -> float:
-    """Area of the r = radius torus around a geodesic of the given length:
-    pi * ell * sinh(2r)."""
+def slice_area(length: float, radius):
+    """Area of the r = radius torus around a geodesic of the given length,
+    at a radius or an array of radii: pi * ell * sinh(2r)."""
     if not math.isfinite(length) or length <= 0.0:
         raise DomainError(
             f"geodesic length must be finite and positive, got {length!r}"
         )
-    if not math.isfinite(radius) or radius < 0.0:
-        raise DomainError(f"radius must be finite and nonnegative, got {radius!r}")
-    return math.pi * length * math.sinh(2.0 * radius)
+    radius = np.asarray(radius, dtype=float)
+    bad = ~(np.isfinite(radius) & (radius >= 0.0))
+    if bad.any():
+        raise DomainError(
+            f"radius must be finite and nonnegative, got {float(radius[bad][0])!r}"
+        )
+    return math.pi * length * np.sinh(2.0 * radius)
 
 
 def slice_mean_curvature(radius: float) -> float:

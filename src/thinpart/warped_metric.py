@@ -39,70 +39,68 @@ class DiagonalCoefficients:
         self.a1 = a1
         self.a2 = a2
 
-    def _sq(self, f: Field1D, t, order: int) -> float:
+    def _sq(self, f: Field1D, t, order: int):
+        """The order-th x3-derivative of f^2.  ``np.float_power`` squares
+        by the C library's pow, as the float powers of h in
+        ``check_hypotheses`` do, so a_i^2 / h^2 is exactly 1 where a_i = h;
+        numpy's array ``** 2`` multiplies, which rounds differently."""
         if order == 0:
-            return f(t) ** 2
+            return np.float_power(f(t), 2)
         if order == 1:
             return 2.0 * f(t) * f.d1(t)
         if order == 2:
-            return 2.0 * (f.d1(t) ** 2 + f(t) * f.d2(t))
+            return 2.0 * (np.float_power(f.d1(t), 2) + f(t) * f.d2(t))
         return 2.0 * (3.0 * f.d1(t) * f.d2(t) + f(t) * f.d3(t))
 
-    def value(self, x1, x2, x3) -> np.ndarray:
-        return np.diag([self._sq(self.a1, x3, 0), self._sq(self.a2, x3, 0), 1.0])
-
     def deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
-        if not axes:
-            return self.value(x1, x2, x3)
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
+        out = np.zeros(shape + (3, 3))
         if any(a != 3 for a in axes):
-            return np.zeros((3, 3))
-        order = len(axes)
-        out = np.zeros((3, 3))
-        out[0, 0] = self._sq(self.a1, x3, order)
-        out[1, 1] = self._sq(self.a2, x3, order)
+            return out
+        out[..., 0, 0] = self._sq(self.a1, x3, len(axes))
+        out[..., 1, 1] = self._sq(self.a2, x3, len(axes))
+        if not axes:
+            out[..., 2, 2] = 1.0
         return out
 
 
 class CallableCoefficients:
     """General symmetric coefficient field backed by a single callable.
 
-    ``fn(x1, x2, x3, axes)`` must return the 3x3 matrix of partial
-    derivatives ``d_axes a_kl`` (``axes`` a tuple of 1-based directions,
-    empty for the plain value).  ``check_hypotheses`` calls it once per
-    (sample point, derivative multi-index of order 0-3), with Python
-    floats, before it validates any sample; ``fn`` must be pure.
+    ``fn(x1, x2, x3, axes)`` is called per point, with Python floats, and
+    must return the 3x3 matrix of partial derivatives ``d_axes a_kl``
+    (``axes`` a tuple of 1-based directions, empty for the plain value).
+    ``deriv`` loops over the points of its (broadcast) arguments, so
+    ``check_hypotheses`` calls ``fn`` once per (sample point, derivative
+    multi-index of order 0-3) before it validates any sample; ``fn``
+    must be pure.
     """
 
     def __init__(self, fn):
         self.fn = fn
 
-    def value(self, x1, x2, x3) -> np.ndarray:
-        return np.asarray(self.fn(x1, x2, x3, ()), dtype=float)
-
     def deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
-        return np.asarray(self.fn(x1, x2, x3, tuple(axes)), dtype=float)
+        points = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x1, x2, x3)))
+        out = np.empty(points[0].shape + (3, 3))
+        rows = out.reshape(-1, 3, 3)
+        for n, point in enumerate(zip(*(c.ravel().tolist() for c in points))):
+            rows[n] = self.fn(*point, tuple(axes))
+        return out
 
 
 class _RescaledCoefficients:
-    """Blow-up wrapper: value/derivative scaling by powers of lambda."""
+    """Blow-up wrapper: derivative scaling by powers of lambda."""
 
     def __init__(self, base, s: float, lam: float):
         self.base = base
         self.s = s
         self.lam = lam
-        lam_pow = np.array(
+        self._lam_pow = np.array(
             [[lam**2, lam**2, lam], [lam**2, lam**2, lam], [lam, lam, 1.0]]
         )
-        self._lam_pow = lam_pow
-
-    def _pull(self, x3):
-        return x3 / self.lam + self.s
-
-    def value(self, x1, x2, x3) -> np.ndarray:
-        return self.base.value(x1, x2, self._pull(x3)) * self._lam_pow
 
     def deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
-        raw = self.base.deriv(axes, x1, x2, self._pull(x3))
+        raw = self.base.deriv(axes, x1, x2, np.asarray(x3) / self.lam + self.s)
         n3 = sum(1 for a in axes if a == 3)
         return raw * self._lam_pow * self.lam ** (-n3)
 
@@ -180,10 +178,12 @@ class WarpedMetricSpec:
                 f"x3 = {x3!r} outside [{self.x3_min!r}, {self.x3_max!r}]"
             )
 
-    def coefficient_matrix(self, x1: float, x2: float, x3: float) -> np.ndarray:
-        return self.coefficients.value(x1, x2, x3)
+    def coefficient_matrix(self, x1, x2, x3) -> np.ndarray:
+        return self.coefficient_deriv((), x1, x2, x3)
 
-    def coefficient_deriv(self, axes: tuple, x1: float, x2: float, x3: float) -> np.ndarray:
+    def coefficient_deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
+        """d_axes a_kl at (x1, x2, x3), broadcast over the coordinates:
+        shape (..., 3, 3); the empty multi-index gives a_kl itself."""
         return self.coefficients.deriv(tuple(axes), x1, x2, x3)
 
 
@@ -285,10 +285,8 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     points = _sample_points(spec, n1, n2, n3)
     x3 = points[2]
     # derivs[n, j] = d_{_MULTI_INDICES[j]} a_kl at sample n; j = 0 is a_kl.
-    derivs = np.empty((x3.size, len(_MULTI_INDICES), 3, 3))
-    for n, (x1, x2, t) in enumerate(zip(*(c.tolist() for c in points))):
-        for j, axes in enumerate(_MULTI_INDICES):
-            derivs[n, j] = spec.coefficient_deriv(axes, x1, x2, t)
+    derivs = np.stack([spec.coefficient_deriv(axes, *points) for axes in _MULTI_INDICES],
+                      axis=1)
     G = derivs[:, 0]
     h = _field_samples(spec.warping, x3)
     hd = [_field_samples(f, x3) for f in (spec.warping.d1, spec.warping.d2, spec.warping.d3)]

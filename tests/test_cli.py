@@ -132,6 +132,47 @@ def test_filler_build_verify_cycle(tmp_path, capsys):
     )
 
 
+def _strict_json(text):
+    """The JSON document in ``text``; NaN and Infinity are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("graph", ["--grid", "1x8"], "grid 1x8 needs at least 4 points per axis"),
+    ("graph", ["--grid", "0x8"], "grid 0x8 needs at least 4 points per axis"),
+    ("filler", ["--grid", "-5"], "verify needs a grid of at least 2 depths, got -5"),
+    ("filler", ["--grid", "0"], "verify needs a grid of at least 2 depths, got 0"),
+    ("filler", ["--grid", "1"], "verify needs a grid of at least 2 depths, got 1"),
+    ("filler", ["--c", "nan"], "monotonicity_constant must be finite, got nan"),
+    ("filler", ["--c", "inf"], "monotonicity_constant must be finite, got inf"),
+    ("graph", ["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+], ids=["grid_1x8", "grid_0x8", "filler_grid_-5", "filler_grid_0", "filler_grid_1",
+        "c_nan", "c_inf", "max_iter_0"])
+def test_hostile_grid_iteration_and_constant_inputs_exit_domain(
+        tmp_path, capsys, command, flags, message):
+    if command == "graph":
+        (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+        (tmp_path / "bc.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
+        argv = ["graph", "solve", "--metric", str(tmp_path / "metric.json"),
+                "--bc", str(tmp_path / "bc.json"), "--out", str(tmp_path / "u.csv")]
+        if "--grid" not in flags:
+            argv += ["--grid", "8x8"]
+    else:
+        spec = tmp_path / "f.json"
+        assert run(["filler", "build", "--L", "14", "--lattice", "1,0,1",
+                    "--out", str(spec)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["filler", "verify", str(spec)]
+    # run() returning at all means no exception escaped it.
+    assert run(["--json"] + argv + flags) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == f"domain error: {message}\n"
+    assert captured.out == "" or _strict_json(captured.out)
+    assert not (tmp_path / "u.csv").exists()
+
+
 def _set_slope(data):
     data["collapse"]["slope"] *= 1.0 + 1e-12
 

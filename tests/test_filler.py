@@ -109,7 +109,7 @@ def test_metric_collar_and_continuity():
     spec = build(20.0, UNIT)
     for t in np.linspace(0.0, 0.999, 17):
         g = metric_at(spec, (0.4, -0.7, float(t)))
-        assert g == (math.exp(-2 * t), math.exp(-2 * t), 1.0)
+        assert g == (np.exp(-2 * t), np.exp(-2 * t), 1.0)
     below = metric_at(spec, (0.0, 0.0, 20.0 - 1e-12))
     at = metric_at(spec, (0.0, 0.0, 20.0))
     for b, a in zip(below, at):
@@ -233,6 +233,22 @@ def test_area_lower_bound_scaling_and_saturation():
     assert area_lower_bound(spec20, 1.0).bound == pytest.approx(
         area_lower_bound(spec20).bound / math.pi, rel=1e-12
     )
+
+
+def test_slice_functions_take_arrays_of_depths():
+    spec = build(14.0, FlatTorusLattice(1.3, 0.2, 0.9))
+    ts = np.linspace(0.0, 15.0, 61, endpoint=False)
+    g11, g22, g33 = metric_at(spec, (0.0, 0.0, ts))
+    areas = slice_area(spec, ts)
+    for k, t in enumerate(ts.tolist()):
+        assert (g11[k], g22[k], g33) == metric_at(spec, (0.0, 0.0, t))
+        assert areas[k] == slice_area(spec, t)
+    rho = np.geomspace(1e-3, 1.0, 17)
+    chart = core_chart_metric(spec, rho)
+    for k, r in enumerate(rho.tolist()):
+        assert (chart[0][k], chart[1][k], chart[2]) == core_chart_metric(spec, r)
+    with pytest.raises(DomainError, match="got t = 15.0"):
+        slice_area(spec, np.array([1.0, 15.0, 16.0]))
 
 
 def test_json_round_trip_bit_identical(tmp_path):

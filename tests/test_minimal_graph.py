@@ -112,6 +112,21 @@ def test_rectangle_rejects_a_nonfinite_extent(extent, name):
         DiscreteGraph.on_rectangle(extent, (8, 8), lambda x, y: x + y)
 
 
+@pytest.mark.parametrize("shape,periodic", [((1, 8), (False, False)), ((0, 8), (False, False)),
+                                            ((8, 3), (True, True)), ((0, 0), (True, False))])
+def test_rectangle_rejects_a_grid_too_small_before_dividing(shape, periodic):
+    with pytest.raises(DomainError, match=f"grid {shape[0]}x{shape[1]} needs at least 4"):
+        DiscreteGraph.on_rectangle((1.0, 1.0), shape, 0.0, periodic=periodic)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solve_rejects_max_iter_below_one_even_when_converged(max_iter):
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), lambda x, y: 0.1 + 0.5 * x)
+    assert solve(flat_spec(), g, max_iter=1)[1].converged
+    with pytest.raises(DomainError, match=f"max_iter must be at least 1, got {max_iter}"):
+        solve(flat_spec(), g, max_iter=max_iter)
+
+
 # ---------------------------------------------------------- el_residual
 
 

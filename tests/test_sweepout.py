@@ -247,6 +247,18 @@ def test_filler_profile_bounded_by_boundary_area():
         assert a == pytest.approx(filler_slice_area(fil, float(t)), rel=1e-12)
 
 
+def test_profile_areas_equal_per_sample_slice_areas():
+    ell = 0.02
+    cusp = CuspParams(UNIT, 0.2, 2.0)
+    fil = build_filler(14.0, UNIT.scaled(math.exp(-2.0)))
+    prof = profile(cusps=[cusp], tubes=[TubeParams(ell, 0.4, 0.95 * meyerhoff_radius(ell))],
+                   fillers=[fil], attachments={0: 0}, samples=500)
+    _, tube_seg, fil_seg = prof.segments
+    assert np.array_equal(tube_seg.areas, [slice_area(ell, float(r)) for r in tube_seg.params])
+    assert np.array_equal(fil_seg.areas,
+                          [filler_slice_area(fil, float(t)) for t in fil_seg.params])
+
+
 def test_profile_gluing_check():
     cusp = CuspParams(UNIT, 0.0, 1.0)
     fil_good = build_filler(12.0, UNIT.scaled(math.exp(-1.0)))

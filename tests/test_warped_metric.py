@@ -410,3 +410,49 @@ def test_check_hypotheses_rejects_nonfinite_derivatives():
     assert str(err.value) == (
         f"coefficient or warping derivatives not finite at {(0.0, 0.0, 4.0 / 7.0)}"
     )
+
+
+# ------------------------------------------- array and per-point evaluation
+
+
+def _coefficient_classes():
+    """One spec per coefficient class: diagonal (closed form and
+    spline-backed), callable, and the blow-up wrapper over a callable and
+    over a diagonal field."""
+    ts = np.linspace(0.0, 3.0, 50)
+    sampled = WarpedMetricSpec.from_sampled(UNIT, ts, np.exp(-ts), 1.1 * np.exp(-ts),
+                                            np.exp(-ts))
+    tube = tube_as_warped(TubeParams(1e-5, 0.3, 5.0), margin=0.5)
+    # A diagonal field held as a general one, so that blowup_rescale
+    # wraps it instead of composing its profiles.
+    wrapped_tube = WarpedMetricSpec(tube.lattice, tube.x3_min, tube.x3_max, tube.warping,
+                                    coefficients=tube.coefficients)
+    return {
+        "diagonal_tube": tube,
+        "diagonal_sampled": sampled,
+        "callable": _sheared_cusp(),
+        "rescaled_callable": blowup_rescale(_sheared_cusp(), 1.2, 2.5),
+        "rescaled_diagonal": blowup_rescale(wrapped_tube, 2.0, 0.7),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_coefficient_classes()))
+def test_coefficient_deriv_on_arrays_equals_stacked_point_calls(name):
+    spec = _coefficient_classes()[name]
+    rng = np.random.default_rng(7)
+    x1 = rng.uniform(-1.0, 1.0, (4, 1))
+    x2 = rng.uniform(-1.0, 1.0, (1, 5))
+    x3 = rng.uniform(spec.x3_min, spec.x3_max, (4, 5))
+    for order in range(4):
+        for axes in itertools.combinations_with_replacement((1, 2, 3), order):
+            batched = spec.coefficient_deriv(axes, x1, x2, x3)
+            assert batched.shape == (4, 5, 3, 3)
+            stacked = np.array([
+                [spec.coefficient_deriv(axes, float(x1[i, 0]), float(x2[0, j]),
+                                        float(x3[i, j])) for j in range(5)]
+                for i in range(4)
+            ])
+            assert np.array_equal(batched, stacked), axes
+    assert np.array_equal(spec.coefficient_matrix(x1, x2, x3),
+                          spec.coefficient_deriv((), x1, x2, x3))
+    assert spec.coefficient_matrix(0.1, 0.2, float(x3[0, 0])).shape == (3, 3)
