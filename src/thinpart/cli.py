@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 from . import area_bounds, filler, flat_torus, minimal_graph, sweepout
@@ -302,6 +302,7 @@ def _cmd_graph(args) -> int:
             "factorizations": report.factorizations,
             "linear_iterations": report.linear_iterations,
             "linear_solvers": report.linear_solvers,
+            "coarse_grids": [asdict(c) for c in report.coarse_grids],
             "grid": f"{shape[0]}x{shape[1]}",
         },
         args.json,

@@ -35,6 +35,16 @@ linear in the unknowns.  A V-cycle run that fails falls back to a sparse
 LU factor of the Hessian, which then preconditions the later steps as
 below.
 
+Such a grid whose free sides are odd is solved by nested iteration, the
+full multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
+Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids inject every
+second node, boundary ring included, down the multigrid hierarchy to the
+first grid below the multigrid threshold or with an even side.  The
+coarsest is solved to the tolerance; every finer one takes one Newton
+step from the bilinear prolongation of the coarser grid's correction to
+its injected data, and the grid of the solve starts from that
+prolongation too.
+
 Smaller grids, and grids with a periodic axis, factor the Hessian once,
 on the first Newton step.  Later steps keep that factor and solve with
 conjugate gradients preconditioned by it (a lagged preconditioner:
@@ -231,6 +241,12 @@ def _fields(values, nodes, B):
     return tuple(B[0, a] * u0 + B[1, a] * u1 + B[2, a] * u2 for a in range(3))
 
 
+def _element_squared(a1, a2, ux, uy):
+    """The squared area element W^2 = a1^2 a2^2 + a2^2 ux^2 + a1^2 uy^2,
+    from the coefficient values a_i and the graph's gradient (ux, uy)."""
+    return (a1 * a2)**2 + a2**2 * ux**2 + a1**2 * uy**2
+
+
 def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int):
     """The area element W = sqrt(a1^2 a2^2 + a2^2 ux^2 + a1^2 uy^2), a_i
     at uc, and its derivatives in (uc, ux, uy) up to ``order``.
@@ -242,13 +258,13 @@ def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int):
     """
     a1 = np.asarray(spec.a1(uc), dtype=float)
     a2 = np.asarray(spec.a2(uc), dtype=float)
-    prod = a1 * a2
-    c0, c1, c2 = prod**2, a1**2, a2**2
-    p2, q2 = ux**2, uy**2
-    W = np.sqrt(c0 + c2 * p2 + c1 * q2)
+    W = np.sqrt(_element_squared(a1, a2, ux, uy))
     if order == 0:
         return W, None, None
 
+    prod = a1 * a2
+    c1, c2 = a1**2, a2**2
+    p2, q2 = ux**2, uy**2
     a1p = np.asarray(spec.a1.d1(uc), dtype=float)
     a2p = np.asarray(spec.a2.d1(uc), dtype=float)
     dprod = a1p * a2 + a1 * a2p
@@ -452,7 +468,16 @@ class SolveReport:
     systems (Hessian or KKT, all in ``_LU_ORDERING``), not those of the
     multigrid's coarsest grid; it equals the number of "lu" and "kkt"
     steps unless a fresh factor fails and the KKT system takes over,
-    which counts both."""
+    which counts both.
+
+    All of these describe the grid of the solve only.  A Dirichlet grid
+    solved by nested iteration (the full multigrid start of Briggs, Henson
+    and McCormick, *A Multigrid Tutorial*, ch. 6) first solves its coarser
+    grids: the coarsest to the tolerance, each finer one by one Newton
+    step.  ``coarse_grids`` holds a ``CoarseSolve`` record for each of
+    them, coarsest first: its shape, Newton steps and final residual.  It
+    is empty for every other grid: periodic axes, an even free side, or
+    fewer than ``_MULTIGRID_MIN`` free nodes along a side."""
 
     iterations: int
     converged: bool
@@ -461,10 +486,24 @@ class SolveReport:
     factorizations: int = 0
     linear_iterations: list = field(default_factory=list)
     linear_solvers: list = field(default_factory=list)
+    coarse_grids: list = field(default_factory=list)
 
     @property
     def final_residual(self) -> float:
         return self.residual_history[-1] if self.residual_history else math.nan
+
+
+@dataclass(frozen=True)
+class CoarseSolve:
+    """One coarser grid of a nested-iteration solve: its grid ``shape``,
+    the Newton ``iterations`` it ran and the ``residual`` it stopped at.
+    ``error`` is the message of the SolveError of a grid that contributed
+    no correction, None otherwise."""
+
+    shape: tuple
+    iterations: int
+    residual: float
+    error: str | None = None
 
 
 # Iteration cap of the CG run preconditioned by a lagged factor.  Each
@@ -658,7 +697,9 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     The initial iterate supplies the Dirichlet data (its boundary ring is
     held fixed) or the periodic topology.  On a singular linearization
     (flat periodic problems have a constant near-kernel) the mean of the
-    update is pinned.  Raises SolveError with the residual history on
+    update is pinned.  A Dirichlet grid on the multigrid path whose free
+    sides are odd starts from the solutions of its coarser grids
+    (``_nested_start``).  Raises SolveError with the residual history on
     failure.
     """
     _require_diagonal(spec)
@@ -669,6 +710,97 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     g = init.copy()
     _check_range(spec, g.values)
+    # Dirichlet grids with at least _MULTIGRID_MIN free nodes per side
+    # solve their steps by multigrid.
+    free_shape = g.values[g.free_slices()].shape
+    transfers = (_transfers(free_shape) if not any(g.periodic)
+                 and min(free_shape) >= _MULTIGRID_MIN else None)
+    coarse_grids = []
+    if transfers is not None:
+        g, coarse_grids = _nested_start(spec, g, transfers, tol, max_iter)
+    g, report = _newton(spec, g, tol, max_iter, transfers)
+    if not report.converged:
+        raise SolveError(
+            f"no convergence after {max_iter} iterations; last residual "
+            f"{report.final_residual:.3e}", report.residual_history
+        )
+    report.coarse_grids = coarse_grids
+    return g, report
+
+
+def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
+                  tol: float, max_iter: int):
+    """The start of a Dirichlet solve by nested iteration, the full
+    multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
+    Tutorial*, ch. 6: (start, records), one ``CoarseSolve`` record per
+    coarser grid, coarsest first.
+
+    Grid k + 1 injects every second node of grid k (grid 0 is ``init``),
+    which is the coarse grid of ``transfers[k]`` when both free sides of
+    grid k are odd; the ladder goes down while they are, and while both
+    are at least ``_MULTIGRID_MIN``.  The coarsest grid is solved to
+    ``tol`` from its injected values; every finer one takes one Newton
+    step.  Grid k starts from its injected values plus the prolongation
+    ``transfers[k][0]`` of the correction grid k + 1 made to its own
+    injected values; the correction vanishes on the boundary ring, where
+    the prolongation takes the Dirichlet value as zero, so grid k keeps
+    its ring.  A grid that raises SolveError contributes no correction,
+    and a start that leaves the spec's range is not taken.
+    """
+    grids = [init]
+    while True:
+        free = grids[-1].values[1:-1, 1:-1].shape
+        if min(free) < _MULTIGRID_MIN or free[0] % 2 == 0 or free[1] % 2 == 0:
+            break
+        fine = grids[-1]
+        grids.append(DiscreteGraph(fine.values[::2, ::2],
+                                   (2.0 * fine.spacing[0], 2.0 * fine.spacing[1]),
+                                   origin=fine.origin))
+    records = []
+    u = grids[-1]
+    for k in range(len(grids) - 1, 0, -1):
+        free = grids[k].values[1:-1, 1:-1].shape
+        coarsest = k == len(grids) - 1
+        try:
+            u_k, report = _newton(spec, u, tol, max_iter if coarsest else 1,
+                                  transfers[k:] if min(free) >= _MULTIGRID_MIN
+                                  else None)
+            if coarsest and not report.converged:
+                raise SolveError(f"no convergence after {max_iter} iterations",
+                                 report.residual_history)
+            records.append(CoarseSolve(grids[k].shape, report.iterations,
+                                       report.final_residual))
+            u = u_k
+        except SolveError as exc:
+            history = exc.residual_history
+            records.append(CoarseSolve(grids[k].shape, len(history) - 1,
+                                       history[-1], str(exc)))
+        start = _corrected(grids[k - 1], grids[k], u, transfers[k - 1][0])
+        try:
+            _check_range(spec, start.values)
+            u = start
+        except DomainError:
+            u = grids[k - 1]
+    return u, records
+
+
+def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph, u: DiscreteGraph,
+               P) -> DiscreteGraph:
+    """``fine`` plus the prolongation P of the correction ``u`` makes to
+    ``coarse``, on the free nodes of Dirichlet grids; the boundary ring
+    of ``fine`` is kept."""
+    start = fine.copy()
+    free = start.values[1:-1, 1:-1]
+    free += (P @ (u.values - coarse.values)[1:-1, 1:-1].ravel()).reshape(free.shape)
+    return start
+
+
+def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
+            max_iter: int, transfers):
+    """At most ``max_iter`` Newton steps on g from its values, solved by
+    multigrid with ``transfers`` (None for the LU path): (graph, report).
+    The report says whether max|el_residual| <= tol was reached; a line
+    search that stalls or a singular Jacobian raises SolveError."""
     free = g.free_slices()
     h1, h2 = g.spacing
     cell_w = h1 * h2
@@ -683,11 +815,6 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
     pattern = _Pattern(g)
-    # Dirichlet grids with at least _MULTIGRID_MIN free nodes per side
-    # solve their steps by multigrid.
-    free_shape = g.values[free].shape
-    transfers = (_transfers(free_shape) if not any(g.periodic)
-                 and min(free_shape) >= _MULTIGRID_MIN else None)
 
     for it in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
@@ -768,10 +895,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
             raise SolveError(f"line search stalled at residual {rmax:.3e}", history)
 
     history.append(float(np.max(np.abs(F))) / cell_w)
-    raise SolveError(
-        f"no convergence after {max_iter} iterations; last residual "
-        f"{history[-1]:.3e}", history
-    )
+    return g, SolveReport(max_iter, False, history, pinned, factorizations,
+                          linear_iterations, linear_solvers)
 
 
 def _node_derivatives(g: DiscreteGraph):
@@ -808,7 +933,7 @@ def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray
     a1p = np.asarray(spec.a1.d1(u), dtype=float)
     a2p = np.asarray(spec.a2.d1(u), dtype=float)
 
-    W2 = (a1v * a2v) ** 2 + a2v**2 * ux**2 + a1v**2 * uy**2
+    W2 = _element_squared(a1v, a2v, ux, uy)
     W = np.sqrt(W2)
     ratio = a1v * a2v / W
     II11 = ratio * (uxx - a1v * a1p - 2.0 * (a1p / a1v) * ux**2)

@@ -349,13 +349,14 @@ class SweepoutProfile:
     def samples(self):
         """(global_t, label, area) rows with a strictly increasing global
         parameter (each segment occupies a unit of parameter length)."""
-        rows = []
+        ts, labels = [], []
         for offset, seg in enumerate(self.segments):
             p = seg.params
             span = p[-1] - p[0] if p[-1] > p[0] else 1.0
-            for t, a in zip(p, seg.areas):
-                rows.append((offset + (t - p[0]) / span, seg.label, float(a)))
-        return rows
+            ts.append(offset + (p - p[0]) / span)
+            labels += [seg.label] * len(p)
+        areas = np.concatenate([seg.areas for seg in self.segments]).astype(float)
+        return list(zip(np.concatenate(ts).tolist(), labels, areas.tolist()))
 
     def concat(self, other: "SweepoutProfile") -> "SweepoutProfile":
         return SweepoutProfile(self.segments + other.segments)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_floats
+from .errors import DomainError, as_float, as_floats, as_int
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 
@@ -275,10 +275,10 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     finite or not positive, or whose derivatives are not finite raises a
     DomainError naming it.
     """
-    if np.isscalar(grid):
-        n1 = n2 = n3 = int(grid)
-    else:
-        n1, n2, n3 = (int(g) for g in grid)
+    sizes = [as_int("grid", n) for n in (list(grid) if np.ndim(grid) else [grid])]
+    if len(sizes) not in (1, 3):
+        raise DomainError(f"grid must be one size or three (n1, n2, n3), got {grid!r}")
+    n1, n2, n3 = sizes * (3 // len(sizes))
     if min(n1, n2, n3) < 8:
         raise DomainError("need at least 8 grid points per axis")
 

@@ -397,3 +397,16 @@ def hessian_per_triangle(spec, g):
         shape=(nfree, nfree),
     )
     return H.tocsr()
+
+
+def profile_samples_loop(prof):
+    """Per-sample reference for ``SweepoutProfile.samples``: one
+    (global_t, label, area) row at a time, each segment on a unit of the
+    global parameter."""
+    rows = []
+    for offset, seg in enumerate(prof.segments):
+        p = seg.params
+        span = p[-1] - p[0] if p[-1] > p[0] else 1.0
+        for t, a in zip(p, seg.areas):
+            rows.append((offset + (t - p[0]) / span, seg.label, float(a)))
+    return rows

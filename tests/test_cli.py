@@ -270,6 +270,25 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
     assert set(solvers) <= {"lu", "lagged-lu"} and solvers[0] == "lu"
     # Each "lu" or "kkt" step made one fine-grid factorization.
     assert data["factorizations"] == sum(s in ("lu", "kkt") for s in solvers)
+    assert data["coarse_grids"] == []
+
+
+def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
+    # A 65^2 Dirichlet grid starts from the solution of its 33^2 grid.
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps(
+        {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
+    bc = tmp_path / "bc.json"
+    bc.write_text(json.dumps({"kind": "constant", "value": 3.8}))
+    code, data = run_json(capsys, [
+        "--tol", "1e-9", "graph", "solve", "--metric", str(metric),
+        "--grid", "65x65", "--extent", "0.35x0.35", "--bc", str(bc),
+        "--out", str(tmp_path / "u.csv"),
+    ])
+    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid"] * data["iterations"]
+    [coarsest] = data["coarse_grids"]
+    assert coarsest["shape"] == [33, 33] and coarsest["iterations"] >= 1
+    assert coarsest["residual"] <= 1e-9 and coarsest["error"] is None
 
 
 def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):

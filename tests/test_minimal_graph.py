@@ -9,6 +9,7 @@ from thinpart import DomainError, SolveError, minimal_graph
 from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice
 from thinpart.minimal_graph import (
+    CoarseSolve,
     DiscreteGraph,
     GraphBoundsParams,
     area,
@@ -22,6 +23,7 @@ from thinpart.minimal_graph import (
     _MG_MAX_ITER,
     _Pattern,
     _VCycle,
+    _corrected,
     _gradient,
     _hessian,
     _linear_solve,
@@ -35,7 +37,7 @@ from thinpart.tube_geometry import (
     slice_mean_curvature,
     tube_as_warped,
 )
-from thinpart.warped_metric import WarpedMetricSpec
+from thinpart.warped_metric import WarpedMetricSpec, spec_from_json
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -559,10 +561,18 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     monkeypatch.undo()
     factors = _recording_splu(monkeypatch)
     out, rep = solve(spec, g, tol=1e-9)
-    assert rep.converged and rep.iterations == ref_rep.iterations == 4
-    assert rep.linear_solvers == ["multigrid"] * 4 and rep.factorizations == 0
-    # Only the coarsest grid of each step's hierarchy is factored.
-    assert len(factors) == 4 and max(A.shape[0] for A, _ in factors) <= 15 * 15
+    # The 129^2 grid starts from its 33^2 and 65^2 grids.
+    assert ref_rep.iterations == 4
+    assert rep.converged and rep.iterations == 3
+    assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
+        ((33, 33), 4), ((65, 65), 1)]
+    assert rep.linear_solvers == ["multigrid"] * 3 and rep.factorizations == 0
+    # The 33^2 grid is factored once, on its first step; otherwise only
+    # the coarsest grid of each multigrid step's hierarchy is factored:
+    # one 65^2 step and three 129^2 steps.
+    sizes = sorted(A.shape[0] for A, _ in factors)
+    assert len(sizes) == 1 + 1 + 3
+    assert sizes[-1] == 31 * 31 and sizes[-2] <= 15 * 15
     assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
     # The LU path reaches the same graph.
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
@@ -619,9 +629,103 @@ def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
     monkeypatch.setattr(minimal_graph, "_VCycle",
                         lambda A, transfers: _VCycle(-A, transfers))
     out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
-    assert rep.converged and rep.iterations == 4 and rep.factorizations == 1
-    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 3
+    # The 65^2 grid starts from its 33^2 grid, which takes the LU path.
+    assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [((33, 33), 4)]
+    assert rep.converged and rep.iterations == 3 and rep.factorizations == 1
+    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 2
     assert rep.linear_iterations[0] == 1
+
+
+# ------------------------------------------------- nested iteration
+
+
+def _graph_large_problem(name, n):
+    # The two tube solves of the graph_large benchmark workload.
+    metric, data = {
+        "readme_tube": ({"kind": "tube", "length": 0.01, "twist": 0.0,
+                         "radius": "meyerhoff", "normalized": True},
+                        lambda x, y: 1.2 + 0.05 * x + 0.0 * y),
+        "tube_4c": ({"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0},
+                    lambda x, y: 3.8 + 0.0 * x),
+    }[name]
+    return spec_from_json(metric), DiscreteGraph.on_rectangle((0.35, 0.35), (n, n), data)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("name", ["readme_tube", "tube_4c"])
+def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, n):
+    spec, g = _graph_large_problem(name, n)
+    out, rep = solve(spec, g, tol=1e-8)
+    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    cold, cold_rep = solve(spec, g, tol=1e-8)
+    assert cold_rep.coarse_grids == []
+    assert rep.converged and rep.iterations < cold_rep.iterations
+    assert len(rep.linear_solvers) == rep.iterations
+    assert np.max(np.abs(out.values - cold.values)) <= 1e-12
+    # One record per coarser grid, coarsest first: the coarsest is solved
+    # to the tolerance, every other one takes one Newton step.
+    first, *rest = rep.coarse_grids
+    assert [c.shape for c in rep.coarse_grids] == [(m, m) for m in (33, 65, 129) if m < n]
+    assert first.iterations >= 1 and first.residual <= 1e-8
+    assert [c.iterations for c in rest] == [1] * len(rest)
+    assert all(0.0 < c.residual < math.inf and c.error is None for c in rep.coarse_grids)
+
+
+def _bump(x, y):
+    return 1.0 + 0.1 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+
+
+@pytest.mark.parametrize("make_spec,init", [
+    (tube_spec, lambda: _tube_4c_graph(128)),
+    (cusp_spec, lambda: DiscreteGraph.on_rectangle((1.0, 1.0), (65, 129), _bump,
+                                                   periodic=(True, False))),
+    (flat_spec, lambda: DiscreteGraph.on_torus(UNIT, (65, 65), _bump)),
+], ids=["even_128", "stripe_65x129", "torus_65"])
+def test_solve_without_coarser_grids(make_spec, init):
+    # An even side, or a periodic axis: the solve starts from its data.
+    out, rep = solve(make_spec(), init(), tol=1e-8)
+    assert rep.converged and rep.coarse_grids == []
+
+
+def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
+    spec, g = tube_spec(), _tube_4c_graph(65)
+    newton = minimal_graph._newton
+
+    def failing_on_33(spec, g, *args):
+        if g.shape == (33, 33):
+            raise SolveError("forced", [2.5])
+        return newton(spec, g, *args)
+
+    monkeypatch.setattr(minimal_graph, "_newton", failing_on_33)
+    out, rep = solve(spec, g, tol=1e-9)
+    monkeypatch.undo()
+    assert rep.coarse_grids == [CoarseSolve((33, 33), 0, 2.5, "forced")]
+    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    cold, cold_rep = solve(spec, g, tol=1e-9)
+    assert rep.converged and rep.iterations == cold_rep.iterations == 4
+    assert rep.linear_solvers == ["multigrid"] * 4
+    assert np.max(np.abs(out.values - cold.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("data", [
+    lambda x, y: 0.5 + 0.0 * x,
+    lambda x, y: 0.2 + 0.3 * x - 0.1 * y,
+], ids=["constant", "affine"])
+def test_corrected_start_interpolates_the_coarse_solution(data):
+    fine = DiscreteGraph.on_rectangle((1.0, 2.0), (65, 129), data)
+    coarse = DiscreteGraph.on_rectangle((1.0, 2.0), (33, 65), data)
+    u = coarse.copy()
+    u.values[1:-1, 1:-1] += 0.1 * np.random.default_rng(1).standard_normal((31, 63))
+    start = _corrected(fine, coarse, u, _transfers((63, 127))[0][0])
+    # Bilinear interpolation of u, boundary ring included, on the fine grid.
+    c = u.values
+    bilinear = np.empty(fine.shape)
+    bilinear[::2, ::2] = c
+    bilinear[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
+    bilinear[:, 1::2] = 0.5 * (bilinear[:, :-1:2] + bilinear[:, 2::2])
+    assert np.max(np.abs(start.values - bilinear)) <= 1e-15
+    ring = ~fine.free_mask()
+    assert np.array_equal(start.values[ring], fine.values[ring])
 
 
 def _hessian_and_rhs(n=33):

@@ -22,7 +22,7 @@ from thinpart.sweepout import (
 )
 from thinpart.tube_geometry import CuspParams, TubeParams, meyerhoff_radius, slice_area
 
-from oracles import fineness_exhaustive, interpolated_patches
+from oracles import fineness_exhaustive, interpolated_patches, profile_samples_loop
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -257,6 +257,17 @@ def test_profile_areas_equal_per_sample_slice_areas():
     assert np.array_equal(tube_seg.areas, [slice_area(ell, float(r)) for r in tube_seg.params])
     assert np.array_equal(fil_seg.areas,
                           [filler_slice_area(fil, float(t)) for t in fil_seg.params])
+
+
+def test_profile_samples_equal_the_per_sample_rows():
+    cusp = CuspParams(UNIT, 0.2, 2.0)
+    fil = build_filler(14.0, UNIT.scaled(math.exp(-2.0)))
+    prof = profile(cusps=[cusp, CuspParams(UNIT, 0.0, 1.0)],
+                   tubes=[TubeParams(0.02, 0.4, 1.2)], fillers=[fil],
+                   attachments={0: 0}, samples=700)
+    rows = prof.samples()
+    assert rows == profile_samples_loop(prof)
+    assert all(type(t) is float and type(a) is float for t, _, a in rows)
 
 
 def test_profile_gluing_check():

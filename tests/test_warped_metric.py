@@ -77,6 +77,19 @@ def test_tube_hypotheses_h2_constant():
     assert rep.a_h1 == pytest.approx(1.0 / math.tanh(0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [(8, 8), (8, 8, 8, 8), "x", 8.5, True, math.nan],
+                         ids=["two", "four", "string", "fraction", "bool", "nan"])
+def test_check_hypotheses_rejects_a_malformed_grid(grid):
+    with pytest.raises(DomainError, match="grid"):
+        check_hypotheses(WarpedMetricSpec.flat(UNIT), grid=grid)
+
+
+def test_check_hypotheses_reads_an_integral_float_grid():
+    spec = WarpedMetricSpec.flat(UNIT)
+    assert check_hypotheses(spec, grid=8.0) == check_hypotheses(spec, grid=8)
+    assert check_hypotheses(spec, grid=[8.0, 9, 10]) == check_hypotheses(spec, grid=(8, 9, 10))
+
+
 def test_check_hypotheses_rejects_bad_grid_and_indefinite():
     spec = WarpedMetricSpec.flat(UNIT)
     with pytest.raises(DomainError):
