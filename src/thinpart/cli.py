@@ -59,13 +59,7 @@ class ManifoldDescription:
             desc.cusps.append(tubes.CuspParams(lat, as_float("t0", entry["t0"]),
                                                as_float("t1", entry["t1"])))
         for entry in data.get("tubes", []):
-            length = as_float("length", entry["length"])
-            radius = entry.get("radius", "meyerhoff")
-            if radius == "meyerhoff":
-                radius = tubes.meyerhoff_radius(length)
-            desc.tubes.append(tubes.TubeParams(
-                length, as_float("twist", entry.get("twist", 0.0)),
-                as_float("radius", radius)))
+            desc.tubes.append(tubes.TubeParams.from_json_dict(entry))
         for idx, entry in enumerate(data.get("fillers", [])):
             depth = as_float("L", entry["L"])
             if "lattice" in entry:

@@ -344,21 +344,25 @@ def _loglog_slope(xs, ys):
 def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     """Check the defining properties on a sample grid.
 
-    Covers: x-independence (flat level tori), strictly decreasing level
-    diameters, mean convexity toward the core, the exact exp(-2t) collar
-    on [0, 1], continuity of the two metric formulas at t = L, profile
-    bounds, and the core-chart smoothness residuals with their power-law
-    slopes.
+    Covers: flat level tori (the metric equals its warped-product form),
+    strictly decreasing level diameters, mean convexity toward the core,
+    the exact exp(-2t) collar on [0, 1], continuity of the two metric
+    formulas at t = L, profile bounds, and the core-chart smoothness
+    residuals with their power-law slopes.
     """
     if grid < 2:
         raise DomainError(f"verify needs a grid of at least 2 depths, got {grid!r}")
     L = spec.depth
 
-    # (i) flat level tori: coefficients do not depend on (x1, x2).
+    # (i) flat level tori: the metric is the warped product of the level
+    # lattice, so metric_at (the collar formula) gives the squares of the
+    # warped spec's a1 and a2 (a Leibniz series) to 1e-12 relative.
     ts_probe = np.linspace(0.0, L + 0.9, 23)
+    warped = as_warped(spec, L + 0.95)
+    g11, g22, _ = metric_at(spec, (0.0, 0.0, ts_probe))
     flat_levels = all(
-        np.array_equal(here, there) for here, there in
-        zip(metric_at(spec, (0.0, 0.0, ts_probe)), metric_at(spec, (0.3, -1.2, ts_probe)))
+        bool(np.all(np.abs(g - np.asarray(a(ts_probe)) ** 2) <= 1e-12 * np.abs(g)))
+        for g, a in ((g11, warped.a1), (g22, warped.a2))
     )
 
     # (ii) diameters strictly decreasing; mean convexity.

@@ -38,12 +38,10 @@ below.
 Such a grid whose free sides are odd is solved by nested iteration, the
 full multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
 Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids inject every
-second node, boundary ring included, down the multigrid hierarchy to the
-first grid below the multigrid threshold or with an even side.  The
-coarsest is solved to the tolerance; every finer one takes one Newton
-step from the bilinear prolongation of the coarser grid's correction to
-its injected data, and the grid of the solve starts from that
-prolongation too.
+second node, boundary ring included, down the multigrid hierarchy to its
+last level, one Newton step per coarser grid; each grid starts from the
+bilinear prolongation of the coarser grid's correction to its injected
+data, and the grid of the solve starts from that prolongation too.
 
 Smaller grids, and grids with a periodic axis, factor the Hessian once,
 on the first Newton step.  Later steps keep that factor and solve with
@@ -51,7 +49,7 @@ conjugate gradients preconditioned by it (a lagged preconditioner:
 between Newton steps the Hessian changes little); a step whose CG run
 does not converge within ``_CG_MAX_ITER`` iterations factors its own
 Hessian, which then preconditions the steps after it.  No factor
-outlives the solve.
+outlives the solve.  ``_linear_solve`` makes all of these choices.
 """
 
 from __future__ import annotations
@@ -458,35 +456,40 @@ def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
 class SolveReport:
     """Outcome of ``solve``.
 
-    Per Newton step, ``linear_solvers`` names what solved the step:
-    "multigrid" (CG preconditioned by a V-cycle of the step's Hessian),
-    "lagged-lu" (CG preconditioned by an earlier step's factor), "lu" (a
-    fresh factor of the Hessian) or "kkt" (a factor of the pinned-mean
-    system).  ``linear_iterations`` counts the CG iterations the step
-    ran, including those of a run that was discarded for a fresh factor.
-    ``factorizations`` counts the sparse LU factorizations of fine-grid
-    systems (Hessian or KKT, all in ``_LU_ORDERING``), not those of the
-    multigrid's coarsest grid; it equals the number of "lu" and "kkt"
-    steps unless a fresh factor fails and the KKT system takes over,
-    which counts both.
+    Per Newton step, ``linear_solvers`` names what solved it: "multigrid"
+    (CG preconditioned by a V-cycle of the step's Hessian), "lagged-lu"
+    (CG preconditioned by an earlier step's factor), "lu" (a fresh factor
+    of the Hessian) or "kkt" (a factor of the pinned-mean system), and
+    ``linear_iterations`` the CG iterations it ran, discarded runs
+    included; ``iterations`` and ``pinned_mean`` are read off the former.
+    ``factorizations`` counts the sparse LU factors of fine-grid systems
+    (Hessian or KKT, in ``_LU_ORDERING``), not those of the multigrid's
+    last level: one per "lu" and "kkt" step, two where a fresh factor
+    fails and the KKT system takes over.
 
     All of these describe the grid of the solve only.  A Dirichlet grid
     solved by nested iteration (the full multigrid start of Briggs, Henson
-    and McCormick, *A Multigrid Tutorial*, ch. 6) first solves its coarser
-    grids: the coarsest to the tolerance, each finer one by one Newton
-    step.  ``coarse_grids`` holds a ``CoarseSolve`` record for each of
-    them, coarsest first: its shape, Newton steps and final residual.  It
-    is empty for every other grid: periodic axes, an even free side, or
-    fewer than ``_MULTIGRID_MIN`` free nodes along a side."""
+    and McCormick, *A Multigrid Tutorial*, ch. 6) first visits its coarser
+    grids, down the multigrid hierarchy to its last level, one Newton step
+    per coarser grid.  ``coarse_grids`` holds a ``CoarseSolve`` record for
+    each, coarsest first, and is empty for every other grid: periodic
+    axes, an even free side, or fewer than ``_MULTIGRID_MIN`` free nodes
+    along a side."""
 
-    iterations: int
     converged: bool
     residual_history: list = field(default_factory=list)
-    pinned_mean: bool = False
     factorizations: int = 0
     linear_iterations: list = field(default_factory=list)
     linear_solvers: list = field(default_factory=list)
     coarse_grids: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.linear_solvers)
+
+    @property
+    def pinned_mean(self) -> bool:
+        return "kkt" in self.linear_solvers
 
     @property
     def final_residual(self) -> float:
@@ -653,40 +656,63 @@ class _VCycle:
         return x
 
 
-def _linear_solve(H, rhs, lu=None, transfers=None):
-    """Solve H delta = rhs: (delta, lu, kind, iterations).
+def _kkt(H, rhs):
+    """The update of zero sum that solves H delta = rhs up to a constant:
+    the delta of the pinned-mean KKT system [[H, e], [e^T, 0]], factored
+    in ``_LU_ORDERING``.  None when the factor fails or is not finite."""
+    n = H.shape[0]
+    e = np.ones((n, 1))
+    K = sp.bmat([[H, e], [e.T, None]], format="csc")
+    try:
+        sol = spla.splu(K, permc_spec=_LU_ORDERING).solve(np.append(rhs, 0.0))
+    except (RuntimeError, ValueError):
+        return None
+    return sol[:n] if np.all(np.isfinite(sol)) else None
 
-    Given multigrid ``transfers``, CG runs preconditioned by a V-cycle of
-    H (kind "multigrid").  Otherwise, given ``lu``, the factor of an
-    earlier Hessian of the solve, CG runs preconditioned by it (kind
-    "lagged-lu"), and that factor is returned.  When neither applies, or
-    the CG run fails, H is factored in ``_LU_ORDERING`` (kind "lu") and
-    the new factor is returned.  ``iterations`` counts the CG iterations
-    run, whether or not their result was kept.  Every returned delta is
-    finite and satisfies the system to 1e-6 relative; when no path gives
-    one, delta and the factor are None.
+
+def _linear_solve(H, rhs, periodic, lu=None, transfers=None):
+    """Solve H delta = rhs on a grid with per-axis ``periodic`` flags:
+    (delta, lu, kind, iterations, factorizations), with kind as in
+    ``SolveReport.linear_solvers``.
+
+    A fully periodic H that nearly annihilates the constants (a vertically
+    flat stretch) pins the update's mean at once (``_kkt``).  Otherwise CG
+    runs preconditioned by ``lu``, an earlier step's factor, then by a
+    V-cycle of H over ``transfers`` (an empty list is the hierarchy's last
+    level, whose V-cycle is an exact factor); the first run that solves
+    the system to 1e-6 relative is kept.  Failing both, H is factored in
+    ``_LU_ORDERING``, and where that fails a grid with a periodic axis
+    pins the mean.  The factor the next step lags is returned as ``lu``.
+    ``iterations`` counts every CG iteration run, and ``factorizations``
+    the fine-grid factors made.  delta is None when no path gives one.
     """
+    if all(periodic):
+        scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
+        if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
+            return _kkt(H, rhs), lu, "kkt", 0, 1
     iterations = 0
-    if transfers is not None:
-        try:
-            delta, iterations = _pcg(H, rhs, _VCycle(H, transfers).solve,
-                                     _MG_MAX_ITER)
-        except (RuntimeError, ValueError):
-            delta = None
-        if delta is not None and _solves(H, delta, rhs):
-            return delta, None, "multigrid", iterations
-    elif lu is not None:
+    if lu is not None:
         delta, iterations = _pcg(H, rhs, lu.solve, _CG_MAX_ITER)
         if delta is not None and _solves(H, delta, rhs):
-            return delta, lu, "lagged-lu", iterations
+            return delta, lu, "lagged-lu", iterations, 0
+    if transfers is not None:
+        try:
+            delta, run = _pcg(H, rhs, _VCycle(H, transfers).solve, _MG_MAX_ITER)
+        except (RuntimeError, ValueError):
+            delta, run = None, 0
+        iterations += run
+        if delta is not None and _solves(H, delta, rhs):
+            return delta, lu, "multigrid", iterations, 0
     try:
         lu = spla.splu(H, permc_spec=_LU_ORDERING)
         delta = lu.solve(rhs)
     except (RuntimeError, ValueError):
-        return None, None, "lu", iterations
-    if not _solves(H, delta, rhs):
-        return None, None, "lu", iterations
-    return delta, lu, "lu", iterations
+        delta = None
+    if delta is not None and _solves(H, delta, rhs):
+        return delta, lu, "lu", iterations, 1
+    if any(periodic):
+        return _kkt(H, rhs), None, "kkt", iterations, 2
+    return None, None, "lu", iterations, 1
 
 
 def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
@@ -698,7 +724,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     held fixed) or the periodic topology.  On a singular linearization
     (flat periodic problems have a constant near-kernel) the mean of the
     update is pinned.  A Dirichlet grid on the multigrid path whose free
-    sides are odd starts from the solutions of its coarser grids
+    sides are odd starts from one Newton step on each of its coarser grids
     (``_nested_start``).  Raises SolveError with the residual history on
     failure.
     """
@@ -717,7 +743,7 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
                  and min(free_shape) >= _MULTIGRID_MIN else None)
     coarse_grids = []
     if transfers is not None:
-        g, coarse_grids = _nested_start(spec, g, transfers, tol, max_iter)
+        g, coarse_grids = _nested_start(spec, g, transfers, tol)
     g, report = _newton(spec, g, tol, max_iter, transfers)
     if not report.converged:
         raise SolveError(
@@ -729,45 +755,41 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
 
 
 def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
-                  tol: float, max_iter: int):
+                  tol: float):
     """The start of a Dirichlet solve by nested iteration, the full
     multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
     Tutorial*, ch. 6: (start, records), one ``CoarseSolve`` record per
     coarser grid, coarsest first.
 
-    Grid k + 1 injects every second node of grid k (grid 0 is ``init``),
-    which is the coarse grid of ``transfers[k]`` when both free sides of
-    grid k are odd; the ladder goes down while they are, and while both
-    are at least ``_MULTIGRID_MIN``.  The coarsest grid is solved to
-    ``tol`` from its injected values; every finer one takes one Newton
-    step.  Grid k starts from its injected values plus the prolongation
-    ``transfers[k][0]`` of the correction grid k + 1 made to its own
-    injected values; the correction vanishes on the boundary ring, where
-    the prolongation takes the Dirichlet value as zero, so grid k keeps
-    its ring.  A grid that raises SolveError contributes no correction,
-    and a start that leaves the spec's range is not taken.
+    The ladder runs down the multigrid hierarchy to its last level, one
+    Newton step per coarser grid.  Grid k + 1 injects every second node
+    of grid k (grid 0 is ``init``), which is the coarse grid of
+    ``transfers[k]`` when both free sides of grid k are odd; the ladder
+    goes down while they are, one grid per level of ``transfers``.  Grid
+    k takes its one step on the levels ``transfers[k:]``, so the last
+    level's step is solved by an exact factor of its Hessian.  The
+    coarsest grid starts from its injected values; grid k starts from its
+    injected values plus the prolongation ``transfers[k][0]`` of the
+    correction grid k + 1 made to its own injected values.  The correction
+    vanishes on the boundary ring, where the prolongation takes the
+    Dirichlet value as zero, so grid k keeps its ring.  A grid that raises
+    SolveError contributes no correction, and a start that leaves the
+    spec's range is not taken.
     """
     grids = [init]
-    while True:
-        free = grids[-1].values[1:-1, 1:-1].shape
-        if min(free) < _MULTIGRID_MIN or free[0] % 2 == 0 or free[1] % 2 == 0:
-            break
+    for _ in transfers:
         fine = grids[-1]
+        free = fine.values[1:-1, 1:-1].shape
+        if free[0] % 2 == 0 or free[1] % 2 == 0:
+            break
         grids.append(DiscreteGraph(fine.values[::2, ::2],
                                    (2.0 * fine.spacing[0], 2.0 * fine.spacing[1]),
                                    origin=fine.origin))
     records = []
     u = grids[-1]
     for k in range(len(grids) - 1, 0, -1):
-        free = grids[k].values[1:-1, 1:-1].shape
-        coarsest = k == len(grids) - 1
         try:
-            u_k, report = _newton(spec, u, tol, max_iter if coarsest else 1,
-                                  transfers[k:] if min(free) >= _MULTIGRID_MIN
-                                  else None)
-            if coarsest and not report.converged:
-                raise SolveError(f"no convergence after {max_iter} iterations",
-                                 report.residual_history)
+            u_k, report = _newton(spec, u, tol, 1, transfers[k:])
             records.append(CoarseSolve(grids[k].shape, report.iterations,
                                        report.final_residual))
             u = u_k
@@ -797,14 +819,14 @@ def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph, u: DiscreteGraph,
 
 def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             max_iter: int, transfers):
-    """At most ``max_iter`` Newton steps on g from its values, solved by
-    multigrid with ``transfers`` (None for the LU path): (graph, report).
-    The report says whether max|el_residual| <= tol was reached; a line
-    search that stalls or a singular Jacobian raises SolveError."""
+    """At most ``max_iter`` Newton steps on g from its values, each solved
+    by ``_linear_solve`` with multigrid ``transfers`` (None for the LU
+    path): (graph, report).  The report says whether max|el_residual| <=
+    tol was reached; a line search that stalls or a singular Jacobian
+    raises SolveError."""
     free = g.free_slices()
     h1, h2 = g.spacing
     cell_w = h1 * h2
-    pinned = False
     history = []
     # Per Newton step: what solved it, and the CG iterations it ran.
     linear_solvers = []
@@ -816,50 +838,19 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
     F = _gradient(spec, g)[free].ravel()
     pattern = _Pattern(g)
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
-            return g, SolveReport(it, True, history, pinned, factorizations,
+            return g, SolveReport(True, history, factorizations,
                                   linear_iterations, linear_solvers)
 
         H = _hessian(spec, g, pattern)
-        rhs = -F
-        # All-periodic problems on a vertically flat stretch have the
-        # constants in the kernel; detect the near-kernel cheaply along
-        # that direction and pin the mean of the update.
-        near_kernel = False
-        if all(g.periodic):
-            n = H.shape[0]
-            scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
-            near_kernel = float(np.max(np.abs(H @ np.ones(n)))) < 1e-10 * scale
-        delta, iterations = None, 0
-        if not near_kernel:
-            delta, lu, kind, iterations = _linear_solve(H, rhs, lu, transfers)
-            if kind == "lu":
-                # After a failed multigrid run, the rest of the solve
-                # takes the LU path: CG preconditioned by this factor.
-                factorizations += 1
-                transfers = None
+        delta, lu, kind, iterations, made = _linear_solve(H, -F, g.periodic,
+                                                          lu, transfers)
         if delta is None:
-            if any(g.periodic):
-                # KKT system constraining the update to zero mean.
-                n = H.shape[0]
-                e = np.ones((n, 1))
-                K = sp.bmat([[H, e], [e.T, None]], format="csc")
-                factorizations += 1
-                try:
-                    sol = spla.splu(K, permc_spec=_LU_ORDERING).solve(
-                        np.concatenate([rhs, [0.0]]))
-                except (RuntimeError, ValueError) as exc:
-                    raise SolveError("singular Jacobian", history) from exc
-                if not np.all(np.isfinite(sol)):
-                    raise SolveError("singular Jacobian", history)
-                delta = sol[:n]
-                kind = "kkt"
-                pinned = True
-            else:
-                raise SolveError("singular Jacobian", history)
+            raise SolveError("singular Jacobian", history)
+        factorizations += made
         linear_solvers.append(kind)
         linear_iterations.append(iterations)
 
@@ -895,8 +886,8 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             raise SolveError(f"line search stalled at residual {rmax:.3e}", history)
 
     history.append(float(np.max(np.abs(F))) / cell_w)
-    return g, SolveReport(max_iter, False, history, pinned, factorizations,
-                          linear_iterations, linear_solvers)
+    return g, SolveReport(False, history, factorizations, linear_iterations,
+                          linear_solvers)
 
 
 def _node_derivatives(g: DiscreteGraph):

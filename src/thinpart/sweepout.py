@@ -130,17 +130,22 @@ class FormalCurrent:
         for pid in ids:
             n, a1 = self._table.get(pid, (0, None))
             m, a2 = other._table.get(pid, (0, None))
-            if a1 is not None and a2 is not None:
-                if abs(a1 - a2) > 1e-12 * max(a1, a2, 1e-300):
-                    raise DomainError(
-                        f"patch {pid!r} carries inconsistent areas {a1!r} != {a2!r}"
-                    )
-            area = a1 if a1 is not None else a2
-            total += abs(n - m) * area
+            total += abs(n - m) * _shared_area(pid, a1, a2)
         return total
 
     def is_zero(self) -> bool:
         return all(m == 0 for m, _ in self._table.values())
+
+
+def _shared_area(pid, a1, a2):
+    """The area of patch ``pid`` given as a1 and as a2, either of them
+    None where the patch is absent; a DomainError naming the patch and
+    both areas when they differ by more than 1e-12 relative."""
+    if a1 is None:
+        return a2
+    if a2 is not None and abs(a1 - a2) > 1e-12 * max(a1, a2, 1e-300):
+        raise DomainError(f"patch {pid!r} carries inconsistent areas {a1!r} != {a2!r}")
+    return a1
 
 
 # --------------------------------------------------------- discrete family
@@ -200,10 +205,8 @@ class DiscreteFamily:
                 j = index.setdefault(pid, len(areas))
                 if j == len(areas):
                     areas.append(area)
-                elif abs(areas[j] - area) > 1e-12 * max(areas[j], area, 1e-300):
-                    raise DomainError(
-                        f"patch {pid!r} carries inconsistent areas {areas[j]!r} != {area!r}"
-                    )
+                else:
+                    _shared_area(pid, areas[j], area)
         mults = np.zeros((len(currents), len(areas)), dtype=np.int64)
         for row, cur in enumerate(currents):
             for pid, (mult, _) in cur._table.items():
@@ -241,9 +244,6 @@ class DiscreteFamily:
         """Whether the endpoints carry the zero current (families
         representing maps into (currents, {0}))."""
         return not (self.multiplicities[0].any() or self.multiplicities[-1].any())
-
-    def vertex(self, i: int) -> GridVertex:
-        return GridVertex.from_indices(self.level, i)
 
     def masses(self) -> np.ndarray:
         return np.einsum("ij,j->i", np.abs(self.multiplicities), self.areas)
@@ -301,14 +301,11 @@ def interpolate_patches(a: FormalCurrent, b: FormalCurrent, k: int) -> DiscreteF
     for pid in ids:
         n, area_a = a._table.get(pid, (0, None))
         m, area_b = b._table.get(pid, (0, None))
-        if area_a is not None and area_b is not None:
-            if abs(area_a - area_b) > 1e-12 * max(area_a, area_b, 1e-300):
-                raise DomainError(f"patch {pid!r} carries inconsistent areas")
+        areas.append(_shared_area(pid, area_a, area_b))
         _require_storable(pid, n)
         _require_storable(pid, m)
         mult_a.append(n)
         mult_b.append(m)
-        areas.append(area_a if area_a is not None else area_b)
 
     piece = np.tile(np.arange(k), len(ids))
     steps = np.minimum(np.arange(3**level + 1), k)

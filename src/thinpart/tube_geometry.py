@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, as_float, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
@@ -60,6 +60,18 @@ class TubeParams:
                 f"radius {self.radius!r} exceeds the guaranteed embedded "
                 f"radius {r_max!r} for length {self.length!r}"
             )
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "TubeParams":
+        """A tube from its JSON descriptor: "length", "twist" (default 0)
+        and "radius", a number or "meyerhoff" (the default) for
+        ``meyerhoff_radius(length)``."""
+        length = as_float("length", data["length"])
+        twist = as_float("twist", data.get("twist", 0.0))
+        radius = data.get("radius", "meyerhoff")
+        if radius == "meyerhoff":
+            radius = meyerhoff_radius(length)
+        return cls(length, twist, as_float("radius", radius))
 
 
 @dataclass(frozen=True)

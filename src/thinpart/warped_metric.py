@@ -414,16 +414,10 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
         lat = FlatTorusLattice.from_json_dict(data["lattice"])
         return cusp_as_warped(CuspParams(lat, *_interval(data)))
     if kind == "tube":
-        from .tube_geometry import TubeParams, meyerhoff_radius, tube_as_warped
+        from .tube_geometry import TubeParams, tube_as_warped
 
-        length = as_float("length", data["length"])
-        twist = as_float("twist", data.get("twist", 0.0))
-        radius = data.get("radius", "meyerhoff")
-        if radius == "meyerhoff":
-            radius = meyerhoff_radius(length)
-        params = TubeParams(length, twist, as_float("radius", radius))
         return tube_as_warped(
-            params,
+            TubeParams.from_json_dict(data),
             margin=as_float("margin", data.get("margin", 0.5)),
             normalized=bool(data.get("normalized", False)),
         )

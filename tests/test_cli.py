@@ -274,7 +274,8 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
 
 
 def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
-    # A 65^2 Dirichlet grid starts from the solution of its 33^2 grid.
+    # A 65^2 Dirichlet grid starts from one Newton step on each of its
+    # 17^2 and 33^2 grids.
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps(
         {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
@@ -286,9 +287,11 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
         "--out", str(tmp_path / "u.csv"),
     ])
     assert code == EXIT_OK and data["linear_solvers"] == ["multigrid"] * data["iterations"]
-    [coarsest] = data["coarse_grids"]
-    assert coarsest["shape"] == [33, 33] and coarsest["iterations"] >= 1
-    assert coarsest["residual"] <= 1e-9 and coarsest["error"] is None
+    coarsest, coarser = data["coarse_grids"]
+    assert coarsest["shape"] == [17, 17] and coarser["shape"] == [33, 33]
+    for record in (coarsest, coarser):
+        assert record["iterations"] == 1 and record["error"] is None
+        assert 0.0 < record["residual"] < math.inf
 
 
 def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):

@@ -118,6 +118,24 @@ def test_metric_collar_and_continuity():
         metric_at(spec, (0.0, 0.0, 21.0))
 
 
+def test_verify_flat_levels_fails_on_a_perturbed_metric(monkeypatch):
+    # g11 off by 1e-9 relative past the collar: the metric no longer
+    # agrees with its warped form, while the collar check still holds.
+    from thinpart import filler
+
+    exact = filler.metric_at
+
+    def perturbed(spec, point):
+        g11, g22, g33 = exact(spec, point)
+        return g11 * np.where(np.asarray(point[2]) >= 1.0, 1.0 + 1e-9, 1.0), g22, g33
+
+    spec = build(20.0, UNIT)
+    monkeypatch.setattr(filler, "metric_at", perturbed)
+    report = verify(spec, grid=50)
+    assert not report.flat_levels and not report.passed
+    assert report.boundary_collar_exact
+
+
 def test_core_chart_example_at_rho_001():
     spec = build(20.0, UNIT)
     g_theta, g_zz, g_rr = core_chart_metric(spec, 0.01)

@@ -401,7 +401,7 @@ def _hessian_factor(monkeypatch):
     # The fresh factor _linear_solve makes of the 129^2 tube Hessian.
     H, rhs = _hessian_and_rhs(129)
     factors = _recording_splu(monkeypatch)
-    _linear_solve(H, rhs)
+    _linear_solve(H, rhs, (False, False))
     return factors[0]
 
 
@@ -561,18 +561,18 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     monkeypatch.undo()
     factors = _recording_splu(monkeypatch)
     out, rep = solve(spec, g, tol=1e-9)
-    # The 129^2 grid starts from its 33^2 and 65^2 grids.
+    # The 129^2 grid starts from one step on each of its 17^2, 33^2 and
+    # 65^2 grids.
     assert ref_rep.iterations == 4
     assert rep.converged and rep.iterations == 3
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
-        ((33, 33), 4), ((65, 65), 1)]
+        ((17, 17), 1), ((33, 33), 1), ((65, 65), 1)]
     assert rep.linear_solvers == ["multigrid"] * 3 and rep.factorizations == 0
-    # The 33^2 grid is factored once, on its first step; otherwise only
-    # the coarsest grid of each multigrid step's hierarchy is factored:
-    # one 65^2 step and three 129^2 steps.
-    sizes = sorted(A.shape[0] for A, _ in factors)
-    assert len(sizes) == 1 + 1 + 3
-    assert sizes[-1] == 31 * 31 and sizes[-2] <= 15 * 15
+    # Only the last level of each multigrid step's hierarchy is factored:
+    # the 17^2 step, whose V-cycle is that factor, one 33^2 and one 65^2
+    # step, and three 129^2 steps.
+    sizes = [A.shape[0] for A, _ in factors]
+    assert len(sizes) == 3 + 3 and max(sizes) <= 15 * 15
     assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
     # The LU path reaches the same graph.
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
@@ -619,8 +619,9 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     monkeypatch.setattr(minimal_graph, "_VCycle",
                         lambda A, transfers: _VCycle(-A, transfers))
     factors = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations = _linear_solve(H, rhs, None, _transfers((63, 63)))
-    assert kind == "lu" and iterations == 1 and lu is not None
+    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), None,
+                                                      _transfers((63, 63)))
+    assert kind == "lu" and iterations == 1 and lu is not None and made == 1
     assert factors[-1][0].shape == H.shape
     assert _solves_to_1e6(H, delta, rhs)
 
@@ -629,8 +630,10 @@ def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
     monkeypatch.setattr(minimal_graph, "_VCycle",
                         lambda A, transfers: _VCycle(-A, transfers))
     out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
-    # The 65^2 grid starts from its 33^2 grid, which takes the LU path.
-    assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [((33, 33), 4)]
+    # The 65^2 grid starts from one step on each of its 17^2 and 33^2
+    # grids, each solved by a factor after its V-cycle fails.
+    assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
+        ((17, 17), 1), ((33, 33), 1)]
     assert rep.converged and rep.iterations == 3 and rep.factorizations == 1
     assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 2
     assert rep.linear_iterations[0] == 1
@@ -639,8 +642,9 @@ def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
 # ------------------------------------------------- nested iteration
 
 
-def _graph_large_problem(name, n):
-    # The two tube solves of the graph_large benchmark workload.
+def _graph_large_problem(name, shape):
+    # The two tube solves of the graph_large benchmark workload, on a
+    # grid of square cells 0.35 / (shape[0] - 1) wide.
     metric, data = {
         "readme_tube": ({"kind": "tube", "length": 0.01, "twist": 0.0,
                          "radius": "meyerhoff", "normalized": True},
@@ -648,13 +652,23 @@ def _graph_large_problem(name, n):
         "tube_4c": ({"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0},
                     lambda x, y: 3.8 + 0.0 * x),
     }[name]
-    return spec_from_json(metric), DiscreteGraph.on_rectangle((0.35, 0.35), (n, n), data)
+    n1, n2 = shape
+    extent = (0.35, 0.35 * (n2 - 1) / (n1 - 1))
+    return spec_from_json(metric), DiscreteGraph.on_rectangle(extent, shape, data)
 
 
-@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("shape,ladder", [
+    ((129, 129), [(17, 17), (33, 33), (65, 65)]),
+    ((257, 257), [(17, 17), (33, 33), (65, 65), (129, 129)]),
+    ((65, 65), [(17, 17), (33, 33)]),
+    ((65, 129), [(17, 33), (33, 65)]),
+    # The free side of 36^2 is even: the ladder stops there.
+    ((71, 71), [(36, 36)]),
+], ids=["129", "257", "65", "65x129", "71"])
 @pytest.mark.parametrize("name", ["readme_tube", "tube_4c"])
-def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, n):
-    spec, g = _graph_large_problem(name, n)
+def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, shape,
+                                                          ladder):
+    spec, g = _graph_large_problem(name, shape)
     out, rep = solve(spec, g, tol=1e-8)
     monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
     cold, cold_rep = solve(spec, g, tol=1e-8)
@@ -662,12 +676,9 @@ def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, n):
     assert rep.converged and rep.iterations < cold_rep.iterations
     assert len(rep.linear_solvers) == rep.iterations
     assert np.max(np.abs(out.values - cold.values)) <= 1e-12
-    # One record per coarser grid, coarsest first: the coarsest is solved
-    # to the tolerance, every other one takes one Newton step.
-    first, *rest = rep.coarse_grids
-    assert [c.shape for c in rep.coarse_grids] == [(m, m) for m in (33, 65, 129) if m < n]
-    assert first.iterations >= 1 and first.residual <= 1e-8
-    assert [c.iterations for c in rest] == [1] * len(rest)
+    # One record per coarser grid, coarsest first, each of one Newton step.
+    assert [c.shape for c in rep.coarse_grids] == ladder
+    assert [c.iterations for c in rep.coarse_grids] == [1] * len(ladder)
     assert all(0.0 < c.residual < math.inf and c.error is None for c in rep.coarse_grids)
 
 
@@ -688,18 +699,21 @@ def test_solve_without_coarser_grids(make_spec, init):
 
 
 def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
+    # Every coarser grid fails, the coarsest included: none contributes a
+    # correction, so the 65^2 grid starts from its own data.
     spec, g = tube_spec(), _tube_4c_graph(65)
     newton = minimal_graph._newton
 
-    def failing_on_33(spec, g, *args):
-        if g.shape == (33, 33):
+    def failing_on_coarser_grids(spec, u, *args):
+        if u.shape != g.shape:
             raise SolveError("forced", [2.5])
-        return newton(spec, g, *args)
+        return newton(spec, u, *args)
 
-    monkeypatch.setattr(minimal_graph, "_newton", failing_on_33)
+    monkeypatch.setattr(minimal_graph, "_newton", failing_on_coarser_grids)
     out, rep = solve(spec, g, tol=1e-9)
     monkeypatch.undo()
-    assert rep.coarse_grids == [CoarseSolve((33, 33), 0, 2.5, "forced")]
+    assert rep.coarse_grids == [CoarseSolve((17, 17), 0, 2.5, "forced"),
+                                CoarseSolve((33, 33), 0, 2.5, "forced")]
     monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
     cold, cold_rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == cold_rep.iterations == 4
@@ -748,8 +762,8 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
              else -H)
     unrelated = spla.splu(other)
     calls = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations = _linear_solve(H, rhs, unrelated)
-    assert len(calls) == 1 and kind == "lu" and lu is not unrelated
+    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), unrelated)
+    assert len(calls) == made == 1 and kind == "lu" and lu is not unrelated
     # The discarded run's iterations are counted: the unrelated factor
     # runs to the cap, the indefinite one stops in its first iteration.
     assert iterations == (_CG_MAX_ITER if lagged == "scaled_identity" else 1)
@@ -760,10 +774,34 @@ def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
     own = spla.splu(H, permc_spec=_LU_ORDERING)
     calls = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations = _linear_solve(H, rhs, own)
-    assert calls == [] and lu is own and 1 <= iterations <= _CG_MAX_ITER
+    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), own)
+    assert calls == [] and made == 0 and lu is own and 1 <= iterations <= _CG_MAX_ITER
     assert kind == "lagged-lu"
     assert _solves_to_1e6(H, delta, rhs)
+
+
+def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatch):
+    # A stripe's Hessian is nonsingular, so no solve reaches this path:
+    # the factor of H is made to fail, that of the KKT system is not.
+    spec = cusp_spec()
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (65, 129), _bump, periodic=(True, False))
+    H = _hessian(spec, g, _Pattern(g))
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()
+    n = H.shape[0]
+    splu = spla.splu
+
+    def failing_on_h(A, *args, **kwargs):
+        if A.shape == (n, n):
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(minimal_graph.spla, "splu", failing_on_h)
+    delta, lu, kind, iterations, made = _linear_solve(H, rhs, g.periodic)
+    assert kind == "kkt" and made == 2 and lu is None and iterations == 0
+    assert abs(delta.sum()) <= 1e-12 * np.abs(delta).sum()
+    # H delta + lam e = rhs, for the multiplier lam of the KKT system.
+    lam = np.mean(rhs - H @ delta)
+    assert np.linalg.norm(H @ delta + lam - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
 
 def test_solve_reports_nonconvergence():

@@ -325,6 +325,22 @@ def test_family_rejects_inconsistent_areas_at_construction():
     assert fineness(DiscreteFamily(0, (a, c))) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_every_patch_area_check_names_the_patch_and_both_areas():
+    # mass_of_difference, DiscreteFamily and interpolate_patches share
+    # one check, with one message.
+    a = FormalCurrent((("T1", 1, 1.0), ("T2", 1, 0.5)))
+    b = FormalCurrent((("T1", 1, 2.0),))
+    message = "patch 'T1' carries inconsistent areas 1.0 != 2.0"
+    for reject in (a.mass_of_difference, lambda b: DiscreteFamily(0, (a, b)),
+                   lambda b: interpolate_patches(a, b, 3)):
+        with pytest.raises(DomainError, match=message):
+            reject(b)
+    # Agreement to 1e-12 relative is consistent, and the first area is kept.
+    c = FormalCurrent((("T1", 2, 1.0 + 1e-13),))
+    fam = interpolate_patches(a, c, 2)
+    assert fam.areas.tolist() == [0.5, 0.5, 0.25, 0.25]
+
+
 def test_family_currents_round_trip():
     currents = (
         FormalCurrent((("A", 1, 2.0), ("B", -2, 0.5))),

@@ -175,6 +175,17 @@ def test_tube_params_reject_nonfinite(name, value):
         TubeParams(**args)
 
 
+def test_tube_params_from_json_dict():
+    assert TubeParams.from_json_dict({"length": 0.01}) == TubeParams(
+        0.01, 0.0, meyerhoff_radius(0.01))
+    assert TubeParams.from_json_dict(
+        {"length": 0.01, "twist": 0.3, "radius": 1}) == TubeParams(0.01, 0.3, 1.0)
+    for name, value in (("length", "x"), ("twist", [1]), ("radius", "1.0")):
+        data = {"length": 0.01, name: value}
+        with pytest.raises(DomainError, match=name):
+            TubeParams.from_json_dict(data)
+
+
 def test_tube_as_warped_coefficients():
     p = TubeParams(0.001, 0.3, 3.0)
     spec = tube_as_warped(p)
