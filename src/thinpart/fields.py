@@ -1,13 +1,14 @@
 """Scalar fields of one variable carrying up to three derivatives.
 
 Closed-form evaluators are the preferred backing; sampled grids fall back
-to cubic-spline differentiation.
+to cubic-spline differentiation. ``scipy.interpolate`` (which also loads
+``scipy.special`` and ``scipy.optimize``) is imported by the first sampled
+field built, not by ``import thinpart``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -68,8 +69,13 @@ class Field1D:
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 4:
             raise DomainError("need matching 1-d sample arrays with >= 4 points")
+        for name, values in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"sample {name} values must be finite")
         if np.any(np.diff(x) <= 0):
             raise DomainError("sample abscissae must be strictly increasing")
+        from scipy.interpolate import CubicSpline
+
         sp = CubicSpline(x, y)
         return cls(sp, sp.derivative(1), sp.derivative(2), sp.derivative(3))
 

@@ -152,11 +152,12 @@ class WarpedMetricSpec:
                      kind: str = "custom"):
         """Spline-backed diagonal spec from grids of a1, a2 and h values."""
         x3 = np.asarray(x3, dtype=float)
+        h = Field1D.from_samples(x3, h_samples)  # checks x3 before it is indexed
         return cls(
             lattice,
             float(x3[0]),
             float(x3[-1]),
-            Field1D.from_samples(x3, h_samples),
+            h,
             kind=kind,
             a1=Field1D.from_samples(x3, a1_samples),
             a2=Field1D.from_samples(x3, a2_samples),
@@ -399,6 +400,26 @@ def _interval(data: dict) -> tuple:
     return float(interval[0]), float(interval[1])
 
 
+def _lattice(data: dict) -> FlatTorusLattice:
+    """The descriptor's "lattice"; a DomainError when it is absent."""
+    if "lattice" not in data:
+        raise DomainError(f"{data['kind']} metric descriptor needs a 'lattice'")
+    return FlatTorusLattice.from_json_dict(data["lattice"])
+
+
+def _samples(data: dict) -> list:
+    """The descriptor's "samples" x3, a1, a2 and h, as float arrays."""
+    keys = ("x3", "a1", "a2", "h")
+    samples = data.get("samples")
+    if not isinstance(samples, dict):
+        raise DomainError(
+            f"custom metric descriptor needs a 'samples' object, got {samples!r}")
+    missing = [key for key in keys if key not in samples]
+    if missing:
+        raise DomainError(f"samples needs {', '.join(map(repr, missing))}")
+    return [as_floats(f"samples {key}", samples[key]) for key in keys]
+
+
 def spec_from_json(data: dict) -> WarpedMetricSpec:
     """Build a spec from a JSON descriptor {"kind": ..., ...}."""
     try:
@@ -406,13 +427,11 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
     except (KeyError, TypeError) as exc:
         raise DomainError("metric descriptor needs a 'kind'") from exc
     if kind == "flat":
-        lat = FlatTorusLattice.from_json_dict(data["lattice"])
-        return WarpedMetricSpec.flat(lat, *_interval(data))
+        return WarpedMetricSpec.flat(_lattice(data), *_interval(data))
     if kind == "cusp":
         from .tube_geometry import CuspParams, cusp_as_warped
 
-        lat = FlatTorusLattice.from_json_dict(data["lattice"])
-        return cusp_as_warped(CuspParams(lat, *_interval(data)))
+        return cusp_as_warped(CuspParams(_lattice(data), *_interval(data)))
     if kind == "tube":
         from .tube_geometry import TubeParams, tube_as_warped
 
@@ -422,10 +441,5 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
             normalized=bool(data.get("normalized", False)),
         )
     if kind == "custom":
-        lat = FlatTorusLattice.from_json_dict(data["lattice"])
-        samples = data["samples"]
-        return WarpedMetricSpec.from_sampled(
-            lat, *(as_floats(f"samples {key}", samples[key])
-                   for key in ("x3", "a1", "a2", "h"))
-        )
+        return WarpedMetricSpec.from_sampled(_lattice(data), *_samples(data))
     raise DomainError(f"unknown metric kind {kind!r}")

@@ -285,6 +285,34 @@ def test_spec_from_json_names_a_non_numeric_field(data, message):
         spec_from_json(data)
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"kind": "flat", "interval": [0, 1]}, "flat metric descriptor needs a 'lattice'"),
+    ({"kind": "cusp"}, "cusp metric descriptor needs a 'lattice'"),
+    ({"kind": "custom"}, "custom metric descriptor needs a 'lattice'"),
+    ({"kind": "custom", "lattice": _UNIT_JSON},
+     "custom metric descriptor needs a 'samples' object, got None"),
+    ({"kind": "custom", "lattice": _UNIT_JSON, "samples": [[0, 1, 2, 3]]},
+     r"needs a 'samples' object, got \[\[0, 1, 2, 3\]\]"),
+    ({"kind": "custom", "lattice": _UNIT_JSON, "samples": "x3"},
+     "needs a 'samples' object, got 'x3'"),
+    ({"kind": "custom", "lattice": _UNIT_JSON,
+      "samples": {"x3": [0, 1, 2, 3], "a1": [1] * 4, "a2": [1] * 4}},
+     "samples needs 'h'"),
+    ({"kind": "custom", "lattice": _UNIT_JSON, "samples": {"a2": [1] * 4}},
+     "samples needs 'x3', 'a1', 'h'"),
+    ({"kind": "custom", "lattice": _UNIT_JSON,
+      "samples": {"x3": [0, 1, 2, 3], "a1": [1] * 4, "a2": [1] * 4,
+                  "h": [1, 1, math.inf, 1]}},
+     "sample y values must be finite"),
+    ({"kind": "custom", "lattice": _UNIT_JSON,
+      "samples": {"x3": [], "a1": [], "a2": [], "h": []}},
+     "need matching 1-d sample arrays with >= 4 points"),
+])
+def test_spec_from_json_names_a_missing_or_malformed_field(data, message):
+    with pytest.raises(DomainError, match=message):
+        spec_from_json(data)
+
+
 def test_sampled_spec_tracks_closed_form():
     # Spline-backed cusp: coefficients and first two derivatives follow
     # the closed form away from the sample boundary.
