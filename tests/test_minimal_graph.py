@@ -199,6 +199,16 @@ def test_first_variation_rejects_nonvanishing_boundary_data():
         first_variation(flat_spec(), g, np.ones(g.shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [(4, 3), (0, 3)], ids=["interior", "ring"])
+def test_first_variation_rejects_a_nonfinite_variation(bad, node):
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.0)
+    v = np.zeros(g.shape)
+    v[node] = bad
+    with pytest.raises(DomainError, match="variation values must be finite"):
+        first_variation(flat_spec(), g, v)
+
+
 def _random_graph_and_variation(spec, rng, n=24, periodic=True):
     lo = spec.x3_min
     hi = spec.x3_max
@@ -290,6 +300,58 @@ def test_hessian_exactly_symmetric(make_spec, periodic):
     assert (H != H.T).nnz == 0
 
 
+# The four periodicities of a grid; a random grid over a free-node shape
+# has shape + 2 nodes per axis (at least 4).
+_PERIODICITIES = pytest.mark.parametrize(
+    "periodic", [(False, False), (True, False), (False, True), (True, True)])
+
+
+def _random_grid(shape, periodic):
+    rng = np.random.default_rng(3)
+    grid = (shape[0] + 2, shape[1] + 2)
+    return DiscreteGraph.on_rectangle((1.0, 1.3), grid,
+                                      2.0 + 0.5 * rng.uniform(-1.0, 1.0, grid),
+                                      periodic=periodic)
+
+
+@pytest.mark.parametrize("make_spec", [flat_spec, cusp_spec, tube_spec])
+@_PERIODICITIES
+@pytest.mark.parametrize("block_rows", [3, 5])
+def test_row_blocks_match_the_oracles_and_one_block(monkeypatch, make_spec,
+                                                    periodic, block_rows):
+    # 23 x 19 nodes: 22 or 23 cell rows, a multiple of neither block size.
+    spec = make_spec()
+    g = _random_grid((21, 17), periodic)
+    v = np.random.default_rng(4).standard_normal(g.shape)
+    v[~g.free_mask()] = 0.0
+    pattern = _Pattern(g)
+
+    def evaluate():
+        return (area(spec, g), _gradient(spec, g), first_variation(spec, g, v),
+                _hessian(spec, g, pattern))
+
+    assert len(minimal_graph._row_blocks(g)) == 1
+    one_block = evaluate()
+    cells_per_row = g.shape[1] - (not periodic[1])
+    monkeypatch.setattr(minimal_graph, "_BLOCK_CELLS", block_rows * cells_per_row)
+    blocks = minimal_graph._row_blocks(g)
+    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < block_rows
+    A, grad, fv, H = evaluate()
+
+    ref = gradient_per_triangle(spec, g)
+    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+    H_ref = hessian_per_triangle(spec, g)
+    assert H.shape == H_ref.shape and H.nnz == H_ref.nnz
+    assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+    assert (H != H.T).nnz == 0
+
+    A1, grad1, fv1, H1 = one_block
+    assert abs(A - A1) <= 1e-15 * abs(A1)
+    assert np.max(np.abs(grad - grad1)) <= 1e-15 * np.max(np.abs(grad1))
+    assert abs(fv - fv1) <= 1e-15 * abs(fv1)
+    assert abs(H - H1).max() <= 1e-15 * abs(H1).max()
+
+
 @pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)
 def test_hessian_matches_fd_of_gradient(make_spec, periodic):
     spec = make_spec()
@@ -312,21 +374,10 @@ def test_hessian_matches_fd_of_gradient(make_spec, periodic):
         assert np.allclose(H[:, k], col, rtol=2e-6, atol=1e-9)
 
 
-# Free-node shapes and periodicities on which the Hessian's numbering and
-# pattern are checked; a grid is shape + 2 nodes per axis (at least 4).
-_PERIODICITIES = pytest.mark.parametrize(
-    "periodic", [(False, False), (True, False), (False, True), (True, True)])
+# Free-node shapes on which the Hessian's numbering and pattern are checked.
 _FREE_SHAPES = pytest.mark.parametrize(
     "shape", [(2, 2), (4, 4), (5, 6), (7, 7), (8, 8), (4, 33), (33, 4), (5, 64),
               (63, 17)])
-
-
-def _random_grid(shape, periodic):
-    rng = np.random.default_rng(3)
-    grid = (shape[0] + 2, shape[1] + 2)
-    return DiscreteGraph.on_rectangle((1.0, 1.3), grid,
-                                      2.0 + 0.5 * rng.uniform(-1.0, 1.0, grid),
-                                      periodic=periodic)
 
 
 @_PERIODICITIES
@@ -449,6 +500,18 @@ def test_solve_rejects_a_nonfinite_tolerance(tol):
     g = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.0)
     with pytest.raises(DomainError, match="tolerance must be finite"):
         solve(flat_spec(), g, tol=tol)
+
+
+@pytest.mark.parametrize("excess", [0.0, 1e-10])
+def test_line_search_accepts_data_inside_the_range_slack(excess):
+    # The cusp's range is [0, 3], and every graph operation accepts values
+    # up to 1e-9 of its width past either end; so must the line search.
+    top = 3.0 + excess
+    init = DiscreteGraph.on_rectangle((1.0, 1.0), (17, 17),
+                                      lambda x, y: 2.0 + (top - 2.0) * x + 0.0 * y)
+    out, rep = solve(cusp_spec(), init)
+    assert rep.converged and rep.iterations == 3
+    assert np.array_equal(out.values[-1], init.values[-1])
 
 
 def test_solve_periodic_flat_pins_mean():
