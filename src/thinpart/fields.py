@@ -92,6 +92,3 @@ class Field1D:
             return g
 
         return Field1D(make(0), make(1), make(2), make(3))
-
-    def scaled(self, factor: float) -> "Field1D":
-        return self.compose_affine(1.0, 0.0, factor)

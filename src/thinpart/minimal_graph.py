@@ -37,33 +37,30 @@ the y-edge and the anti-diagonal).  Each Newton step reads a triangle's
 entries (B d2W B^T)[k, l] off d2W through one fixed 6x6 table per
 triangle type (``_pair_table``), sums them per mesh edge in the windowed
 sums above, and reads both mirrored entries from that sum, which keeps
-the Hessian exactly symmetric.  Every sparse LU factor of a fine-grid
-system is made in one column ordering, ``_LU_ORDERING``.
+the Hessian exactly symmetric.
 
-On Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per side,
-every Newton step is solved by conjugate gradients preconditioned by a
-geometric multigrid V-cycle of that step's Hessian (``_VCycle``:
+Every Newton step is solved by one rule (``_linear_solve``).  It first
+runs conjugate gradients preconditioned by what the solve kept from an
+earlier step (a lagged preconditioner: between Newton steps the Hessian
+changes little), at most ``_CG_MAX_ITER`` iterations.  Where nothing is
+kept, or that run fails, the step builds a preconditioner of its own
+Hessian.  Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per
+side have a multigrid hierarchy and try a V-cycle first (``_VCycle``:
 bilinear transfer, Galerkin coarse operators, damped-Jacobi smoothing, a
-factored coarsest grid).  No fine-grid factor is made, so memory stays
-linear in the unknowns.  A V-cycle run that fails falls back to a sparse
-LU factor of the Hessian, which then preconditions the later steps as
-below.
+factored last level), at most ``_MG_MAX_ITER`` iterations; where that
+fails, or there is no hierarchy, the Hessian's sparse LU factor solves
+the step directly.  The new preconditioner is kept when its run took at
+most ``_CG_MAX_ITER`` iterations, a factor always; none outlives the
+solve.  Every LU factor is made in one column ordering, ``_LU_ORDERING``.
 
-Such a grid whose free sides are odd is solved by nested iteration, the
-full multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
-Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids inject every
-second node, boundary ring included, down the multigrid hierarchy to its
-last level, one Newton step per coarser grid; each grid starts from the
-bilinear prolongation of the coarser grid's correction to its injected
-data, and the grid of the solve starts from that prolongation too.
-
-Smaller grids, and grids with a periodic axis, factor the Hessian once,
-on the first Newton step.  Later steps keep that factor and solve with
-conjugate gradients preconditioned by it (a lagged preconditioner:
-between Newton steps the Hessian changes little); a step whose CG run
-does not converge within ``_CG_MAX_ITER`` iterations factors its own
-Hessian, which then preconditions the steps after it.  No factor
-outlives the solve.  ``_linear_solve`` makes all of these choices.
+A grid with a hierarchy whose free sides are odd is solved by nested
+iteration, the full multigrid scheme of Briggs, Henson and McCormick,
+*A Multigrid Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids
+inject every second node, boundary ring included, down the multigrid
+hierarchy to its last level, one Newton step per coarser grid; each grid
+starts from the bilinear prolongation of the coarser grid's correction
+to its injected data, and the grid of the solve starts from that
+prolongation too.
 """
 
 from __future__ import annotations
@@ -197,11 +194,10 @@ def _require_diagonal(spec: WarpedMetricSpec):
 
 
 def _in_range(spec: WarpedMetricSpec, values: np.ndarray) -> bool:
-    """Whether graph values lie in the spec's x3 range, up to a slack of
-    1e-9 of its width: the one range rule of every graph operation."""
-    slack = 1e-9 * (spec.x3_max - spec.x3_min)
-    return bool(spec.x3_min - slack <= values.min()
-                and values.max() <= spec.x3_max + slack)
+    """Whether graph values lie in the spec's x3 range, up to the slack of
+    ``WarpedMetricSpec.contains``: the one range rule of every graph
+    operation."""
+    return spec.contains(values.min()) and spec.contains(values.max())
 
 
 def _check_range(spec: WarpedMetricSpec, values: np.ndarray):
@@ -544,16 +540,15 @@ def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
 class SolveReport:
     """Outcome of ``solve``.
 
-    Per Newton step, ``linear_solvers`` names what solved it: "multigrid"
-    (CG preconditioned by a V-cycle of the step's Hessian), "lagged-lu"
-    (CG preconditioned by an earlier step's factor), "lu" (a fresh factor
-    of the Hessian) or "kkt" (a factor of the pinned-mean system), and
-    ``linear_iterations`` the CG iterations it ran, discarded runs
-    included; ``iterations`` and ``pinned_mean`` are read off the former.
-    ``factorizations`` counts the sparse LU factors of fine-grid systems
-    (Hessian or KKT, in ``_LU_ORDERING``), not those of the multigrid's
-    last level: one per "lu" and "kkt" step, two where a fresh factor
-    fails and the KKT system takes over.
+    Per Newton step, ``linear_solvers`` names what solved it: "lagged"
+    (CG preconditioned by what an earlier step kept), "multigrid" (CG
+    preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
+    fresh factor of the Hessian, applied directly) or "kkt" (a factor of
+    the pinned-mean system), and ``linear_iterations`` the CG iterations
+    it ran, discarded runs included.  ``iterations``, ``pinned_mean`` and
+    ``factorizations`` are read off the former: a factor of the grid's
+    Hessian or KKT system is made on each "lu" and "kkt" step, and on no
+    other (a V-cycle factors its last level only).
 
     All of these describe the grid of the solve only.  A Dirichlet grid
     solved by nested iteration (the full multigrid start of Briggs, Henson
@@ -566,7 +561,6 @@ class SolveReport:
 
     converged: bool
     residual_history: list = field(default_factory=list)
-    factorizations: int = 0
     linear_iterations: list = field(default_factory=list)
     linear_solvers: list = field(default_factory=list)
     coarse_grids: list = field(default_factory=list)
@@ -578,6 +572,10 @@ class SolveReport:
     @property
     def pinned_mean(self) -> bool:
         return "kkt" in self.linear_solvers
+
+    @property
+    def factorizations(self) -> int:
+        return sum(kind in ("lu", "kkt") for kind in self.linear_solvers)
 
     @property
     def final_residual(self) -> float:
@@ -597,30 +595,32 @@ class CoarseSolve:
     error: str | None = None
 
 
-# Iteration cap of the CG run preconditioned by a lagged factor.  Each
-# iteration is one product with H and one pair of triangular solves with
-# the factor; on the tube solves of criterion 4(c), 2-core machine, one
-# factorization costs more than 8 such iterations at every grid from
-# 33^2 to 257^2, so a run that has not converged by then is cut short and
-# the Hessian is factored instead.  The lagged factor of those solves
-# reaches the tolerance in 5-7 iterations.
+# Iteration cap of a lagged CG run, and the bound of the keep rule.  With
+# a lagged factor each iteration is one product with H and one pair of
+# triangular solves; on the tube solves of criterion 4(c), 2-core
+# machine, one factorization costs more than 8 such iterations at every
+# grid from 33^2 to 257^2, and the lagged factor reaches the tolerance in
+# 5-7.  A fresh V-cycle is kept only if its run took at most this many:
+# it is on that tube from 65^2 to 513^2, and on the cusp [0, 3] at 66^2
+# and 128^2 once the iterates settle (6-7 iterations); it is not at a
+# cell aspect ratio of 2 (11-14) or 4 (20).
 _CG_MAX_ITER = 8
 # CG stops at ||H delta - rhs|| <= _CG_RTOL ||rhs||, ten times inside the
 # 1e-6 every accepted direction must meet, since the recurred residual
 # drifts from the true one.
 _CG_RTOL = 1e-7
-# SuperLU's column ordering for every fine-grid factor, Hessian or KKT:
-# multiple minimum degree on the pattern of A^T + A.  Its fill is 0.60x
-# COLAMD's on the 129^2 tube Hessian of criterion 4(c), and 0.84x on the
-# KKT system of a pinned-mean 32^2 torus.
+# SuperLU's column ordering for every factor, of a Hessian, a multigrid
+# last level or a KKT system: multiple minimum degree on the pattern of
+# A^T + A.  Its fill is 0.60x COLAMD's on the 129^2 tube Hessian of
+# criterion 4(c), and 0.84x on the KKT system of a pinned-mean 32^2 torus.
 _LU_ORDERING = "MMD_AT_PLUS_A"
 
 # Dirichlet grids whose free nodes number at least this many along both
-# axes solve their Newton steps by multigrid-preconditioned CG.  On the
-# criterion-4(c) tube, 2-core machine, one thread, a solve by multigrid
-# and one by the lagged factor take the same time at 65^2 (~27 ms); the
-# factor is 9-15% faster at 49^2-57^2, multigrid 7% faster at 73^2 and
-# 15% at 97^2.
+# axes have a multigrid hierarchy: their steps build a V-cycle before a
+# factor.  On the criterion-4(c) tube, 2-core machine, one thread, with a
+# fresh V-cycle on every step, a solve by multigrid and one by the lagged
+# factor take the same time at 65^2 (~27 ms); the factor is 9-15% faster
+# at 49^2-57^2, multigrid 7% faster at 73^2 and 15% at 97^2.
 _MULTIGRID_MIN = 63
 # Levels are coarsened until the shorter side has at most this many
 # nodes; that grid is factored.
@@ -717,7 +717,8 @@ class _VCycle:
     one is factored.  Damped Jacobi smooths the same number of sweeps
     before and after each coarse correction, so for a positive definite
     A the cycle is a symmetric positive definite preconditioner for CG.
-    Raises RuntimeError when the coarsest operator is singular.
+    With no transfers the cycle is the exact LU factor of A.  Raises
+    RuntimeError when the coarsest operator is singular.
     """
 
     def __init__(self, A, transfers):
@@ -728,7 +729,7 @@ class _VCycle:
         for P, R in transfers:
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
             A = R @ A @ P
-        self.coarsest = spla.splu(sp.csc_matrix(A))
+        self.coarsest = spla.splu(sp.csc_matrix(A), permc_spec=_LU_ORDERING)
 
     def solve(self, r, level=0):
         """One V-cycle on A x = r from x = 0."""
@@ -758,49 +759,50 @@ def _kkt(H, rhs):
     return sol[:n] if np.all(np.isfinite(sol)) else None
 
 
-def _linear_solve(H, rhs, periodic, lu=None, transfers=None):
-    """Solve H delta = rhs on a grid with per-axis ``periodic`` flags:
-    (delta, lu, kind, iterations, factorizations), with kind as in
-    ``SolveReport.linear_solvers``.
+def _linear_solve(H, rhs, periodic, kept=None, transfers=()):
+    """Solve H delta = rhs by the rule of the module docstring, on a grid
+    with per-axis ``periodic`` flags and multigrid ``transfers`` (empty
+    without a hierarchy): (delta, kept, kind, iterations), with kind as
+    in ``SolveReport.linear_solvers``.
 
-    A fully periodic H that nearly annihilates the constants (a vertically
-    flat stretch) pins the update's mean at once (``_kkt``).  Otherwise CG
-    runs preconditioned by ``lu``, an earlier step's factor, then by a
-    V-cycle of H over ``transfers`` (an empty list is the hierarchy's last
-    level, whose V-cycle is an exact factor); the first run that solves
-    the system to 1e-6 relative is kept.  Failing both, H is factored in
-    ``_LU_ORDERING``, and where that fails a grid with a periodic axis
-    pins the mean.  The factor the next step lags is returned as ``lu``.
-    ``iterations`` counts every CG iteration run, and ``factorizations``
-    the fine-grid factors made.  delta is None when no path gives one.
+    ``kept`` is the ``_VCycle`` an earlier step kept; the one returned is
+    what the next step lags.  A run must meet ``_solves``.  The exact
+    factor ``_VCycle(H, [])`` is applied directly, since CG stops on an
+    indefinite H.  A fully periodic H that nearly annihilates the
+    constants (a vertically flat stretch) pins the update's mean at once
+    (``_kkt``), and so does a grid with a periodic axis whose factor
+    fails.  ``iterations`` counts every CG iteration run; delta is None
+    when no path gives one.
     """
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
         if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
-            return _kkt(H, rhs), lu, "kkt", 0, 1
+            return _kkt(H, rhs), kept, "kkt", 0
     iterations = 0
-    if lu is not None:
-        delta, iterations = _pcg(H, rhs, lu.solve, _CG_MAX_ITER)
+    if kept is not None:
+        delta, iterations = _pcg(H, rhs, kept.solve, _CG_MAX_ITER)
         if delta is not None and _solves(H, delta, rhs):
-            return delta, lu, "lagged-lu", iterations, 0
-    if transfers is not None:
+            return delta, kept, "lagged", iterations
+    if transfers:
         try:
-            delta, run = _pcg(H, rhs, _VCycle(H, transfers).solve, _MG_MAX_ITER)
+            vcycle = _VCycle(H, transfers)
+            delta, run = _pcg(H, rhs, vcycle.solve, _MG_MAX_ITER)
         except (RuntimeError, ValueError):
             delta, run = None, 0
         iterations += run
         if delta is not None and _solves(H, delta, rhs):
-            return delta, lu, "multigrid", iterations, 0
+            kept = vcycle if run <= _CG_MAX_ITER else None
+            return delta, kept, "multigrid", iterations
     try:
-        lu = spla.splu(H, permc_spec=_LU_ORDERING)
-        delta = lu.solve(rhs)
+        factor = _VCycle(H, [])
+        delta = factor.solve(rhs)
     except (RuntimeError, ValueError):
         delta = None
     if delta is not None and _solves(H, delta, rhs):
-        return delta, lu, "lu", iterations, 1
+        return delta, factor, "lu", iterations
     if any(periodic):
-        return _kkt(H, rhs), None, "kkt", iterations, 2
-    return None, None, "lu", iterations, 1
+        return _kkt(H, rhs), None, "kkt", iterations
+    return None, None, "lu", iterations
 
 
 def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
@@ -825,12 +827,12 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     g = init.copy()
     _check_range(spec, g.values)
     # Dirichlet grids with at least _MULTIGRID_MIN free nodes per side
-    # solve their steps by multigrid.
+    # have a multigrid hierarchy.
     free_shape = g.values[g.free_slices()].shape
     transfers = (_transfers(free_shape) if not any(g.periodic)
-                 and min(free_shape) >= _MULTIGRID_MIN else None)
+                 and min(free_shape) >= _MULTIGRID_MIN else [])
     coarse_grids = []
-    if transfers is not None:
+    if transfers:
         g, coarse_grids = _nested_start(spec, g, transfers, tol)
     g, report = _newton(spec, g, tol, max_iter, transfers)
     if not report.converged:
@@ -904,10 +906,10 @@ def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph, u: DiscreteGraph,
 def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             max_iter: int, transfers):
     """At most ``max_iter`` Newton steps on g from its values, each solved
-    by ``_linear_solve`` with multigrid ``transfers`` (None for the LU
-    path): (graph, report).  The report says whether max|el_residual| <=
-    tol was reached; a line search that stalls or a singular Jacobian
-    raises SolveError."""
+    by ``_linear_solve`` with multigrid ``transfers`` (empty where the grid
+    has no hierarchy): (graph, report).  The report says whether
+    max|el_residual| <= tol was reached; a line search that stalls or a
+    singular Jacobian raises SolveError."""
     free = g.free_slices()
     h1, h2 = g.spacing
     cell_w = h1 * h2
@@ -915,8 +917,8 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
     # Per Newton step: what solved it, and the CG iterations it ran.
     linear_solvers = []
     linear_iterations = []
-    factorizations = 0
-    lu = None
+    # The preconditioner an earlier step kept for the later ones.
+    kept = None
     # The area gradient on the free nodes at the current iterate; each
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
@@ -926,15 +928,14 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
         rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
-            return g, SolveReport(True, history, factorizations,
-                                  linear_iterations, linear_solvers)
+            return g, SolveReport(True, history, linear_iterations,
+                                  linear_solvers)
 
         H = _hessian(spec, g, pattern)
-        delta, lu, kind, iterations, made = _linear_solve(H, -F, g.periodic,
-                                                          lu, transfers)
+        delta, kept, kind, iterations = _linear_solve(H, -F, g.periodic, kept,
+                                                      transfers)
         if delta is None:
             raise SolveError("singular Jacobian", history)
-        factorizations += made
         linear_solvers.append(kind)
         linear_iterations.append(iterations)
 
@@ -968,8 +969,7 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             raise SolveError(f"line search stalled at residual {rmax:.3e}", history)
 
     history.append(float(np.max(np.abs(F))) / cell_w)
-    return g, SolveReport(False, history, factorizations, linear_iterations,
-                          linear_solvers)
+    return g, SolveReport(False, history, linear_iterations, linear_solvers)
 
 
 def _node_derivatives(g: DiscreteGraph):

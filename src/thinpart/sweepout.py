@@ -133,9 +133,6 @@ class FormalCurrent:
             total += abs(n - m) * _shared_area(pid, a1, a2)
         return total
 
-    def is_zero(self) -> bool:
-        return all(m == 0 for m, _ in self._table.values())
-
 
 def _shared_area(pid, a1, a2):
     """The area of patch ``pid`` given as a1 and as a2, either of them

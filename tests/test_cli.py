@@ -267,7 +267,7 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
     assert code == EXIT_OK and data["iterations"] > 1
     steps, solvers = data["linear_iterations"], data["linear_solvers"]
     assert len(steps) == len(solvers) == data["iterations"] and steps[0] == 0
-    assert set(solvers) <= {"lu", "lagged-lu"} and solvers[0] == "lu"
+    assert set(solvers) <= {"lu", "lagged"} and solvers[0] == "lu"
     # Each "lu" or "kkt" step made one fine-grid factorization.
     assert data["factorizations"] == sum(s in ("lu", "kkt") for s in solvers)
     assert data["coarse_grids"] == []
@@ -275,7 +275,8 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
 
 def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
     # A 65^2 Dirichlet grid starts from one Newton step on each of its
-    # 17^2 and 33^2 grids.
+    # 17^2 and 33^2 grids.  Its first step's V-cycle is kept and
+    # preconditions the later steps.
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps(
         {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
@@ -286,7 +287,8 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
         "--grid", "65x65", "--extent", "0.35x0.35", "--bc", str(bc),
         "--out", str(tmp_path / "u.csv"),
     ])
-    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid"] * data["iterations"]
+    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid", "lagged", "lagged"]
+    assert data["factorizations"] == 0
     coarsest, coarser = data["coarse_grids"]
     assert coarsest["shape"] == [17, 17] and coarser["shape"] == [33, 33]
     for record in (coarsest, coarser):
@@ -311,7 +313,7 @@ def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):
         "--out", str(tmp_path / "u.csv"),
     ])
     assert code == EXIT_OK and data["iterations"] == 6
-    assert data["linear_solvers"] == ["lu"] * 3 + ["lagged-lu"] * 3
+    assert data["linear_solvers"] == ["lu"] * 3 + ["lagged"] * 3
     assert data["linear_iterations"][:3] == [0, _CG_MAX_ITER, _CG_MAX_ITER]
     assert data["factorizations"] == 3
 

@@ -27,7 +27,9 @@ from thinpart.minimal_graph import (
     _gradient,
     _hessian,
     _linear_solve,
+    _pcg,
     _prolongation,
+    _solves,
     _transfers,
 )
 from thinpart.tube_geometry import (
@@ -614,7 +616,7 @@ def test_solve_factors_the_hessian_once(monkeypatch):
     assert len(rep.linear_iterations) == rep.iterations
     assert rep.linear_iterations[0] == 0
     assert all(1 <= k <= _CG_MAX_ITER for k in rep.linear_iterations[1:])
-    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 3
+    assert rep.linear_solvers == ["lu"] + ["lagged"] * 3
 
 
 def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
@@ -630,12 +632,13 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     assert rep.converged and rep.iterations == 3
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1), ((65, 65), 1)]
-    assert rep.linear_solvers == ["multigrid"] * 3 and rep.factorizations == 0
-    # Only the last level of each multigrid step's hierarchy is factored:
-    # the 17^2 step, whose V-cycle is that factor, one 33^2 and one 65^2
-    # step, and three 129^2 steps.
+    assert rep.linear_solvers == ["multigrid", "lagged", "lagged"]
+    assert rep.factorizations == 0
+    # Only the last level of each V-cycle is factored: the 17^2 step's,
+    # which is that level, one 33^2 and one 65^2 step's, and the first
+    # 129^2 step's, whose V-cycle the later two steps lag.
     sizes = [A.shape[0] for A, _ in factors]
-    assert len(sizes) == 3 + 3 and max(sizes) <= 15 * 15
+    assert len(sizes) == 3 + 1 and max(sizes) <= 15 * 15
     assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
     # The LU path reaches the same graph.
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
@@ -645,7 +648,9 @@ def test_multigrid_iterations_are_grid_independent():
     counts = {}
     for n in (65, 129, 257):
         out, rep = solve(tube_spec(), _tube_4c_graph(n), tol=1e-8)
-        assert rep.converged and set(rep.linear_solvers) == {"multigrid"}
+        # The first step's V-cycle is kept and preconditions the others.
+        assert rep.converged
+        assert rep.linear_solvers == ["multigrid"] + ["lagged"] * (rep.iterations - 1)
         counts[n] = rep.linear_iterations
     every = [k for steps in counts.values() for k in steps]
     assert max(every) - min(every) <= 2, counts
@@ -673,33 +678,85 @@ def test_prolongation_reaches_every_fine_node(n):
     assert np.array_equal(P[1::2][: n // 2], np.eye(n // 2))
 
 
+def _negated_vcycle(A, transfers):
+    # A V-cycle of -A where it has levels: negative definite, so CG stops
+    # at once.  The V-cycle of no levels, the factor of A, is left alone.
+    return _VCycle(-A if transfers else A, transfers)
+
+
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
-    # A V-cycle of -H is negative definite: CG stops at once and H is
-    # factored instead.
     spec, g = tube_spec(), _tube_4c_graph(65)
     H = _hessian(spec, g, _Pattern(g))
     rhs = -_gradient(spec, g)[g.free_slices()].ravel()
-    monkeypatch.setattr(minimal_graph, "_VCycle",
-                        lambda A, transfers: _VCycle(-A, transfers))
+    monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
     factors = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), None,
-                                                      _transfers((63, 63)))
-    assert kind == "lu" and iterations == 1 and lu is not None and made == 1
-    assert factors[-1][0].shape == H.shape
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), None,
+                                                  _transfers((63, 63)))
+    assert kind == "lu" and iterations == 1 and kept.levels == []
+    # The failed V-cycle's last level, then H.
+    assert [A.shape[0] for A, _ in factors] == [15 * 15, H.shape[0]]
     assert _solves_to_1e6(H, delta, rhs)
 
 
 def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
-    monkeypatch.setattr(minimal_graph, "_VCycle",
-                        lambda A, transfers: _VCycle(-A, transfers))
+    monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
     out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
     # The 65^2 grid starts from one step on each of its 17^2 and 33^2
-    # grids, each solved by a factor after its V-cycle fails.
+    # grids: the 17^2 step is solved by its factor, the 33^2 step by a
+    # factor after its V-cycle fails.
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1)]
     assert rep.converged and rep.iterations == 3 and rep.factorizations == 1
-    assert rep.linear_solvers == ["lu"] + ["lagged-lu"] * 2
+    assert rep.linear_solvers == ["lu"] + ["lagged"] * 2
     assert rep.linear_iterations[0] == 1
+
+
+def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
+    # The cusp [0, 3] at 66^2, which has no coarser grids: the first
+    # step's V-cycle run fails, and a factor of its Hessian solves it.
+    # No step after the first one a fresh V-cycle solves runs CG
+    # preconditioned by that factor.
+    init = DiscreteGraph.on_rectangle(
+        (1.0, 1.0), (66, 66),
+        lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x)
+    events = []
+    linear_solve, pcg = minimal_graph._linear_solve, minimal_graph._pcg
+
+    def recording_solve(*args):
+        result = linear_solve(*args)
+        events.append(("step", result[2], result[1]))
+        return result
+
+    def recording_pcg(H, rhs, precondition, max_iter):
+        events.append(("pcg", precondition.__self__))
+        return pcg(H, rhs, precondition, max_iter)
+
+    monkeypatch.setattr(minimal_graph, "_linear_solve", recording_solve)
+    monkeypatch.setattr(minimal_graph, "_pcg", recording_pcg)
+    out, rep = solve(cusp_spec(), init, tol=1e-8)
+    assert rep.converged and rep.linear_solvers[0] == "lu"
+    assert "multigrid" in rep.linear_solvers[1:]
+    steps = [i for i, event in enumerate(events) if event[0] == "step"]
+    factor = events[steps[0]][2]
+    fresh = next(i for i in steps[1:] if events[i][1] == "multigrid")
+    assert all(event[1] is not factor for event in events[fresh + 1:])
+
+
+@pytest.mark.parametrize("name,height,solvers", [
+    ("readme_tube", 0.7, ["multigrid", "multigrid"]),
+    ("tube_4c", 1.4, ["multigrid", "lu", "lagged"]),
+], ids=["readme_tube_aspect_2", "tube_4c_aspect_4"])
+def test_slow_fresh_vcycles_are_not_kept(name, height, solvers):
+    # Cells twice and four times as tall as wide, which point Jacobi
+    # smooths poorly: fresh V-cycles take more than _CG_MAX_ITER
+    # iterations, so no step lags them.  At aspect ratio 4 the second
+    # step's run fails, and its factor is kept.
+    spec, g = _graph_large_problem(name, (129, 129))
+    g = DiscreteGraph.on_rectangle((0.35, height), g.shape, g.values)
+    out, rep = solve(spec, g, tol=1e-8)
+    assert rep.converged and rep.linear_solvers == solvers
+    assert all(k > _CG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
+               if kind == "multigrid")
 
 
 # ------------------------------------------------- nested iteration
@@ -780,7 +837,9 @@ def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
     cold, cold_rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == cold_rep.iterations == 4
-    assert rep.linear_solvers == ["multigrid"] * 4
+    # The first step's V-cycle fails as the second step's lagged
+    # preconditioner; that step's own V-cycle serves the last two.
+    assert rep.linear_solvers == ["multigrid", "multigrid", "lagged", "lagged"]
     assert np.max(np.abs(out.values - cold.values)) <= 1e-12
 
 
@@ -823,10 +882,10 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
-    unrelated = spla.splu(other)
+    unrelated = _VCycle(other, [])
     calls = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), unrelated)
-    assert len(calls) == made == 1 and kind == "lu" and lu is not unrelated
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), unrelated)
+    assert len(calls) == 1 and kind == "lu" and kept is not unrelated
     # The discarded run's iterations are counted: the unrelated factor
     # runs to the cap, the indefinite one stops in its first iteration.
     assert iterations == (_CG_MAX_ITER if lagged == "scaled_identity" else 1)
@@ -835,12 +894,29 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = spla.splu(H, permc_spec=_LU_ORDERING)
+    own = _VCycle(H, [])
     calls = _recording_splu(monkeypatch)
-    delta, lu, kind, iterations, made = _linear_solve(H, rhs, (False, False), own)
-    assert calls == [] and made == 0 and lu is own and 1 <= iterations <= _CG_MAX_ITER
-    assert kind == "lagged-lu"
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), own)
+    assert calls == [] and kept is own and 1 <= iterations <= _CG_MAX_ITER
+    assert kind == "lagged"
     assert _solves_to_1e6(H, delta, rhs)
+
+
+def test_a_fresh_factor_solves_an_indefinite_hessian():
+    # A symmetric indefinite H and a rhs with r.H^-1 r < 0: CG
+    # preconditioned by the exact factor stops at its first product r.z,
+    # so the fresh factor is applied directly.
+    n = 40
+    diagonal = np.where(np.arange(n) % 2, -3.0, 2.0)
+    H = sp.diags([np.full(n - 1, 0.5), diagonal, np.full(n - 1, 0.5)],
+                 [-1, 0, 1], format="csc")
+    x = (np.arange(n) % 2).astype(float)
+    rhs = H @ x
+    assert rhs @ x < 0.0
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False))
+    assert kind == "lu" and iterations == 0 and kept.levels == []
+    assert _solves(H, delta, rhs)
+    assert _pcg(H, rhs, kept.solve, _CG_MAX_ITER)[0] is None
 
 
 def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatch):
@@ -859,8 +935,8 @@ def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatc
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(minimal_graph.spla, "splu", failing_on_h)
-    delta, lu, kind, iterations, made = _linear_solve(H, rhs, g.periodic)
-    assert kind == "kkt" and made == 2 and lu is None and iterations == 0
+    delta, kept, kind, iterations = _linear_solve(H, rhs, g.periodic)
+    assert kind == "kkt" and kept is None and iterations == 0
     assert abs(delta.sum()) <= 1e-12 * np.abs(delta).sum()
     # H delta + lam e = rhs, for the multiplier lam of the KKT system.
     lam = np.mean(rhs - H @ delta)
