@@ -10,7 +10,8 @@ constants (`warped_metric`), the minimal-graph variational problem
 
 from .errors import DomainError, SolveError
 from .fields import Field1D
-from .flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
+from .flat_torus import (FlatTorusLattice, diameter, reduce_basis, reduced_invariants,
+                         systole)
 from .tube_geometry import (
     ELL_MAX,
     CuspParams,
@@ -73,6 +74,7 @@ __all__ = [
     "Field1D",
     "FlatTorusLattice",
     "reduce_basis",
+    "reduced_invariants",
     "systole",
     "diameter",
     "ELL_MAX",

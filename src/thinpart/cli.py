@@ -132,6 +132,7 @@ def _cmd_tube(args) -> int:
     radius = r_meyerhoff if args.radius is None else args.radius
     params = tubes.TubeParams(length, args.twist, radius)
     lat = tubes.boundary_lattice(params, radius)
+    _, sys_length, diam = flat_torus.reduced_invariants(lat)
     payload = {
         "length": length,
         "twist": args.twist,
@@ -139,8 +140,8 @@ def _cmd_tube(args) -> int:
         "meyerhoff_radius": r_meyerhoff,
         "boundary_v1": [lat.a1, 0.0],
         "boundary_v2": [lat.a2, lat.b2],
-        "systole": flat_torus.systole(lat),
-        "diameter": flat_torus.diameter(lat),
+        "systole": sys_length,
+        "diameter": diam,
         "slice_area": tubes.slice_area(length, radius),
         "mean_curvature": tubes.slice_mean_curvature(radius),
     }
@@ -150,12 +151,12 @@ def _cmd_tube(args) -> int:
 
 def _cmd_lattice(args) -> int:
     lat = parse_lattice_literal(args.lattice)
-    red = flat_torus.reduce_basis(lat)
+    red, sys_length, diam = flat_torus.reduced_invariants(lat)
     payload = {
         "input": lat.to_json_dict(),
         "reduced": red.to_json_dict(),
-        "systole": flat_torus.systole(lat),
-        "diameter": flat_torus.diameter(lat),
+        "systole": sys_length,
+        "diameter": diam,
         "area": lat.area,
     }
     _emit(payload, args.json)

@@ -230,7 +230,7 @@ def _slice_lattices(spec: FillerSpec, t) -> list:
     e_f_eta = e_f * _collar(spec, t)
     lat = spec.lattice
     return [
-        FlatTorusLattice.from_vectors((v1x, 0.0), (v2x, v2y))
+        FlatTorusLattice(v1x, v2x, v2y)
         for v1x, v2x, v2y in zip((e_f_eta * lat.a1).tolist(),
                                  (e_f_eta * lat.a2).tolist(), (e_f * lat.b2).tolist())
     ]

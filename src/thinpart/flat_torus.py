@@ -3,6 +3,11 @@
 A flat torus is R^2 / Gamma for a rank-2 lattice Gamma.  Every lattice is
 stored in well-oriented form: generators v1 = (a1, 0) with a1 > 0 and
 v2 = (a2, b2) with b2 > 0, so det(v1, v2) = a1*b2 > 0 is the torus area.
+
+Reduction, systole and covering radius run on Python floats and ints, not
+numpy arrays: at n = 2 the per-call array overhead dominates the few flops
+a reduction step needs.  numpy pays where one call covers many points, not
+the two coordinates of one vector.
 """
 
 from __future__ import annotations
@@ -47,20 +52,14 @@ class FlatTorusLattice:
         Rotation is an isometry of the torus; replacing v2 by -v2 keeps the
         lattice.  Systole, diameter and area are unchanged.
         """
-        u = np.asarray(v1, dtype=float)
-        w = np.asarray(v2, dtype=float)
-        if u.shape != (2,) or w.shape != (2,):
-            raise DomainError("lattice generators must be 2-vectors")
-        nu = float(np.hypot(u[0], u[1]))
-        if nu == 0.0:
+        ux, uy = _generator("v1", v1)
+        wx, wy = _generator("v2", v2)
+        if ux == 0.0 and uy == 0.0:
             raise DomainError("degenerate lattice: v1 = 0")
-        # Rotate u onto the positive x-axis.
-        c, s = u[0] / nu, u[1] / nu
-        wx = c * w[0] + s * w[1]
-        wy = -s * w[0] + c * w[1]
-        if wy < 0.0:
-            wx, wy = -wx, -wy
-        return cls(nu, float(wx), float(wy))
+        a1, a2, b2 = _rotated(ux, uy, wx, wy)
+        if b2 == 0.0:
+            raise DomainError("degenerate lattice: v1 and v2 are collinear")
+        return cls(a1, a2, b2)
 
     @classmethod
     def unit_square(cls) -> "FlatTorusLattice":
@@ -109,43 +108,99 @@ class FlatTorusLattice:
                                 as_floats("lattice v2", v2))
 
 
+def _generator(name: str, v) -> tuple[float, float]:
+    """A lattice generator as two finite floats."""
+    try:
+        u = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"lattice generator {name} must be a 2-vector of numbers") from exc
+    if u.shape != (2,):
+        raise DomainError(f"lattice generator {name} must be a 2-vector of numbers")
+    x, y = u.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"lattice generator {name} is not finite")
+    return x, y
+
+
+def _rotated(ux: float, uy: float, wx: float, wy: float) -> tuple[float, float, float]:
+    """Well-oriented (a1, a2, b2) of the basis u, w: u rotated onto the
+    positive x-axis, and w replaced by -w if it lands below it."""
+    a1 = math.hypot(ux, uy)
+    c, s = ux / a1, uy / a1
+    a2 = c * wx + s * wy
+    b2 = c * wy - s * wx
+    return (a1, a2, b2) if b2 >= 0.0 else (a1, -a2, -b2)
+
+
+def _reduced(a1: float, a2: float, b2: float) -> tuple[float, float, float]:
+    """Lagrange-Gauss reduction of the well-oriented basis (a1, 0), (a2, b2).
+
+    Returns the reduced well-oriented triple: |a2| <= a1 / 2 and
+    hypot(a2, b2) >= a1.  Along the x-axis a reduction step is
+    math.remainder, which is exact.  Off the axis every lattice vector is
+    (p / d, q * b2) with integers p, q and d the common power-of-two
+    denominator of a1 and a2, so cancellation never amplifies an earlier
+    rounding: each coordinate is rounded once, from exact values.  A reduced
+    triple comes back unchanged, bit for bit.  Each pass through the outer
+    loop shortens the first generator, so the loop ends.
+    """
+    while True:
+        a2 = math.remainder(a2, a1)
+        nu = math.hypot(a2, b2)
+        if nu >= a1:
+            return a1, a2, b2
+        # (a2, b2) is the shorter generator: it becomes u, and w = (a1, 0).
+        n1, d1 = a1.as_integer_ratio()
+        n2, d2 = a2.as_integer_ratio()
+        d = max(d1, d2)
+        pu, qu, ux, uy = n2 * (d // d2), 1, a2, b2
+        pw, qw, wx, wy = n1 * (d // d1), 0, a1, 0.0
+        while True:
+            m = round((ux * wx + uy * wy) / (ux * ux + uy * uy))
+            pw -= m * pu
+            qw -= m * qu
+            wx, wy = pw / d, qw * b2
+            nw = math.hypot(wx, wy)
+            if nw >= nu:
+                break
+            pu, qu, ux, uy, nu, pw, qw, wx, wy = pw, qw, wx, wy, nw, pu, qu, ux, uy
+        a1, a2, b2 = _rotated(ux, uy, wx, wy)
+
+
+def _circumradius(a1: float, a2: float, b2: float) -> float:
+    """Covering radius of a reduced well-oriented basis u = (a1, 0),
+    w = (a2, b2).
+
+    Reflecting w when a2 < 0 gives u.w >= 0; the triangle (0, u, w) is then
+    non-obtuse, so its circumcenter is a deepest hole and the covering
+    radius is the circumradius |u| |w| |w - u| / (2 det(u, w)) =
+    |w| |w - u| / (2 b2) (Conway-Sloane, Sphere Packings, Lattices and
+    Groups, 2-d covering radius).
+    """
+    return math.hypot(a2, b2) * math.hypot(abs(a2) - a1, b2) / (2.0 * b2)
+
+
 def reduce_basis(lat: FlatTorusLattice) -> FlatTorusLattice:
     """Lagrange-Gauss reduction, re-normalized to well-oriented form.
 
     The result generates the same torus (up to rotation) with
     |v1| <= |v2| and |<v1, v2>| <= |v1|^2 / 2, so v1 is a shortest nonzero
-    lattice vector.
+    lattice vector.  Reducing a reduced lattice returns it unchanged.
     """
-    u = lat.v1
-    w = lat.v2
-    if u @ u > w @ w:
-        u, w = w, u
-    for _ in range(10000):
-        m = round(float(u @ w) / float(u @ u))
-        w = w - m * u
-        if w @ w >= u @ u:
-            break
-        u, w = w, u
-    else:  # pragma: no cover - loop terminates for any nondegenerate input
-        raise RuntimeError("Gauss reduction did not terminate")
-    return FlatTorusLattice.from_vectors(u, w)
+    return FlatTorusLattice(*_reduced(lat.a1, lat.a2, lat.b2))
 
 
 def systole(lat: FlatTorusLattice) -> float:
     """Length of the shortest nonzero lattice vector."""
-    return reduce_basis(lat).a1
+    return _reduced(lat.a1, lat.a2, lat.b2)[0]
 
 
 def diameter(lat: FlatTorusLattice) -> float:
-    """Covering radius: the largest distance of a plane point to the lattice.
+    """Covering radius: the largest distance of a plane point to the lattice."""
+    return _circumradius(*_reduced(lat.a1, lat.a2, lat.b2))
 
-    For a Gauss-reduced basis u, w with u.w >= 0 the triangle (0, u, w) is
-    non-obtuse, so its circumcenter is a deepest hole and the covering
-    radius is the circumradius |u| |w| |w - u| / (2 |det(u, w)|)
-    (Conway-Sloane, Sphere Packings, Lattices and Groups, 2-d covering
-    radius).  The reduced form is u = (a1, 0), w = (a2, b2); reflecting w
-    when a2 < 0 gives u.w >= 0.
-    """
+
+def reduced_invariants(lat: FlatTorusLattice) -> tuple[FlatTorusLattice, float, float]:
+    """(reduce_basis(lat), systole(lat), diameter(lat)) from one reduction."""
     red = reduce_basis(lat)
-    far = math.hypot(abs(red.a2) - red.a1, red.b2)
-    return red.norm1 * red.norm2 * far / (2.0 * red.area)
+    return red, red.a1, _circumradius(red.a1, red.a2, red.b2)

@@ -1,14 +1,16 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here deliberately avoids the library's own computational paths:
-lattice quantities come from coefficient enumeration and grid search, areas
-from quadrature, derivatives from finite differences.
+lattice quantities come from coefficient enumeration, grid search and exact
+rational arithmetic, areas from quadrature, derivatives from finite
+differences.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +30,31 @@ def shortest_vector_brute(lat: FlatTorusLattice, bound: int = 50) -> float:
             y = n * lat.b2
             best = min(best, math.hypot(x, y))
     return best
+
+
+def gauss_reduce_exact(lat: FlatTorusLattice):
+    """Lagrange-Gauss reduction in exact rational arithmetic over the exact
+    float values of the basis (a1, 0), (a2, b2).
+
+    Returns the Fractions (|v1|^2, |v2|^2, |<v1, v2>|, area) of the reduced
+    basis.  These are invariants of the reduced lattice: they do not depend
+    on which of the equivalent reduced bases a reduction ends with.
+    """
+    u = (Fraction(lat.a1), Fraction(0))
+    w = (Fraction(lat.a2), Fraction(lat.b2))
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1]
+
+    if dot(u, u) > dot(w, w):
+        u, w = w, u
+    while True:
+        m = round(dot(u, w) / dot(u, u))
+        w = (w[0] - m * u[0], w[1] - m * u[1])
+        if dot(w, w) >= dot(u, u):
+            break
+        u, w = w, u
+    return dot(u, u), dot(w, w), abs(dot(u, w)), abs(u[0] * w[1] - u[1] * w[0])
 
 
 def covering_radius_grid(lat: FlatTorusLattice, n: int = 400):

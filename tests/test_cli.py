@@ -20,8 +20,9 @@ from thinpart.cli import (
     fmt,
     run,
 )
+from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
 from thinpart.minimal_graph import _CG_MAX_ITER
-from thinpart.tube_geometry import meyerhoff_radius
+from thinpart.tube_geometry import TubeParams, boundary_lattice, meyerhoff_radius
 
 
 def run_json(capsys, argv):
@@ -74,6 +75,21 @@ def test_lattice_command(capsys):
     assert data["systole"] == pytest.approx(math.sqrt(0.02), rel=1e-12)
     assert data["area"] == pytest.approx(0.1, rel=1e-12)
     assert run(["lattice", "--lattice", "1,2"]) == EXIT_DOMAIN
+
+
+def test_lattice_and_tube_print_what_the_library_returns(capsys):
+    # One reduction per command; the values are still exactly those of
+    # reduce_basis, systole and diameter.
+    lat = FlatTorusLattice(22.3835, 11.1918, 0.0370)
+    code, data = run_json(capsys, ["lattice", "--lattice", "22.3835,11.1918,0.0370"])
+    assert code == EXIT_OK
+    assert data["reduced"] == reduce_basis(lat).to_json_dict()
+    assert (data["systole"], data["diameter"]) == (systole(lat), diameter(lat))
+    code, data = run_json(capsys, ["tube", "--length", "0.01", "--twist", "3.14159"])
+    assert code == EXIT_OK
+    R = meyerhoff_radius(0.01)
+    lat = boundary_lattice(TubeParams(0.01, 3.14159, R), R)
+    assert (data["systole"], data["diameter"]) == (systole(lat), diameter(lat))
 
 
 def test_bounds_commands(capsys):

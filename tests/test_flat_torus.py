@@ -1,12 +1,16 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from thinpart import DomainError
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
+from thinpart.tube_geometry import TubeParams, boundary_lattice, meyerhoff_radius
 
-from oracles import covering_radius_grid, random_lattice, shortest_vector_brute
+from oracles import (covering_radius_grid, gauss_reduce_exact, random_lattice,
+                     shortest_vector_brute)
 
 
 def test_well_oriented_validation():
@@ -25,6 +29,25 @@ def test_from_vectors_rotates_into_well_oriented_form():
     assert lat.a1 == pytest.approx(2.0, rel=1e-14)
     assert lat.a2 == pytest.approx(0.5, rel=1e-13)
     assert lat.b2 == pytest.approx(1.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("v1,v2,message", [
+    ((1.0, 1.0), (2.0, 2.0), "degenerate lattice"),
+    ((1.0, 3.0), (-2.0, -6.0), "degenerate lattice"),
+    ((0.0, 0.0), (1.0, 0.0), "degenerate lattice"),
+    ((1.0, 0.0), (0.0, 0.0), "degenerate lattice"),
+    ((math.inf, 0.0), (0.0, 1.0), "lattice generator v1 is not finite"),
+    ((1.0, math.nan), (0.0, 1.0), "lattice generator v1 is not finite"),
+    ((1.0, 0.0), (-math.inf, 1.0), "lattice generator v2 is not finite"),
+    (["x", 0.0], (0.0, 1.0), "lattice generator v1 must be a 2-vector"),
+    ([[1.0], [2.0, 3.0]], (0.0, 1.0), "lattice generator v1 must be a 2-vector"),
+    ((1.0, 0.0), (0.0, 1.0, 2.0), "lattice generator v2 must be a 2-vector"),
+])
+def test_from_vectors_rejects_bad_generators_by_name(v1, v2, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            FlatTorusLattice.from_vectors(v1, v2)
 
 
 def test_reduce_already_reduced_unit_square():
@@ -148,3 +171,53 @@ def test_diameter_closed_form_has_no_spurious_vertex():
     assert diameter(FlatTorusLattice(0.001, 0.4, 50.0)) == pytest.approx(
         25.000000005, rel=1e-15
     )
+
+
+# Seeded lattices for the exact-arithmetic oracle, one generator per family.
+def _lattices_at_scales(rng):
+    """The benchmark's shape distribution at scales 1e-6 ... 1e6."""
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    return FlatTorusLattice(*(scale * rng.uniform([0.2, -3.0, 0.2], [3.0, 3.0, 3.0])).tolist())
+
+
+def _skinny_basis(rng):
+    """|a2| / a1 up to 1e6: a far-from-reduced basis of a plain lattice."""
+    a1 = 10.0 ** rng.uniform(-3.0, 3.0)
+    a2 = a1 * float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(0.0, 6.0)
+    return FlatTorusLattice(a1, a2, a1 * rng.uniform(1.5, 3.0))
+
+
+def _near_degenerate(rng):
+    """area / (longer generator)^2 down to 1e-11: the reduced generators are
+    much shorter than the given ones, so their x-coordinates cancel."""
+    a1 = 10.0 ** rng.uniform(-1.0, 1.0)
+    a2 = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1.0, 1.0)
+    ratio = 10.0 ** rng.uniform(-11.0, -2.0)
+    return FlatTorusLattice(a1, a2, ratio * max(a1, abs(a2)) ** 2 / a1)
+
+
+def _tube_boundary(rng):
+    """Boundary tori of Margulis tubes of length 1e-6 ... 0.1, any twist."""
+    length = 10.0 ** rng.uniform(-6.0, -1.0)
+    radius = meyerhoff_radius(length) * rng.uniform(0.3, 1.0)
+    return boundary_lattice(TubeParams(length, rng.uniform(-math.pi, math.pi), radius), radius)
+
+
+@pytest.mark.parametrize("family", [_lattices_at_scales, _skinny_basis, _near_degenerate,
+                                    _tube_boundary])
+def test_reduction_matches_exact_rational_reduction(family):
+    rng = np.random.default_rng(20)
+    slack = 1 + Fraction(1, 10**12)
+    for _ in range(100):
+        lat = family(rng)
+        red = reduce_basis(lat)
+        v1sq, v2sq, inner, area = gauss_reduce_exact(lat)
+        a1, a2, b2 = Fraction(red.a1), Fraction(red.a2), Fraction(red.b2)
+        # <v1, v2> can vanish, so its error is relative to |v1| |v2|.
+        for got, want, size in ((a1 * a1, v1sq, v1sq), (a2 * a2 + b2 * b2, v2sq, v2sq),
+                                (abs(a1 * a2), inner, math.sqrt(v1sq * v2sq)),
+                                (a1 * b2, area, area)):
+            assert float(abs(got - want)) <= 1e-14 * float(size), (lat, red)
+        assert a1 * a1 <= (a2 * a2 + b2 * b2) * slack**2
+        assert abs(a1 * a2) <= a1 * a1 / 2 * slack
+        assert systole(lat) == red.a1
