@@ -31,16 +31,6 @@ from .warped_metric import (
     level_torus_mean_curvature,
     n_p,
 )
-from .minimal_graph import (
-    DiscreteGraph,
-    GraphBoundsParams,
-    area,
-    el_residual,
-    first_variation,
-    graph_mean_curvature,
-    rescale_graph,
-    solve,
-)
 from .filler import FillerSpec, area_lower_bound
 from .filler import build as build_filler
 from .filler import verify as verify_filler
@@ -67,6 +57,27 @@ from .sweepout import (
 )
 
 __version__ = "0.1.0"
+
+# The minimal-graph solver loads scipy.sparse, which most commands never
+# use; its public names are looked up on first use (PEP 562).
+_MINIMAL_GRAPH_NAMES = frozenset({
+    "DiscreteGraph",
+    "GraphBoundsParams",
+    "area",
+    "el_residual",
+    "first_variation",
+    "graph_mean_curvature",
+    "rescale_graph",
+    "solve",
+})
+
+
+def __getattr__(name):
+    if name in _MINIMAL_GRAPH_NAMES:
+        from . import minimal_graph
+
+        return getattr(minimal_graph, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DomainError",

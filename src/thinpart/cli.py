@@ -8,13 +8,13 @@ carry a versioned header.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-
-from . import area_bounds, filler, flat_torus, minimal_graph, sweepout
+from . import area_bounds, filler, flat_torus, sweepout
 from . import tube_geometry as tubes
 from .errors import (DomainError, SolveError, as_float, as_floats, as_int,
                      load_json, require_finite)
@@ -267,6 +267,9 @@ def _boundary_function(bc: dict):
 
 
 def _cmd_graph(args) -> int:
+    # The solver loads scipy.sparse; only this command pays for it.
+    from . import minimal_graph
+
     spec = load_json(args.metric, spec_from_json)
     fn = load_json(args.bc, _boundary_function)
     shape = _parse_grid(args.grid)
@@ -444,10 +447,14 @@ def build_parser() -> _Parser:
     return p
 
 
+# Parsing leaves the parser as it was, so one tree serves every call in
+# a process; building it costs more than most commands.
+_shared_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,16 +33,19 @@ class FlatTorusLattice:
     b2: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b2"):
-            if not math.isfinite(getattr(self, name)):
+        # Every reduction step builds a lattice: the checks read plain
+        # locals, not the norm and area properties.
+        a1, a2, b2 = self.a1, self.a2, self.b2
+        for name, value in (("a1", a1), ("a2", a2), ("b2", b2)):
+            if not math.isfinite(value):
                 raise DomainError(f"lattice component {name} is not finite")
-        if self.a1 <= 0.0 or self.b2 <= 0.0:
+        if a1 <= 0.0 or b2 <= 0.0:
             raise DomainError(
                 "well-oriented form requires v1 = (a1, 0) with a1 > 0 and "
                 "v2 = (a2, b2) with b2 > 0"
             )
-        scale = max(self.norm1, self.norm2)
-        if self.area <= DEGENERACY_RTOL * scale * scale:
+        scale = max(a1, math.hypot(a2, b2))
+        if a1 * b2 <= DEGENERACY_RTOL * scale * scale:
             raise DomainError("degenerate lattice: det(v1, v2) below tolerance")
 
     @classmethod
@@ -140,15 +143,17 @@ def _reduced(a1: float, a2: float, b2: float) -> tuple[float, float, float]:
     math.remainder, which is exact.  Off the axis every lattice vector is
     (p / d, q * b2) with integers p, q and d the common power-of-two
     denominator of a1 and a2, so cancellation never amplifies an earlier
-    rounding: each coordinate is rounded once, from exact values.  A reduced
-    triple comes back unchanged, bit for bit.  Each pass through the outer
-    loop shortens the first generator, so the loop ends.
+    rounding: each coordinate is rounded once, from exact values.  No
+    returned a2 is -0.0, and a reduced triple with any other a2 comes back
+    unchanged, bit for bit.  Each pass through the outer loop shortens the
+    first generator, so the loop ends.
     """
     while True:
         a2 = math.remainder(a2, a1)
         nu = math.hypot(a2, b2)
         if nu >= a1:
-            return a1, a2, b2
+            # -0.0 + 0.0 is +0.0; every other a2 passes through unchanged.
+            return a1, a2 + 0.0, b2
         # (a2, b2) is the shorter generator: it becomes u, and w = (a1, 0).
         n1, d1 = a1.as_integer_ratio()
         n2, d2 = a2.as_integer_ratio()

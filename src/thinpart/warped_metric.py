@@ -70,7 +70,10 @@ class CallableCoefficients:
     ``fn(x1, x2, x3, axes)`` is called per point, with Python floats, and
     must return the 3x3 matrix of partial derivatives ``d_axes a_kl``
     (``axes`` a tuple of 1-based directions, empty for the plain value).
-    ``deriv`` loops over the points of its (broadcast) arguments, so
+    ``deriv`` makes one pass over the points of its (broadcast) arguments
+    per multi-index, collects the returns into one array and checks its
+    shape once: a return that is not a 3x3 matrix of numbers (a scalar, a
+    row, a ragged list) raises a DomainError naming the multi-index.
     ``check_hypotheses`` calls ``fn`` once per (sample point, derivative
     multi-index of order 0-3) before it validates any sample; ``fn``
     must be pure.
@@ -80,12 +83,21 @@ class CallableCoefficients:
         self.fn = fn
 
     def deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
+        axes = tuple(axes)
         points = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x1, x2, x3)))
-        out = np.empty(points[0].shape + (3, 3))
-        rows = out.reshape(-1, 3, 3)
-        for n, point in enumerate(zip(*(c.ravel().tolist() for c in points))):
-            rows[n] = self.fn(*point, tuple(axes))
-        return out
+        columns = [c.ravel().tolist() for c in points]
+        values = list(map(self.fn, *columns, itertools.repeat(axes)))
+        try:
+            out = np.array(values, dtype=float)
+        except (TypeError, ValueError):
+            seen = "a ragged or non-numeric value"
+        else:
+            if out.shape[1:] == (3, 3) or not values:
+                return out.reshape(points[0].shape + (3, 3))
+            seen = f"shape {out.shape[1:]}"
+        raise DomainError(
+            f"coefficient callable must return a 3x3 matrix; for axes {axes!r} "
+            f"it returned {seen}")
 
 
 class _RescaledCoefficients:
@@ -226,9 +238,9 @@ _H3_EXPONENTS = np.array(
 _MAX_EXPONENT = int(_H3_EXPONENTS.max())
 
 
-def _sample_points(spec: WarpedMetricSpec, n1: int, n2: int, n3: int):
-    """Sample coordinates (x1, x2, x3) as flat arrays, x3 varying fastest."""
-    x3s = np.linspace(spec.x3_min, spec.x3_max, n3)
+def _sample_points(spec: WarpedMetricSpec, n1: int, n2: int, x3s: np.ndarray):
+    """Sample coordinates (x1, x2, x3) as flat arrays over the x3 levels
+    ``x3s``, x3 varying fastest."""
     if spec.diagonal_form:
         zero = np.zeros_like(x3s)
         return zero, zero, x3s
@@ -283,14 +295,21 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     if min(n1, n2, n3) < 8:
         raise DomainError("need at least 8 grid points per axis")
 
-    points = _sample_points(spec, n1, n2, n3)
-    x3 = points[2]
+    levels = np.linspace(spec.x3_min, spec.x3_max, n3)
+    points = _sample_points(spec, n1, n2, levels)
+    npoints = points[2].size
     # derivs[n, j] = d_{_MULTI_INDICES[j]} a_kl at sample n; j = 0 is a_kl.
-    derivs = np.stack([spec.coefficient_deriv(axes, *points) for axes in _MULTI_INDICES],
-                      axis=1)
+    derivs = np.empty((npoints, len(_MULTI_INDICES), 3, 3))
+    for j, axes in enumerate(_MULTI_INDICES):
+        derivs[:, j] = spec.coefficient_deriv(axes, *points)
     G = derivs[:, 0]
-    h = _field_samples(spec.warping, x3)
-    hd = [_field_samples(f, x3) for f in (spec.warping.d1, spec.warping.d2, spec.warping.d3)]
+    # The warping depends on x3 alone: it is evaluated once per level.
+    # Samples run through the levels in order, reps times over, so a
+    # per-level array reshaped to (reps, n3, ...) lines up with them.
+    reps = npoints // n3
+    h = _field_samples(spec.warping, levels)
+    hd = [_field_samples(f, levels)
+          for f in (spec.warping.d1, spec.warping.d2, spec.warping.d3)]
 
     with np.errstate(invalid="ignore", over="ignore"):
         g_finite = np.isfinite(G).all(axis=(1, 2))
@@ -298,31 +317,32 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
         asymmetric = ~(np.abs(G - Gt) <= 1e-14 + 1e-10 * np.abs(Gt)).all(axis=(1, 2))
         # Non-finite samples are reported before their eigenvalues matter.
         ev_min = np.linalg.eigvalsh(np.where(g_finite[:, None, None], G, np.eye(3)))[:, 0]
-        h_finite = np.isfinite(h)
         derivs_finite = (np.isfinite(derivs).all(axis=(1, 2, 3))
-                         & np.isfinite(np.stack(hd)).all(axis=0))
+                         & np.tile(np.isfinite(np.stack(hd)).all(axis=0), reps))
         _first_failure(points, [
             (~g_finite, "coefficient matrix not finite at {point}"),
             (asymmetric, "coefficient matrix not symmetric at {point}"),
             (ev_min <= 0.0, "coefficient matrix not positive definite at {point}"),
-            (~h_finite, "warping not finite at x3 = {x3!r}"),
-            (h <= 0.0, "warping not positive at x3 = {x3!r}"),
+            (np.tile(~np.isfinite(h), reps), "warping not finite at x3 = {x3!r}"),
+            (np.tile(h <= 0.0, reps), "warping not positive at x3 = {x3!r}"),
             (~derivs_finite, "coefficient or warping derivatives not finite at {point}"),
         ])
 
     scale = np.stack([1.0 / h, 1.0 / h, np.ones_like(h)], axis=1)
-    ratios = np.linalg.eigvalsh(G * scale[:, :, None] * scale[:, None, :])
-    sup_h1 = max(0.0, float(np.max(np.sqrt(ratios[:, -1]))),
-                 float(np.max(1.0 / np.sqrt(ratios[:, 0]))))
+    ratios = np.linalg.eigvalsh(G.reshape(reps, n3, 3, 3)
+                                * scale[:, :, None] * scale[:, None, :])
+    sup_h1 = max(0.0, float(np.max(np.sqrt(ratios[..., -1]))),
+                 float(np.max(1.0 / np.sqrt(ratios[..., 0]))))
 
     sup_h2 = [max(0.0, float(np.max(np.abs(d) / h))) for d in hd]
     h_monotone = not bool(np.any(hd[0] > 0.0))
 
-    # Powers of h through Python's float pow, one row per sample.
+    # Powers of h through Python's float pow, one row per level.
     h_pow = np.array([[v**n for n in range(_MAX_EXPONENT + 1)] for v in h.tolist()])
-    weighted = np.abs(derivs[:, :, _UPPER[0], _UPPER[1]]) / h_pow[:, _H3_EXPONENTS]
+    upper = np.abs(derivs[:, :, _UPPER[0], _UPPER[1]])
+    weighted = upper.reshape((reps, n3) + _H3_EXPONENTS.shape) / h_pow[:, _H3_EXPONENTS]
     sup_h3 = [
-        max(0.0, float(np.max(weighted[:, lo:hi])))
+        max(0.0, float(np.max(weighted[:, :, lo:hi])))
         for lo, hi in zip(_ORDER_BOUNDS, _ORDER_BOUNDS[1:])
     ]
 
@@ -341,7 +361,7 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
         h_monotone=h_monotone,
         mean_convex=mean_convex,
         grid=desc,
-        npoints=int(x3.size),
+        npoints=npoints,
     )
 
 

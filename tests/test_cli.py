@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from thinpart import cli
 from thinpart.cli import (
     CSV_HEADER,
     EXIT_DOMAIN,
@@ -75,6 +76,90 @@ def test_lattice_command(capsys):
     assert data["systole"] == pytest.approx(math.sqrt(0.02), rel=1e-12)
     assert data["area"] == pytest.approx(0.1, rel=1e-12)
     assert run(["lattice", "--lattice", "1,2"]) == EXIT_DOMAIN
+
+
+def test_lattice_json_carries_no_negative_zero(capsys):
+    # (2, 0), (0, 1) reduces by swapping its generators; the rotation
+    # that puts (0, 1) on the x-axis used to leave a2 = -0.0.
+    assert run(["--json", "lattice", "--lattice", "2,0,1"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "-0.0" not in text
+    assert json.loads(text)["reduced"] == {"v1": [1.0, 0.0], "v2": [0.0, 2.0]}
+
+
+def test_shared_parser_prints_what_a_fresh_parser_prints(tmp_path, monkeypatch, capsys):
+    # run() parses every call with one parser; a sequence of calls prints
+    # the same text and exit codes as the same calls each made with a
+    # fresh parser, and a flag given in one call is unset in the next.
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps({
+        "kind": "cusp",
+        "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+        "interval": [0.0, 3.0],
+    }))
+    bc = tmp_path / "bc.json"
+    bc.write_text(json.dumps({"kind": "affine", "coeffs": [0.5, 0.5, -0.2]}))
+    graph = ["graph", "solve", "--metric", str(metric), "--grid", "17x17",
+             "--bc", str(bc), "--out", str(tmp_path / "u.csv")]
+    calls = [
+        ["--json", "lattice", "--lattice", "1,0.9,0.1"],
+        ["meyerhoff", "--bogus", "1"],
+        ["meyerhoff", "--length", "0.5"],
+        ["tube", "--length", "0.01", "--twist", "0.3"],
+        ["--json", "--tol", "1e-3"] + graph,
+        ["--json"] + graph,
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            code = run(argv)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_shared_parser", build_parser)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_USAGE, EXIT_DOMAIN,
+                                               EXIT_OK, EXIT_OK, EXIT_OK]
+    loose, default = (json.loads(out) for _, out, _ in shared[4:])
+    assert loose["iterations"] < default["iterations"]
+
+
+# Run in a fresh interpreter: the commands without a solve must not load
+# scipy.sparse, which the solver's first use does.
+_IMPORT_SET_SCRIPT = """
+import json, sys
+import thinpart.cli
+from thinpart import cli
+loaded = {"import": "scipy.sparse" in sys.modules}
+code = cli.run(["--json", "lattice", "--lattice", "2,0,1"])
+loaded["lattice"] = "scipy.sparse" in sys.modules
+from thinpart import solve
+loaded["solve"] = "scipy.sparse" in sys.modules
+import thinpart
+from thinpart import minimal_graph
+same = all(getattr(thinpart, name) is getattr(minimal_graph, name)
+           for name in ("DiscreteGraph", "GraphBoundsParams", "area", "el_residual",
+                        "first_variation", "graph_mean_curvature", "rescale_graph",
+                        "solve"))
+exported = all(hasattr(thinpart, name) for name in thinpart.__all__)
+print(json.dumps({"code": code, "loaded": loaded, "same": same, "exported": exported}))
+"""
+
+
+def test_scipy_sparse_loads_with_the_first_solver_name():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": EXIT_OK,
+                      "loaded": {"import": False, "lattice": False, "solve": True},
+                      "same": True, "exported": True}
 
 
 def test_lattice_and_tube_print_what_the_library_returns(capsys):

@@ -9,7 +9,7 @@ combinations with coefficients up to M of those.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
@@ -93,3 +93,15 @@ def test_reduction_is_idempotent_bit_for_bit(lat):
     again = reduce_basis(red)
     assert [x.hex() for x in (again.a1, again.a2, again.b2)] == \
         [x.hex() for x in (red.a1, red.a2, red.b2)]
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(-12, 12), st.integers(1, 12), st.booleans())
+@example(2, 0, 1, False)
+@example(1, 0, 1, True)
+def test_reduced_basis_never_carries_negative_zero(a1, a2, b2, negate):
+    # Integer lattices make a reduced a2 of exactly zero common; a
+    # rotation or a remainder can leave it signed.
+    lat = FlatTorusLattice(float(a1), -float(a2) if negate else float(a2), float(b2))
+    red = reduce_basis(lat)
+    assert math.copysign(1.0, red.a2) == 1.0 or red.a2 != 0.0

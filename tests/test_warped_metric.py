@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -411,6 +412,75 @@ def test_check_hypotheses_names_first_failing_point_like_reference():
     with pytest.raises(DomainError) as looped:
         check_hypotheses_loop(spec, 8)
     assert str(batched.value) == str(looped.value)
+
+
+def _recording(fn, calls):
+    """fn, recording the types of the arguments of every call."""
+
+    def recorded(x1, x2, x3, axes):
+        calls.append((type(x1), type(x2), type(x3), type(axes), axes))
+        return fn(x1, x2, x3, axes)
+
+    return recorded
+
+
+def test_check_hypotheses_calls_fn_once_per_point_and_multi_index():
+    calls = []
+    sheared = _sheared_cusp()
+    spec = WarpedMetricSpec(
+        sheared.lattice, sheared.x3_min, sheared.x3_max, sheared.warping,
+        coefficients=CallableCoefficients(_recording(sheared.coefficients.fn, calls)),
+    )
+    multi_indices = [axes for order in range(4)
+                     for axes in itertools.combinations_with_replacement((1, 2, 3), order)]
+    check_hypotheses(spec, grid=(8, 9, 10))
+    assert len(calls) == 8 * 9 * 10 * 20
+    assert Counter(call[4] for call in calls) == {axes: 8 * 9 * 10 for axes in multi_indices}
+    assert {call[:4] for call in calls} == {(float, float, float, tuple)}
+
+    # Every call is made before any sample is validated.
+    calls.clear()
+    failing = _failing_spec(lambda t: 1.0 - t)
+    failing.coefficients.fn = _recording(failing.coefficients.fn, calls)
+    with pytest.raises(DomainError, match="not positive definite"):
+        check_hypotheses(failing, grid=8)
+    assert len(calls) == 8**3 * 20
+    assert {call[:4] for call in calls} == {(float, float, float, tuple)}
+
+
+@pytest.mark.parametrize("value, seen", [
+    (0.0, "shape ()"),
+    (np.zeros(3), "shape (3,)"),
+    (np.zeros((2, 2)), "shape (2, 2)"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "a ragged or non-numeric value"),
+])
+def test_check_hypotheses_rejects_a_malformed_callable_return(value, seen):
+    # Only the first x3-derivative is malformed; numpy would broadcast a
+    # scalar or a row into a 3x3 matrix without the shape check.
+    def fn(x1, x2, x3, axes):
+        if axes == (3,):
+            return value
+        return np.eye(3) if not axes else np.zeros((3, 3))
+
+    spec = WarpedMetricSpec(
+        UNIT, 0.0, 1.0, Field1D.constant(1.0), coefficients=CallableCoefficients(fn)
+    )
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == (
+        f"coefficient callable must return a 3x3 matrix; for axes (3,) it returned {seen}"
+    )
+
+
+def test_callable_returning_nested_lists_equals_arrays():
+    sheared = _sheared_cusp()
+
+    def as_lists(x1, x2, x3, axes):
+        return sheared.coefficients.fn(x1, x2, x3, axes).tolist()
+
+    listed = WarpedMetricSpec(sheared.lattice, sheared.x3_min, sheared.x3_max,
+                              sheared.warping, coefficients=CallableCoefficients(as_lists))
+    assert check_hypotheses(listed, grid=8) == check_hypotheses(sheared, grid=8)
 
 
 def test_check_hypotheses_rejects_nonfinite_coefficient():
