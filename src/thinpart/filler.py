@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, as_float, load_json, require_finite
+from .errors import DomainError, as_float, as_int, load_json, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, diameter, systole
 
@@ -350,6 +350,7 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     formulas at t = L, profile bounds, and the core-chart smoothness
     residuals with their power-law slopes.
     """
+    grid = as_int("grid", grid)
     if grid < 2:
         raise DomainError(f"verify needs a grid of at least 2 depths, got {grid!r}")
     L = spec.depth

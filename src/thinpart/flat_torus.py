@@ -127,12 +127,14 @@ def _generator(name: str, v) -> tuple[float, float]:
 
 def _rotated(ux: float, uy: float, wx: float, wy: float) -> tuple[float, float, float]:
     """Well-oriented (a1, a2, b2) of the basis u, w: u rotated onto the
-    positive x-axis, and w replaced by -w if it lands below it."""
+    positive x-axis, and w replaced by -w if it lands below it.  No
+    returned a2 is -0.0."""
     a1 = math.hypot(ux, uy)
     c, s = ux / a1, uy / a1
     a2 = c * wx + s * wy
     b2 = c * wy - s * wx
-    return (a1, a2, b2) if b2 >= 0.0 else (a1, -a2, -b2)
+    # -0.0 + 0.0 is +0.0; every other a2 passes through unchanged.
+    return (a1, a2 + 0.0, b2) if b2 >= 0.0 else (a1, -a2 + 0.0, -b2)
 
 
 def _reduced(a1: float, a2: float, b2: float) -> tuple[float, float, float]:

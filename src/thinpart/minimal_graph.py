@@ -44,16 +44,18 @@ runs conjugate gradients preconditioned by what the solve kept from an
 earlier step (a lagged preconditioner: between Newton steps the Hessian
 changes little), at most ``_CG_MAX_ITER`` iterations.  Where nothing is
 kept, or that run fails, the step builds a preconditioner of its own
-Hessian.  Dirichlet grids of at least ``_MULTIGRID_MIN`` free nodes per
-side have a multigrid hierarchy and try a V-cycle first (``_VCycle``:
-bilinear transfer, Galerkin coarse operators, damped-Jacobi smoothing, a
-factored last level), at most ``_MG_MAX_ITER`` iterations; where that
-fails, or there is no hierarchy, the Hessian's sparse LU factor solves
-the step directly.  The new preconditioner is kept when its run took at
-most ``_CG_MAX_ITER`` iterations, a factor always; none outlives the
-solve.  Every LU factor is made in one column ordering, ``_LU_ORDERING``.
+Hessian.  Every Dirichlet grid has a multigrid hierarchy, coarsened
+until a free side has at most ``_COARSEST`` nodes; a step tries a
+V-cycle first where there are levels (``_VCycle``: bilinear transfer,
+Galerkin coarse operators, damped-Jacobi smoothing, a factored last
+level), at most ``_MG_MAX_ITER`` iterations.  Where that fails, or there
+are none (a periodic axis, or a free side of at most ``_COARSEST``
+nodes), the Hessian's sparse LU factor solves the step directly.  The
+new preconditioner is kept when its run took at most ``_CG_MAX_ITER``
+iterations, a factor always; none outlives the solve.  Every LU factor
+is made in one column ordering, ``_LU_ORDERING``.
 
-A grid with a hierarchy whose free sides are odd is solved by nested
+A grid with levels whose free sides are odd is solved by nested
 iteration, the full multigrid scheme of Briggs, Henson and McCormick,
 *A Multigrid Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids
 inject every second node, boundary ring included, down the multigrid
@@ -72,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, SolveError, require_finite
+from .errors import DomainError, SolveError, as_int, require_finite
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
 
@@ -132,7 +134,7 @@ class DiscreteGraph:
         seam); a Dirichlet axis has nodes at i*h with h = X/(n-1),
         boundary included.
         """
-        n1, n2 = shape
+        n1, n2 = (as_int("shape", n) for n in shape)
         if min(n1, n2) < 4:
             raise DomainError(f"grid {n1}x{n2} needs at least 4 points per axis")
         X1, X2 = extent
@@ -556,8 +558,8 @@ class SolveReport:
     grids, down the multigrid hierarchy to its last level, one Newton step
     per coarser grid.  ``coarse_grids`` holds a ``CoarseSolve`` record for
     each, coarsest first, and is empty for every other grid: periodic
-    axes, an even free side, or fewer than ``_MULTIGRID_MIN`` free nodes
-    along a side."""
+    axes, an even free side, or at most ``_COARSEST`` free nodes along a
+    side."""
 
     converged: bool
     residual_history: list = field(default_factory=list)
@@ -596,14 +598,15 @@ class CoarseSolve:
 
 
 # Iteration cap of a lagged CG run, and the bound of the keep rule.  With
-# a lagged factor each iteration is one product with H and one pair of
-# triangular solves; on the tube solves of criterion 4(c), 2-core
-# machine, one factorization costs more than 8 such iterations at every
-# grid from 33^2 to 257^2, and the lagged factor reaches the tolerance in
-# 5-7.  A fresh V-cycle is kept only if its run took at most this many:
-# it is on that tube from 65^2 to 513^2, and on the cusp [0, 3] at 66^2
-# and 128^2 once the iterates settle (6-7 iterations); it is not at a
-# cell aspect ratio of 2 (11-14) or 4 (20).
+# a lagged factor (a free side of at most _COARSEST nodes, a periodic
+# axis, or a multigrid fallback) each iteration is one product with H and
+# one pair of triangular solves; on the tube solves of criterion 4(c) by
+# the factor, 2-core machine, one factorization costs more than 8 such
+# iterations at every grid from 33^2 to 257^2, and the lagged factor
+# reaches the tolerance in 5-7.  A fresh V-cycle is kept only if its run
+# took at most this many: it is on that tube from 65^2 to 513^2, and on
+# the cusp [0, 3] at 66^2 and 128^2 once the iterates settle (6-7
+# iterations); it is not at a cell aspect ratio of 2 (11-14) or 4 (20).
 _CG_MAX_ITER = 8
 # CG stops at ||H delta - rhs|| <= _CG_RTOL ||rhs||, ten times inside the
 # 1e-6 every accepted direction must meet, since the recurred residual
@@ -615,13 +618,6 @@ _CG_RTOL = 1e-7
 # criterion 4(c), and 0.84x on the KKT system of a pinned-mean 32^2 torus.
 _LU_ORDERING = "MMD_AT_PLUS_A"
 
-# Dirichlet grids whose free nodes number at least this many along both
-# axes have a multigrid hierarchy: their steps build a V-cycle before a
-# factor.  On the criterion-4(c) tube, 2-core machine, one thread, with a
-# fresh V-cycle on every step, a solve by multigrid and one by the lagged
-# factor take the same time at 65^2 (~27 ms); the factor is 9-15% faster
-# at 49^2-57^2, multigrid 7% faster at 73^2 and 15% at 97^2.
-_MULTIGRID_MIN = 63
 # Levels are coarsened until the shorter side has at most this many
 # nodes; that grid is factored.
 _COARSEST = 15
@@ -813,27 +809,23 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     The initial iterate supplies the Dirichlet data (its boundary ring is
     held fixed) or the periodic topology.  On a singular linearization
     (flat periodic problems have a constant near-kernel) the mean of the
-    update is pinned.  A Dirichlet grid on the multigrid path whose free
-    sides are odd starts from one Newton step on each of its coarser grids
-    (``_nested_start``).  Raises SolveError with the residual history on
-    failure.
+    update is pinned.  A Dirichlet grid whose free sides are odd and longer
+    than ``_COARSEST`` starts from one Newton step on each of its coarser
+    grids (``_nested_start``).  Raises SolveError with the residual history
+    on failure.
     """
     _require_diagonal(spec)
     require_finite(tolerance=tol)
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    max_iter = as_int("max_iter", max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     g = init.copy()
     _check_range(spec, g.values)
-    # Dirichlet grids with at least _MULTIGRID_MIN free nodes per side
-    # have a multigrid hierarchy.
-    free_shape = g.values[g.free_slices()].shape
-    transfers = (_transfers(free_shape) if not any(g.periodic)
-                 and min(free_shape) >= _MULTIGRID_MIN else [])
-    coarse_grids = []
-    if transfers:
-        g, coarse_grids = _nested_start(spec, g, transfers, tol)
+    transfers = ([] if any(g.periodic)
+                 else _transfers(g.values[g.free_slices()].shape))
+    g, coarse_grids = _nested_start(spec, g, transfers, tol)
     g, report = _newton(spec, g, tol, max_iter, transfers)
     if not report.converged:
         raise SolveError(
@@ -864,7 +856,8 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
     vanishes on the boundary ring, where the prolongation takes the
     Dirichlet value as zero, so grid k keeps its ring.  A grid that raises
     SolveError contributes no correction, and a start that leaves the
-    spec's range is not taken.
+    spec's range is not taken.  With no ``transfers`` the start is
+    ``init``, and there are no records.
     """
     grids = [init]
     for _ in transfers:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import filler as filler_mod
 from . import tube_geometry
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .flat_torus import FlatTorusLattice, reduce_basis
 
 
@@ -287,6 +287,7 @@ def interpolate_patches(a: FormalCurrent, b: FormalCurrent, k: int) -> DiscreteF
     ``piece`` carries b's multiplicity exactly when piece < min(i, k).
     Step masses telescope exactly to M(a - b).
     """
+    k = as_int("k", k)
     if k < 1:
         raise DomainError("need at least one interpolation step")
     level = 0
@@ -379,6 +380,7 @@ def profile(cusps=(), tubes=(), fillers=(), attachments=None,
     filler index -> cusp index; an attached filler must match the cusp's
     bottom torus lattice to 1e-6 relative.
     """
+    samples = as_int("samples", samples)
     if samples < 2:
         raise DomainError("need at least two samples per segment")
     attachments = dict(attachments or {})

@@ -739,12 +739,16 @@ def test_malformed_input_json_no_traceback_from_the_console(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _readme():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        return fh.read()
+
+
 def _readme_command_lines():
     """argv of every ``thinpart`` line of the README; "[--flag value]"
     marks an optional flag, which is passed as given."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path) as fh:
-        text = fh.read().replace("\\\n", " ")
+    text = _readme().replace("\\\n", " ")
     lines = [line.strip() for line in text.splitlines()]
     return [shlex.split(re.sub(r"[\[\]]", "", line), comments=True)[1:]
             for line in lines if line.startswith("thinpart ")]
@@ -771,3 +775,12 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     for argv in lines:
         build_parser().parse_args(argv)
         assert run(argv) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_readme_library_example_runs():
+    # The README's one Python block, run as written.
+    blocks = re.findall(r"^```python\n(.*?)^```", _readme(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    assert namespace["info"].converged

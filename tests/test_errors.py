@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from thinpart import DomainError
+from thinpart import DomainError, filler, sweepout
 from thinpart.errors import as_int
+from thinpart.flat_torus import FlatTorusLattice
+from thinpart.minimal_graph import DiscreteGraph, solve
+from thinpart.warped_metric import WarpedMetricSpec
 
 
 @pytest.mark.parametrize("value,expected", [(0, 0), (-3, -3), (2.0, 2), (10**30, 10**30)])
@@ -17,3 +20,38 @@ def test_as_int_accepts_integral_numbers(value, expected):
 def test_as_int_rejects_everything_else(value):
     with pytest.raises(DomainError, match="level must be an integer"):
         as_int("level", value)
+
+
+def _solve_max_iter(n):
+    spec = WarpedMetricSpec.flat(FlatTorusLattice.unit_square(), -1.0, 1.0)
+    solve(spec, DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.0), max_iter=n)
+
+
+def _rectangle_shape(n):
+    DiscreteGraph.on_rectangle((1.0, 1.0), (n, 9), 0.0)
+
+
+def _verify_grid(n):
+    filler.verify(filler.build(20.0, FlatTorusLattice.unit_square()), grid=n)
+
+
+def _profile_samples(n):
+    sweepout.profile(samples=n)
+
+
+def _interpolate_steps(n):
+    a = sweepout.FormalCurrent((("T1", 1, 2.0),))
+    sweepout.interpolate_patches(a, sweepout.FormalCurrent((("T1", 2, 2.0),)), n)
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, True], ids=["fraction", "nan", "bool"])
+@pytest.mark.parametrize("call,name", [
+    (_solve_max_iter, "max_iter"),
+    (_rectangle_shape, "shape"),
+    (_verify_grid, "grid"),
+    (_profile_samples, "samples"),
+    (_interpolate_steps, "k"),
+], ids=["solve", "on_rectangle", "verify", "profile", "interpolate_patches"])
+def test_integer_counts_are_checked_by_as_int(call, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call(value)

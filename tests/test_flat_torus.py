@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -29,6 +30,19 @@ def test_from_vectors_rotates_into_well_oriented_form():
     assert lat.a1 == pytest.approx(2.0, rel=1e-14)
     assert lat.a2 == pytest.approx(0.5, rel=1e-13)
     assert lat.b2 == pytest.approx(1.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("v1,v2", [
+    # w lands below the x-axis at a2 = 0.0, and is flipped.
+    ((0.0, 1.0), (2.0, 0.0)),
+    # a2 = (-1.0) * 0.0 + 0.0 * (-1.0) = -0.0, above the x-axis.
+    ((-1.0, 0.0), (0.0, -1.0)),
+], ids=["flipped", "unflipped"])
+def test_from_vectors_returns_no_negative_zero(v1, v2):
+    lat = FlatTorusLattice.from_vectors(v1, v2)
+    assert lat.a2 == 0.0 and math.copysign(1.0, lat.a2) == 1.0
+    data = FlatTorusLattice.from_json_dict({"v1": list(v1), "v2": list(v2)}).to_json_dict()
+    assert json.dumps(data) == json.dumps({"v1": [lat.a1, 0.0], "v2": [0.0, lat.b2]})
 
 
 @pytest.mark.parametrize("v1,v2,message", [

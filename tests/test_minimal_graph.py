@@ -574,7 +574,8 @@ def test_solve_grid_convergence_order():
 
 def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
     # Full Newton steps are accepted on this problem, so every iteration
-    # evaluates the gradient once, at its one trial point.
+    # on the 33^2 grid evaluates the gradient once, at its one trial
+    # point.  Its 17^2 coarser grid's calls are not counted.
     spec = tube_spec()
     L = 0.35
     init = DiscreteGraph.on_rectangle(
@@ -584,15 +585,22 @@ def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
     calls = []
 
     def counting_gradient(spec, g):
-        calls.append(1)
+        calls.append(g.shape)
         return _gradient(spec, g)
 
     monkeypatch.setattr(minimal_graph, "_gradient", counting_gradient)
     out, rep = solve(spec, init, tol=1e-9)
-    assert rep.converged and rep.iterations == 4
-    assert len(calls) == rep.iterations + 1
+    assert rep.converged and rep.iterations == 3
+    assert [c.shape for c in rep.coarse_grids] == [(17, 17)]
+    assert calls.count(init.shape) == rep.iterations + 1
     # The reported residual is that of the returned graph, bit for bit.
     assert rep.final_residual == float(np.max(np.abs(el_residual(spec, out))))
+
+
+def _no_levels(shape):
+    # A multigrid hierarchy with no levels, for every grid: each step is
+    # solved by the Hessian's factor or CG preconditioned by a kept one.
+    return []
 
 
 def _tube_4c_graph(n):
@@ -603,11 +611,20 @@ def _tube_4c_graph(n):
     )
 
 
+def _cusp_problem(shape):
+    # The cusp [0, 3] on the unit square, with data that moves off the
+    # slices.
+    return cusp_spec(), DiscreteGraph.on_rectangle(
+        (1.0, 1.0), shape,
+        lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x)
+
+
 def test_solve_factors_the_hessian_once(monkeypatch):
-    # 33^2 lies below the multigrid threshold: the steps are solved by
-    # the factor and CG preconditioned by it.
+    # 17^2 is the largest square grid whose multigrid hierarchy has no
+    # levels: the steps are solved by the factor and CG preconditioned by
+    # it.
     calls = _recording_splu(monkeypatch)
-    out, rep = solve(tube_spec(), _tube_4c_graph(33), tol=1e-9)
+    out, rep = solve(tube_spec(), _tube_4c_graph(17), tol=1e-9)
     assert rep.converged and rep.iterations == 4
     assert rep.final_residual <= 1e-9
     assert len(calls) == 1 and rep.factorizations == 1
@@ -621,7 +638,7 @@ def test_solve_factors_the_hessian_once(monkeypatch):
 
 def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     spec, g = tube_spec(), _tube_4c_graph(129)
-    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
     reference, ref_rep = solve(spec, g, tol=1e-9)
     monkeypatch.undo()
     factors = _recording_splu(monkeypatch)
@@ -716,9 +733,7 @@ def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
     # step's V-cycle run fails, and a factor of its Hessian solves it.
     # No step after the first one a fresh V-cycle solves runs CG
     # preconditioned by that factor.
-    init = DiscreteGraph.on_rectangle(
-        (1.0, 1.0), (66, 66),
-        lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x)
+    spec, init = _cusp_problem((66, 66))
     events = []
     linear_solve, pcg = minimal_graph._linear_solve, minimal_graph._pcg
 
@@ -733,7 +748,7 @@ def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
 
     monkeypatch.setattr(minimal_graph, "_linear_solve", recording_solve)
     monkeypatch.setattr(minimal_graph, "_pcg", recording_pcg)
-    out, rep = solve(cusp_spec(), init, tol=1e-8)
+    out, rep = solve(spec, init, tol=1e-8)
     assert rep.converged and rep.linear_solvers[0] == "lu"
     assert "multigrid" in rep.linear_solvers[1:]
     steps = [i for i, event in enumerate(events) if event[0] == "step"]
@@ -790,7 +805,7 @@ def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, sha
                                                           ladder):
     spec, g = _graph_large_problem(name, shape)
     out, rep = solve(spec, g, tol=1e-8)
-    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
     cold, cold_rep = solve(spec, g, tol=1e-8)
     assert cold_rep.coarse_grids == []
     assert rep.converged and rep.iterations < cold_rep.iterations
@@ -818,6 +833,25 @@ def test_solve_without_coarser_grids(make_spec, init):
     assert rep.converged and rep.coarse_grids == []
 
 
+@pytest.mark.parametrize("n", [17, 19, 25, 41, 57])
+@pytest.mark.parametrize("name", ["tube_4c", "readme_tube", "cusp"])
+def test_every_dirichlet_grid_follows_one_multigrid_rule(monkeypatch, name, n):
+    # Coarser grids are visited exactly when both free sides are odd and
+    # longer than the coarsest level's 15, whatever the grid's size; the
+    # solution is that of the solve with no hierarchy.
+    problem = (_cusp_problem if name == "cusp"
+               else lambda shape: _graph_large_problem(name, shape))
+    spec, g = problem((n, n))
+    out, rep = solve(spec, g, tol=1e-8)
+    free = n - 2
+    assert rep.converged
+    assert bool(rep.coarse_grids) == (free % 2 == 1 and free > 15)
+    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
+    reference, ref_rep = solve(spec, g, tol=1e-8)
+    assert ref_rep.converged and ref_rep.coarse_grids == []
+    assert np.max(np.abs(out.values - reference.values)) <= 1e-12
+
+
 def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     # Every coarser grid fails, the coarsest included: none contributes a
     # correction, so the 65^2 grid starts from its own data.
@@ -834,7 +868,7 @@ def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     monkeypatch.undo()
     assert rep.coarse_grids == [CoarseSolve((17, 17), 0, 2.5, "forced"),
                                 CoarseSolve((33, 33), 0, 2.5, "forced")]
-    monkeypatch.setattr(minimal_graph, "_MULTIGRID_MIN", 10**9)
+    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
     cold, cold_rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == cold_rep.iterations == 4
     # The first step's V-cycle fails as the second step's lagged
