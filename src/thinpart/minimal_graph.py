@@ -55,14 +55,18 @@ new preconditioner is kept when its run took at most ``_CG_MAX_ITER``
 iterations, a factor always; none outlives the solve.  Every LU factor
 is made in one column ordering, ``_LU_ORDERING``.
 
-A grid with levels whose free sides are odd is solved by nested
-iteration, the full multigrid scheme of Briggs, Henson and McCormick,
-*A Multigrid Tutorial*, ch. 6 (``_nested_start``).  Its coarser grids
-inject every second node, boundary ring included, down the multigrid
-hierarchy to its last level, one Newton step per coarser grid; each grid
-starts from the bilinear prolongation of the coarser grid's correction
-to its injected data, and the grid of the solve starts from that
-prolongation too.
+A grid whose Dirichlet axes have odd free sides longer than
+``_COARSEST`` is solved by nested iteration, the full multigrid scheme of
+Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6
+(``_nested_start``).  Its coarser grids inject every second node along
+each Dirichlet axis, boundary ring included, and keep every node along a
+periodic one, until a Dirichlet free side has at most ``_COARSEST``
+nodes: on a Dirichlet grid, down the multigrid hierarchy to its last
+level.  Each coarser grid takes one Newton step, and each grid starts
+from its injected data plus the cubic interpolation of the coarser
+grid's correction (``_refined``; the V-cycle's bilinear transfer would
+start it an O(h^2) error away, an O(1) residual); the grid of the solve
+starts from that interpolation too.
 """
 
 from __future__ import annotations
@@ -134,7 +138,11 @@ class DiscreteGraph:
         seam); a Dirichlet axis has nodes at i*h with h = X/(n-1),
         boundary included.
         """
-        n1, n2 = (as_int("shape", n) for n in shape)
+        try:
+            n1, n2 = shape
+        except (TypeError, ValueError):
+            raise DomainError(f"shape must be a pair of grid sizes, got {shape!r}") from None
+        n1, n2 = as_int("shape", n1), as_int("shape", n2)
         if min(n1, n2) < 4:
             raise DomainError(f"grid {n1}x{n2} needs at least 4 points per axis")
         X1, X2 = extent
@@ -552,14 +560,16 @@ class SolveReport:
     Hessian or KKT system is made on each "lu" and "kkt" step, and on no
     other (a V-cycle factors its last level only).
 
-    All of these describe the grid of the solve only.  A Dirichlet grid
-    solved by nested iteration (the full multigrid start of Briggs, Henson
-    and McCormick, *A Multigrid Tutorial*, ch. 6) first visits its coarser
-    grids, down the multigrid hierarchy to its last level, one Newton step
-    per coarser grid.  ``coarse_grids`` holds a ``CoarseSolve`` record for
-    each, coarsest first, and is empty for every other grid: periodic
-    axes, an even free side, or at most ``_COARSEST`` free nodes along a
-    side."""
+    All of these describe the grid of the solve only.  A grid solved by
+    nested iteration (the full multigrid start of Briggs, Henson and
+    McCormick, *A Multigrid Tutorial*, ch. 6) first visits its coarser
+    grids, halved along each Dirichlet axis until a Dirichlet free side
+    has at most ``_COARSEST`` nodes, one Newton step per coarser grid: a
+    65^2 grid visits 17^2 and 33^2, a 4 x 2049 stripe periodic along its
+    first axis 4 x 17, 4 x 33, ..., 4 x 1025.  ``coarse_grids`` holds a
+    ``CoarseSolve`` record for each, coarsest first, and is empty for
+    every other grid: a torus, an even free side on a Dirichlet axis, or
+    at most ``_COARSEST`` free nodes along one."""
 
     converged: bool
     residual_history: list = field(default_factory=list)
@@ -676,7 +686,9 @@ def _pcg(H, rhs, precondition, max_iter):
 
 
 def _prolongation(n):
-    """Vertex-centred linear interpolation onto a line of n free nodes
+    """The V-cycle's transfer along one axis (nested iteration
+    interpolates by ``_refined`` instead): vertex-centred linear
+    interpolation onto a line of n free nodes
     from the n // 2 coarse nodes at fine nodes 1, 3, 5, ...: the fine
     nodes between carry the mean of their neighbours, taking the
     Dirichlet value beyond the ends as zero.  On an even line the last
@@ -809,10 +821,10 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     The initial iterate supplies the Dirichlet data (its boundary ring is
     held fixed) or the periodic topology.  On a singular linearization
     (flat periodic problems have a constant near-kernel) the mean of the
-    update is pinned.  A Dirichlet grid whose free sides are odd and longer
-    than ``_COARSEST`` starts from one Newton step on each of its coarser
-    grids (``_nested_start``).  Raises SolveError with the residual history
-    on failure.
+    update is pinned.  A grid whose Dirichlet axes have odd free sides
+    longer than ``_COARSEST`` starts from one Newton step on each of its
+    coarser grids (``_nested_start``).  Raises SolveError with the
+    residual history on failure.
     """
     _require_diagonal(spec)
     require_finite(tolerance=tol)
@@ -838,36 +850,38 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
 
 def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
                   tol: float):
-    """The start of a Dirichlet solve by nested iteration, the full
-    multigrid scheme of Briggs, Henson and McCormick, *A Multigrid
-    Tutorial*, ch. 6: (start, records), one ``CoarseSolve`` record per
-    coarser grid, coarsest first.
+    """The start of a solve by nested iteration, the full multigrid
+    scheme of Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6:
+    (start, records), one ``CoarseSolve`` record per coarser grid,
+    coarsest first.
 
-    The ladder runs down the multigrid hierarchy to its last level, one
-    Newton step per coarser grid.  Grid k + 1 injects every second node
-    of grid k (grid 0 is ``init``), which is the coarse grid of
-    ``transfers[k]`` when both free sides of grid k are odd; the ladder
-    goes down while they are, one grid per level of ``transfers``.  Grid
-    k takes its one step on the levels ``transfers[k:]``, so the last
-    level's step is solved by an exact factor of its Hessian.  The
-    coarsest grid starts from its injected values; grid k starts from its
-    injected values plus the prolongation ``transfers[k][0]`` of the
-    correction grid k + 1 made to its own injected values.  The correction
-    vanishes on the boundary ring, where the prolongation takes the
-    Dirichlet value as zero, so grid k keeps its ring.  A grid that raises
-    SolveError contributes no correction, and a start that leaves the
-    spec's range is not taken.  With no ``transfers`` the start is
-    ``init``, and there are no records.
+    Grid k + 1 injects every second node of grid k (grid 0 is ``init``)
+    along each Dirichlet axis, boundary ring included, and every node
+    along a periodic one.  The ladder goes down while the free sides of
+    the Dirichlet axes are odd and longer than ``_COARSEST``: on a
+    Dirichlet grid that is the multigrid hierarchy to its last level, one
+    grid per level of ``transfers``, and a stripe goes down to a free
+    side of at most ``_COARSEST`` nodes; a torus has no coarser grid.
+    Each coarser grid takes one Newton step, grid k on the levels
+    ``transfers[k:]``, so the last one is solved by an exact factor of its
+    Hessian.  The coarsest grid starts from its injected values; grid k
+    starts from its injected values plus the cubic interpolation
+    (``_corrected``) of the correction grid k + 1 made to its own injected
+    values.  A grid that raises SolveError contributes no correction, and
+    a start that leaves the spec's range is not taken.  Without coarser
+    grids the start is ``init``, and there are no records.
     """
+    steps = tuple(1 if wrap else 2 for wrap in init.periodic)
     grids = [init]
-    for _ in transfers:
+    while True:
         fine = grids[-1]
-        free = fine.values[1:-1, 1:-1].shape
-        if free[0] % 2 == 0 or free[1] % 2 == 0:
+        free = fine.values[fine.free_slices()].shape
+        halved = [n for n, wrap in zip(free, init.periodic) if not wrap]
+        if not halved or min(halved) <= _COARSEST or any(n % 2 == 0 for n in halved):
             break
-        grids.append(DiscreteGraph(fine.values[::2, ::2],
-                                   (2.0 * fine.spacing[0], 2.0 * fine.spacing[1]),
-                                   origin=fine.origin))
+        grids.append(DiscreteGraph(fine.values[::steps[0], ::steps[1]],
+                                   (steps[0] * fine.spacing[0], steps[1] * fine.spacing[1]),
+                                   init.periodic, init.origin))
     records = []
     u = grids[-1]
     for k in range(len(grids) - 1, 0, -1):
@@ -880,19 +894,43 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
             history = exc.residual_history
             records.append(CoarseSolve(grids[k].shape, len(history) - 1,
                                        history[-1], str(exc)))
-        start = _corrected(grids[k - 1], grids[k], u, transfers[k - 1][0])
+        start = _corrected(grids[k - 1], grids[k], u)
         u = start if _in_range(spec, start.values) else grids[k - 1]
     return u, records
 
 
-def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph, u: DiscreteGraph,
-               P) -> DiscreteGraph:
-    """``fine`` plus the prolongation P of the correction ``u`` makes to
-    ``coarse``, on the free nodes of Dirichlet grids; the boundary ring
-    of ``fine`` is kept."""
+def _refined(c: np.ndarray) -> np.ndarray:
+    """Cubic interpolation along axis 0 of node values c onto twice as
+    many cells: the even nodes keep c, and an odd node between c_j and
+    c_{j+1} takes (9 (c_j + c_{j+1}) - (c_{j-1} + c_{j+2})) / 16, or at
+    an end of the axis the one-sided (5 c_0 + 15 c_1 - 5 c_2 + c_3) / 16.
+    Exact for cubics in the axis coordinate."""
+    fine = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+    fine[::2] = c
+    odd = fine[1::2]
+    odd[1:-1] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
+    odd[0] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    odd[-1] = (5.0 * c[-1] + 15.0 * c[-2] - 5.0 * c[-3] + c[-4]) / 16.0
+    return fine
+
+
+def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph,
+               u: DiscreteGraph) -> DiscreteGraph:
+    """``fine`` plus the correction ``u`` makes to ``coarse``, a grid of
+    every second node of ``fine`` along each Dirichlet axis, interpolated
+    by ``_refined`` along those axes; the free nodes move and the boundary
+    ring of ``fine`` is kept.  The correction vanishes on the ring, so the
+    interpolation is exact for one that is cubic in each halved
+    coordinate (full multigrid wants an interpolation of higher order than
+    the discretization's: Trottenberg, Oosterlee and Schüller, *Multigrid*,
+    §2.6)."""
+    c = u.values - coarse.values
+    for axis, wrap in enumerate(fine.periodic):
+        if not wrap:
+            c = np.moveaxis(_refined(np.moveaxis(c, axis, 0)), 0, axis)
     start = fine.copy()
-    free = start.values[1:-1, 1:-1]
-    free += (P @ (u.values - coarse.values)[1:-1, 1:-1].ravel()).reshape(free.shape)
+    free = fine.free_slices()
+    start.values[free] += c[free]
     return start
 
 
@@ -965,17 +1003,17 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
     return g, SolveReport(False, history, linear_iterations, linear_solvers)
 
 
-def _node_derivatives(g: DiscreteGraph):
-    """Centered first and second derivatives on the free nodes."""
+def _node_derivatives(g: DiscreteGraph, ghosted: np.ndarray, rows: slice):
+    """Centered first and second derivatives at the free nodes of the
+    free-node rows ``rows``.  ``ghosted`` is ``_ghosted(g.values, g, 1)``,
+    on which free node (i, j) is node (i + 1, j + 1), as in _Pattern; its
+    neighbours are free or boundary nodes."""
     h1, h2 = g.spacing
-    # Free node (i, j) is node (i + 1, j + 1) of the grid ghosted on both
-    # sides, as in _Pattern; its neighbours are free or boundary nodes.
-    ghosted = _ghosted(g.values, g, 1)
-    shape = g.values[g.free_slices()].shape
+    shape = (rows.stop - rows.start, ghosted.shape[1] - 2)
 
     def at(d1, d2):
-        """u[i + d1, j + d2] at every free node (i, j)."""
-        return _window(ghosted, (1 + d1, 1 + d2), shape)
+        """u[i + d1, j + d2] at every free node (i, j) of the rows."""
+        return _window(ghosted, (1 + rows.start + d1, 1 + d2), shape)
 
     u = at(0, 0)
     ux = (at(1, 0) - at(-1, 0)) / (2 * h1)
@@ -990,25 +1028,34 @@ def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray
     """Mean curvature of the graph surface from induced metric and second
     fundamental form, at the free nodes.  The normal is the upward one
     (positive x3 component); for a level torus this gives
-    -(a1'/a1 + a2'/a2)/2."""
+    -(a1'/a1 + a2'/a2)/2.  Evaluated one block of free-node rows at a
+    time, about ``_BLOCK_CELLS`` nodes each, so that a block's
+    temporaries stay in cache; every node's value is computed by the
+    same operations wherever the blocks end."""
     _require_diagonal(spec)
     _check_range(spec, g.values)
-    u, ux, uy, uxx, uyy, uxy = _node_derivatives(g)
-    a1v = np.asarray(spec.a1(u), dtype=float)
-    a2v = np.asarray(spec.a2(u), dtype=float)
-    a1p = np.asarray(spec.a1.d1(u), dtype=float)
-    a2p = np.asarray(spec.a2.d1(u), dtype=float)
+    ghosted = _ghosted(g.values, g, 1)
+    H = np.empty(g.values[g.free_slices()].shape)
+    step = max(1, _BLOCK_CELLS // H.shape[1])
+    for start in range(0, H.shape[0], step):
+        rows = slice(start, min(start + step, H.shape[0]))
+        u, ux, uy, uxx, uyy, uxy = _node_derivatives(g, ghosted, rows)
+        a1v = np.asarray(spec.a1(u), dtype=float)
+        a2v = np.asarray(spec.a2(u), dtype=float)
+        a1p = np.asarray(spec.a1.d1(u), dtype=float)
+        a2p = np.asarray(spec.a2.d1(u), dtype=float)
 
-    W2 = _element_squared(a1v, a2v, ux, uy)
-    W = np.sqrt(W2)
-    ratio = a1v * a2v / W
-    II11 = ratio * (uxx - a1v * a1p - 2.0 * (a1p / a1v) * ux**2)
-    II12 = ratio * (uxy - (a1p / a1v + a2p / a2v) * ux * uy)
-    II22 = ratio * (uyy - a2v * a2p - 2.0 * (a2p / a2v) * uy**2)
-    G11 = a1v**2 + ux**2
-    G12 = ux * uy
-    G22 = a2v**2 + uy**2
-    return (G22 * II11 - 2.0 * G12 * II12 + G11 * II22) / (2.0 * W2)
+        W2 = _element_squared(a1v, a2v, ux, uy)
+        W = np.sqrt(W2)
+        ratio = a1v * a2v / W
+        II11 = ratio * (uxx - a1v * a1p - 2.0 * (a1p / a1v) * ux**2)
+        II12 = ratio * (uxy - (a1p / a1v + a2p / a2v) * ux * uy)
+        II22 = ratio * (uyy - a2v * a2p - 2.0 * (a2p / a2v) * uy**2)
+        G11 = a1v**2 + ux**2
+        G12 = ux * uy
+        G22 = a2v**2 + uy**2
+        H[rows] = (G22 * II11 - 2.0 * G12 * II12 + G11 * II22) / (2.0 * W2)
+    return H
 
 
 @dataclass(frozen=True)
@@ -1087,7 +1134,8 @@ def rescale_graph(spec: WarpedMetricSpec, g: DiscreteGraph,
             f"domain too small: need the disk of radius {radius!r} about 0"
         )
 
-    u, ux, uy, uxx, uyy, uxy = _node_derivatives(g)
+    u, ux, uy, uxx, uyy, uxy = _node_derivatives(g, _ghosted(g.values, g, 1),
+                                                 slice(0, g.shape[0] - 2))
     X1, X2 = np.meshgrid(x1[1:-1], x2[1:-1], indexing="ij")
     mask = X1**2 + X2**2 <= radius**2
     grad = np.hypot(ux, uy)

@@ -426,6 +426,39 @@ def hessian_per_triangle(spec, g):
     return H.tocsr()
 
 
+def mean_curvature_whole_grid(spec, g) -> np.ndarray:
+    """Mean curvature of the graph at the free nodes, the whole grid at
+    once: centered differences from index arrays (wrapping on periodic
+    axes), then the induced metric and second fundamental form, in the
+    arithmetic of ``graph_mean_curvature``.  The reference for its
+    evaluation in blocks of rows."""
+    h1, h2 = g.spacing
+    n1, n2 = g.shape
+    i = np.arange(n1) if g.periodic[0] else np.arange(1, n1 - 1)
+    j = np.arange(n2) if g.periodic[1] else np.arange(1, n2 - 1)
+
+    def at(d1, d2):
+        return g.values[np.ix_((i + d1) % n1, (j + d2) % n2)]
+
+    u = at(0, 0)
+    ux = (at(1, 0) - at(-1, 0)) / (2 * h1)
+    uy = (at(0, 1) - at(0, -1)) / (2 * h2)
+    uxx = (at(1, 0) - 2 * u + at(-1, 0)) / h1**2
+    uyy = (at(0, 1) - 2 * u + at(0, -1)) / h2**2
+    uxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h1 * h2)
+    a1v, a2v, a1p, a2p = _coefficients(spec, u)
+    W2 = (a1v * a2v)**2 + a2v**2 * ux**2 + a1v**2 * uy**2
+    W = np.sqrt(W2)
+    ratio = a1v * a2v / W
+    II11 = ratio * (uxx - a1v * a1p - 2.0 * (a1p / a1v) * ux**2)
+    II12 = ratio * (uxy - (a1p / a1v + a2p / a2v) * ux * uy)
+    II22 = ratio * (uyy - a2v * a2p - 2.0 * (a2p / a2v) * uy**2)
+    G11 = a1v**2 + ux**2
+    G12 = ux * uy
+    G22 = a2v**2 + uy**2
+    return (G22 * II11 - 2.0 * G12 * II12 + G11 * II22) / (2.0 * W2)
+
+
 def profile_samples_loop(prof):
     """Per-sample reference for ``SweepoutProfile.samples``: one
     (global_t, label, area) row at a time, each segment on a unit of the

@@ -377,7 +377,7 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
 def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
     # A 65^2 Dirichlet grid starts from one Newton step on each of its
     # 17^2 and 33^2 grids.  Its first step's V-cycle is kept and
-    # preconditions the later steps.
+    # preconditions the second, last step.
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps(
         {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
@@ -388,7 +388,7 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
         "--grid", "65x65", "--extent", "0.35x0.35", "--bc", str(bc),
         "--out", str(tmp_path / "u.csv"),
     ])
-    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid", "lagged", "lagged"]
+    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid", "lagged"]
     assert data["factorizations"] == 0
     coarsest, coarser = data["coarse_grids"]
     assert coarsest["shape"] == [17, 17] and coarser["shape"] == [33, 33]
@@ -398,8 +398,10 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
 
 
 def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):
-    # The cusp stripe of criterion 4(a): on steps 2 and 3 CG with the
-    # lagged factor runs to its cap, is discarded, and H is factored.
+    # The cusp stripe of criterion 4(a) with 2048 nodes across: its free
+    # side is even, so it has no coarser grids and starts from its data.
+    # On steps 2 and 3 CG with the lagged factor runs to its cap, is
+    # discarded, and H is factored.
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps({
         "kind": "cusp",
@@ -410,13 +412,13 @@ def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):
     bc.write_text(json.dumps({"kind": "affine", "coeffs": [0.15, 0.0, 0.4]}))
     code, data = run_json(capsys, [
         "graph", "solve", "--metric", str(metric), "--domain", "stripe",
-        "--grid", "4x2049", "--extent", f"{4 / 2048!r}x1.0", "--bc", str(bc),
+        "--grid", "4x2048", "--extent", f"{4 / 2047!r}x1.0", "--bc", str(bc),
         "--out", str(tmp_path / "u.csv"),
     ])
     assert code == EXIT_OK and data["iterations"] == 6
     assert data["linear_solvers"] == ["lu"] * 3 + ["lagged"] * 3
     assert data["linear_iterations"][:3] == [0, _CG_MAX_ITER, _CG_MAX_ITER]
-    assert data["factorizations"] == 3
+    assert data["factorizations"] == 3 and data["coarse_grids"] == []
 
 
 def test_write_csv_matches_fmt_bytes(tmp_path):

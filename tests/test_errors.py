@@ -55,3 +55,9 @@ def _interpolate_steps(n):
 def test_integer_counts_are_checked_by_as_int(call, name, value):
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         call(value)
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 9, 9), 9], ids=["one", "three", "int"])
+def test_rectangle_shape_must_be_a_pair(shape):
+    with pytest.raises(DomainError, match="^shape must be a pair of grid sizes"):
+        DiscreteGraph.on_rectangle((1.0, 1.0), shape, 0.0)

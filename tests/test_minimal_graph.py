@@ -18,6 +18,7 @@ from thinpart.minimal_graph import (
     graph_mean_curvature,
     rescale_graph,
     solve,
+    _BLOCK_CELLS,
     _CG_MAX_ITER,
     _LU_ORDERING,
     _MG_MAX_ITER,
@@ -63,7 +64,12 @@ def tube_radial_spec():
     return WarpedMetricSpec.diagonal(UNIT, 0.2, 6.0, a1, a2, kind="tube-radial")
 
 
-from oracles import gradient_per_triangle, hessian_per_triangle, solve_stripe_ode
+from oracles import (
+    gradient_per_triangle,
+    hessian_per_triangle,
+    mean_curvature_whole_grid,
+    solve_stripe_ode,
+)
 
 # Every diagonal spec of the tests, on a periodic torus and a Dirichlet square.
 SPEC_GRID = [
@@ -530,7 +536,7 @@ def test_solve_periodic_flat_pins_mean():
     assert np.ptp(out.values) < 1e-9
 
 
-def test_solve_cusp_stripe_matches_ode_oracle():
+def test_solve_cusp_stripe_matches_ode_oracle(monkeypatch):
     spec = cusp_spec()
     va, vb = 0.15, 0.55
     n2 = 2049
@@ -541,6 +547,16 @@ def test_solve_cusp_stripe_matches_ode_oracle():
     )
     out, rep = solve(spec, init, tol=1e-8)
     assert rep.converged
+    # The stripe starts from one step on each of its coarser grids, the
+    # Dirichlet axis halved down to 15 free nodes, each solved by its
+    # own factor; one step on the fine grid is left.
+    assert [c.shape for c in rep.coarse_grids] == [(4, 2**k + 1) for k in range(4, 11)]
+    assert [c.iterations for c in rep.coarse_grids] == [1] * 7
+    assert rep.linear_solvers == ["lu"]
+    _cold_start(monkeypatch)
+    cold, cold_rep = solve(spec, init, tol=1e-8)
+    assert cold_rep.converged and cold_rep.iterations > rep.iterations
+    assert np.max(np.abs(out.values - cold.values)) <= 1e-12
     # Compare on a 257-point subgrid against the BVP oracle.
     sub = slice(0, n2, 8)
     x2 = out.x2_coords()[sub]
@@ -597,10 +613,13 @@ def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
     assert rep.final_residual == float(np.max(np.abs(el_residual(spec, out))))
 
 
-def _no_levels(shape):
-    # A multigrid hierarchy with no levels, for every grid: each step is
-    # solved by the Hessian's factor or CG preconditioned by a kept one.
-    return []
+def _cold_start(monkeypatch):
+    # No multigrid levels and no coarser grids, for every grid: the solve
+    # starts from its data, and each step is solved by the Hessian's
+    # factor or CG preconditioned by a kept one.
+    monkeypatch.setattr(minimal_graph, "_transfers", lambda shape: [])
+    monkeypatch.setattr(minimal_graph, "_nested_start",
+                        lambda spec, init, transfers, tol: (init, []))
 
 
 def _tube_4c_graph(n):
@@ -638,7 +657,7 @@ def test_solve_factors_the_hessian_once(monkeypatch):
 
 def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     spec, g = tube_spec(), _tube_4c_graph(129)
-    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
+    _cold_start(monkeypatch)
     reference, ref_rep = solve(spec, g, tol=1e-9)
     monkeypatch.undo()
     factors = _recording_splu(monkeypatch)
@@ -646,14 +665,14 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     # The 129^2 grid starts from one step on each of its 17^2, 33^2 and
     # 65^2 grids.
     assert ref_rep.iterations == 4
-    assert rep.converged and rep.iterations == 3
+    assert rep.converged and rep.iterations == 2
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1), ((65, 65), 1)]
-    assert rep.linear_solvers == ["multigrid", "lagged", "lagged"]
+    assert rep.linear_solvers == ["multigrid", "lagged"]
     assert rep.factorizations == 0
     # Only the last level of each V-cycle is factored: the 17^2 step's,
     # which is that level, one 33^2 and one 65^2 step's, and the first
-    # 129^2 step's, whose V-cycle the later two steps lag.
+    # 129^2 step's, whose V-cycle the second step lags.
     sizes = [A.shape[0] for A, _ in factors]
     assert len(sizes) == 3 + 1 and max(sizes) <= 15 * 15
     assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
@@ -723,8 +742,8 @@ def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
     # factor after its V-cycle fails.
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1)]
-    assert rep.converged and rep.iterations == 3 and rep.factorizations == 1
-    assert rep.linear_solvers == ["lu"] + ["lagged"] * 2
+    assert rep.converged and rep.iterations == 2 and rep.factorizations == 1
+    assert rep.linear_solvers == ["lu", "lagged"]
     assert rep.linear_iterations[0] == 1
 
 
@@ -759,19 +778,22 @@ def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
 
 @pytest.mark.parametrize("name,height,solvers", [
     ("readme_tube", 0.7, ["multigrid", "multigrid"]),
-    ("tube_4c", 1.4, ["multigrid", "lu", "lagged"]),
+    ("tube_4c", 1.4, ["lu", "lagged"]),
 ], ids=["readme_tube_aspect_2", "tube_4c_aspect_4"])
 def test_slow_fresh_vcycles_are_not_kept(name, height, solvers):
     # Cells twice and four times as tall as wide, which point Jacobi
     # smooths poorly: fresh V-cycles take more than _CG_MAX_ITER
-    # iterations, so no step lags them.  At aspect ratio 4 the second
-    # step's run fails, and its factor is kept.
+    # iterations, so no step lags them.  At aspect ratio 4 the first
+    # step's run reaches _MG_MAX_ITER and is discarded, and the factor
+    # made in its place is kept.
     spec, g = _graph_large_problem(name, (129, 129))
     g = DiscreteGraph.on_rectangle((0.35, height), g.shape, g.values)
     out, rep = solve(spec, g, tol=1e-8)
     assert rep.converged and rep.linear_solvers == solvers
     assert all(k > _CG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
                if kind == "multigrid")
+    assert all(k == _MG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
+               if kind == "lu")
 
 
 # ------------------------------------------------- nested iteration
@@ -805,7 +827,7 @@ def test_nested_iteration_reaches_the_cold_start_solution(monkeypatch, name, sha
                                                           ladder):
     spec, g = _graph_large_problem(name, shape)
     out, rep = solve(spec, g, tol=1e-8)
-    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
+    _cold_start(monkeypatch)
     cold, cold_rep = solve(spec, g, tol=1e-8)
     assert cold_rep.coarse_grids == []
     assert rep.converged and rep.iterations < cold_rep.iterations
@@ -823,12 +845,13 @@ def _bump(x, y):
 
 @pytest.mark.parametrize("make_spec,init", [
     (tube_spec, lambda: _tube_4c_graph(128)),
-    (cusp_spec, lambda: DiscreteGraph.on_rectangle((1.0, 1.0), (65, 129), _bump,
+    (cusp_spec, lambda: DiscreteGraph.on_rectangle((1.0, 1.0), (65, 128), _bump,
                                                    periodic=(True, False))),
     (flat_spec, lambda: DiscreteGraph.on_torus(UNIT, (65, 65), _bump)),
-], ids=["even_128", "stripe_65x129", "torus_65"])
+], ids=["even_128", "stripe_65x128", "torus_65"])
 def test_solve_without_coarser_grids(make_spec, init):
-    # An even side, or a periodic axis: the solve starts from its data.
+    # An even free side, or no Dirichlet axis: the solve starts from its
+    # data.
     out, rep = solve(make_spec(), init(), tol=1e-8)
     assert rep.converged and rep.coarse_grids == []
 
@@ -846,7 +869,7 @@ def test_every_dirichlet_grid_follows_one_multigrid_rule(monkeypatch, name, n):
     free = n - 2
     assert rep.converged
     assert bool(rep.coarse_grids) == (free % 2 == 1 and free > 15)
-    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
+    _cold_start(monkeypatch)
     reference, ref_rep = solve(spec, g, tol=1e-8)
     assert ref_rep.converged and ref_rep.coarse_grids == []
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
@@ -868,7 +891,7 @@ def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     monkeypatch.undo()
     assert rep.coarse_grids == [CoarseSolve((17, 17), 0, 2.5, "forced"),
                                 CoarseSolve((33, 33), 0, 2.5, "forced")]
-    monkeypatch.setattr(minimal_graph, "_transfers", _no_levels)
+    _cold_start(monkeypatch)
     cold, cold_rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == cold_rep.iterations == 4
     # The first step's V-cycle fails as the second step's lagged
@@ -882,20 +905,28 @@ def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     lambda x, y: 0.2 + 0.3 * x - 0.1 * y,
 ], ids=["constant", "affine"])
 def test_corrected_start_interpolates_the_coarse_solution(data):
-    fine = DiscreteGraph.on_rectangle((1.0, 2.0), (65, 129), data)
-    coarse = DiscreteGraph.on_rectangle((1.0, 2.0), (33, 65), data)
-    u = coarse.copy()
-    u.values[1:-1, 1:-1] += 0.1 * np.random.default_rng(1).standard_normal((31, 63))
-    start = _corrected(fine, coarse, u, _transfers((63, 127))[0][0])
-    # Bilinear interpolation of u, boundary ring included, on the fine grid.
-    c = u.values
-    bilinear = np.empty(fine.shape)
-    bilinear[::2, ::2] = c
-    bilinear[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
-    bilinear[:, 1::2] = 0.5 * (bilinear[:, :-1:2] + bilinear[:, 2::2])
-    assert np.max(np.abs(start.values - bilinear)) <= 1e-15
-    ring = ~fine.free_mask()
-    assert np.array_equal(start.values[ring], fine.values[ring])
+    # A correction that is cubic in each halved coordinate and vanishes
+    # on the boundary ring is interpolated exactly: on a square, both
+    # axes halved, and on a stripe, whose periodic first axis is kept
+    # and carries any profile.  The ring of the fine grid is kept.
+    for periodic, along_x1 in (((False, False), lambda x: x * (1.0 - x) * (0.3 + x)),
+                               ((True, False), lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))):
+        def correction(g):
+            X1, X2 = np.meshgrid(g.x1_coords(), g.x2_coords(), indexing="ij")
+            return along_x1(X1) * X2 * (2.0 - X2) * (0.5 - X2)
+
+        fine = DiscreteGraph.on_rectangle((1.0, 2.0), (65, 129), data, periodic=periodic)
+        step = 1 if periodic[0] else 2
+        coarse = DiscreteGraph(fine.values[::step, ::2],
+                               (step * fine.spacing[0], 2.0 * fine.spacing[1]), periodic)
+        u = coarse.copy()
+        u.values += correction(coarse)
+        start = _corrected(fine, coarse, u)
+        expected = correction(fine)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(start.values - fine.values - expected)) <= 1e-14 * scale
+        ring = ~fine.free_mask()
+        assert np.array_equal(start.values[ring], fine.values[ring])
 
 
 def _hessian_and_rhs(n=33):
@@ -1006,6 +1037,21 @@ def test_mean_curvature_tube_slices():
         assert np.abs(H) == pytest.approx(
             np.full_like(H, slice_mean_curvature(r0)), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [257, 513])
+@pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)
+def test_mean_curvature_blocks_match_the_whole_grid(make_spec, periodic, n):
+    # Both grids split into several blocks of free-node rows, the last
+    # one shorter; every value is that of the whole-grid formula, bit for
+    # bit.
+    spec = make_spec()
+    g, _ = _random_graph_and_variation(spec, np.random.RandomState(5), n=n,
+                                       periodic=periodic)
+    rows, columns = g.values[g.free_slices()].shape
+    assert rows % (_BLOCK_CELLS // columns) != 0 and rows > _BLOCK_CELLS // columns
+    assert np.array_equal(graph_mean_curvature(spec, g),
+                          mean_curvature_whole_grid(spec, g))
 
 
 def test_mean_curvature_of_solver_output_is_small():
