@@ -50,10 +50,16 @@ V-cycle first where there are levels (``_VCycle``: bilinear transfer,
 Galerkin coarse operators, damped-Jacobi smoothing, a factored last
 level), at most ``_MG_MAX_ITER`` iterations.  Where that fails, or there
 are none (a periodic axis, or a free side of at most ``_COARSEST``
-nodes), the Hessian's sparse LU factor solves the step directly.  The
-new preconditioner is kept when its run took at most ``_CG_MAX_ITER``
-iterations, a factor always; none outlives the solve.  Every LU factor
-is made in one column ordering, ``_LU_ORDERING``.
+nodes), a direct factor of the Hessian solves the step.  The new
+preconditioner is kept when its run took at most ``_CG_MAX_ITER``
+iterations, a factor always; none outlives the solve.  Every direct
+factor is made by one function, ``_factor``: a matrix whose shorter free
+side has at most ``_COARSEST`` nodes along a Dirichlet longer axis is a
+band, factored by LAPACK's banded LU (``_Band``: every V-cycle's last
+level, and every narrow grid, a stripe among them); every other one by
+SuperLU in one column ordering, ``_LU_ORDERING``.  The Hessian of a flat
+torus annihilates the constants; it is factored with one unknown pinned
+(``_pinned``).
 
 A grid whose Dirichlet axes have odd free sides longer than
 ``_COARSEST`` is solved by nested iteration, the full multigrid scheme of
@@ -77,8 +83,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import DomainError, SolveError, as_int, require_finite
+from .errors import DomainError, SolveError, as_float, as_int, require_finite
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
 
@@ -87,9 +94,11 @@ from .warped_metric import WarpedMetricSpec
 class DiscreteGraph:
     """Grid sample of a graph function.
 
-    ``periodic`` holds one flag per axis: a periodic axis wraps around,
-    a non-periodic axis carries a Dirichlet boundary ring (included in
-    ``values``).  ``origin`` is the coordinate of node [0, 0].
+    ``periodic`` holds one flag per axis, and a single bool sets both: a
+    periodic axis wraps around, a non-periodic axis carries a Dirichlet
+    boundary ring (included in ``values``).  ``spacing`` and ``origin``
+    are pairs of numbers; ``origin`` is the coordinate of node [0, 0].
+    Any other argument raises a DomainError naming it.
     """
 
     values: np.ndarray
@@ -100,11 +109,12 @@ class DiscreteGraph:
     def __post_init__(self):
         # The grid is checked before the values: values sampled on a
         # non-finite grid are not finite either.
-        h1, h2 = self.spacing
-        o1, o2 = self.origin
+        h1, h2 = self.spacing = _number_pair("spacing", self.spacing)
+        o1, o2 = self.origin = _number_pair("origin", self.origin)
         require_finite(spacing_h1=h1, spacing_h2=h2, origin_x1=o1, origin_x2=o2)
         if h1 <= 0 or h2 <= 0:
             raise DomainError("grid spacing must be positive")
+        self.periodic = _periodic_flags(self.periodic)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise DomainError("graph values must be a 2-d array")
@@ -112,8 +122,6 @@ class DiscreteGraph:
             raise DomainError("need at least 4 grid points per axis")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("graph values must be finite")
-        if isinstance(self.periodic, bool):
-            self.periodic = (self.periodic, self.periodic)
 
     # -- constructors ------------------------------------------------------
 
@@ -145,15 +153,17 @@ class DiscreteGraph:
         n1, n2 = as_int("shape", n1), as_int("shape", n2)
         if min(n1, n2) < 4:
             raise DomainError(f"grid {n1}x{n2} needs at least 4 points per axis")
-        X1, X2 = extent
+        X1, X2 = _number_pair("extent", extent)
         require_finite(extent_x1=X1, extent_x2=X2)
+        origin = _number_pair("origin", origin)
+        periodic = _periodic_flags(periodic)
         h1 = X1 / n1 if periodic[0] else X1 / (n1 - 1)
         h2 = X2 / n2 if periodic[1] else X2 / (n2 - 1)
         return cls(
             _fill(fn_or_values, (n1, n2), (h1, h2), origin),
             (h1, h2),
             periodic=periodic,
-            origin=tuple(origin),
+            origin=origin,
         )
 
     # -- coordinates and views ----------------------------------------------
@@ -182,6 +192,29 @@ class DiscreteGraph:
         return DiscreteGraph(
             self.values.copy(), self.spacing, self.periodic, self.origin
         )
+
+
+def _number_pair(name, value):
+    """``value``, a pair of real numbers, as a pair of floats; a
+    DomainError naming ``name`` otherwise."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a pair of numbers, got {value!r}") from None
+    return as_float(name, first), as_float(name, second)
+
+
+def _periodic_flags(value):
+    """``value``, a bool or a pair of bools, as one bool per axis; a
+    DomainError otherwise."""
+    flags = (value, value) if isinstance(value, (bool, np.bool_)) else value
+    try:
+        first, second = flags
+    except (TypeError, ValueError):
+        first = second = None
+    if not all(isinstance(flag, (bool, np.bool_)) for flag in (first, second)):
+        raise DomainError(f"periodic must be a bool or a pair of bools, got {value!r}")
+    return bool(first), bool(second)
 
 
 def _fill(fn_or_values, shape, spacing, origin):
@@ -553,12 +586,16 @@ class SolveReport:
     Per Newton step, ``linear_solvers`` names what solved it: "lagged"
     (CG preconditioned by what an earlier step kept), "multigrid" (CG
     preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
-    fresh factor of the Hessian, applied directly) or "kkt" (a factor of
-    the pinned-mean system), and ``linear_iterations`` the CG iterations
-    it ran, discarded runs included.  ``iterations``, ``pinned_mean`` and
-    ``factorizations`` are read off the former: a factor of the grid's
-    Hessian or KKT system is made on each "lu" and "kkt" step, and on no
-    other (a V-cycle factors its last level only).
+    fresh factor of the Hessian, applied directly) or "kkt" (an update
+    of zero sum: on a torus whose Hessian annihilates the constants, a
+    factor of the Hessian with one unknown pinned, and on a grid with a
+    periodic axis whose Hessian's factor fails, one of the bordered
+    pinned-mean KKT system), and
+    ``linear_iterations`` the CG iterations it ran, discarded runs
+    included.  ``iterations``, ``pinned_mean`` and ``factorizations`` are
+    read off the former: a factor of the grid's Hessian, pinned or
+    bordered, is made on each "lu" and "kkt" step, and on no other (a
+    V-cycle factors its last level only).
 
     All of these describe the grid of the solve only.  A grid solved by
     nested iteration (the full multigrid start of Briggs, Henson and
@@ -622,14 +659,16 @@ _CG_MAX_ITER = 8
 # 1e-6 every accepted direction must meet, since the recurred residual
 # drifts from the true one.
 _CG_RTOL = 1e-7
-# SuperLU's column ordering for every factor, of a Hessian, a multigrid
-# last level or a KKT system: multiple minimum degree on the pattern of
-# A^T + A.  Its fill is 0.60x COLAMD's on the 129^2 tube Hessian of
-# criterion 4(c), and 0.84x on the KKT system of a pinned-mean 32^2 torus.
+# SuperLU's column ordering for every factor that is not a band, of a
+# Hessian, a pinned Hessian or a bordered KKT system: multiple minimum
+# degree on the pattern of A^T + A.  Its fill is 0.60x COLAMD's on the
+# 129^2 tube Hessian of criterion 4(c), 0.75x on the pinned Hessian of a
+# flat 32^2 torus, and 0.84x on that torus's bordered KKT system.
 _LU_ORDERING = "MMD_AT_PLUS_A"
 
 # Levels are coarsened until the shorter side has at most this many
-# nodes; that grid is factored.
+# nodes; that grid is factored, as a band, as is every grid whose shorter
+# free side has at most this many nodes along a Dirichlet longer axis.
 _COARSEST = 15
 # Damped-Jacobi smoothing: _SWEEPS sweeps with weight _OMEGA before and
 # after each coarse-grid correction.  On the tube at 65^2-257^2, 1-3
@@ -716,20 +755,79 @@ def _transfers(shape):
     return transfers
 
 
-class _VCycle:
-    """A geometric multigrid V-cycle for a symmetric matrix A, with the
-    transfer operators of ``_transfers`` (Briggs, Henson and McCormick,
-    *A Multigrid Tutorial*).
+class _Band:
+    """The LU factor of a matrix on the free nodes of a grid of
+    ``free_shape``, numbered row-major, by LAPACK's banded LU with
+    partial pivoting (``dgbtrf``, applied by ``dgbtrs``; Golub and Van
+    Loan, *Matrix Computations*, §4.3).
 
-    Each coarse operator is the Galerkin product R A P, and the coarsest
-    one is factored.  Damped Jacobi smooths the same number of sweeps
-    before and after each coarse correction, so for a positive definite
-    A the cycle is a symmetric positive definite preconditioner for CG.
-    With no transfers the cycle is the exact LU factor of A.  Raises
-    RuntimeError when the coarsest operator is singular.
+    The factor numbers the shorter side, of m nodes, fastest, and takes
+    the band's half-widths from the entries: a stencil that reaches the
+    neighbouring lines of nodes spans at most m + 1 unknowns either way,
+    or 2m - 1 where a periodic shorter side wraps.  Raises the
+    RuntimeError of SuperLU when A is singular.
     """
 
-    def __init__(self, A, transfers):
+    def __init__(self, A, free_shape):
+        n1, n2 = free_shape
+        # Node (i, j) is row-major unknown i n2 + j; numbered with the
+        # first axis fastest it is j n1 + i.
+        self.first_fastest = free_shape if n1 < n2 else None
+        A = A.tocoo()
+        rows, cols = A.row, A.col
+        if self.first_fastest:
+            rows, cols = (rows % n2) * n1 + rows // n2, (cols % n2) * n1 + cols // n2
+        self.kl = int(np.max(rows - cols, initial=0))
+        self.ku = int(np.max(cols - rows, initial=0))
+        band = np.zeros((2 * self.kl + self.ku + 1, A.shape[0]), order="F")
+        band[self.kl + self.ku + rows - cols, cols] = A.data
+        self.lu, self.pivots, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b):
+        if self.first_fastest is None:
+            return dgbtrs(self.lu, self.kl, self.ku, b, self.pivots)[0]
+        n1, n2 = self.first_fastest
+        x = dgbtrs(self.lu, self.kl, self.ku, b.reshape(n1, n2).T.ravel(), self.pivots)[0]
+        return x.reshape(n2, n1).T.ravel()
+
+
+def _factor(A, free_shape=None, periodic=None):
+    """A direct factor of A, with a ``solve`` method: the one place the
+    solver factors a matrix.
+
+    A is a matrix on the free nodes of a grid of ``free_shape`` with
+    per-axis ``periodic`` flags, numbered row-major, or, without a
+    ``free_shape``, on no grid (a bordered or pinned system).  Where the
+    shorter free side has at most ``_COARSEST`` nodes and the longer axis
+    is Dirichlet, A is a band (``_Band``); every other matrix is factored
+    by SuperLU in ``_LU_ORDERING``.  Both raise RuntimeError when A is
+    singular.
+    """
+    if free_shape is not None:
+        slow = int(free_shape[0] < free_shape[1])
+        if min(free_shape) <= _COARSEST and not periodic[slow]:
+            return _Band(A, free_shape)
+    return spla.splu(sp.csc_matrix(A), permc_spec=_LU_ORDERING)
+
+
+class _VCycle:
+    """A geometric multigrid V-cycle for a symmetric matrix A on the free
+    nodes of a grid of ``free_shape`` with per-axis ``periodic`` flags,
+    with the transfer operators of ``_transfers`` (Briggs, Henson and
+    McCormick, *A Multigrid Tutorial*).
+
+    Each coarse operator is the Galerkin product R A P, on n // 2 nodes
+    per axis, and the coarsest one is factored (``_factor``).  Damped
+    Jacobi smooths the same number of sweeps before and after each coarse
+    correction, so for a positive definite A the cycle is a symmetric
+    positive definite preconditioner for CG.  With no transfers the cycle
+    is the exact factor of A.  Raises RuntimeError when the coarsest
+    operator is singular.
+    """
+
+    def __init__(self, A, transfers, free_shape, periodic):
         # A is symmetric: its transpose is A, and for the CSC Hessian
         # that transpose is already CSR, without a copy.
         A = A.T.tocsr()
@@ -737,7 +835,8 @@ class _VCycle:
         for P, R in transfers:
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
             A = R @ A @ P
-        self.coarsest = spla.splu(sp.csc_matrix(A), permc_spec=_LU_ORDERING)
+            free_shape = tuple(n // 2 for n in free_shape)
+        self.coarsest = _factor(A, free_shape, periodic)
 
     def solve(self, r, level=0):
         """One V-cycle on A x = r from x = 0."""
@@ -753,39 +852,57 @@ class _VCycle:
         return x
 
 
+def _pinned(H, rhs):
+    """The update of zero sum that solves H delta = rhs - mean(rhs), for
+    an H that annihilates the constants: the factor of H with its first
+    unknown pinned solves every other row, the rows of H sum to zero so
+    the first row holds too, and the update's mean is then removed.  When
+    H 1 = 0 this is the update of the bordered system of ``_kkt``, at
+    about half its fill.  None when the factor fails or the update does
+    not meet ``_solves``."""
+    b = rhs - np.mean(rhs)
+    try:
+        rest = _factor(H[1:, 1:]).solve(b[1:])
+    except (RuntimeError, ValueError):
+        return None
+    delta = np.concatenate(([0.0], rest))
+    delta -= np.mean(delta)
+    return delta if _solves(H, delta, b) else None
+
+
 def _kkt(H, rhs):
     """The update of zero sum that solves H delta = rhs up to a constant:
-    the delta of the pinned-mean KKT system [[H, e], [e^T, 0]], factored
-    in ``_LU_ORDERING``.  None when the factor fails or is not finite."""
+    the delta of the pinned-mean KKT system [[H, e], [e^T, 0]], bordered
+    by e = 1.  None when the factor fails or is not finite."""
     n = H.shape[0]
     e = np.ones((n, 1))
     K = sp.bmat([[H, e], [e.T, None]], format="csc")
     try:
-        sol = spla.splu(K, permc_spec=_LU_ORDERING).solve(np.append(rhs, 0.0))
+        sol = _factor(K).solve(np.append(rhs, 0.0))
     except (RuntimeError, ValueError):
         return None
     return sol[:n] if np.all(np.isfinite(sol)) else None
 
 
-def _linear_solve(H, rhs, periodic, kept=None, transfers=()):
+def _linear_solve(H, rhs, free_shape, periodic, kept=None, transfers=()):
     """Solve H delta = rhs by the rule of the module docstring, on a grid
-    with per-axis ``periodic`` flags and multigrid ``transfers`` (empty
-    without a hierarchy): (delta, kept, kind, iterations), with kind as
-    in ``SolveReport.linear_solvers``.
+    of ``free_shape`` free nodes with per-axis ``periodic`` flags and
+    multigrid ``transfers`` (empty without a hierarchy): (delta, kept,
+    kind, iterations), with kind as in ``SolveReport.linear_solvers``.
 
     ``kept`` is the ``_VCycle`` an earlier step kept; the one returned is
     what the next step lags.  A run must meet ``_solves``.  The exact
-    factor ``_VCycle(H, [])`` is applied directly, since CG stops on an
-    indefinite H.  A fully periodic H that nearly annihilates the
+    factor ``_VCycle(H, [], ...)`` is applied directly, since CG stops on
+    an indefinite H.  A fully periodic H that nearly annihilates the
     constants (a vertically flat stretch) pins the update's mean at once
-    (``_kkt``), and so does a grid with a periodic axis whose factor
-    fails.  ``iterations`` counts every CG iteration run; delta is None
-    when no path gives one.
+    (``_pinned``), and a grid with a periodic axis whose factor fails
+    pins it by the bordered system of ``_kkt``.  ``iterations`` counts
+    every CG iteration run; delta is None when no path gives one.
     """
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
         if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
-            return _kkt(H, rhs), kept, "kkt", 0
+            return _pinned(H, rhs), kept, "kkt", 0
     iterations = 0
     if kept is not None:
         delta, iterations = _pcg(H, rhs, kept.solve, _CG_MAX_ITER)
@@ -793,7 +910,7 @@ def _linear_solve(H, rhs, periodic, kept=None, transfers=()):
             return delta, kept, "lagged", iterations
     if transfers:
         try:
-            vcycle = _VCycle(H, transfers)
+            vcycle = _VCycle(H, transfers, free_shape, periodic)
             delta, run = _pcg(H, rhs, vcycle.solve, _MG_MAX_ITER)
         except (RuntimeError, ValueError):
             delta, run = None, 0
@@ -802,7 +919,7 @@ def _linear_solve(H, rhs, periodic, kept=None, transfers=()):
             kept = vcycle if run <= _CG_MAX_ITER else None
             return delta, kept, "multigrid", iterations
     try:
-        factor = _VCycle(H, [])
+        factor = _VCycle(H, [], free_shape, periodic)
         delta = factor.solve(rhs)
     except (RuntimeError, ValueError):
         delta = None
@@ -942,6 +1059,7 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
     max|el_residual| <= tol was reached; a line search that stalls or a
     singular Jacobian raises SolveError."""
     free = g.free_slices()
+    free_shape = g.values[free].shape
     h1, h2 = g.spacing
     cell_w = h1 * h2
     history = []
@@ -963,8 +1081,8 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
                                   linear_solvers)
 
         H = _hessian(spec, g, pattern)
-        delta, kept, kind, iterations = _linear_solve(H, -F, g.periodic, kept,
-                                                      transfers)
+        delta, kept, kind, iterations = _linear_solve(H, -F, free_shape, g.periodic,
+                                                      kept, transfers)
         if delta is None:
             raise SolveError("singular Jacobian", history)
         linear_solvers.append(kind)
@@ -982,9 +1100,7 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
                     alpha = min(1.0, float(np.linalg.norm(delta)) / nrm + 1e-30)
             while alpha > 2.0**-30:
                 trial = g.copy()
-                trial.values[free] = g.values[free] + alpha * direction.reshape(
-                    g.values[free].shape
-                )
+                trial.values[free] = g.values[free] + alpha * direction.reshape(free_shape)
                 if not _in_range(spec, trial.values):
                     alpha *= 0.5
                     continue

@@ -61,3 +61,34 @@ def test_integer_counts_are_checked_by_as_int(call, name, value):
 def test_rectangle_shape_must_be_a_pair(shape):
     with pytest.raises(DomainError, match="^shape must be a pair of grid sizes"):
         DiscreteGraph.on_rectangle((1.0, 1.0), shape, 0.0)
+
+
+_VALUES = [[0.0] * 8] * 8
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: DiscreteGraph(_VALUES, (1, 1), periodic=(True,)), "periodic"),
+    (lambda: DiscreteGraph(_VALUES, (1, 1), periodic="yes"), "periodic"),
+    (lambda: DiscreteGraph(_VALUES, (1, 1), periodic=(1, 0)), "periodic"),
+    (lambda: DiscreteGraph(_VALUES, (1, 1, 1)), "spacing"),
+    (lambda: DiscreteGraph(_VALUES, 0.1), "spacing"),
+    (lambda: DiscreteGraph(_VALUES, ("a", "b")), "spacing"),
+    (lambda: DiscreteGraph(_VALUES, (1, 1), origin=(0.0,)), "origin"),
+    (lambda: DiscreteGraph.on_rectangle((1, 1), (5, 5), 0.0, periodic=(True,)), "periodic"),
+    (lambda: DiscreteGraph.on_rectangle((1, 1), (5, 5), 0.0, periodic=None), "periodic"),
+    (lambda: DiscreteGraph.on_rectangle((1, 1, 1), (5, 5), 0.0), "extent"),
+    (lambda: DiscreteGraph.on_rectangle((1, 1), (5, 5), lambda x, y: x, origin=5.0), "origin"),
+], ids=["periodic_one", "periodic_str", "periodic_ints", "spacing_three", "spacing_scalar",
+        "spacing_str", "origin_one", "rectangle_periodic_one", "rectangle_periodic_none",
+        "rectangle_extent_three", "rectangle_origin_scalar"])
+def test_graph_grid_fields_are_pairs(make, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a"):
+        make()
+
+
+@pytest.mark.parametrize("periodic,flags", [(True, (True, True)), (False, (False, False)),
+                                            ((True, False), (True, False)),
+                                            ([False, True], (False, True))])
+def test_graph_periodic_is_a_bool_or_a_pair_of_bools(periodic, flags):
+    g = DiscreteGraph(_VALUES, [0.5, 0.25], periodic=periodic, origin=[1, 2])
+    assert g.periodic == flags and g.spacing == (0.5, 0.25) and g.origin == (1.0, 2.0)

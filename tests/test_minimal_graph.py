@@ -23,12 +23,16 @@ from thinpart.minimal_graph import (
     _LU_ORDERING,
     _MG_MAX_ITER,
     _Pattern,
+    _Band,
     _VCycle,
     _corrected,
+    _factor,
     _gradient,
     _hessian,
+    _kkt,
     _linear_solve,
     _pcg,
+    _pinned,
     _prolongation,
     _solves,
     _transfers,
@@ -442,37 +446,44 @@ def test_pattern_numbers_every_free_node_once(periodic):
     assert pattern.shape == (nfree, nfree) and pattern.indptr.size == nfree + 1
 
 
-def _recording_splu(monkeypatch):
-    """Record (matrix, factor) for every factorization the solver makes."""
+def _recording_factor(monkeypatch):
+    """Record (matrix, factor) for every factorization the solver makes,
+    banded or by SuperLU."""
     factors = []
-    splu = spla.splu
+    factor = minimal_graph._factor
 
-    def recording(A, *args, **kwargs):
-        lu = splu(A, *args, **kwargs)
+    def recording(A, *args):
+        lu = factor(A, *args)
         factors.append((A, lu))
         return lu
 
-    monkeypatch.setattr(minimal_graph.spla, "splu", recording)
+    monkeypatch.setattr(minimal_graph, "_factor", recording)
     return factors
 
 
 def _hessian_factor(monkeypatch):
     # The fresh factor _linear_solve makes of the 129^2 tube Hessian.
     H, rhs = _hessian_and_rhs(129)
-    factors = _recording_splu(monkeypatch)
-    _linear_solve(H, rhs, (False, False))
+    factors = _recording_factor(monkeypatch)
+    _linear_solve(H, rhs, (127, 127), (False, False))
     return factors[0]
 
 
-def _kkt_factor(monkeypatch):
-    # The first pinned-mean KKT factor of a flat 32^2 torus solve.
+def _flat_torus_32():
+    # The pinned-mean flat torus of the graph_small benchmark workload.
     lat = FlatTorusLattice(1.0, 0.0, 1.2)
-    init = DiscreteGraph.on_torus(
+    return WarpedMetricSpec.flat(lat, -5.0, 5.0), DiscreteGraph.on_torus(
         lat, (32, 32),
         lambda x, y: 0.2 + 0.06 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.2)
         + 0.03 * np.cos(4 * np.pi * x + 1.0))
-    factors = _recording_splu(monkeypatch)
-    _, rep = solve(WarpedMetricSpec.flat(lat, -5.0, 5.0), init, tol=1e-9)
+
+
+def _kkt_factor(monkeypatch):
+    # The first pinned-mean factor of a flat 32^2 torus solve: its
+    # Hessian with the first unknown pinned.
+    spec, init = _flat_torus_32()
+    factors = _recording_factor(monkeypatch)
+    _, rep = solve(spec, init, tol=1e-9)
     assert rep.linear_solvers[0] == "kkt"
     return factors[0]
 
@@ -486,7 +497,86 @@ def test_factor_fill_against_colamd(monkeypatch, factor, ratio):
     # against COLAMD on the same row-major matrix.
     A, lu = factor(monkeypatch)
     monkeypatch.undo()
-    assert lu.nnz <= ratio * spla.splu(A, permc_spec="COLAMD").nnz
+    assert lu.nnz <= ratio * spla.splu(sp.csc_matrix(A), permc_spec="COLAMD").nnz
+
+
+def _stripe_graph(across):
+    # The cusp stripe of criterion 4(a), 4 x 2049 nodes and periodic
+    # across, with data that varies across it by ``across``.
+    h2 = 1.0 / 2048
+    return DiscreteGraph.on_rectangle(
+        (4 * h2, 1.0), (4, 2049),
+        lambda x, y: 0.15 + 0.4 * y + across * np.sin(np.pi * y) * np.cos(np.pi * x / (2 * h2)),
+        periodic=(True, False))
+
+
+def _galerkin_257(monkeypatch):
+    # The last level of the 257^2 tube Hessian's V-cycle.
+    spec, g = tube_spec(), _tube_4c_graph(257)
+    factors = _recording_factor(monkeypatch)
+    _VCycle(_hessian(spec, g, _Pattern(g)), _transfers((255, 255)), (255, 255),
+            (False, False))
+    monkeypatch.undo()
+    return factors[0][0], (15, 15), (False, False)
+
+
+def _grid_hessian(spec, g):
+    return _hessian(spec, g, _Pattern(g)), g.values[g.free_slices()].shape, g.periodic
+
+
+@pytest.mark.parametrize("matrix,half_width", [
+    (lambda monkeypatch: _grid_hessian(tube_spec(), _tube_4c_graph(17)), 15),
+    (_galerkin_257, 16),
+    # A periodic shorter side of 4 nodes wraps to 2 * 4 - 1.
+    (lambda monkeypatch: _grid_hessian(cusp_spec(), _stripe_graph(0.02)), 7),
+], ids=["dirichlet_15", "galerkin_257", "stripe_4x2047"])
+def test_banded_and_superlu_factors_agree(monkeypatch, matrix, half_width):
+    A, free_shape, periodic = matrix(monkeypatch)
+    band = _factor(A, free_shape, periodic)
+    assert isinstance(band, _Band) and band.kl == band.ku == half_width
+    superlu = spla.splu(sp.csc_matrix(A), permc_spec=_LU_ORDERING)
+    rng = np.random.default_rng(1)
+    for b in rng.standard_normal((2, A.shape[0])):
+        x, y = band.solve(b), superlu.solve(b)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_a_singular_band_raises_the_error_of_superlu():
+    # A 15^2 Dirichlet Hessian with one unknown decoupled and zeroed.
+    A, free_shape, periodic = _grid_hessian(tube_spec(), _tube_4c_graph(17))
+    keep = sp.diags((np.arange(A.shape[0]) != 100).astype(float))
+    with pytest.raises(RuntimeError, match="singular"):
+        _factor(keep @ A @ keep, free_shape, periodic)
+
+
+@pytest.mark.parametrize("problem,solvers", [
+    (lambda: (cusp_spec(), _stripe_graph(0.0)), ["lu"]),
+    (lambda: (tube_spec(), _tube_4c_graph(129)), ["multigrid", "lagged"]),
+], ids=["stripe_4x2049", "multigrid_129"])
+def test_narrow_grids_make_no_superlu_factor(monkeypatch, problem, solvers):
+    # Every ladder rung, the stripe itself and every V-cycle's last level
+    # is a band.
+    spec, g = problem()
+    calls = []
+    monkeypatch.setattr(minimal_graph.spla, "splu", lambda *args, **kw: calls.append(args))
+    out, rep = solve(spec, g, tol=1e-8)
+    assert rep.converged and rep.linear_solvers == solvers and calls == []
+
+
+def test_pinned_factor_halves_the_fill_of_the_bordered_system(monkeypatch):
+    spec, g = _flat_torus_32()
+    H, rhs = _hessian(spec, g, _Pattern(g)), -_gradient(spec, g)[g.free_slices()].ravel()
+    factors = _recording_factor(monkeypatch)
+    bordered = _kkt(H, rhs)
+    delta = _pinned(H, rhs)
+    (K, kkt), (A, pinned) = factors
+    assert K.shape[0] == H.shape[0] + 1 and A.shape[0] == H.shape[0] - 1
+    assert pinned.nnz <= 0.6 * kkt.nnz
+    # The update of the bordered system: zero sum, H delta = rhs - mean(rhs).
+    b = rhs - np.mean(rhs)
+    assert abs(delta.sum()) <= 1e-12 * np.abs(delta).sum()
+    assert np.linalg.norm(H @ delta - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(delta - bordered) <= 1e-10 * np.linalg.norm(bordered)
 
 
 def test_solve_flat_affine_dirichlet_reproduces_plane():
@@ -642,7 +732,7 @@ def test_solve_factors_the_hessian_once(monkeypatch):
     # 17^2 is the largest square grid whose multigrid hierarchy has no
     # levels: the steps are solved by the factor and CG preconditioned by
     # it.
-    calls = _recording_splu(monkeypatch)
+    calls = _recording_factor(monkeypatch)
     out, rep = solve(tube_spec(), _tube_4c_graph(17), tol=1e-9)
     assert rep.converged and rep.iterations == 4
     assert rep.final_residual <= 1e-9
@@ -660,7 +750,7 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     _cold_start(monkeypatch)
     reference, ref_rep = solve(spec, g, tol=1e-9)
     monkeypatch.undo()
-    factors = _recording_splu(monkeypatch)
+    factors = _recording_factor(monkeypatch)
     out, rep = solve(spec, g, tol=1e-9)
     # The 129^2 grid starts from one step on each of its 17^2, 33^2 and
     # 65^2 grids.
@@ -697,7 +787,8 @@ def test_vcycle_is_symmetric_positive_definite():
     # smooths as many sweeps before the coarse correction as after.
     spec, g = tube_spec(), _tube_4c_graph(65)
     pattern = _Pattern(g)
-    vcycle = _VCycle(_hessian(spec, g, pattern), _transfers((63, 63)))
+    vcycle = _VCycle(_hessian(spec, g, pattern), _transfers((63, 63)), (63, 63),
+                     (False, False))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, pattern.shape[0]))
     vx, vy = vcycle.solve(x), vcycle.solve(y)
@@ -714,10 +805,10 @@ def test_prolongation_reaches_every_fine_node(n):
     assert np.array_equal(P[1::2][: n // 2], np.eye(n // 2))
 
 
-def _negated_vcycle(A, transfers):
+def _negated_vcycle(A, transfers, *grid):
     # A V-cycle of -A where it has levels: negative definite, so CG stops
     # at once.  The V-cycle of no levels, the factor of A, is left alone.
-    return _VCycle(-A if transfers else A, transfers)
+    return _VCycle(-A if transfers else A, transfers, *grid)
 
 
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
@@ -725,8 +816,8 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     H = _hessian(spec, g, _Pattern(g))
     rhs = -_gradient(spec, g)[g.free_slices()].ravel()
     monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
-    factors = _recording_splu(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), None,
+    factors = _recording_factor(monkeypatch)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (63, 63), (False, False), None,
                                                   _transfers((63, 63)))
     assert kind == "lu" and iterations == 1 and kept.levels == []
     # The failed V-cycle's last level, then H.
@@ -947,9 +1038,10 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
-    unrelated = _VCycle(other, [])
-    calls = _recording_splu(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), unrelated)
+    unrelated = _VCycle(other, [], (31, 31), (False, False))
+    calls = _recording_factor(monkeypatch)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (31, 31), (False, False),
+                                                  unrelated)
     assert len(calls) == 1 and kind == "lu" and kept is not unrelated
     # The discarded run's iterations are counted: the unrelated factor
     # runs to the cap, the indefinite one stops in its first iteration.
@@ -959,9 +1051,9 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = _VCycle(H, [])
-    calls = _recording_splu(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False), own)
+    own = _VCycle(H, [], (31, 31), (False, False))
+    calls = _recording_factor(monkeypatch)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (31, 31), (False, False), own)
     assert calls == [] and kept is own and 1 <= iterations <= _CG_MAX_ITER
     assert kind == "lagged"
     assert _solves_to_1e6(H, delta, rhs)
@@ -978,7 +1070,7 @@ def test_a_fresh_factor_solves_an_indefinite_hessian():
     x = (np.arange(n) % 2).astype(float)
     rhs = H @ x
     assert rhs @ x < 0.0
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (False, False))
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (n, 1), (False, False))
     assert kind == "lu" and iterations == 0 and kept.levels == []
     assert _solves(H, delta, rhs)
     assert _pcg(H, rhs, kept.solve, _CG_MAX_ITER)[0] is None
@@ -1000,7 +1092,7 @@ def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatc
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(minimal_graph.spla, "splu", failing_on_h)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, g.periodic)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, (65, 127), g.periodic)
     assert kind == "kkt" and kept is None and iterations == 0
     assert abs(delta.sum()) <= 1e-12 * np.abs(delta).sum()
     # H delta + lam e = rhs, for the multiplier lam of the KKT system.
