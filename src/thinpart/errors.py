@@ -45,28 +45,49 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
-def as_floats(name: str, value) -> np.ndarray:
-    """``value``, a sequence of real numbers, as a 1-d float array; a
-    DomainError naming ``name`` otherwise."""
+def _real_array(value):
+    """``value`` as an array, or None where it is not an array of real
+    numbers: complex or string entries, a ragged nested list."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nested list
-        array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in "biuf":
+        return None
+    return array if array.dtype.kind in "biuf" else None
+
+
+def as_floats(name: str, value) -> np.ndarray:
+    """``value``, a sequence of real numbers, as a 1-d float array; a
+    DomainError naming ``name`` otherwise."""
+    array = _real_array(value)
+    if array is None or array.ndim != 1:
         raise DomainError(f"{name} must be a list of numbers, got {value!r}")
     return array.astype(float)
+
+
+def as_real_array(name: str, value) -> np.ndarray:
+    """``value``, an array of real numbers of any shape, as a float array
+    (``value`` itself where it is one); a DomainError naming ``name``
+    otherwise."""
+    array = _real_array(value)
+    if array is None:
+        raise DomainError(f"{name} must be a rectangular array of real numbers")
+    return np.asarray(array, dtype=float)
 
 
 def load_json(path, build):
     """``build(data)`` for the JSON document in the file at ``path``.
 
-    Malformed JSON, a KeyError/TypeError/ValueError raised while building
-    from it (a missing field, a field of the wrong type), and a
-    DomainError from the builder become a DomainError naming the file.
+    Malformed JSON, a document that is not a JSON object, a
+    KeyError/TypeError/ValueError raised while building from it (a
+    missing field, a field of the wrong type), and a DomainError from the
+    builder become a DomainError naming the file.
     """
     with open(path) as fh:
         try:
-            return build(json.load(fh))
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise DomainError(f"expected a JSON object, got {type(data).__name__}")
+            return build(data)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}: malformed JSON: {exc}") from exc
         except DomainError as exc:

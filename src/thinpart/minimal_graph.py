@@ -39,40 +39,32 @@ triangle type (``_pair_table``), sums them per mesh edge in the windowed
 sums above, and reads both mirrored entries from that sum, which keeps
 the Hessian exactly symmetric.
 
-Every Newton step is solved by one rule (``_linear_solve``).  It first
-runs conjugate gradients preconditioned by what the solve kept from an
-earlier step (a lagged preconditioner: between Newton steps the Hessian
-changes little), at most ``_CG_MAX_ITER`` iterations.  Where nothing is
-kept, or that run fails, the step builds a preconditioner of its own
-Hessian.  Every Dirichlet grid has a multigrid hierarchy, coarsened
-until a free side has at most ``_COARSEST`` nodes; a step tries a
-V-cycle first where there are levels (``_VCycle``: bilinear transfer,
-Galerkin coarse operators, damped-Jacobi smoothing, a factored last
-level), at most ``_MG_MAX_ITER`` iterations.  Where that fails, or there
-are none (a periodic axis, or a free side of at most ``_COARSEST``
-nodes), a direct factor of the Hessian solves the step.  The new
-preconditioner is kept when its run took at most ``_CG_MAX_ITER``
-iterations, a factor always; none outlives the solve.  Every direct
-factor is made by one function, ``_factor``: a matrix whose shorter free
-side has at most ``_COARSEST`` nodes along a Dirichlet longer axis is a
-band, factored by LAPACK's banded LU (``_Band``: every V-cycle's last
-level, and every narrow grid, a stripe among them); every other one by
-SuperLU in one column ordering, ``_LU_ORDERING``.  The Hessian of a flat
-torus annihilates the constants; it is factored with one unknown pinned
-(``_pinned``).
+A solve lists its grids once, finest first (``_hierarchy``, whose
+docstring states the one coarsening rule); the V-cycle, the nested start
+and the direct factor all read that list.  Every Newton step is solved by
+one rule (``_linear_solve``).  It first runs conjugate gradients
+preconditioned by what the solve kept from an earlier step (a lagged
+preconditioner: between Newton steps the Hessian changes little), at most
+``_CG_MAX_ITER`` iterations.  Where nothing is kept, or that run fails,
+the step builds a preconditioner of its own Hessian: a V-cycle where the
+grid has multigrid transfers (``_VCycle``: bilinear transfer, Galerkin
+coarse operators, damped-Jacobi smoothing, a factored last level), at
+most ``_MG_MAX_ITER`` iterations, and where that fails, or there is
+none, a direct factor of the Hessian.  The new preconditioner is kept
+when its run took at most ``_CG_MAX_ITER`` iterations, a factor always;
+none outlives the solve.  Every direct factor is made by one function,
+``_factor``: a band by LAPACK's banded LU where a short free side allows
+(``_Band``), by SuperLU in one column ordering, ``_LU_ORDERING``,
+otherwise.  The Hessian of a flat torus annihilates the constants; it is
+factored with one unknown pinned (``_pinned``).
 
-A grid whose Dirichlet axes have odd free sides longer than
-``_COARSEST`` is solved by nested iteration, the full multigrid scheme of
-Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6
-(``_nested_start``).  Its coarser grids inject every second node along
-each Dirichlet axis, boundary ring included, and keep every node along a
-periodic one, until a Dirichlet free side has at most ``_COARSEST``
-nodes: on a Dirichlet grid, down the multigrid hierarchy to its last
-level.  Each coarser grid takes one Newton step, and each grid starts
-from its injected data plus the cubic interpolation of the coarser
-grid's correction (``_refined``; the V-cycle's bilinear transfer would
-start it an O(h^2) error away, an O(1) residual); the grid of the solve
-starts from that interpolation too.
+A grid with coarser levels whose Dirichlet free sides are odd is solved
+by nested iteration, the full multigrid scheme of Briggs, Henson and
+McCormick, *A Multigrid Tutorial*, ch. 6 (``_nested_start``): it first
+takes one Newton step on coarser levels, and each grid starts from its
+injected data plus the cubic interpolation of the coarser grid's
+correction (``_refined``; the V-cycle's bilinear transfer would start it
+an O(h^2) error away, an O(1) residual).
 """
 
 from __future__ import annotations
@@ -85,7 +77,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import DomainError, SolveError, as_float, as_int, require_finite
+from .errors import DomainError, SolveError, as_float, as_int, as_real_array, require_finite
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
 
@@ -115,7 +107,7 @@ class DiscreteGraph:
         if h1 <= 0 or h2 <= 0:
             raise DomainError("grid spacing must be positive")
         self.periodic = _periodic_flags(self.periodic)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = as_real_array("values", self.values)
         if self.values.ndim != 2:
             raise DomainError("graph values must be a 2-d array")
         if min(self.values.shape) < 4:
@@ -218,17 +210,21 @@ def _periodic_flags(value):
 
 
 def _fill(fn_or_values, shape, spacing, origin):
-    if callable(fn_or_values):
+    """The node values of a grid of ``shape``: ``fn_or_values`` called at
+    the node coordinates when it is callable, else as given; a scalar
+    fills the grid, and any shape other than ``shape`` raises a
+    DomainError naming ``values``."""
+    values = fn_or_values
+    if callable(values):
         x1 = origin[0] + spacing[0] * np.arange(shape[0])
         x2 = origin[1] + spacing[1] * np.arange(shape[1])
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        return np.asarray(fn_or_values(X1, X2), dtype=float) * np.ones(shape)
-    vals = np.asarray(fn_or_values, dtype=float)
-    if vals.shape == ():
-        return np.full(shape, float(vals))
-    if vals.shape != tuple(shape):
-        raise DomainError(f"values shape {vals.shape} != grid shape {shape}")
-    return vals.copy()
+        values = values(*np.meshgrid(x1, x2, indexing="ij"))
+    values = as_real_array("values", values)
+    if values.shape == ():
+        return np.full(shape, float(values))
+    if values.shape != tuple(shape):
+        raise DomainError(f"values shape {values.shape} != grid shape {shape}")
+    return values.copy()
 
 
 def _require_diagonal(spec: WarpedMetricSpec):
@@ -586,27 +582,21 @@ class SolveReport:
     Per Newton step, ``linear_solvers`` names what solved it: "lagged"
     (CG preconditioned by what an earlier step kept), "multigrid" (CG
     preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
-    fresh factor of the Hessian, applied directly) or "kkt" (an update
-    of zero sum: on a torus whose Hessian annihilates the constants, a
-    factor of the Hessian with one unknown pinned, and on a grid with a
-    periodic axis whose Hessian's factor fails, one of the bordered
-    pinned-mean KKT system), and
+    fresh factor of the Hessian, applied directly) or "kkt" (on a torus
+    whose Hessian annihilates the constants, the update of zero sum of a
+    factor of the Hessian with one unknown pinned), and
     ``linear_iterations`` the CG iterations it ran, discarded runs
     included.  ``iterations``, ``pinned_mean`` and ``factorizations`` are
-    read off the former: a factor of the grid's Hessian, pinned or
-    bordered, is made on each "lu" and "kkt" step, and on no other (a
-    V-cycle factors its last level only).
+    read off the former: a factor of the grid's Hessian, pinned or not,
+    is made on each "lu" and "kkt" step, and on no other (a V-cycle
+    factors its last level only).
 
     All of these describe the grid of the solve only.  A grid solved by
-    nested iteration (the full multigrid start of Briggs, Henson and
-    McCormick, *A Multigrid Tutorial*, ch. 6) first visits its coarser
-    grids, halved along each Dirichlet axis until a Dirichlet free side
-    has at most ``_COARSEST`` nodes, one Newton step per coarser grid: a
-    65^2 grid visits 17^2 and 33^2, a 4 x 2049 stripe periodic along its
-    first axis 4 x 17, 4 x 33, ..., 4 x 1025.  ``coarse_grids`` holds a
-    ``CoarseSolve`` record for each, coarsest first, and is empty for
-    every other grid: a torus, an even free side on a Dirichlet axis, or
-    at most ``_COARSEST`` free nodes along one."""
+    nested iteration (``_nested_start``) first takes one Newton step on
+    each of its coarser grids: a 65^2 grid on 17^2 and 33^2, a 4 x 2049
+    stripe periodic along its first axis on 4 x 17, 4 x 33, ...,
+    4 x 1025.  ``coarse_grids`` holds a ``CoarseSolve`` record for each,
+    coarsest first, and is empty for every other grid."""
 
     converged: bool
     residual_history: list = field(default_factory=list)
@@ -645,8 +635,8 @@ class CoarseSolve:
 
 
 # Iteration cap of a lagged CG run, and the bound of the keep rule.  With
-# a lagged factor (a free side of at most _COARSEST nodes, a periodic
-# axis, or a multigrid fallback) each iteration is one product with H and
+# a lagged factor (a grid of one level, a periodic axis, or a multigrid
+# fallback) each iteration is one product with H and
 # one pair of triangular solves; on the tube solves of criterion 4(c) by
 # the factor, 2-core machine, one factorization costs more than 8 such
 # iterations at every grid from 33^2 to 257^2, and the lagged factor
@@ -660,15 +650,13 @@ _CG_MAX_ITER = 8
 # drifts from the true one.
 _CG_RTOL = 1e-7
 # SuperLU's column ordering for every factor that is not a band, of a
-# Hessian, a pinned Hessian or a bordered KKT system: multiple minimum
-# degree on the pattern of A^T + A.  Its fill is 0.60x COLAMD's on the
-# 129^2 tube Hessian of criterion 4(c), 0.75x on the pinned Hessian of a
-# flat 32^2 torus, and 0.84x on that torus's bordered KKT system.
+# Hessian or a pinned Hessian: multiple minimum degree on the pattern of
+# A^T + A.  Its fill is 0.60x COLAMD's on the 129^2 tube Hessian of
+# criterion 4(c), and 0.75x on the pinned Hessian of a flat 32^2 torus.
 _LU_ORDERING = "MMD_AT_PLUS_A"
 
-# Levels are coarsened until the shorter side has at most this many
-# nodes; that grid is factored, as a band, as is every grid whose shorter
-# free side has at most this many nodes along a Dirichlet longer axis.
+# The free side at which ``_hierarchy`` stops coarsening, and the widest
+# shorter free side that ``_factor`` factors as a band.
 _COARSEST = 15
 # Damped-Jacobi smoothing: _SWEEPS sweeps with weight _OMEGA before and
 # after each coarse-grid correction.  On the tube at 65^2-257^2, 1-3
@@ -724,15 +712,14 @@ def _pcg(H, rhs, precondition, max_iter):
     return None, k
 
 
-def _prolongation(n):
+def _prolongation(n, m):
     """The V-cycle's transfer along one axis (nested iteration
     interpolates by ``_refined`` instead): vertex-centred linear
-    interpolation onto a line of n free nodes
-    from the n // 2 coarse nodes at fine nodes 1, 3, 5, ...: the fine
-    nodes between carry the mean of their neighbours, taking the
-    Dirichlet value beyond the ends as zero.  On an even line the last
-    coarse node is the last fine node, so every fine node is reached."""
-    m = n // 2
+    interpolation onto a line of n free nodes from the m coarse nodes at
+    fine nodes 1, 3, ..., 2m - 1 (``_hierarchy``): the fine nodes between
+    carry the mean of their neighbours, taking the Dirichlet value beyond
+    the ends as zero.  On an even line the last coarse node is the last
+    fine node, so every fine node is reached."""
     j = np.arange(m)
     rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
     cols = np.concatenate([j, j, j])
@@ -741,18 +728,32 @@ def _prolongation(n):
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, m))
 
 
-def _transfers(shape):
-    """The (P, R) pair of every multigrid level of a Dirichlet grid of
-    free nodes, numbered row-major, finest first: P = kron(P1, P2) with
-    ``_prolongation`` per axis, and R = P^T.  Levels are added until the
-    shorter side has at most ``_COARSEST`` nodes."""
-    transfers = []
-    while min(shape) > _COARSEST:
-        P1, P2 = _prolongation(shape[0]), _prolongation(shape[1])
-        P = sp.kron(P1, P2, format="csr")
-        transfers.append((P, P.T.tocsr()))
-        shape = (P1.shape[1], P2.shape[1])
-    return transfers
+def _hierarchy(free_shape, periodic):
+    """The levels of a solve on a grid of ``free_shape`` free nodes with
+    per-axis ``periodic`` flags, finest first, as (free_shape, transfer)
+    pairs: the only place the solver derives a coarser grid.
+
+    Level k + 1 keeps every node of level k along a periodic axis and
+    every second one along a Dirichlet axis, the free nodes 1, 3, 5, ...:
+    a Dirichlet free side n becomes n // 2, and an odd one is then the
+    injection of every second node, boundary ring included.  Levels are
+    added while the shortest Dirichlet free side is longer than
+    ``_COARSEST``, so a torus has one level.  On a grid with no periodic
+    axis, every level but the last carries the V-cycle's transfer to the
+    next, (P, R) with P = kron(P1, P2) of ``_prolongation`` per axis on
+    the row-major numbering and R = P^T; every other transfer is None.
+    """
+    shapes = [tuple(free_shape)]
+    dirichlet = [axis for axis, wrap in enumerate(periodic) if not wrap]
+    while dirichlet and min(shapes[-1][axis] for axis in dirichlet) > _COARSEST:
+        shapes.append(tuple(n if wrap else n // 2 for n, wrap in zip(shapes[-1], periodic)))
+    if any(periodic):
+        return [(shape, None) for shape in shapes]
+    levels = []
+    for fine, coarse in zip(shapes, shapes[1:]):
+        P = sp.kron(*map(_prolongation, fine, coarse), format="csr")
+        levels.append((fine, (P, P.T.tocsr())))
+    return levels + [(shapes[-1], None)]
 
 
 class _Band:
@@ -799,9 +800,9 @@ def _factor(A, free_shape=None, periodic=None):
 
     A is a matrix on the free nodes of a grid of ``free_shape`` with
     per-axis ``periodic`` flags, numbered row-major, or, without a
-    ``free_shape``, on no grid (a bordered or pinned system).  Where the
-    shorter free side has at most ``_COARSEST`` nodes and the longer axis
-    is Dirichlet, A is a band (``_Band``); every other matrix is factored
+    ``free_shape``, on no grid (a pinned Hessian).  Where the shorter
+    free side has at most ``_COARSEST`` nodes and the longer axis is
+    Dirichlet, A is a band (``_Band``); every other matrix is factored
     by SuperLU in ``_LU_ORDERING``.  Both raise RuntimeError when A is
     singular.
     """
@@ -814,29 +815,28 @@ def _factor(A, free_shape=None, periodic=None):
 
 class _VCycle:
     """A geometric multigrid V-cycle for a symmetric matrix A on the free
-    nodes of a grid of ``free_shape`` with per-axis ``periodic`` flags,
-    with the transfer operators of ``_transfers`` (Briggs, Henson and
-    McCormick, *A Multigrid Tutorial*).
+    nodes of the first of ``levels`` (``_hierarchy``), with per-axis
+    ``periodic`` flags (Briggs, Henson and McCormick, *A Multigrid
+    Tutorial*).
 
-    Each coarse operator is the Galerkin product R A P, on n // 2 nodes
-    per axis, and the coarsest one is factored (``_factor``).  Damped
-    Jacobi smooths the same number of sweeps before and after each coarse
-    correction, so for a positive definite A the cycle is a symmetric
-    positive definite preconditioner for CG.  With no transfers the cycle
-    is the exact factor of A.  Raises RuntimeError when the coarsest
-    operator is singular.
+    Each coarse operator is the Galerkin product R A P with the transfer
+    of the level above, and the last level's is factored (``_factor``).
+    Damped Jacobi smooths the same number of sweeps before and after each
+    coarse correction, so for a positive definite A the cycle is a
+    symmetric positive definite preconditioner for CG.  With one level
+    the cycle is the exact factor of A.  Raises RuntimeError when the
+    last level's operator is singular.
     """
 
-    def __init__(self, A, transfers, free_shape, periodic):
+    def __init__(self, A, levels, periodic):
         # A is symmetric: its transpose is A, and for the CSC Hessian
         # that transpose is already CSR, without a copy.
         A = A.T.tocsr()
         self.levels = []
-        for P, R in transfers:
+        for _, (P, R) in levels[:-1]:
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
             A = R @ A @ P
-            free_shape = tuple(n // 2 for n in free_shape)
-        self.coarsest = _factor(A, free_shape, periodic)
+        self.coarsest = _factor(A, levels[-1][0], periodic)
 
     def solve(self, r, level=0):
         """One V-cycle on A x = r from x = 0."""
@@ -857,9 +857,9 @@ def _pinned(H, rhs):
     an H that annihilates the constants: the factor of H with its first
     unknown pinned solves every other row, the rows of H sum to zero so
     the first row holds too, and the update's mean is then removed.  When
-    H 1 = 0 this is the update of the bordered system of ``_kkt``, at
-    about half its fill.  None when the factor fails or the update does
-    not meet ``_solves``."""
+    H 1 = 0 this is the update of the pinned-mean KKT system
+    [[H, e], [e^T, 0]] bordered by e = 1, at about half its fill.  None
+    when the factor fails or the update does not meet ``_solves``."""
     b = rhs - np.mean(rhs)
     try:
         rest = _factor(H[1:, 1:]).solve(b[1:])
@@ -870,34 +870,19 @@ def _pinned(H, rhs):
     return delta if _solves(H, delta, b) else None
 
 
-def _kkt(H, rhs):
-    """The update of zero sum that solves H delta = rhs up to a constant:
-    the delta of the pinned-mean KKT system [[H, e], [e^T, 0]], bordered
-    by e = 1.  None when the factor fails or is not finite."""
-    n = H.shape[0]
-    e = np.ones((n, 1))
-    K = sp.bmat([[H, e], [e.T, None]], format="csc")
-    try:
-        sol = _factor(K).solve(np.append(rhs, 0.0))
-    except (RuntimeError, ValueError):
-        return None
-    return sol[:n] if np.all(np.isfinite(sol)) else None
-
-
-def _linear_solve(H, rhs, free_shape, periodic, kept=None, transfers=()):
-    """Solve H delta = rhs by the rule of the module docstring, on a grid
-    of ``free_shape`` free nodes with per-axis ``periodic`` flags and
-    multigrid ``transfers`` (empty without a hierarchy): (delta, kept,
-    kind, iterations), with kind as in ``SolveReport.linear_solvers``.
+def _linear_solve(H, rhs, levels, periodic, kept=None):
+    """Solve H delta = rhs by the rule of the module docstring, on the
+    grid of the first of ``levels`` (``_hierarchy``) with per-axis
+    ``periodic`` flags: (delta, kept, kind, iterations), with kind as in
+    ``SolveReport.linear_solvers``.
 
     ``kept`` is the ``_VCycle`` an earlier step kept; the one returned is
     what the next step lags.  A run must meet ``_solves``.  The exact
-    factor ``_VCycle(H, [], ...)`` is applied directly, since CG stops on
-    an indefinite H.  A fully periodic H that nearly annihilates the
-    constants (a vertically flat stretch) pins the update's mean at once
-    (``_pinned``), and a grid with a periodic axis whose factor fails
-    pins it by the bordered system of ``_kkt``.  ``iterations`` counts
-    every CG iteration run; delta is None when no path gives one.
+    factor ``_VCycle(H, levels[:1], ...)`` is applied directly, since CG
+    stops on an indefinite H.  A fully periodic H that nearly annihilates
+    the constants (a vertically flat stretch) pins the update's mean at
+    once (``_pinned``).  ``iterations`` counts every CG iteration run;
+    delta is None when no path gives one.
     """
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
@@ -908,9 +893,9 @@ def _linear_solve(H, rhs, free_shape, periodic, kept=None, transfers=()):
         delta, iterations = _pcg(H, rhs, kept.solve, _CG_MAX_ITER)
         if delta is not None and _solves(H, delta, rhs):
             return delta, kept, "lagged", iterations
-    if transfers:
+    if levels[0][1] is not None:
         try:
-            vcycle = _VCycle(H, transfers, free_shape, periodic)
+            vcycle = _VCycle(H, levels, periodic)
             delta, run = _pcg(H, rhs, vcycle.solve, _MG_MAX_ITER)
         except (RuntimeError, ValueError):
             delta, run = None, 0
@@ -919,14 +904,12 @@ def _linear_solve(H, rhs, free_shape, periodic, kept=None, transfers=()):
             kept = vcycle if run <= _CG_MAX_ITER else None
             return delta, kept, "multigrid", iterations
     try:
-        factor = _VCycle(H, [], free_shape, periodic)
+        factor = _VCycle(H, levels[:1], periodic)
         delta = factor.solve(rhs)
     except (RuntimeError, ValueError):
         delta = None
     if delta is not None and _solves(H, delta, rhs):
         return delta, factor, "lu", iterations
-    if any(periodic):
-        return _kkt(H, rhs), None, "kkt", iterations
     return None, None, "lu", iterations
 
 
@@ -938,10 +921,10 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     The initial iterate supplies the Dirichlet data (its boundary ring is
     held fixed) or the periodic topology.  On a singular linearization
     (flat periodic problems have a constant near-kernel) the mean of the
-    update is pinned.  A grid whose Dirichlet axes have odd free sides
-    longer than ``_COARSEST`` starts from one Newton step on each of its
-    coarser grids (``_nested_start``).  Raises SolveError with the
-    residual history on failure.
+    update is pinned.  The grids of the solve are the levels of
+    ``_hierarchy``; where nested iteration applies, the grid starts from
+    one Newton step on each coarser one (``_nested_start``).  Raises
+    SolveError with the residual history on failure.
     """
     _require_diagonal(spec)
     require_finite(tolerance=tol)
@@ -952,10 +935,9 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     g = init.copy()
     _check_range(spec, g.values)
-    transfers = ([] if any(g.periodic)
-                 else _transfers(g.values[g.free_slices()].shape))
-    g, coarse_grids = _nested_start(spec, g, transfers, tol)
-    g, report = _newton(spec, g, tol, max_iter, transfers)
+    levels = _hierarchy(g.values[g.free_slices()].shape, g.periodic)
+    g, coarse_grids = _nested_start(spec, g, levels, tol)
+    g, report = _newton(spec, g, tol, max_iter, levels)
     if not report.converged:
         raise SolveError(
             f"no convergence after {max_iter} iterations; last residual "
@@ -965,37 +947,30 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     return g, report
 
 
-def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
+def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
                   tol: float):
     """The start of a solve by nested iteration, the full multigrid
     scheme of Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6:
     (start, records), one ``CoarseSolve`` record per coarser grid,
     coarsest first.
 
-    Grid k + 1 injects every second node of grid k (grid 0 is ``init``)
-    along each Dirichlet axis, boundary ring included, and every node
-    along a periodic one.  The ladder goes down while the free sides of
-    the Dirichlet axes are odd and longer than ``_COARSEST``: on a
-    Dirichlet grid that is the multigrid hierarchy to its last level, one
-    grid per level of ``transfers``, and a stripe goes down to a free
-    side of at most ``_COARSEST`` nodes; a torus has no coarser grid.
-    Each coarser grid takes one Newton step, grid k on the levels
-    ``transfers[k:]``, so the last one is solved by an exact factor of its
-    Hessian.  The coarsest grid starts from its injected values; grid k
-    starts from its injected values plus the cubic interpolation
-    (``_corrected``) of the correction grid k + 1 made to its own injected
-    values.  A grid that raises SolveError contributes no correction, and
-    a start that leaves the spec's range is not taken.  Without coarser
-    grids the start is ``init``, and there are no records.
+    Grid 0 is ``init``, on the first of its ``levels``.  The ladder walks
+    down the levels while every Dirichlet free side is odd, and grid
+    k + 1 injects the nodes of grid k that level k + 1 keeps.  Each
+    coarser grid k takes one Newton step on ``levels[k:]``.  The coarsest
+    grid starts from its injected values; grid k starts from its injected
+    values plus the cubic interpolation (``_corrected``) of the
+    correction grid k + 1 made to its own injected values.  A grid that
+    raises SolveError contributes no correction, and a start that leaves
+    the spec's range is not taken.  Without coarser grids the start is
+    ``init``, and there are no records.
     """
     steps = tuple(1 if wrap else 2 for wrap in init.periodic)
     grids = [init]
-    while True:
-        fine = grids[-1]
-        free = fine.values[fine.free_slices()].shape
-        halved = [n for n, wrap in zip(free, init.periodic) if not wrap]
-        if not halved or min(halved) <= _COARSEST or any(n % 2 == 0 for n in halved):
+    for free_shape, _ in levels[:-1]:
+        if any(n % 2 == 0 for n, wrap in zip(free_shape, init.periodic) if not wrap):
             break
+        fine = grids[-1]
         grids.append(DiscreteGraph(fine.values[::steps[0], ::steps[1]],
                                    (steps[0] * fine.spacing[0], steps[1] * fine.spacing[1]),
                                    init.periodic, init.origin))
@@ -1003,7 +978,7 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, transfers,
     u = grids[-1]
     for k in range(len(grids) - 1, 0, -1):
         try:
-            u_k, report = _newton(spec, u, tol, 1, transfers[k:])
+            u_k, report = _newton(spec, u, tol, 1, levels[k:])
             records.append(CoarseSolve(grids[k].shape, report.iterations,
                                        report.final_residual))
             u = u_k
@@ -1052,14 +1027,14 @@ def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph,
 
 
 def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
-            max_iter: int, transfers):
-    """At most ``max_iter`` Newton steps on g from its values, each solved
-    by ``_linear_solve`` with multigrid ``transfers`` (empty where the grid
-    has no hierarchy): (graph, report).  The report says whether
-    max|el_residual| <= tol was reached; a line search that stalls or a
-    singular Jacobian raises SolveError."""
+            max_iter: int, levels):
+    """At most ``max_iter`` Newton steps on g, the grid of the first of
+    ``levels``, from its values, each solved by ``_linear_solve``:
+    (graph, report).  The report says whether max|el_residual| <= tol was
+    reached; a line search that stalls or a singular Jacobian raises
+    SolveError."""
     free = g.free_slices()
-    free_shape = g.values[free].shape
+    free_shape = levels[0][0]
     h1, h2 = g.spacing
     cell_w = h1 * h2
     history = []
@@ -1081,8 +1056,7 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
                                   linear_solvers)
 
         H = _hessian(spec, g, pattern)
-        delta, kept, kind, iterations = _linear_solve(H, -F, free_shape, g.periodic,
-                                                      kept, transfers)
+        delta, kept, kind, iterations = _linear_solve(H, -F, levels, g.periodic, kept)
         if delta is None:
             raise SolveError("singular Jacobian", history)
         linear_solvers.append(kind)

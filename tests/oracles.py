@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thinpart.errors import DomainError
 from thinpart.flat_torus import FlatTorusLattice
@@ -457,6 +458,18 @@ def mean_curvature_whole_grid(spec, g) -> np.ndarray:
     G12 = ux * uy
     G22 = a2v**2 + uy**2
     return (G22 * II11 - 2.0 * G12 * II12 + G11 * II22) / (2.0 * W2)
+
+
+def bordered_kkt(H, rhs, permc_spec):
+    """The update of zero sum that solves H delta = rhs up to a constant,
+    for an H that annihilates the constants: the delta of the pinned-mean
+    KKT system [[H, e], [e^T, 0]] bordered by e = 1, factored whole by
+    SuperLU in the column ordering ``permc_spec``.  Returns (delta,
+    factor).  The reference for the solver's pinned factor."""
+    n = H.shape[0]
+    e = np.ones((n, 1))
+    factor = spla.splu(sp.bmat([[H, e], [e.T, None]], format="csc"), permc_spec=permc_spec)
+    return factor.solve(np.append(rhs, 0.0))[:n], factor
 
 
 def profile_samples_loop(prof):

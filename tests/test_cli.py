@@ -305,6 +305,30 @@ def test_filler_verify_rejects_tampered_file(tmp_path, capsys, edit):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("document", [[1, 2], "x"], ids=["list", "string"])
+@pytest.mark.parametrize("field", ["metric", "bc", "manifold", "family", "filler"])
+def test_a_json_file_that_is_not_an_object_exits_domain(tmp_path, capsys, field, document):
+    # Every documented input file holds a JSON object.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    files = {"metric": tmp_path / "metric.json", "bc": tmp_path / "bc.json"}
+    files["metric"].write_text(json.dumps(FLAT_METRIC))
+    files["bc"].write_text(json.dumps({"kind": "constant", "value": 0.5}))
+    files[field] = bad
+    graph = ["graph", "solve", "--metric", str(files["metric"]), "--bc", str(files["bc"]),
+             "--grid", "8x8", "--out", str(tmp_path / "u.csv")]
+    argv = {"metric": graph, "bc": graph,
+            "manifold": ["sweepout", "profile", "--manifold", str(bad)],
+            "family": ["sweepout", "fineness", "--family", str(bad)],
+            "filler": ["filler", "verify", str(bad)]}[field]
+    # run() returning at all means no exception escaped it.
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"domain error: {bad}: expected a JSON object")
+    assert not (tmp_path / "u.csv").exists()
+
+
 def test_filler_verify_non_json_file_exits_domain(capsys):
     assert run(["filler", "verify", os.devnull]) == EXIT_DOMAIN
     err = capsys.readouterr().err

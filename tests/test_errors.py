@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from thinpart import DomainError, filler, sweepout
@@ -92,3 +94,40 @@ def test_graph_grid_fields_are_pairs(make, name):
 def test_graph_periodic_is_a_bool_or_a_pair_of_bools(periodic, flags):
     g = DiscreteGraph(_VALUES, [0.5, 0.25], periodic=periodic, origin=[1, 2])
     assert g.periodic == flags and g.spacing == (0.5, 0.25) and g.origin == (1.0, 2.0)
+
+
+_RAGGED = [[0.0] * 8] * 7 + [[0.0] * 7]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteGraph(np.full((8, 8), 1.0 + 1.0j), (1, 1)),
+    lambda: DiscreteGraph(np.zeros((8, 8), dtype=complex), (1, 1)),
+    lambda: DiscreteGraph([["a"] * 8] * 8, (1, 1)),
+    lambda: DiscreteGraph(_RAGGED, (1, 1)),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), np.full((8, 8), 2.0j)),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), "x"),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), _RAGGED),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), lambda x, y: x + 1j * y),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), lambda x, y: np.ones(3)),
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), lambda x, y: np.ones(8)),
+    lambda: DiscreteGraph.on_torus(FlatTorusLattice.unit_square(), (8, 8),
+                                   lambda x, y: "x"),
+], ids=["complex", "complex_zero_imaginary", "strings", "ragged", "rectangle_complex",
+        "rectangle_string", "rectangle_ragged", "callable_complex", "callable_short",
+        "callable_row", "torus_callable_string"])
+def test_graph_values_must_be_a_grid_of_real_numbers(make):
+    # No numpy error or ComplexWarning: a DomainError that names values.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="values"):
+            make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteGraph.on_rectangle((1, 1), (8, 8), lambda x, y: 0.25),
+    lambda: DiscreteGraph.on_torus(FlatTorusLattice.unit_square(), (8, 8),
+                                   lambda x, y: np.float64(0.25)),
+], ids=["rectangle", "torus"])
+def test_a_callable_may_return_a_scalar_for_the_whole_grid(make):
+    g = make()
+    assert g.shape == (8, 8) and np.all(g.values == 0.25)

@@ -29,13 +29,12 @@ from thinpart.minimal_graph import (
     _factor,
     _gradient,
     _hessian,
-    _kkt,
+    _hierarchy,
     _linear_solve,
     _pcg,
     _pinned,
     _prolongation,
     _solves,
-    _transfers,
 )
 from thinpart.tube_geometry import (
     CuspParams,
@@ -69,6 +68,7 @@ def tube_radial_spec():
 
 
 from oracles import (
+    bordered_kkt,
     gradient_per_triangle,
     hessian_per_triangle,
     mean_curvature_whole_grid,
@@ -465,7 +465,7 @@ def _hessian_factor(monkeypatch):
     # The fresh factor _linear_solve makes of the 129^2 tube Hessian.
     H, rhs = _hessian_and_rhs(129)
     factors = _recording_factor(monkeypatch)
-    _linear_solve(H, rhs, (127, 127), (False, False))
+    _linear_solve(H, rhs, _one_level((127, 127)), (False, False))
     return factors[0]
 
 
@@ -514,7 +514,7 @@ def _galerkin_257(monkeypatch):
     # The last level of the 257^2 tube Hessian's V-cycle.
     spec, g = tube_spec(), _tube_4c_graph(257)
     factors = _recording_factor(monkeypatch)
-    _VCycle(_hessian(spec, g, _Pattern(g)), _transfers((255, 255)), (255, 255),
+    _VCycle(_hessian(spec, g, _Pattern(g)), _hierarchy((255, 255), (False, False)),
             (False, False))
     monkeypatch.undo()
     return factors[0][0], (15, 15), (False, False)
@@ -566,11 +566,11 @@ def test_narrow_grids_make_no_superlu_factor(monkeypatch, problem, solvers):
 def test_pinned_factor_halves_the_fill_of_the_bordered_system(monkeypatch):
     spec, g = _flat_torus_32()
     H, rhs = _hessian(spec, g, _Pattern(g)), -_gradient(spec, g)[g.free_slices()].ravel()
+    bordered, kkt = bordered_kkt(H, rhs, _LU_ORDERING)
     factors = _recording_factor(monkeypatch)
-    bordered = _kkt(H, rhs)
     delta = _pinned(H, rhs)
-    (K, kkt), (A, pinned) = factors
-    assert K.shape[0] == H.shape[0] + 1 and A.shape[0] == H.shape[0] - 1
+    [(A, pinned)] = factors
+    assert kkt.shape[0] == H.shape[0] + 1 and A.shape[0] == H.shape[0] - 1
     assert pinned.nnz <= 0.6 * kkt.nnz
     # The update of the bordered system: zero sum, H delta = rhs - mean(rhs).
     b = rhs - np.mean(rhs)
@@ -703,13 +703,17 @@ def test_solve_evaluates_the_gradient_once_per_iterate(monkeypatch):
     assert rep.final_residual == float(np.max(np.abs(el_residual(spec, out))))
 
 
+def _one_level(free_shape):
+    # The hierarchy of a grid that is never coarsened.
+    return [(tuple(free_shape), None)]
+
+
 def _cold_start(monkeypatch):
-    # No multigrid levels and no coarser grids, for every grid: the solve
-    # starts from its data, and each step is solved by the Hessian's
-    # factor or CG preconditioned by a kept one.
-    monkeypatch.setattr(minimal_graph, "_transfers", lambda shape: [])
-    monkeypatch.setattr(minimal_graph, "_nested_start",
-                        lambda spec, init, transfers, tol: (init, []))
+    # One level, with no transfer, for every grid: no coarser grids and no
+    # V-cycle, so the solve starts from its data, and each step is solved
+    # by the Hessian's factor or CG preconditioned by a kept one.
+    monkeypatch.setattr(minimal_graph, "_hierarchy",
+                        lambda free_shape, periodic: _one_level(free_shape))
 
 
 def _tube_4c_graph(n):
@@ -787,7 +791,7 @@ def test_vcycle_is_symmetric_positive_definite():
     # smooths as many sweeps before the coarse correction as after.
     spec, g = tube_spec(), _tube_4c_graph(65)
     pattern = _Pattern(g)
-    vcycle = _VCycle(_hessian(spec, g, pattern), _transfers((63, 63)), (63, 63),
+    vcycle = _VCycle(_hessian(spec, g, pattern), _hierarchy((63, 63), (False, False)),
                      (False, False))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, pattern.shape[0]))
@@ -796,19 +800,73 @@ def test_vcycle_is_symmetric_positive_definite():
     assert x @ vx > 0.0 and y @ vy > 0.0
 
 
+@pytest.mark.parametrize("free_shape,periodic,shapes", [
+    ((255, 255), (False, False), [(255, 255), (127, 127), (63, 63), (31, 31), (15, 15)]),
+    ((128, 128), (False, False), [(128, 128), (64, 64), (32, 32), (16, 16), (8, 8)]),
+    ((69, 69), (False, False), [(69, 69), (34, 34), (17, 17), (8, 8)]),
+    ((63, 127), (False, False), [(63, 127), (31, 63), (15, 31)]),
+    ((4, 2047), (True, False), [(4, 2**k - 1) for k in range(11, 3, -1)]),
+    ((2047, 4), (True, False), [(2047, 4)]),
+    ((32, 32), (True, True), [(32, 32)]),
+], ids=["255", "128", "69", "63x127", "stripe_4x2047", "stripe_2047x4", "torus_32"])
+def test_hierarchy_levels_in_closed_form(free_shape, periodic, shapes):
+    # Each Dirichlet free side is halved, n // 2, while the shortest one
+    # is longer than 15; a periodic side is kept.
+    levels = _hierarchy(free_shape, periodic)
+    assert [shape for shape, _ in levels] == shapes
+    # Transfers on a grid with no periodic axis only, from every level to
+    # the next.
+    assert levels[-1][1] is None
+    for (fine, transfer), (coarse, _) in zip(levels, levels[1:]):
+        if any(periodic):
+            assert transfer is None
+        else:
+            P, R = transfer
+            assert P.shape == (fine[0] * fine[1], coarse[0] * coarse[1])
+            assert (R != P.T).nnz == 0
+
+
+@pytest.mark.parametrize("problem,ladder", [
+    (lambda: _graph_large_problem("tube_4c", (71, 71)), [(34, 34)]),
+    (lambda: _graph_large_problem("tube_4c", (65, 129)), [(15, 31), (31, 63)]),
+    (lambda: (cusp_spec(), _stripe_graph(0.02)), [(4, 2**k - 1) for k in range(4, 11)]),
+], ids=["71", "65x129", "stripe_4x2049"])
+def test_nested_start_steps_each_grid_on_its_own_levels(monkeypatch, problem, ladder):
+    # The ladder walks the levels while every Dirichlet free side is odd:
+    # a free side of 69 stops at 34.  Each coarser grid is the injection
+    # its level names, and its one Newton step gets the levels from its
+    # own down.
+    spec, g = problem()
+    levels = _hierarchy(g.values[g.free_slices()].shape, g.periodic)
+    calls = []
+    newton = minimal_graph._newton
+
+    def recording(spec, u, tol, max_iter, levels):
+        calls.append((u.values[u.free_slices()].shape, levels))
+        return newton(spec, u, tol, max_iter, levels)
+
+    monkeypatch.setattr(minimal_graph, "_newton", recording)
+    start, records = minimal_graph._nested_start(spec, g, levels, 1e-8)
+    assert [free for free, _ in calls] == ladder
+    assert all(own == levels[len(levels) - len(own):] and own[0][0] == free
+               for free, own in calls)
+    assert len(records) == len(ladder) and start.shape == g.shape
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_prolongation_reaches_every_fine_node(n):
-    P = _prolongation(n).toarray()
+    P = _prolongation(n, n // 2).toarray()
     assert P.shape == (n, n // 2)
     assert np.all(P.sum(axis=1) > 0.0)
     # Coarse node j sits at fine node 2 j + 1.
     assert np.array_equal(P[1::2][: n // 2], np.eye(n // 2))
 
 
-def _negated_vcycle(A, transfers, *grid):
-    # A V-cycle of -A where it has levels: negative definite, so CG stops
-    # at once.  The V-cycle of no levels, the factor of A, is left alone.
-    return _VCycle(-A if transfers else A, transfers, *grid)
+def _negated_vcycle(A, levels, periodic):
+    # A V-cycle of -A where it has coarser levels: negative definite, so
+    # CG stops at once.  The V-cycle of one level, the factor of A, is
+    # left alone.
+    return _VCycle(-A if len(levels) > 1 else A, levels, periodic)
 
 
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
@@ -817,8 +875,8 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     rhs = -_gradient(spec, g)[g.free_slices()].ravel()
     monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
     factors = _recording_factor(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (63, 63), (False, False), None,
-                                                  _transfers((63, 63)))
+    delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
+                                                  (False, False))
     assert kind == "lu" and iterations == 1 and kept.levels == []
     # The failed V-cycle's last level, then H.
     assert [A.shape[0] for A, _ in factors] == [15 * 15, H.shape[0]]
@@ -1038,9 +1096,9 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
-    unrelated = _VCycle(other, [], (31, 31), (False, False))
+    unrelated = _VCycle(other, _one_level((31, 31)), (False, False))
     calls = _recording_factor(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (31, 31), (False, False),
+    delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
                                                   unrelated)
     assert len(calls) == 1 and kind == "lu" and kept is not unrelated
     # The discarded run's iterations are counted: the unrelated factor
@@ -1051,9 +1109,10 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = _VCycle(H, [], (31, 31), (False, False))
+    own = _VCycle(H, _one_level((31, 31)), (False, False))
     calls = _recording_factor(monkeypatch)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (31, 31), (False, False), own)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
+                                                  own)
     assert calls == [] and kept is own and 1 <= iterations <= _CG_MAX_ITER
     assert kind == "lagged"
     assert _solves_to_1e6(H, delta, rhs)
@@ -1070,15 +1129,16 @@ def test_a_fresh_factor_solves_an_indefinite_hessian():
     x = (np.arange(n) % 2).astype(float)
     rhs = H @ x
     assert rhs @ x < 0.0
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (n, 1), (False, False))
+    delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((n, 1)), (False, False))
     assert kind == "lu" and iterations == 0 and kept.levels == []
     assert _solves(H, delta, rhs)
     assert _pcg(H, rhs, kept.solve, _CG_MAX_ITER)[0] is None
 
 
-def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatch):
+def test_a_stripe_whose_factor_fails_gets_no_update(monkeypatch):
     # A stripe's Hessian is nonsingular, so no solve reaches this path:
-    # the factor of H is made to fail, that of the KKT system is not.
+    # the factor of the fine grid's Hessian is made to fail.  As on a
+    # Dirichlet grid, the step has no update, and the solve raises.
     spec = cusp_spec()
     g = DiscreteGraph.on_rectangle((1.0, 1.0), (65, 129), _bump, periodic=(True, False))
     H = _hessian(spec, g, _Pattern(g))
@@ -1092,12 +1152,11 @@ def test_linear_solve_pins_the_mean_when_the_factor_of_a_stripe_fails(monkeypatc
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(minimal_graph.spla, "splu", failing_on_h)
-    delta, kept, kind, iterations = _linear_solve(H, rhs, (65, 127), g.periodic)
-    assert kind == "kkt" and kept is None and iterations == 0
-    assert abs(delta.sum()) <= 1e-12 * np.abs(delta).sum()
-    # H delta + lam e = rhs, for the multiplier lam of the KKT system.
-    lam = np.mean(rhs - H @ delta)
-    assert np.linalg.norm(H @ delta + lam - rhs) <= 1e-6 * np.linalg.norm(rhs)
+    levels = _hierarchy((65, 127), g.periodic)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, levels, g.periodic)
+    assert delta is None and kept is None and kind == "lu" and iterations == 0
+    with pytest.raises(SolveError, match="singular Jacobian"):
+        solve(spec, g, tol=1e-8)
 
 
 def test_solve_reports_nonconvergence():
