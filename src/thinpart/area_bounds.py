@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, as_real_array, require_finite
 
 #: Published lower estimate for the Margulis constant of hyperbolic
 #: 3-manifolds.  The introduction-level bound "at least 0.104" admits two
@@ -58,7 +58,7 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     require_finite(length=length)
     if length <= 0.0:
         raise DomainError("geodesic length must be positive")
-    rs = np.asarray(r_grid, dtype=float)
+    rs = as_real_array("radius grid", r_grid)
     if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs) & (rs > 0.0)):
         raise DomainError("radius grid must be finite and positive")
     dP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # rows (theta, r)
@@ -159,6 +159,8 @@ def crossing_lower_bound(R: float, tube_radius: float, systole_bound: float,
     """Area lower bound for a surface crossing the tube through radius R,
     3 <= R <= tube_radius: the chain value and the simplified form
     kappa''' s0 exp(R - RL), with the constants used."""
+    require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
+                   kappa2=kappa2)
     if R < 3.0:
         raise DomainError("the crossing estimate needs R >= 3")
     if R > tube_radius:
@@ -177,4 +179,4 @@ def margulis_area_bound(eps: float) -> float:
     require_finite(eps=eps)
     if eps < 0.0:
         raise DomainError("epsilon must be nonnegative")
-    return 4.0 * math.pi * math.sinh(0.5 * eps) ** 2
+    return parallel_disk_area(eps)

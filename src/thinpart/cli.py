@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import area_bounds, filler, flat_torus, sweepout
 from . import tube_geometry as tubes
-from .errors import (DomainError, SolveError, as_float, as_floats, as_int,
-                     load_json, require_finite)
+from .errors import DomainError, SolveError, as_float, as_floats, as_int, load_json
 from .flat_torus import FlatTorusLattice
 from .warped_metric import spec_from_json
 
@@ -253,15 +252,10 @@ def _parse_extent(text: str):
 def _boundary_function(bc: dict):
     kind = bc.get("kind")
     if kind == "affine":
-        coeffs = as_floats("coeffs", bc["coeffs"])
-        if coeffs.shape != (3,):
-            raise DomainError(f"coeffs must be three numbers, got {bc['coeffs']!r}")
-        c0, c1, c2 = coeffs.tolist()
-        require_finite(c0=c0, c1=c1, c2=c2)
+        c0, c1, c2 = as_floats("coeffs", bc["coeffs"], 3)
         return lambda x, y: c0 + c1 * x + c2 * y
     if kind == "constant":
         v = as_float("value", bc["value"])
-        require_finite(value=v)
         return lambda x, y: v + 0.0 * x
     raise DomainError(f"unsupported boundary data kind {kind!r}")
 

@@ -1,5 +1,6 @@
-"""Shared exception types, the finiteness and number checks, and the one
-reader of JSON input files."""
+"""Shared exception types, the one rule for every number a caller passes
+(``as_float`` and the readers built on it), and the one reader of JSON
+input files."""
 
 import json
 import math
@@ -20,24 +21,38 @@ class SolveError(RuntimeError):
         self.residual_history = list(residual_history or [])
 
 
-def require_finite(**values) -> None:
-    """Raise a DomainError naming the first argument that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def as_float(name: str, value) -> float:
-    """``value`` as a float; a DomainError naming ``name`` when it is not a
-    real number (a string, null, a list)."""
-    if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """``value`` as a float: the one rule for a number a caller passes.
+
+    ``value`` must be a Python or numpy real number that is not a bool,
+    and finite; otherwise a DomainError names ``name``: "must be a
+    number" for a string, None, a bool or a list, "must be finite" for
+    NaN and infinities.
+    """
+    # A float (numpy.float64 is one) skips the slower ABC check.
+    if not isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def require_finite(**values) -> None:
+    """``as_float`` of each keyword argument, named by its keyword."""
+    for name, value in values.items():
+        as_float(name, value)
 
 
 def as_int(name: str, value) -> int:
     """``value`` as an int; a DomainError naming ``name`` when it is not an
     integral number (a bool, a fraction such as 2.7, a string, null)."""
+    if type(value) is int:  # the common case skips the slower ABC checks
+        return value
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not integral:
@@ -45,23 +60,37 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value``, or a list or tuple nested in it, holds a bool:
+    numpy reads [True, 2] as the integers [1, 2]."""
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
+
+
 def _real_array(value):
     """``value`` as an array, or None where it is not an array of real
-    numbers: complex or string entries, a ragged nested list."""
+    numbers: bool, complex or string entries, a ragged nested list."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nested list
         return None
-    return array if array.dtype.kind in "biuf" else None
+    if array.dtype.kind not in "iuf" or _holds_bool(value):
+        return None
+    return array
 
 
-def as_floats(name: str, value) -> np.ndarray:
-    """``value``, a sequence of real numbers, as a 1-d float array; a
-    DomainError naming ``name`` otherwise."""
+def as_floats(name: str, value, size: int | None = None) -> tuple:
+    """``value``, a list of real numbers (``size`` of them where given:
+    a pair, a triple), as a tuple of floats; a DomainError naming
+    ``name`` when it is not one or holds a bool, NaN or an infinity."""
     array = _real_array(value)
     if array is None or array.ndim != 1:
         raise DomainError(f"{name} must be a list of numbers, got {value!r}")
-    return array.astype(float)
+    if size not in (None, array.size):
+        raise DomainError(f"{name} must be a list of {size} numbers, got {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return tuple(array.astype(float).tolist())
 
 
 def as_real_array(name: str, value) -> np.ndarray:

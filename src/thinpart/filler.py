@@ -161,9 +161,7 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     The lattice's first generator (alpha, 0) sets the collapse slope
     K = 2 pi exp(f(L+1)) / alpha.
     """
-    if not math.isfinite(depth):
-        raise DomainError(f"filler depth must be finite, got {depth!r}")
-    if not depth > 10.0:
+    if not as_float("filler depth", depth) > 10.0:
         raise DomainError("filler depth must exceed 10")
     f = DepthProfile()
     alpha = lattice.a1
@@ -517,7 +515,7 @@ def from_json_dict(data: dict) -> FillerSpec:
     """
     try:
         fmt = data["format"]
-        depth = as_float("depth", data["depth"])
+        depth = as_float("filler depth", data["depth"])
         lattice = data["lattice"]
         stored = {"ramp_scale": data["ramp_scale"], "collapse": data["collapse"]}
     except (KeyError, TypeError, ValueError) as exc:

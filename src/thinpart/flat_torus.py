@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_floats
+from .errors import DomainError, as_float, as_floats
 
 # det <= DEGENERACY_RTOL * max(|v1|,|v2|)^2 is rejected: downstream code
 # divides by the area.
@@ -34,11 +34,12 @@ class FlatTorusLattice:
 
     def __post_init__(self):
         # Every reduction step builds a lattice: the checks read plain
-        # locals, not the norm and area properties.
+        # locals, not the norm and area properties, and call as_float
+        # directly rather than through a loop.
         a1, a2, b2 = self.a1, self.a2, self.b2
-        for name, value in (("a1", a1), ("a2", a2), ("b2", b2)):
-            if not math.isfinite(value):
-                raise DomainError(f"lattice component {name} is not finite")
+        as_float("lattice component a1", a1)
+        as_float("lattice component a2", a2)
+        as_float("lattice component b2", b2)
         if a1 <= 0.0 or b2 <= 0.0:
             raise DomainError(
                 "well-oriented form requires v1 = (a1, 0) with a1 > 0 and "
@@ -55,8 +56,8 @@ class FlatTorusLattice:
         Rotation is an isometry of the torus; replacing v2 by -v2 keeps the
         lattice.  Systole, diameter and area are unchanged.
         """
-        ux, uy = _generator("v1", v1)
-        wx, wy = _generator("v2", v2)
+        ux, uy = as_floats("lattice generator v1", v1, 2)
+        wx, wy = as_floats("lattice generator v2", v2, 2)
         if ux == 0.0 and uy == 0.0:
             raise DomainError("degenerate lattice: v1 = 0")
         a1, a2, b2 = _rotated(ux, uy, wx, wy)
@@ -93,7 +94,7 @@ class FlatTorusLattice:
         return self.a1 * self.b2
 
     def scaled(self, factor: float) -> "FlatTorusLattice":
-        if factor <= 0.0:
+        if as_float("scale factor", factor) <= 0.0:
             raise DomainError("scale factor must be positive")
         return FlatTorusLattice(factor * self.a1, factor * self.a2, factor * self.b2)
 
@@ -107,22 +108,7 @@ class FlatTorusLattice:
             v2 = data["v2"]
         except (KeyError, TypeError) as exc:
             raise DomainError("lattice JSON needs 'v1' and 'v2'") from exc
-        return cls.from_vectors(as_floats("lattice v1", v1),
-                                as_floats("lattice v2", v2))
-
-
-def _generator(name: str, v) -> tuple[float, float]:
-    """A lattice generator as two finite floats."""
-    try:
-        u = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"lattice generator {name} must be a 2-vector of numbers") from exc
-    if u.shape != (2,):
-        raise DomainError(f"lattice generator {name} must be a 2-vector of numbers")
-    x, y = u.tolist()
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"lattice generator {name} is not finite")
-    return x, y
+        return cls.from_vectors(v1, v2)
 
 
 def _rotated(ux: float, uy: float, wx: float, wy: float) -> tuple[float, float, float]:

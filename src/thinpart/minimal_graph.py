@@ -77,7 +77,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import DomainError, SolveError, as_float, as_int, as_real_array, require_finite
+from .errors import (DomainError, SolveError, as_floats, as_int, as_real_array,
+                     require_finite)
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
 
@@ -90,7 +91,9 @@ class DiscreteGraph:
     periodic axis wraps around, a non-periodic axis carries a Dirichlet
     boundary ring (included in ``values``).  ``spacing`` and ``origin``
     are pairs of numbers; ``origin`` is the coordinate of node [0, 0].
-    Any other argument raises a DomainError naming it.
+    Any other argument raises a DomainError naming it.  The graph holds a
+    copy of ``values``, made once here, so a later edit of the caller's
+    array does not reach it.
     """
 
     values: np.ndarray
@@ -101,13 +104,12 @@ class DiscreteGraph:
     def __post_init__(self):
         # The grid is checked before the values: values sampled on a
         # non-finite grid are not finite either.
-        h1, h2 = self.spacing = _number_pair("spacing", self.spacing)
-        o1, o2 = self.origin = _number_pair("origin", self.origin)
-        require_finite(spacing_h1=h1, spacing_h2=h2, origin_x1=o1, origin_x2=o2)
+        h1, h2 = self.spacing = as_floats("spacing", self.spacing, 2)
+        self.origin = as_floats("origin", self.origin, 2)
         if h1 <= 0 or h2 <= 0:
             raise DomainError("grid spacing must be positive")
         self.periodic = _periodic_flags(self.periodic)
-        self.values = as_real_array("values", self.values)
+        self.values = as_real_array("values", self.values).copy()
         if self.values.ndim != 2:
             raise DomainError("graph values must be a 2-d array")
         if min(self.values.shape) < 4:
@@ -145,9 +147,8 @@ class DiscreteGraph:
         n1, n2 = as_int("shape", n1), as_int("shape", n2)
         if min(n1, n2) < 4:
             raise DomainError(f"grid {n1}x{n2} needs at least 4 points per axis")
-        X1, X2 = _number_pair("extent", extent)
-        require_finite(extent_x1=X1, extent_x2=X2)
-        origin = _number_pair("origin", origin)
+        X1, X2 = as_floats("extent", extent, 2)
+        origin = as_floats("origin", origin, 2)
         periodic = _periodic_flags(periodic)
         h1 = X1 / n1 if periodic[0] else X1 / (n1 - 1)
         h2 = X2 / n2 if periodic[1] else X2 / (n2 - 1)
@@ -181,19 +182,7 @@ class DiscreteGraph:
         return mask
 
     def copy(self) -> "DiscreteGraph":
-        return DiscreteGraph(
-            self.values.copy(), self.spacing, self.periodic, self.origin
-        )
-
-
-def _number_pair(name, value):
-    """``value``, a pair of real numbers, as a pair of floats; a
-    DomainError naming ``name`` otherwise."""
-    try:
-        first, second = value
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a pair of numbers, got {value!r}") from None
-    return as_float(name, first), as_float(name, second)
+        return DiscreteGraph(self.values, self.spacing, self.periodic, self.origin)
 
 
 def _periodic_flags(value):
@@ -224,7 +213,7 @@ def _fill(fn_or_values, shape, spacing, origin):
         return np.full(shape, float(values))
     if values.shape != tuple(shape):
         raise DomainError(f"values shape {values.shape} != grid shape {shape}")
-    return values.copy()
+    return values
 
 
 def _require_diagonal(spec: WarpedMetricSpec):
@@ -823,9 +812,8 @@ class _VCycle:
     of the level above, and the last level's is factored (``_factor``).
     Damped Jacobi smooths the same number of sweeps before and after each
     coarse correction, so for a positive definite A the cycle is a
-    symmetric positive definite preconditioner for CG.  With one level
-    the cycle is the exact factor of A.  Raises RuntimeError when the
-    last level's operator is singular.
+    symmetric positive definite preconditioner for CG.  Raises
+    RuntimeError when the last level's operator is singular.
     """
 
     def __init__(self, A, levels, periodic):
@@ -878,8 +866,8 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
 
     ``kept`` is the ``_VCycle`` an earlier step kept; the one returned is
     what the next step lags.  A run must meet ``_solves``.  The exact
-    factor ``_VCycle(H, levels[:1], ...)`` is applied directly, since CG
-    stops on an indefinite H.  A fully periodic H that nearly annihilates
+    factor ``_factor(H, ...)`` is applied directly, since CG stops on an
+    indefinite H.  A fully periodic H that nearly annihilates
     the constants (a vertically flat stretch) pins the update's mean at
     once (``_pinned``).  ``iterations`` counts every CG iteration run;
     delta is None when no path gives one.
@@ -904,7 +892,7 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
             kept = vcycle if run <= _CG_MAX_ITER else None
             return delta, kept, "multigrid", iterations
     try:
-        factor = _VCycle(H, levels[:1], periodic)
+        factor = _factor(H, levels[0][0], periodic)
         delta = factor.solve(rhs)
     except (RuntimeError, ValueError):
         delta = None
@@ -1241,7 +1229,7 @@ def rescale_graph(spec: WarpedMetricSpec, g: DiscreteGraph,
                    h_t**2 / params.graph_constant),
     )
     rescaled = DiscreteGraph(
-        g.values.copy(),
+        g.values,
         (g.spacing[0] * h_t, g.spacing[1] * h_t),
         periodic=g.periodic,
         origin=(g.origin[0] * h_t, g.origin[1] * h_t),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import filler as filler_mod
 from . import tube_geometry
-from .errors import DomainError, as_int
+from .errors import DomainError, as_float, as_int
 from .flat_torus import FlatTorusLattice, reduce_basis
 
 
@@ -35,7 +35,7 @@ class GridVertex:
     coords: tuple
 
     def __post_init__(self):
-        if self.level < 0:
+        if as_int("grid level", self.level) < 0:
             raise DomainError("grid level must be nonnegative")
         if not self.coords:
             raise DomainError("vertex needs at least one coordinate")
@@ -52,8 +52,9 @@ class GridVertex:
 
     @classmethod
     def from_indices(cls, level: int, *indices: int) -> "GridVertex":
-        den = 3**level
-        return cls(level, tuple(Fraction(i, den) for i in indices))
+        # A Fraction power: a negative level reaches the level check.
+        den = Fraction(3) ** as_int("grid level", level)
+        return cls(level, tuple(as_int("vertex index", i) / den for i in indices))
 
     @property
     def dim(self) -> int:
@@ -104,11 +105,11 @@ class FormalCurrent:
             pid, mult, patch_area = entry
             if pid in seen:
                 raise DomainError(f"duplicate patch id {pid!r}")
-            if int(mult) != mult:
-                raise DomainError("multiplicities must be integers")
-            if patch_area < 0.0 or not math.isfinite(patch_area):
-                raise DomainError("patch areas must be finite and nonnegative")
-            seen[pid] = (int(mult), float(patch_area))
+            mult = as_int("multiplicity", mult)
+            patch_area = as_float("patch area", patch_area)
+            if patch_area < 0.0:
+                raise DomainError(f"patch area must be nonnegative, got {patch_area!r}")
+            seen[pid] = (mult, patch_area)
         object.__setattr__(self, "_table", seen)
 
     @classmethod
@@ -219,6 +220,7 @@ class DiscreteFamily:
         return fam
 
     def _init(self, level, patch_ids, areas, multiplicities):
+        level = as_int("family level", level)
         if level < 0:
             raise DomainError(f"family level must be nonnegative, got {level!r}")
         if multiplicities.shape[0] != 3**level + 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_float, require_finite
+from .errors import DomainError, as_float, as_real_array, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 from .warped_metric import WarpedMetricSpec
@@ -45,9 +45,7 @@ class TubeParams:
 
     def __post_init__(self):
         for name in ("length", "twist", "radius"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"tube {name} must be finite, got {value!r}")
+            as_float(f"tube {name}", getattr(self, name))
         if not 0.0 < self.length < ELL_MAX:
             raise DomainError(
                 f"embedded tube requires 0 < length < {ELL_MAX!r}"
@@ -96,8 +94,8 @@ def meyerhoff_radius(length: float) -> float:
     Lengths above ELL_MAX carry no embedded-tube guarantee and are
     rejected.
     """
-    if not math.isfinite(length) or length <= 0.0:
-        raise DomainError(f"geodesic length must be finite and positive, got {length!r}")
+    if as_float("geodesic length", length) <= 0.0:
+        raise DomainError(f"geodesic length must be positive, got {length!r}")
     if length > ELL_MAX:
         raise DomainError(
             f"length {length!r} is above the threshold {ELL_MAX!r}; "
@@ -126,11 +124,9 @@ def meyerhoff_radius(length: float) -> float:
 def slice_area(length: float, radius):
     """Area of the r = radius torus around a geodesic of the given length,
     at a radius or an array of radii: pi * ell * sinh(2r)."""
-    if not math.isfinite(length) or length <= 0.0:
-        raise DomainError(
-            f"geodesic length must be finite and positive, got {length!r}"
-        )
-    radius = np.asarray(radius, dtype=float)
+    if as_float("geodesic length", length) <= 0.0:
+        raise DomainError(f"geodesic length must be positive, got {length!r}")
+    radius = as_real_array("radius", radius)
     bad = ~(np.isfinite(radius) & (radius >= 0.0))
     if bad.any():
         raise DomainError(
@@ -142,8 +138,7 @@ def slice_area(length: float, radius):
 def slice_mean_curvature(radius: float) -> float:
     """Mean curvature of the r = radius torus with respect to the inward
     normal: (tanh r + coth r)/2.  Singular at r = 0."""
-    require_finite(radius=radius)
-    if radius <= 0.0:
+    if as_float("radius", radius) <= 0.0:
         raise DomainError("slice mean curvature needs radius > 0")
     return 0.5 * (math.tanh(radius) + 1.0 / math.tanh(radius))
 
@@ -151,8 +146,7 @@ def slice_mean_curvature(radius: float) -> float:
 def boundary_lattice(params: TubeParams, radius: float) -> FlatTorusLattice:
     """Lattice of the flat torus at r = radius in orthonormal coordinates:
     v1 = (2 pi sinh r, 0), v2 = (twist sinh r, ell cosh r)."""
-    require_finite(radius=radius)
-    if radius <= 0.0:
+    if as_float("radius", radius) <= 0.0:
         raise DomainError("boundary lattice needs radius > 0")
     if radius > params.radius * (1.0 + 1e-12):
         raise DomainError("radius exceeds the tube radius")
@@ -173,7 +167,7 @@ def tube_as_warped(params: TubeParams, margin: float = 0.5,
     coordinates in which the comparison constants are length-independent.
     """
     R = params.radius
-    if not 0.0 < margin < R:
+    if not 0.0 < as_float("margin", margin) < R:
         raise DomainError("margin must lie in (0, radius)")
     sh_R = math.sinh(R)
     scale = 1.0 / sh_R if normalized else 1.0

@@ -12,12 +12,11 @@ with rescaled warping h(y3/lambda + s)/h(s).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_floats, as_int
+from .errors import DomainError, as_float, as_floats, as_int, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 
@@ -136,8 +135,7 @@ class WarpedMetricSpec:
     coefficients: object | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x3_min) and math.isfinite(self.x3_max)):
-            raise DomainError("interval endpoints must be finite")
+        require_finite(x3_min=self.x3_min, x3_max=self.x3_max)
         if self.x3_max <= self.x3_min:
             raise DomainError("empty x3 interval")
         if self.coefficients is None:
@@ -186,7 +184,7 @@ class WarpedMetricSpec:
         return self.x3_min - slack <= x3 <= self.x3_max + slack
 
     def require_inside(self, x3: float):
-        if not self.contains(x3):
+        if not self.contains(as_float("x3", x3)):
             raise DomainError(
                 f"x3 = {x3!r} outside [{self.x3_min!r}, {self.x3_max!r}]"
             )
@@ -383,7 +381,7 @@ def blowup_rescale(spec: WarpedMetricSpec, s: float, lam: float) -> WarpedMetric
     transformed interval, the warping becomes h(y/lambda + s)/h(s).
     """
     spec.require_inside(s)
-    if lam <= 0.0:
+    if as_float("blow-up factor", lam) <= 0.0:
         raise DomainError("blow-up factor must be positive")
     y_min = lam * (spec.x3_min - s)
     y_max = lam * (spec.x3_max - s)
@@ -412,14 +410,6 @@ def blowup_rescale(spec: WarpedMetricSpec, s: float, lam: float) -> WarpedMetric
     )
 
 
-def _interval(data: dict) -> tuple:
-    """The descriptor's "interval" [lo, hi], [0, 1] when absent."""
-    interval = as_floats("interval", data.get("interval", [0.0, 1.0]))
-    if interval.shape != (2,):
-        raise DomainError(f"interval must be two numbers, got {data['interval']!r}")
-    return float(interval[0]), float(interval[1])
-
-
 def _lattice(data: dict) -> FlatTorusLattice:
     """The descriptor's "lattice"; a DomainError when it is absent."""
     if "lattice" not in data:
@@ -446,18 +436,19 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
         kind = data["kind"]
     except (KeyError, TypeError) as exc:
         raise DomainError("metric descriptor needs a 'kind'") from exc
+    interval = data.get("interval", [0.0, 1.0])
     if kind == "flat":
-        return WarpedMetricSpec.flat(_lattice(data), *_interval(data))
+        return WarpedMetricSpec.flat(_lattice(data), *as_floats("interval", interval, 2))
     if kind == "cusp":
         from .tube_geometry import CuspParams, cusp_as_warped
 
-        return cusp_as_warped(CuspParams(_lattice(data), *_interval(data)))
+        return cusp_as_warped(CuspParams(_lattice(data), *as_floats("interval", interval, 2)))
     if kind == "tube":
         from .tube_geometry import TubeParams, tube_as_warped
 
         return tube_as_warped(
             TubeParams.from_json_dict(data),
-            margin=as_float("margin", data.get("margin", 0.5)),
+            margin=data.get("margin", 0.5),
             normalized=bool(data.get("normalized", False)),
         )
     if kind == "custom":

@@ -16,6 +16,7 @@ from thinpart.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     _write_csv,
     build_parser,
     fmt,
@@ -611,9 +612,9 @@ def test_sweepout_profile_rejects_a_non_numeric_field(tmp_path, capsys, manifold
 
 @pytest.mark.parametrize("bc,message", [
     ({"kind": "affine", "coeffs": ["0.1", 0.5, -0.2]}, "coeffs must be a list of numbers"),
-    ({"kind": "affine", "coeffs": [0.1, 0.5]}, "coeffs must be three numbers"),
-    ({"kind": "affine", "coeffs": [0.1, 0.5, -0.2, 1.0]}, "coeffs must be three numbers"),
-    ({"kind": "affine", "coeffs": [0.1, math.inf, -0.2]}, "c1 must be finite"),
+    ({"kind": "affine", "coeffs": [0.1, 0.5]}, "coeffs must be a list of 3 numbers"),
+    ({"kind": "affine", "coeffs": [0.1, 0.5, -0.2, 1.0]}, "coeffs must be a list of 3 numbers"),
+    ({"kind": "affine", "coeffs": [0.1, math.inf, -0.2]}, "coeffs must be finite"),
     ({"kind": "constant", "value": "1.5"}, "value must be a number"),
     ({"kind": "constant", "value": math.nan}, "value must be finite"),
 ], ids=["coeff_string", "two_coeffs", "four_coeffs", "coeff_inf", "value_string",
@@ -634,8 +635,8 @@ def test_graph_solve_rejects_bad_boundary_data(tmp_path, capsys, bc, message):
 @pytest.mark.parametrize("tol,extent,message", [
     ("nan", "1.0x1.0", "tolerance must be finite, got nan"),
     ("inf", "1.0x1.0", "tolerance must be finite, got inf"),
-    ("1e-8", "nanx1.0", "extent_x1 must be finite, got nan"),
-    ("1e-8", "1.0xinf", "extent_x2 must be finite, got inf"),
+    ("1e-8", "nanx1.0", "extent must be finite, got (nan, 1.0)"),
+    ("1e-8", "1.0xinf", "extent must be finite, got (1.0, inf)"),
 ], ids=["tol_nan", "tol_inf", "extent_nan", "extent_inf"])
 def test_graph_solve_rejects_a_nonfinite_number(tmp_path, capsys, tol, extent, message):
     (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
@@ -810,3 +811,66 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(blocks[0], namespace)
     assert namespace["info"].converged
+
+
+def test_graph_solve_on_the_flat_torus(tmp_path, capsys):
+    # The flat 32^2 torus of the console-script CI step: its Hessian
+    # annihilates the constants, so each step is a pinned ("kkt") factor.
+    (tmp_path / "flat.json").write_text(json.dumps(
+        {"kind": "flat", "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.2]},
+         "interval": [-5.0, 5.0]}))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "affine", "coeffs": [0.2, 0.05, 0.0]}))
+    out = tmp_path / "torus.csv"
+    code, data = run_json(capsys, ["graph", "solve", "--metric", str(tmp_path / "flat.json"),
+                                   "--domain", "torus", "--grid", "32x32",
+                                   "--bc", str(tmp_path / "bc.json"), "--out", str(out)])
+    assert code == EXIT_OK
+    assert data["linear_solvers"] == ["kkt"] * 5 and data["pinned_mean"]
+    assert data["final_residual"] <= 1e-8 and data["grid"] == "32x32"
+    assert len(out.read_text().splitlines()) == 2 + 32
+
+
+def test_graph_solve_that_does_not_converge_exits_verify(tmp_path, capsys):
+    # A SolveError: one Newton step on the README's cusp cannot reach 1e-14.
+    (tmp_path / "metric.json").write_text(json.dumps(
+        {"kind": "cusp", "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+         "interval": [0.0, 3.0]}))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "affine", "coeffs": [0.5, 0.5, -0.2]}))
+    out = tmp_path / "u.csv"
+    code = run(["--tol", "1e-14", "graph", "solve", "--metric", str(tmp_path / "metric.json"),
+                "--grid", "17x17", "--bc", str(tmp_path / "bc.json"), "--out", str(out),
+                "--max-iter", "1"])
+    assert code == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solve failed: no convergence after 1 iterations")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("grid", "grid must look like 64x64, got '9by9'"),
+    ("extent", "extent must look like 1.0x1.0, got '1x'"),
+    ("lattice", "bad lattice literal '1,x,1'"),
+    ("bc_kind", "unsupported boundary data kind 'quadratic'"),
+    ("filler", "filler entry needs 'lattice' or 'attach'"),
+])
+def test_malformed_documented_inputs_exit_domain(tmp_path, capsys, case, message):
+    (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+    (tmp_path / "bc.json").write_text(json.dumps(
+        {"kind": "quadratic"} if case == "bc_kind" else {"kind": "constant", "value": 0.5}))
+    (tmp_path / "manifold.json").write_text(json.dumps({"fillers": [{"L": 12.0}]}))
+    graph = ["graph", "solve", "--metric", str(tmp_path / "metric.json"),
+             "--bc", str(tmp_path / "bc.json"), "--out", str(tmp_path / "u.csv")]
+    argv = {
+        "grid": graph + ["--grid", "9by9"],
+        "extent": graph + ["--grid", "9x9", "--extent", "1x"],
+        "lattice": ["lattice", "--lattice", "1,x,1"],
+        "bc_kind": graph + ["--grid", "9x9"],
+        "filler": ["sweepout", "profile", "--manifold", str(tmp_path / "manifold.json"),
+                   "--out", str(tmp_path / "p.csv")],
+    }[case]
+    assert run(argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "u.csv").exists() and not (tmp_path / "p.csv").exists()

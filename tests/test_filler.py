@@ -331,6 +331,8 @@ def test_from_json_dict_rejects_bad_or_disagreeing_values(key, value, message):
     ("lattice", {"v1": ["x", 0.0], "v2": [0.0, 1.0]}, "lattice v1"),
 ])
 def test_from_json_dict_names_a_non_numeric_field(key, value, field):
+    # The lattice's generators are named by FlatTorusLattice.from_vectors.
+    field = field.replace("lattice", "lattice generator")
     with pytest.raises(DomainError, match=f"{field} must be a"):
         from_json_dict(_spoiled(key, value))
 

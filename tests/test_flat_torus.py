@@ -50,12 +50,12 @@ def test_from_vectors_returns_no_negative_zero(v1, v2):
     ((1.0, 3.0), (-2.0, -6.0), "degenerate lattice"),
     ((0.0, 0.0), (1.0, 0.0), "degenerate lattice"),
     ((1.0, 0.0), (0.0, 0.0), "degenerate lattice"),
-    ((math.inf, 0.0), (0.0, 1.0), "lattice generator v1 is not finite"),
-    ((1.0, math.nan), (0.0, 1.0), "lattice generator v1 is not finite"),
-    ((1.0, 0.0), (-math.inf, 1.0), "lattice generator v2 is not finite"),
-    (["x", 0.0], (0.0, 1.0), "lattice generator v1 must be a 2-vector"),
-    ([[1.0], [2.0, 3.0]], (0.0, 1.0), "lattice generator v1 must be a 2-vector"),
-    ((1.0, 0.0), (0.0, 1.0, 2.0), "lattice generator v2 must be a 2-vector"),
+    ((math.inf, 0.0), (0.0, 1.0), "lattice generator v1 must be finite"),
+    ((1.0, math.nan), (0.0, 1.0), "lattice generator v1 must be finite"),
+    ((1.0, 0.0), (-math.inf, 1.0), "lattice generator v2 must be finite"),
+    (["x", 0.0], (0.0, 1.0), "lattice generator v1 must be a list of numbers"),
+    ([[1.0], [2.0, 3.0]], (0.0, 1.0), "lattice generator v1 must be a list of numbers"),
+    ((1.0, 0.0), (0.0, 1.0, 2.0), "lattice generator v2 must be a list of 2 numbers"),
 ])
 def test_from_vectors_rejects_bad_generators_by_name(v1, v2, message):
     with warnings.catch_warnings():
@@ -175,7 +175,10 @@ def test_json_round_trip():
     ([[1], [2, 3]], [0, 1], "lattice v1"),
 ])
 def test_from_json_dict_names_a_non_numeric_generator(v1, v2, field):
-    with pytest.raises(DomainError, match=f"{field} must be a list of numbers"):
+    # from_json_dict hands the generators to from_vectors, which names
+    # them "lattice generator v1" and "lattice generator v2".
+    generator = field.replace("lattice", "lattice generator")
+    with pytest.raises(DomainError, match=f"{generator} must be a list of numbers"):
         FlatTorusLattice.from_json_dict({"v1": v1, "v2": v2})
 
 

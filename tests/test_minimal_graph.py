@@ -108,6 +108,20 @@ def test_area_range_check():
         area(cusp_spec(), g)
 
 
+def test_a_graph_owns_its_values():
+    # An edit of the caller's array after construction reaches neither the
+    # graph nor its copies, so the finite check at construction holds.
+    v = np.zeros((8, 8))
+    g = DiscreteGraph(v, (1, 1))
+    r = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), v)
+    v[3, 3] = math.nan
+    assert np.all(g.values == 0.0) and np.all(r.values == 0.0)
+    c = g.copy()
+    c.values[0, 0] = 1.0
+    assert g.values[0, 0] == 0.0
+    assert area(flat_spec(), g) == pytest.approx(1.0 * 49, rel=1e-15)
+
+
 @pytest.mark.parametrize("spacing,origin,name", [
     ((math.nan, 0.1), (0.0, 0.0), "spacing_h1"),
     ((0.1, math.inf), (0.0, 0.0), "spacing_h2"),
@@ -115,14 +129,17 @@ def test_area_range_check():
     ((0.1, 0.1), (0.0, -math.inf), "origin_x2"),
 ])
 def test_graph_rejects_a_nonfinite_grid(spacing, origin, name):
-    with pytest.raises(DomainError, match=f"{name} must be finite"):
+    # The message names the pair ("spacing", "origin") that holds the entry.
+    field = name.split("_")[0]
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
         DiscreteGraph(np.zeros((8, 8)), spacing, origin=origin)
 
 
 @pytest.mark.parametrize("extent,name", [((math.nan, 1.0), "extent_x1"),
                                          ((1.0, math.inf), "extent_x2")])
 def test_rectangle_rejects_a_nonfinite_extent(extent, name):
-    with pytest.raises(DomainError, match=f"{name} must be finite"):
+    # The message names the pair, "extent", that holds the entry.
+    with pytest.raises(DomainError, match=f"{name.split('_')[0]} must be finite"):
         DiscreteGraph.on_rectangle(extent, (8, 8), lambda x, y: x + y)
 
 
@@ -863,10 +880,8 @@ def test_prolongation_reaches_every_fine_node(n):
 
 
 def _negated_vcycle(A, levels, periodic):
-    # A V-cycle of -A where it has coarser levels: negative definite, so
-    # CG stops at once.  The V-cycle of one level, the factor of A, is
-    # left alone.
-    return _VCycle(-A if len(levels) > 1 else A, levels, periodic)
+    # A V-cycle of -A: negative definite, so CG stops at once.
+    return _VCycle(-A, levels, periodic)
 
 
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
@@ -877,7 +892,7 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     factors = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
                                                   (False, False))
-    assert kind == "lu" and iterations == 1 and kept.levels == []
+    assert kind == "lu" and iterations == 1 and kept is factors[-1][1]
     # The failed V-cycle's last level, then H.
     assert [A.shape[0] for A, _ in factors] == [15 * 15, H.shape[0]]
     assert _solves_to_1e6(H, delta, rhs)
@@ -1096,7 +1111,7 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
-    unrelated = _VCycle(other, _one_level((31, 31)), (False, False))
+    unrelated = _factor(other, (31, 31), (False, False))
     calls = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
                                                   unrelated)
@@ -1109,7 +1124,7 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = _VCycle(H, _one_level((31, 31)), (False, False))
+    own = _factor(H, (31, 31), (False, False))
     calls = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
                                                   own)
@@ -1130,7 +1145,7 @@ def test_a_fresh_factor_solves_an_indefinite_hessian():
     rhs = H @ x
     assert rhs @ x < 0.0
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((n, 1)), (False, False))
-    assert kind == "lu" and iterations == 0 and kept.levels == []
+    assert kind == "lu" and iterations == 0 and isinstance(kept, _Band)
     assert _solves(H, delta, rhs)
     assert _pcg(H, rhs, kept.solve, _CG_MAX_ITER)[0] is None
 

@@ -274,7 +274,7 @@ _UNIT_JSON = {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}
     ({"kind": "flat", "lattice": _UNIT_JSON, "interval": [0, "x"]},
      "interval must be a list of numbers"),
     ({"kind": "cusp", "lattice": _UNIT_JSON, "interval": [0.5]},
-     "interval must be two numbers"),
+     "interval must be a list of 2 numbers"),
     ({"kind": "tube", "length": "0.01"}, "length must be a number"),
     ({"kind": "tube", "length": 0.01, "radius": None}, "radius must be a number"),
     ({"kind": "custom", "lattice": _UNIT_JSON,
@@ -304,7 +304,7 @@ def test_spec_from_json_names_a_non_numeric_field(data, message):
     ({"kind": "custom", "lattice": _UNIT_JSON,
       "samples": {"x3": [0, 1, 2, 3], "a1": [1] * 4, "a2": [1] * 4,
                   "h": [1, 1, math.inf, 1]}},
-     "sample y values must be finite"),
+     "samples h must be finite"),
     ({"kind": "custom", "lattice": _UNIT_JSON,
       "samples": {"x3": [], "a1": [], "a2": [], "h": []}},
      "need matching 1-d sample arrays with >= 4 points"),
