@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, as_float, as_int, load_json, require_finite
+from .errors import (DomainError, as_float, as_int, as_real_array, load_json,
+                     require_finite)
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, diameter, systole
 
@@ -179,9 +180,10 @@ def _collar(spec: FillerSpec, t, order: int = 0):
 
 
 def _depths(spec: FillerSpec, t) -> np.ndarray:
-    """``t`` as a float array; a DomainError naming the first depth
-    outside [0, L + 1), the range of the level tori."""
-    depths = np.asarray(t, dtype=float)
+    """``t``, a depth or an array of depths, as a float array; a
+    DomainError when it is not an array of real numbers, or naming the
+    first depth outside [0, L + 1), the range of the level tori."""
+    depths = as_real_array("depth t", t)
     outside = ~((0.0 <= depths) & (depths < spec.depth + 1.0))
     if outside.any():
         raise DomainError(

@@ -6,14 +6,36 @@ The area element is W = sqrt(a1^2 a2^2 + a2^2 u_x1^2 + a1^2 u_x2^2) with
 a_i evaluated at u.  Each grid cell is split into two linear triangles,
 and the discrete area is the sum of W at the triangle centroids.  One
 element kernel, ``_element``, gives W and its first and second
-derivatives in the centroid fields (u, u_x1, u_x2); the area, its
-gradient, the first variation and the Hessian are contractions of that
-kernel with each triangle's nodal map B.  The Euler-Lagrange residual is
-minus the exact gradient of the discrete area (per unit cell weight),
-which keeps the divergence term in conservative form and makes the
-discrete integration-by-parts identity
+derivatives in the centroid fields (u, u_x1, u_x2) = (c, x, y); the area,
+its gradient, the first variation and the Hessian are contractions of
+that kernel with each triangle's nodal map B.  The Euler-Lagrange
+residual is minus the exact gradient of the discrete area (per unit cell
+weight), which keeps the divergence term in conservative form and makes
+the discrete integration-by-parts identity
     first_variation(u, v) = -<el_residual(u), v>
 hold to machine precision.
+
+The kernel differentiates Q = W^2, which is polynomial in the fields:
+with c_i = a_i^2, e_i = a_i a_i', f_i = a_i'^2 + a_i a_i'', and the
+diagonal entries G11 = c1 + x^2, G22 = c2 + y^2 of the metric the graph
+induces (``_induced_metric``), Q/2 has first derivatives
+(e1 G22 + e2 G11, c2 x, c1 y) and second derivatives
+f1 G22 + f2 G11 + 4 e1 e2, 2 e2 x, 2 e1 y, c2, 0 and c1 in (cc, cx, cy,
+xx, xy, yy).  Since W_a = Q_a / 2W and W_ab = (Q_ab / 2 - W_a W_b) / W,
+one reciprocal 1/W gives all of them:
+    Wc = (e1 G22 + e2 G11) / W,   Wx = c2 x / W,   Wy = c1 y / W,
+    Wcc = (f1 G22 + f2 G11 + 4 e1 e2 - Wc^2) / W,
+    Wcx = (2 e2 x - Wc Wx) / W,   Wcy = (2 e1 y - Wc Wy) / W,
+    Wxx = (c2 - Wx^2) / W,   Wxy = -Wx Wy / W,   Wyy = (c1 - Wy^2) / W.
+The coefficients come from one jet of a1 and a2 (``Field1D.jet``), which
+evaluates each distinct function of u once.  The rows of B are
+(1/3, G_k), G_k the gradient of corner k's hat function (``_Triangle``);
+the three sum to zero, and G_k is (0 or +-1/h1, 0 or +-1/h2).  So a
+corner's gradient term is Wc/3 + G_k . (Wx, Wy), and a triangle's
+Hessian entry (k, l) is Wcc/9 + (s_k + s_l)/3 + G_k^T Wgg G_l, with
+s_k = G_k . (Wcx, Wcy) and Wgg the (x, y) block of d2W: a sum of the six
+second derivatives, each scaled once per triangle type, with integer
+coefficients (``_sum_plan``).
 
 The kernel walks the grid one block of whole cell rows at a time, about
 ``_BLOCK_CELLS`` cells each (``_row_blocks``), so that a block's
@@ -33,11 +55,10 @@ every grid.  The sparsity pattern of its Hessian is built once per solve
 (``_Pattern``), in closed form: every cell is split along the same
 diagonal, so a node couples to the 7 nodes of a fixed stencil, and the
 mesh edges at a node are of four kinds (the diagonal entry, the x-edge,
-the y-edge and the anti-diagonal).  Each Newton step reads a triangle's
-entries (B d2W B^T)[k, l] off d2W through one fixed 6x6 table per
-triangle type (``_pair_table``), sums them per mesh edge in the windowed
-sums above, and reads both mirrored entries from that sum, which keeps
-the Hessian exactly symmetric.
+the y-edge and the anti-diagonal).  Each Newton step sums a triangle's
+entries (k, l), k <= l, per mesh edge in the windowed sums above, and
+reads both mirrored entries from that sum, which keeps the Hessian
+exactly symmetric.
 
 A solve lists its grids once, finest first (``_hierarchy``, whose
 docstring states the one coarsening rule); the V-cycle, the nested start
@@ -71,6 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,28 +259,120 @@ def _check_range(spec: WarpedMetricSpec, values: np.ndarray):
         )
 
 
-# The corners of the two triangle types of a cell (i, j), as offsets
-# (a, b) of node (i + a, j + b): the lower triangle, then the upper one.
-_CORNERS = (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)))
+# The 7-point stencil of the split-cell mesh: the offsets (d1, d2) of the
+# nodes that share a mesh edge with a node, the node itself included, in
+# row-major order.
+_STENCIL = ((-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0))
+
+
+def _edge(p, q):
+    """The edge between the nodes at offsets p and q (p = q for the
+    diagonal), as (offset of its base node, kind): the base is the
+    componentwise minimum, and the kind is 0 for the diagonal, 1 for an
+    x-edge, 2 for a y-edge and 3 for an anti-diagonal."""
+    (a, b), (c, d) = p, q
+    return (min(a, c), min(b, d)), abs(a - c) + 2 * abs(b - d)
+
+
+def _sum_plan(coefficients):
+    """How ``_combine`` forms sum(c x) over the nonzero coefficients c:
+    the arrays of one |c| are added or subtracted, a positive one first,
+    and multiplied by |c| once, the groups in the order their first
+    coefficient comes.  A tuple of (|c|, ((positive, index), ...))."""
+    groups = {}
+    for index, c in enumerate(coefficients):
+        if c:
+            groups.setdefault(abs(c), []).append((c > 0, index))
+    return tuple((size, tuple(sorted(terms, key=lambda term: not term[0])))
+                 for size, terms in groups.items())
+
+
+def _combine(plan, arrays, scale=1.0):
+    """scale * sum(c x) by a ``_sum_plan``: one product per group, none
+    where |c| * scale is 1.  A single array x with c * scale = 1 is
+    returned itself, not a copy."""
+    total = None
+    for size, ((positive, first), *rest) in plan:
+        part = arrays[first] if positive else -arrays[first]
+        for positive, index in rest:
+            part = part + arrays[index] if positive else part - arrays[index]
+        if size * scale != 1.0:
+            part = (size * scale) * part
+        total = part if total is None else total + part
+    return total
+
+
+class _Triangle(NamedTuple):
+    """One of the two triangle types of a cell (i, j), made by
+    ``_triangle`` from its corners and their corner gradients.
+
+    ``corners`` are offsets (a, b) of node (i + a, j + b).  The corner
+    gradient G_k is the gradient of corner k's hat function on the
+    triangle; the three sum to zero.  The nodal map B of the triangle,
+    row k = corner k, columns (c, x, y), maps the values at the corners
+    to the triangle's centroid value and (constant) gradient:
+    B[k] = (1/3, G_k).  ``centroid`` holds the ``_sum_plan`` of each
+    column of B, over the corner values in units of (1/3, 1/h1, 1/h2);
+    ``gradient`` that of each corner's dW . B[k] = Wc/3 + G_k . (Wx, Wy),
+    over (Wc/3, Wx/h1, Wy/h2); and ``hessian`` the edge (``_edge``) and
+    the plan of each (k, l) of ``_PAIRS``,
+        (B d2W B^T)[k, l] = Wcc/9 + (s_k + s_l)/3 + G_k^T Wgg G_l,
+    with s_k = G_k . (Wcx, Wcy) and Wgg the (x, y) block of d2W, over
+    (Wcc/9, Wcx/(3 h1), Wcy/(3 h2), Wxx/h1^2, Wxy/(h1 h2), Wyy/h2^2).
+
+    Splitting cells kills the odd-even decoupling a pure cell-centered
+    stencil would have; on the flat metric the assembled operator is the
+    classic 5-point scheme.
+    """
+
+    corners: tuple
+    centroid: tuple
+    gradient: tuple
+    hessian: tuple
+
+
+def _triangle(corners, slopes) -> _Triangle:
+    """The triangle type with ``corners`` whose corner gradients are
+    ``slopes`` in units of (1/h1, 1/h2), a sign per axis."""
+    centroid = [(1, 1, 1), [p for p, _ in slopes], [q for _, q in slopes]]
+    hessian = []
+    for k, l in _PAIRS:
+        (p, q), (r, s) = slopes[k], slopes[l]
+        hessian.append(_edge(corners[k], corners[l]) + (
+            _sum_plan((1, p + r, q + s, p * r, p * s + q * r, q * s)),))
+    return _Triangle(corners, tuple(map(_sum_plan, centroid)),
+                     tuple(_sum_plan((1,) + slope) for slope in slopes), tuple(hessian))
+
 
 # The (k, l), k <= l, index pairs of a symmetric 3x3 matrix: the corner
-# pairs of a triangle, one Hessian entry each, and the entries of d2W.
+# pairs of a triangle, one Hessian entry each.
 _PAIRS = tuple((k, l) for k in range(3) for l in range(k, 3))
+
+# The lower triangle of a cell, then the upper one, split along the
+# diagonal from (i + 1, j) to (i, j + 1): corners, and corner gradients
+# in units of (1/h1, 1/h2).
+_TRIANGLES = (_triangle(((0, 0), (1, 0), (0, 1)), ((-1, -1), (1, 0), (0, 1))),
+              _triangle(((1, 0), (0, 1), (1, 1)), ((0, -1), (-1, 0), (1, 1))))
 
 # Cells per block of the element kernel, which walks the grid one block
 # of whole cell rows at a time so that a block's temporaries (~30 arrays
-# of 8 bytes per cell for a Hessian) stay in L2 cache.  Criterion-4(c)
-# tube, 2-core box with 2 MiB of L2 per core, one thread, median time of
-# one Hessian / one gradient: at 257^2, 4096 cells 27.0 / 11.1 ms, 8192
-# cells 22.5 / 9.8 ms, 16384 cells 26.9 / 10.3 ms and the whole grid as
-# one block 35.6 / 15.7 ms; at 513^2, 87.4 / 39.5, 79.0 / 32.4, 71.8 /
-# 30.4 and 144.3 / 69.7 ms.
+# of 8 bytes per cell for a Hessian, 10 of them the reused buffer of
+# ``_elements``) stay in L2 cache.  Criterion-4(c) tube, 2-core box with
+# 2 MiB of L2 per core, one thread, best of three median times of one
+# Hessian / one gradient: at 257^2, 4096 cells 13.6 / 5.6 ms, 8192 cells
+# 10.7 / 5.2 ms, 16384 cells 11.3 / 5.6 ms and the whole grid as one
+# block 23.0 / 10.3 ms; at 513^2, 49.7 / 22.5, 49.0 / 22.1, 46.7 / 21.9
+# and 100.2 / 50.9 ms.  8192 and 16384 differ by less than the spread
+# between repeated runs.
 _BLOCK_CELLS = 8192
 
 
 def _ghosted(a: np.ndarray, g: DiscreteGraph, before: int) -> np.ndarray:
     """A node array with a ghost layer wrapped around each periodic
-    axis: ``before`` layers ahead of the first node, one past the last."""
+    axis: ``before`` layers ahead of the first node, one past the last.
+    On a grid with no periodic axis this is ``a`` itself."""
+    if not any(g.periodic):
+        return a
     return np.pad(a, [(before, 1) if wrap else (0, 0) for wrap in g.periodic],
                   mode="wrap")
 
@@ -287,30 +401,6 @@ def _window(a: np.ndarray, offset, shape) -> np.ndarray:
     return a[offset[0]:offset[0] + shape[0], offset[1]:offset[1] + shape[1]]
 
 
-def _combine(coefficients, arrays):
-    """sum(c * x) over the nonzero coefficients c, in order."""
-    total = None
-    for c, x in zip(coefficients, arrays):
-        if c:
-            total = c * x if total is None else total + c * x
-    return total
-
-
-def _nodal_maps(g: DiscreteGraph):
-    """The 3x3 matrix B of each triangle type: B maps the values at the
-    corners (``_CORNERS``) to the triangle's centroid value and (constant)
-    gradient, row k = corner k, columns (c, x, y).
-
-    Splitting cells kills the odd-even decoupling a pure cell-centered
-    stencil would have; on the flat metric the assembled operator is the
-    classic 5-point scheme.
-    """
-    dx, dy = 1.0 / g.spacing[0], 1.0 / g.spacing[1]
-    third = 1.0 / 3.0
-    return (np.array([[third, -dx, -dy], [third, dx, 0.0], [third, 0.0, dy]]),
-            np.array([[third, 0.0, -dy], [third, -dx, 0.0], [third, dx, dy]]))
-
-
 def _row_blocks(g: DiscreteGraph):
     """The grid cells, wrapping on periodic axes, as slices of whole cell
     rows, about ``_BLOCK_CELLS`` cells each.  Cell (i, j) has node (i, j)
@@ -321,74 +411,132 @@ def _row_blocks(g: DiscreteGraph):
     return [slice(r, min(r + step, m1)) for r in range(0, m1, step)]
 
 
-def _centroid(a: np.ndarray, rows: slice, corners, B):
+def _centroid(a: np.ndarray, rows: slice, g: DiscreteGraph, triangle: _Triangle):
     """Centroid value and gradient (c, x, y) of a ghosted nodal array on
     one triangle type, in the cell rows ``rows``."""
     shape = (rows.stop - rows.start, a.shape[1] - 1)
-    at = [_window(a, (rows.start + i, j), shape) for i, j in corners]
-    return tuple(_combine(B[:, col], at) for col in range(3))
+    at = [_window(a, (rows.start + i, j), shape) for i, j in triangle.corners]
+    return tuple(_combine(plan, at, scale) for plan, scale in
+                 zip(triangle.centroid, (1.0 / 3.0, 1.0 / g.spacing[0], 1.0 / g.spacing[1])))
 
 
-def _element_squared(a1, a2, ux, uy):
-    """The squared area element W^2 = a1^2 a2^2 + a2^2 ux^2 + a1^2 uy^2,
-    from the coefficient values a_i and the graph's gradient (ux, uy)."""
-    return (a1 * a2)**2 + a2**2 * ux**2 + a1**2 * uy**2
+def _coefficients(spec: WarpedMetricSpec, t: np.ndarray, order: int):
+    """The jets (``Field1D.jet``) of a1 and a2 at t up to ``order``,
+    sharing one memo."""
+    memo = {}
+    return spec.a1.jet(t, order, memo), spec.a2.jet(t, order, memo)
 
 
-def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int):
-    """The area element W = sqrt(a1^2 a2^2 + a2^2 ux^2 + a1^2 uy^2), a_i
-    at uc, and its derivatives in (uc, ux, uy) up to ``order``.
+def _induced_metric(a1, a2, ux, uy):
+    """The metric the graph induces, from the coefficient values a_i and
+    the graph's gradient (ux, uy): (c1, c2, G11, G22, Q) with c_i = a_i^2,
+    the diagonal entries G11 = c1 + ux^2 and G22 = c2 + uy^2 (G12 is
+    ux uy), and the determinant Q = W^2 = (a1 a2)^2 + c2 ux^2 + c1 uy^2."""
+    c1, c2 = a1 * a1, a2 * a2
+    G11, G22 = ux * ux, uy * uy
+    Q = a1 * a2
+    Q *= Q
+    term = c2 * G11
+    Q += term
+    np.multiply(c1, G22, out=term)
+    Q += term
+    G11 += c1
+    G22 += c2
+    return c1, c2, G11, G22, Q
+
+
+# The arrays ``_element`` gives at orders 0, 1 and 2: W, then dW, then
+# the upper triangle of d2W.
+_OUTPUTS = (1, 4, 10)
+
+
+def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int, out=None):
+    """The area element W = sqrt(Q), Q = (a1 a2)^2 + a2^2 ux^2 + a1^2 uy^2
+    with a_i at uc, and its derivatives in (uc, ux, uy) up to ``order``,
+    from the derivatives of Q and one reciprocal 1/W (module docstring).
 
     Returns (W, dW, d2W): dW is a 3-tuple, d2W a symmetric 3x3 nested
     tuple whose mirrored entries are the same arrays; orders above
     ``order`` are None and their coefficient derivatives are not
-    evaluated.
+    evaluated.  The arrays are views of ``out``, where given: a float
+    array of shape (_OUTPUTS[order],) + ux.shape.
     """
-    a1 = np.asarray(spec.a1(uc), dtype=float)
-    a2 = np.asarray(spec.a2(uc), dtype=float)
-    W = np.sqrt(_element_squared(a1, a2, ux, uy))
+    if out is None:
+        out = np.empty((_OUTPUTS[order],) + ux.shape)
+    (a1, *d1), (a2, *d2) = _coefficients(spec, uc, order)
+    c1, c2, G11, G22, Q = _induced_metric(a1, a2, ux, uy)
+    W = np.sqrt(Q, out=out[0])
     if order == 0:
         return W, None, None
 
-    prod = a1 * a2
-    c1, c2 = a1**2, a2**2
-    p2, q2 = ux**2, uy**2
-    a1p = np.asarray(spec.a1.d1(uc), dtype=float)
-    a2p = np.asarray(spec.a2.d1(uc), dtype=float)
-    dprod = a1p * a2 + a1 * a2p
-    c0p = 2.0 * prod * dprod
-    c1p = 2.0 * a1 * a1p
-    c2p = 2.0 * a2 * a2p
-    Wc = (c0p + c2p * p2 + c1p * q2) / (2.0 * W)
-    Wx = c2 * ux / W
-    Wy = c1 * uy / W
+    r = np.divide(1.0, W, out=Q)
+    e1, e2 = a1 * d1[0], a2 * d2[0]
+    Wc, Wx, Wy = out[1:4]
+    # Wc = (e1 G22 + e2 G11) / W with e_i = a_i a_i', Wx = c2 ux / W and
+    # Wy = c1 uy / W.
+    np.multiply(e1, G22, out=Wc)
+    term = e2 * G11
+    Wc += term
+    Wc *= r
+    np.multiply(c2, ux, out=Wx)
+    Wx *= r
+    np.multiply(c1, uy, out=Wy)
+    Wy *= r
     if order == 1:
         return W, (Wc, Wx, Wy), None
 
-    a1s = np.asarray(spec.a1.d2(uc), dtype=float)
-    a2s = np.asarray(spec.a2.d2(uc), dtype=float)
-    c0pp = 2.0 * (dprod**2 + prod * (a1s * a2 + 2.0 * a1p * a2p + a1 * a2s))
-    c1pp = 2.0 * (a1p**2 + a1 * a1s)
-    c2pp = 2.0 * (a2p**2 + a2 * a2s)
-    Wcc = (c0pp + c2pp * p2 + c1pp * q2) / (2.0 * W) - Wc**2 / W
-    Wcx = c2p * ux / W - Wc * Wx / W
-    Wcy = c1p * uy / W - Wc * Wy / W
-    Wxx = c2 / W - Wx**2 / W
-    Wxy = -Wx * Wy / W
-    Wyy = c1 / W - Wy**2 / W
+    Wcc, Wcx, Wcy, Wxx, Wxy, Wyy = out[4:]
+    # Wcc = (f1 G22 + f2 G11 + 4 e1 e2 - Wc^2) / W with
+    # f_i = a_i'^2 + a_i a_i''.
+    f = d1[0] * d1[0]
+    np.multiply(a1, d1[1], out=term)
+    f += term
+    np.multiply(f, G22, out=Wcc)
+    np.multiply(d2[0], d2[0], out=f)
+    np.multiply(a2, d2[1], out=term)
+    f += term
+    f *= G11
+    Wcc += f
+    np.multiply(e1, e2, out=term)
+    term *= 4.0
+    Wcc += term
+    np.multiply(Wc, Wc, out=term)
+    Wcc -= term
+    Wcc *= r
+    # Wcx = (2 e2 ux - Wc Wx) / W and Wcy = (2 e1 uy - Wc Wy) / W.
+    for Wcg, e, ug, Wg in ((Wcx, e2, ux, Wx), (Wcy, e1, uy, Wy)):
+        np.multiply(e, ug, out=Wcg)
+        Wcg *= 2.0
+        np.multiply(Wc, Wg, out=term)
+        Wcg -= term
+        Wcg *= r
+    # Wxx = (c2 - Wx^2) / W, Wyy = (c1 - Wy^2) / W and Wxy = -Wx Wy / W.
+    for Wgg, c, Wg in ((Wxx, c2, Wx), (Wyy, c1, Wy)):
+        np.multiply(Wg, Wg, out=Wgg)
+        np.subtract(c, Wgg, out=Wgg)
+        Wgg *= r
+    np.multiply(Wx, Wy, out=Wxy)
+    Wxy *= r
+    np.negative(Wxy, out=Wxy)
     return W, (Wc, Wx, Wy), ((Wcc, Wcx, Wcy), (Wcx, Wxx, Wxy), (Wcy, Wxy, Wyy))
 
 
 def _elements(spec: WarpedMetricSpec, g: DiscreteGraph, order: int):
     """The element kernel, one block of cell rows at a time: yields
-    (rows, types), where ``types`` evaluates (corners, B, W, dW, d2W) for
-    one triangle type after the other as the caller iterates it, before
-    the next block."""
+    (rows, types), where ``types`` evaluates (triangle, W, dW, d2W)
+    (``_TRIANGLES``, ``_element``) for one triangle type after the other
+    as the caller iterates it, before the next block.  The arrays of
+    ``_element`` are views of one buffer, which the next type and the
+    next block overwrite."""
     u = _ghosted(g.values, g, 0)
-    Bs = _nodal_maps(g)
-    for rows in _row_blocks(g):
-        yield rows, ((corners, B) + _element(spec, *_centroid(u, rows, corners, B), order)
-                     for corners, B in zip(_CORNERS, Bs))
+    blocks = _row_blocks(g)
+    columns = u.shape[1] - 1
+    work = np.empty((_OUTPUTS[order], (blocks[0].stop - blocks[0].start) * columns))
+    for rows in blocks:
+        n = rows.stop - rows.start
+        out = work[:, :n * columns].reshape(-1, n, columns)
+        yield rows, ((triangle,) + _element(spec, *_centroid(u, rows, g, triangle), order, out)
+                     for triangle in _TRIANGLES)
 
 
 def _add_windows(rows: slice, terms):
@@ -410,21 +558,26 @@ def area(spec: WarpedMetricSpec, g: DiscreteGraph) -> float:
     # Summed per cell row first, so the row blocks do not move the total.
     sums = np.zeros(g.shape[0])
     for rows, types in _elements(spec, g, 0):
-        for _, _, W, _, _ in types:
+        for _, W, _, _ in types:
             sums[rows] += np.sum(W, axis=1)
     return float(np.sum(sums)) * 0.5 * g.spacing[0] * g.spacing[1]
 
 
 def _gradient(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray:
     """Exact gradient of the discrete area w.r.t. the nodal values
-    (full-shape array; boundary entries are meaningful only as reactions)."""
-    tri_w = 0.5 * g.spacing[0] * g.spacing[1]
+    (full-shape array; boundary entries are meaningful only as reactions):
+    corner k of each triangle receives tri_w dW . B[k]."""
+    h1, h2 = g.spacing
+    tri_w = 0.5 * h1 * h2
+    scales = (tri_w / 3.0, tri_w / h1, tri_w / h2)
     acc = _sums(g)
     for rows, types in _elements(spec, g, 1):
-        # Corner k of each triangle receives (dW . B[k]) * tri_w.
-        _add_windows(rows, [(acc, corner, _combine(B[k] * tri_w, dW))
-                            for corners, B, _, dW, _ in types
-                            for k, corner in enumerate(corners)])
+        terms = []
+        for triangle, _, dW, _ in types:
+            parts = [scale * x for scale, x in zip(scales, dW)]
+            terms += [(acc, corner, _combine(plan, parts))
+                      for corner, plan in zip(triangle.corners, triangle.gradient)]
+        _add_windows(rows, terms)
     return _folded(acc, g)
 
 
@@ -461,33 +614,10 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     # Summed per cell row first, as in ``area``.
     sums = np.zeros(g.shape[0])
     for rows, types in _elements(spec, g, 1):
-        for corners, B, _, dW, _ in types:
-            vc, vx, vy = _centroid(v, rows, corners, B)
+        for triangle, _, dW, _ in types:
+            vc, vx, vy = _centroid(v, rows, g, triangle)
             sums[rows] += np.sum(dW[0] * vc + dW[1] * vx + dW[2] * vy, axis=1)
     return float(np.sum(sums)) * 0.5 * g.spacing[0] * g.spacing[1]
-
-
-# The 7-point stencil of the split-cell mesh: the offsets (d1, d2) of the
-# nodes that share a mesh edge with a node, the node itself included, in
-# row-major order.
-_STENCIL = ((-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0))
-
-
-def _edge(p, q):
-    """The edge between the nodes at offsets p and q (p = q for the
-    diagonal), as (offset of its base node, kind): the base is the
-    componentwise minimum, and the kind is 0 for the diagonal, 1 for an
-    x-edge, 2 for a y-edge and 3 for an anti-diagonal."""
-    (a, b), (c, d) = p, q
-    return (min(a, c), min(b, d)), abs(a - c) + 2 * abs(b - d)
-
-
-def _pair_table(B: np.ndarray) -> np.ndarray:
-    """The 6x6 table T of a triangle type with nodal map B:
-    (B d2W B^T)[k, l] = sum over q of T[p, q] d2W[a][b], where p = (k, l)
-    and q = (a, b) run over ``_PAIRS`` (d2W is symmetric)."""
-    return np.array([[B[k, a] * B[l, b] + (B[k, b] * B[l, a] if a != b else 0.0)
-                      for a, b in _PAIRS] for k, l in _PAIRS])
 
 
 class _Pattern:
@@ -543,21 +673,22 @@ class _Pattern:
 def _hessian(spec: WarpedMetricSpec, g: DiscreteGraph,
              pattern: _Pattern) -> sp.csc_matrix:
     """Hessian of the discrete area on the free nodes, numbered and
-    stored as ``pattern`` says: B d2W B^T per triangle, read off d2W by
-    ``_pair_table``.  Each triangle's (k, l) entry with k <= l is computed
-    once and added, block by block, into the array of its edge kind; both
-    mirrored entries read the edge's sum, so the matrix is exactly
-    symmetric."""
-    tri_w = 0.5 * g.spacing[0] * g.spacing[1]
-    tables = [tri_w * _pair_table(B) for B in _nodal_maps(g)]
+    stored as ``pattern`` says: B d2W B^T per triangle, through its corner
+    gradients (``_Triangle``).  Each triangle's (k, l) entry with k <= l
+    is computed once and added, block by block, into the array of its
+    edge kind; both mirrored entries read the edge's sum, so the matrix
+    is exactly symmetric."""
+    h1, h2 = g.spacing
+    tri_w = 0.5 * h1 * h2
+    scales = (tri_w / 9.0, tri_w / (3.0 * h1), tri_w / (3.0 * h2),
+              tri_w / (h1 * h1), tri_w / (h1 * h2), tri_w / (h2 * h2))
     edges = _sums(g, 4)
     for rows, types in _elements(spec, g, 2):
         terms = []
-        for (corners, _, _, _, d2W), table in zip(types, tables):
-            second = [d2W[a][b] for a, b in _PAIRS]
-            for (k, l), coefficients in zip(_PAIRS, table):
-                offset, kind = _edge(corners[k], corners[l])
-                terms.append((edges[kind], offset, _combine(coefficients, second)))
+        for triangle, _, _, ((Wcc, Wcx, Wcy), (_, Wxx, Wxy), (_, _, Wyy)) in types:
+            parts = [scale * x for scale, x in zip(scales, (Wcc, Wcx, Wcy, Wxx, Wxy, Wyy))]
+            terms += [(edges[kind], offset, _combine(plan, parts))
+                      for offset, kind, plan in triangle.hessian]
         _add_windows(rows, terms)
     edges = _folded(edges, g).reshape(-1)
     return sp.csc_matrix((edges[pattern.data_source], pattern.indices,
@@ -1118,20 +1249,14 @@ def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray
     for start in range(0, H.shape[0], step):
         rows = slice(start, min(start + step, H.shape[0]))
         u, ux, uy, uxx, uyy, uxy = _node_derivatives(g, ghosted, rows)
-        a1v = np.asarray(spec.a1(u), dtype=float)
-        a2v = np.asarray(spec.a2(u), dtype=float)
-        a1p = np.asarray(spec.a1.d1(u), dtype=float)
-        a2p = np.asarray(spec.a2.d1(u), dtype=float)
-
-        W2 = _element_squared(a1v, a2v, ux, uy)
+        (a1v, a1p), (a2v, a2p) = _coefficients(spec, u, 1)
+        _, _, G11, G22, W2 = _induced_metric(a1v, a2v, ux, uy)
         W = np.sqrt(W2)
         ratio = a1v * a2v / W
         II11 = ratio * (uxx - a1v * a1p - 2.0 * (a1p / a1v) * ux**2)
         II12 = ratio * (uxy - (a1p / a1v + a2p / a2v) * ux * uy)
         II22 = ratio * (uyy - a2v * a2p - 2.0 * (a2p / a2v) * uy**2)
-        G11 = a1v**2 + ux**2
         G12 = ux * uy
-        G22 = a2v**2 + uy**2
         H[rows] = (G22 * II11 - 2.0 * G12 * II12 + G11 * II22) / (2.0 * W2)
     return H
 

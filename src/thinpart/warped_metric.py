@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_floats, as_int, require_finite
+from .errors import (DomainError, as_float, as_floats, as_int, as_real_array,
+                     require_finite)
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice
 
@@ -160,17 +161,19 @@ class WarpedMetricSpec:
     @classmethod
     def from_sampled(cls, lattice, x3, a1_samples, a2_samples, h_samples,
                      kind: str = "custom"):
-        """Spline-backed diagonal spec from grids of a1, a2 and h values."""
-        x3 = np.asarray(x3, dtype=float)
-        h = Field1D.from_samples(x3, h_samples)  # checks x3 before it is indexed
+        """Spline-backed diagonal spec from grids of a1, a2 and h values,
+        each an array of real numbers (a DomainError naming it otherwise)."""
+        x3, a1, a2, h = (as_real_array(f"{name} samples", values) for name, values in
+                         (("x3", x3), ("a1", a1_samples), ("a2", a2_samples), ("h", h_samples)))
+        warping = Field1D.from_samples(x3, h)  # checks x3 before it is indexed
         return cls(
             lattice,
             float(x3[0]),
             float(x3[-1]),
-            h,
+            warping,
             kind=kind,
-            a1=Field1D.from_samples(x3, a1_samples),
-            a2=Field1D.from_samples(x3, a2_samples),
+            a1=Field1D.from_samples(x3, a1),
+            a2=Field1D.from_samples(x3, a2),
         )
 
     # -- queries -----------------------------------------------------------
@@ -446,11 +449,11 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
     if kind == "tube":
         from .tube_geometry import TubeParams, tube_as_warped
 
-        return tube_as_warped(
-            TubeParams.from_json_dict(data),
-            margin=data.get("margin", 0.5),
-            normalized=bool(data.get("normalized", False)),
-        )
+        normalized = data.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise DomainError(f"normalized must be true or false, got {normalized!r}")
+        return tube_as_warped(TubeParams.from_json_dict(data),
+                              margin=data.get("margin", 0.5), normalized=normalized)
     if kind == "custom":
         return WarpedMetricSpec.from_sampled(_lattice(data), *_samples(data))
     raise DomainError(f"unknown metric kind {kind!r}")

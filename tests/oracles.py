@@ -356,6 +356,48 @@ def gradient_per_triangle(spec, g) -> np.ndarray:
     return acc
 
 
+def element_expanded(spec, uc, ux, uy):
+    """The area element W at centroid values uc and gradients (ux, uy),
+    and its first and second derivatives in (c, x, y), from the expanded
+    coefficients c0 = (a1 a2)^2, c1 = a1^2, c2 = a2^2 of
+    W^2 = c0 + c2 ux^2 + c1 uy^2: (W, {"c", "x", "y"} -> dW, {pair} ->
+    d2W) with the pairs ("c", "c"), ("c", "x"), ("c", "y"), ("x", "x"),
+    ("x", "y"), ("y", "y")."""
+    a1v = np.asarray(spec.a1(uc), dtype=float)
+    a2v = np.asarray(spec.a2(uc), dtype=float)
+    a1p = np.asarray(spec.a1.d1(uc), dtype=float)
+    a2p = np.asarray(spec.a2.d1(uc), dtype=float)
+    a1s = np.asarray(spec.a1.d2(uc), dtype=float)
+    a2s = np.asarray(spec.a2.d2(uc), dtype=float)
+
+    prod = a1v * a2v
+    dprod = a1p * a2v + a1v * a2p
+    c0 = prod**2
+    c0p = 2.0 * prod * dprod
+    c0pp = 2.0 * (dprod**2 + prod * (a1s * a2v + 2.0 * a1p * a2p + a1v * a2s))
+    c1 = a1v**2
+    c1p = 2.0 * a1v * a1p
+    c1pp = 2.0 * (a1p**2 + a1v * a1s)
+    c2 = a2v**2
+    c2p = 2.0 * a2v * a2p
+    c2pp = 2.0 * (a2p**2 + a2v * a2s)
+
+    p, q = ux, uy
+    W = np.sqrt(c0 + c2 * p**2 + c1 * q**2)
+    Wc = (c0p + c2p * p**2 + c1p * q**2) / (2.0 * W)
+    Wp = c2 * p / W
+    Wq = c1 * q / W
+    second = {
+        ("c", "c"): (c0pp + c2pp * p**2 + c1pp * q**2) / (2.0 * W) - Wc**2 / W,
+        ("c", "x"): c2p * p / W - Wc * Wp / W,
+        ("c", "y"): c1p * q / W - Wc * Wq / W,
+        ("x", "x"): c2 / W - Wp**2 / W,
+        ("x", "y"): -Wp * Wq / W,
+        ("y", "y"): c1 / W - Wq**2 / W,
+    }
+    return W, {"c": Wc, "x": Wp, "y": Wq}, second
+
+
 def hessian_per_triangle(spec, g):
     """Hessian of the discrete area restricted to the free nodes."""
     free = g.free_mask()
@@ -366,39 +408,7 @@ def hessian_per_triangle(spec, g):
 
     rows, cols, data = [], [], []
     for tri in _triangles(g):
-        uc, ux, uy = _tri_fields(g, tri)
-        a1v = np.asarray(spec.a1(uc), dtype=float)
-        a2v = np.asarray(spec.a2(uc), dtype=float)
-        a1p = np.asarray(spec.a1.d1(uc), dtype=float)
-        a2p = np.asarray(spec.a2.d1(uc), dtype=float)
-        a1s = np.asarray(spec.a1.d2(uc), dtype=float)
-        a2s = np.asarray(spec.a2.d2(uc), dtype=float)
-
-        prod = a1v * a2v
-        dprod = a1p * a2v + a1v * a2p
-        c0 = prod**2
-        c0p = 2.0 * prod * dprod
-        c0pp = 2.0 * (dprod**2 + prod * (a1s * a2v + 2.0 * a1p * a2p + a1v * a2s))
-        c1 = a1v**2
-        c1p = 2.0 * a1v * a1p
-        c1pp = 2.0 * (a1p**2 + a1v * a1s)
-        c2 = a2v**2
-        c2p = 2.0 * a2v * a2p
-        c2pp = 2.0 * (a2p**2 + a2v * a2s)
-
-        p, q = ux, uy
-        W = np.sqrt(c0 + c2 * p**2 + c1 * q**2)
-        Wc = (c0p + c2p * p**2 + c1p * q**2) / (2.0 * W)
-        Wp = c2 * p / W
-        Wq = c1 * q / W
-        second = {
-            ("c", "c"): (c0pp + c2pp * p**2 + c1pp * q**2) / (2.0 * W) - Wc**2 / W,
-            ("c", "x"): c2p * p / W - Wc * Wp / W,
-            ("c", "y"): c1p * q / W - Wc * Wq / W,
-            ("x", "x"): c2 / W - Wp**2 / W,
-            ("x", "y"): -Wp * Wq / W,
-            ("y", "y"): c1 / W - Wq**2 / W,
-        }
+        _, _, second = element_expanded(spec, *_tri_fields(g, tri))
 
         def entry(ka, kb):
             key = (ka, kb) if (ka, kb) in second else (kb, ka)
@@ -483,3 +493,24 @@ def profile_samples_loop(prof):
         for t, a in zip(p, seg.areas):
             rows.append((offset + (t - p[0]) / span, seg.label, float(a)))
     return rows
+
+
+class CountingNumpy:
+    """numpy, with the functions named in ``counts`` (a Counter) counted
+    per call; like numpy's, each is one object however often it is looked
+    up.  Set as a module's ``np``, it counts that module's calls."""
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.counted = {}
+
+    def __getattr__(self, name):
+        value = getattr(np, name)
+        if name not in self.counts:
+            return value
+        if name not in self.counted:
+            def counted(*args, **kwargs):
+                self.counts[name] += 1
+                return value(*args, **kwargs)
+            self.counted[name] = counted
+        return self.counted[name]

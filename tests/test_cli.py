@@ -275,6 +275,18 @@ def test_hostile_grid_iteration_and_constant_inputs_exit_domain(
     assert not (tmp_path / "u.csv").exists()
 
 
+def test_a_tube_metric_with_a_string_normalized_exits_domain(tmp_path, capsys):
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"kind": "tube", "length": 0.01, "normalized": "false"}))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
+    assert run(["graph", "solve", "--metric", str(metric), "--bc", str(tmp_path / "bc.json"),
+                "--grid", "8x8", "--out", str(tmp_path / "u.csv")]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == (f"domain error: {metric}: normalized must be true or false, "
+                            "got 'false'\n")
+    assert not (tmp_path / "u.csv").exists()
+
+
 def _set_slope(data):
     data["collapse"]["slope"] *= 1.0 + 1e-12
 

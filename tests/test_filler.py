@@ -269,6 +269,20 @@ def test_slice_functions_take_arrays_of_depths():
         slice_area(spec, np.array([1.0, 15.0, 16.0]))
 
 
+@pytest.mark.parametrize("t", ["0.5", None, True, ["0.5"], [0.5, None]],
+                         ids=["string", "none", "bool", "string_list", "none_entry"])
+@pytest.mark.parametrize("evaluate", [
+    lambda spec, t: metric_at(spec, (0.0, 0.0, t)),
+    slice_area,
+    mean_convexity,
+], ids=["metric_at", "slice_area", "mean_convexity"])
+def test_depths_must_be_real_numbers(evaluate, t):
+    # A string depth used to be read as the number it spells.
+    spec = build(12.0, UNIT)
+    with pytest.raises(DomainError, match="depth t must be a rectangular array of real numbers"):
+        evaluate(spec, t)
+
+
 def test_json_round_trip_bit_identical(tmp_path):
     spec = build(17.0, FlatTorusLattice(1.3, 0.2, 0.9))
     data = json.loads(json.dumps(to_json_dict(spec)))

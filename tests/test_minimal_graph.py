@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from thinpart.minimal_graph import (
     _Band,
     _VCycle,
     _corrected,
+    _element,
     _factor,
     _gradient,
     _hessian,
@@ -40,6 +42,7 @@ from thinpart.tube_geometry import (
     CuspParams,
     TubeParams,
     cusp_as_warped,
+    meyerhoff_radius,
     slice_mean_curvature,
     tube_as_warped,
 )
@@ -68,7 +71,9 @@ def tube_radial_spec():
 
 
 from oracles import (
+    CountingNumpy,
     bordered_kkt,
+    element_expanded,
     gradient_per_triangle,
     hessian_per_triangle,
     mean_curvature_whole_grid,
@@ -304,6 +309,73 @@ def test_sign_convention_area_decreases_into_cusp():
 
 
 # ---------------------------------------------------------------- solve
+
+
+def readme_tube_spec():
+    """The README's tube: length 0.01 at its Meyerhoff radius, normalized."""
+    return tube_as_warped(TubeParams(0.01, 0.0, meyerhoff_radius(0.01)), normalized=True)
+
+
+@pytest.mark.parametrize("make_spec", [cusp_spec, tube_spec, readme_tube_spec,
+                                       tube_radial_spec])
+def test_element_matches_the_expanded_formulas_at_the_extremes(make_spec):
+    # Centroids across the whole range, a tenth of them at its deep end
+    # (the cusp's a_i = e^-3, the tube's margin), with each gradient
+    # component 0 or of size 1e-3 to 1e3, either sign.
+    spec = make_spec()
+    rng = np.random.default_rng(11)
+    n = 20000
+    uc = rng.uniform(spec.x3_min, spec.x3_max, n)
+    uc[: n // 10] = spec.x3_max
+    ux, uy = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, n))) * rng.choice([-1, 1], (2, n))
+    ux[::17] = 0.0
+    uy[::13] = 0.0
+    W, (Wc, Wx, Wy), d2W = _element(spec, uc, ux, uy, 2)
+    W_ref, dW_ref, d2W_ref = element_expanded(spec, uc, ux, uy)
+    (Wcc, Wcx, Wcy), (_, Wxx, Wxy), (_, _, Wyy) = d2W
+    assert d2W[1][0] is Wcx and d2W[2][0] is Wcy and d2W[2][1] is Wxy
+
+    def close(value, ref, scale):
+        return np.all(np.abs(value - ref) <= 1e-13 * scale)
+
+    # These agree at 1e-13 of their value everywhere (measured: 1.3e-14).
+    for value, ref in [(W, W_ref), (Wc, dW_ref["c"]), (Wx, dW_ref["x"]), (Wy, dW_ref["y"]),
+                       (Wcc, d2W_ref["c", "c"]), (Wxy, d2W_ref["x", "y"])]:
+        assert close(value, ref, np.abs(ref))
+    # The other four are a difference P - R over W whose terms cancel:
+    # Wcx = (2 e2 ux - Wc Wx) / W and Wcy as |grad u| -> 0, and
+    # Wxx = (a2^2 - Wx^2) / W and Wyy as |grad u| -> oo.  Both formulas
+    # lose the cancelled digits (Wxx at |grad u| = 1e3 on the cusp differs
+    # by 1e-7 of its value, the tube's Wcx by 1e-8 at |grad u| = 1), so they
+    # agree at 1e-13 of (|P| + |R|) / W (measured: 6e-16).
+    a1, a2 = spec.a1(uc), spec.a2(uc)
+    e1, e2 = a1 * spec.a1.d1(uc), a2 * spec.a2.d1(uc)
+    Wc, Wx, Wy = dW_ref["c"], dW_ref["x"], dW_ref["y"]
+    for value, key, P, R in [(Wcx, ("c", "x"), 2.0 * e2 * ux, Wc * Wx),
+                             (Wcy, ("c", "y"), 2.0 * e1 * uy, Wc * Wy),
+                             (Wxx, ("x", "x"), a2**2, Wx**2),
+                             (Wyy, ("y", "y"), a1**2, Wy**2)]:
+        assert close(value, d2W_ref[key], (np.abs(P) + np.abs(R)) / W_ref)
+
+
+@pytest.mark.parametrize("kind", ["tube", "cusp"])
+def test_hessian_evaluates_each_coefficient_function_once_per_triangle_type(
+        monkeypatch, kind):
+    # The tube's sinh and cosh of R - t, and the cusp's exp(-t), are each
+    # called once per triangle type and block: a1 and a2 share them.
+    from thinpart import fields, tube_geometry
+
+    counts = Counter(dict.fromkeys(("sinh", "cosh") if kind == "tube" else ("exp",), 0))
+    module = tube_geometry if kind == "tube" else fields
+    monkeypatch.setattr(module, "np", CountingNumpy(counts))
+    spec = tube_spec() if kind == "tube" else cusp_spec()
+    g = _random_grid((21, 17), (False, False))
+    monkeypatch.setattr(minimal_graph, "_BLOCK_CELLS", 5 * (g.shape[1] - 1))
+    pattern = _Pattern(g)
+    blocks = len(minimal_graph._row_blocks(g))
+    assert blocks > 2
+    _hessian(spec, g, pattern)
+    assert counts == dict.fromkeys(counts, 2 * blocks)
 
 
 @pytest.mark.parametrize("make_spec,periodic", SPEC_GRID)

@@ -314,6 +314,33 @@ def test_spec_from_json_names_a_missing_or_malformed_field(data, message):
         spec_from_json(data)
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+def test_spec_from_json_reads_normalized_as_a_json_bool(normalized):
+    spec = spec_from_json({"kind": "tube", "length": 0.01, "normalized": normalized})
+    R = 1.9827241630705441
+    scale = math.sinh(R) if normalized else 1.0
+    assert spec.lattice.a1 == pytest.approx(2.0 * math.pi * scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_spec_from_json_rejects_a_normalized_that_is_not_a_bool(value):
+    # bool("false") is True: a string would build the normalized tube.
+    with pytest.raises(DomainError, match="normalized must be true or false"):
+        spec_from_json({"kind": "tube", "length": 0.01, "normalized": value})
+
+
+@pytest.mark.parametrize("bad", [["0", "1", "2", "3"], None, [True, True, True, True],
+                                 [1.0, "1", 1.0, 1.0]],
+                         ids=["strings", "none", "bools", "string_entry"])
+@pytest.mark.parametrize("name", ["x3", "a1", "a2", "h"])
+def test_from_sampled_rejects_non_numeric_samples(name, bad):
+    samples = {"x3": [0.0, 1.0, 2.0, 3.0], "a1": [1.0] * 4, "a2": [1.0] * 4, "h": [1.0] * 4}
+    samples[name] = bad
+    with pytest.raises(DomainError, match=f"{name} samples must be a rectangular array"):
+        WarpedMetricSpec.from_sampled(UNIT, samples["x3"], samples["a1"], samples["a2"],
+                                      samples["h"])
+
+
 def test_sampled_spec_tracks_closed_form():
     # Spline-backed cusp: coefficients and first two derivatives follow
     # the closed form away from the sample boundary.
