@@ -59,8 +59,8 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     if length <= 0.0:
         raise DomainError("geodesic length must be positive")
     rs = as_real_array("radius grid", r_grid)
-    if rs.ndim != 1 or rs.size == 0 or not np.all(np.isfinite(rs) & (rs > 0.0)):
-        raise DomainError("radius grid must be finite and positive")
+    if rs.ndim != 1 or rs.size == 0 or not np.all(rs > 0.0):
+        raise DomainError("radius grid must be a nonempty list of positive radii")
     dP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # rows (theta, r)
     max_sv = 0.0
     per_dir = [0.0, 0.0, 0.0]

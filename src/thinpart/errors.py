@@ -1,6 +1,6 @@
-"""Shared exception types, the one rule for every number a caller passes
-(``as_float`` and the readers built on it), and the one reader of JSON
-input files."""
+"""Shared exception types, the one rule for every number and every array
+a caller passes (``as_float``, ``as_real_array`` and the readers built on
+them), and the one reader of JSON input files."""
 
 import json
 import math
@@ -79,6 +79,17 @@ def _real_array(value):
     return array
 
 
+def _finite(name: str, array: np.ndarray) -> np.ndarray:
+    """``array``; a DomainError naming ``name`` and the first entry, by
+    index, that is NaN or infinite."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), array.shape)
+        at = f" at {tuple(map(int, index))}" if array.ndim else ""
+        raise DomainError(f"{name} must be finite, got {float(array[index])!r}{at}")
+    return array
+
+
 def as_floats(name: str, value, size: int | None = None) -> tuple:
     """``value``, a list of real numbers (``size`` of them where given:
     a pair, a triple), as a tuple of floats; a DomainError naming
@@ -88,19 +99,20 @@ def as_floats(name: str, value, size: int | None = None) -> tuple:
         raise DomainError(f"{name} must be a list of numbers, got {value!r}")
     if size not in (None, array.size):
         raise DomainError(f"{name} must be a list of {size} numbers, got {value!r}")
-    if not np.all(np.isfinite(array)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return tuple(array.astype(float).tolist())
+    return tuple(_finite(name, array).astype(float).tolist())
 
 
 def as_real_array(name: str, value) -> np.ndarray:
-    """``value``, an array of real numbers of any shape, as a float array
-    (``value`` itself where it is one); a DomainError naming ``name``
-    otherwise."""
+    """``value``, an array of finite real numbers of any shape, as a float
+    array (``value`` itself where it is one): the one rule for an array a
+    caller passes.  A DomainError names ``name``: "must be a rectangular
+    array of real numbers" for strings, None, bools, complex numbers and
+    ragged lists, "must be finite" with the first NaN or infinite entry
+    and its index."""
     array = _real_array(value)
     if array is None:
         raise DomainError(f"{name} must be a rectangular array of real numbers")
-    return np.asarray(array, dtype=float)
+    return _finite(name, np.asarray(array, dtype=float))
 
 
 def load_json(path, build):

@@ -15,9 +15,11 @@ value of a jet is bit for bit the one its evaluator gives alone.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .errors import DomainError, as_real_array
+from .errors import DomainError, as_float, as_real_array, require_finite
 
 
 def _memoized(memo: dict, fn, t, name=None):
@@ -70,8 +72,17 @@ class Field1D:
         evaluators = (self._f, self._d1, self._d2, self._d3)[:order + 1]
         return tuple(_memoized(memo, fn, t) for fn in evaluators)
 
+    @staticmethod
+    def by_order(derivative) -> tuple:
+        """The evaluators (f, d1, d2, d3) of a field whose order-th
+        derivative at t, order 0 to 3, is ``derivative(t, order=order)``:
+        pass them to ``Field1D``."""
+        return tuple(partial(derivative, order=order) for order in range(4))
+
     @classmethod
     def constant(cls, value: float) -> "Field1D":
+        value = as_float("constant value", value)
+
         def f(t, value=value):
             return value * np.ones_like(np.asarray(t, dtype=float))
 
@@ -105,9 +116,6 @@ class Field1D:
         y = as_real_array("sample y", y)
         if x.ndim != 1 or x.shape != y.shape or x.size < 4:
             raise DomainError("need matching 1-d sample arrays with >= 4 points")
-        for name, values in (("x", x), ("y", y)):
-            if not np.all(np.isfinite(values)):
-                raise DomainError(f"sample {name} values must be finite")
         if np.any(np.diff(x) <= 0):
             raise DomainError("sample abscissae must be strictly increasing")
         from scipy.interpolate import CubicSpline
@@ -119,6 +127,7 @@ class Field1D:
         """out_scale * f(in_scale * t + in_shift), with chain-rule
         derivatives.  Its jet forms the argument once per ``memo``, shared
         with every field composed with the same affine map."""
+        require_finite(in_scale=in_scale, in_shift=in_shift, out_scale=out_scale)
         factors = tuple(out_scale * in_scale**level for level in range(4))
         # Fields composed with the same map share its argument in a memo.
         affine_map = ("affine", in_scale, in_shift)

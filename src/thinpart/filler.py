@@ -62,28 +62,15 @@ def _smoothstep(u, order=0):
     return np.where((u > 0.0) & (u < 1.0), _SMOOTHSTEP[order](u), 0.0)
 
 
-class _Profile:
-    """A profile and its first three derivatives; subclasses give the
-    order-th derivative, order 0 to 3, as ``_derivative(x, order)``."""
-
-    def __call__(self, x):
-        return self._derivative(x, 0)
-
-    def d1(self, x):
-        return self._derivative(x, 1)
-
-    def d2(self, x):
-        return self._derivative(x, 2)
-
-    def d3(self, x):
-        return self._derivative(x, 3)
-
-
-class DepthProfile(_Profile):
+class DepthProfile(Field1D):
     """The profile f: identity on [0, 1], then an exponential-tail ramp
     with scale s = 3/4."""
 
-    def _derivative(self, t, order):
+    def __init__(self):
+        super().__init__(*self.by_order(self._derivative))
+
+    @staticmethod
+    def _derivative(t, order):
         t = np.asarray(t, dtype=float)
         x = t - 1.0
         s = _RAMP_SCALE
@@ -97,7 +84,7 @@ class DepthProfile(_Profile):
         return np.where(t <= 1.0, 0.0, ((x - s) / s**3) * decay)
 
 
-class CollapseProfile(_Profile):
+class CollapseProfile(Field1D):
     """The profile eta on [0, 1]: 1, smoothstep descent, corner rounding,
     exact linear tail K*(1 - x)."""
 
@@ -116,6 +103,7 @@ class CollapseProfile(_Profile):
         self.v1 = self.v2 + 0.5 * K * corner_width
         if self.v1 >= 1.0:
             raise DomainError("collapse profile would exceed 1")
+        super().__init__(*self.by_order(self._derivative))
 
     def _derivative(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -196,11 +184,17 @@ def _depths(spec: FillerSpec, t) -> np.ndarray:
 def metric_at(spec: FillerSpec, point) -> tuple:
     """Diagonal metric coefficients (g11, g22, g33) at (x1, x2, t).
 
-    The metric is x-independent, and g33 = 1.  t may be an array of
-    depths, each in [0, L + 1): at the core the product chart is
-    singular and ``core_chart_metric`` applies.
+    The metric is x-independent, and g33 = 1.  Each coordinate may be an
+    array; each depth t lies in [0, L + 1): at the core the product chart
+    is singular and ``core_chart_metric`` applies.
     """
-    t = _depths(spec, point[2])
+    try:
+        x1, x2, t = point
+    except (TypeError, ValueError):
+        raise DomainError(f"point must be (x1, x2, t), got {point!r}") from None
+    as_real_array("point x1", x1)
+    as_real_array("point x2", x2)
+    t = _depths(spec, t)
     e2f = np.exp(-2.0 * spec.f(t))
     return (e2f * _collar(spec, t) ** 2, e2f, 1.0)
 
@@ -213,7 +207,7 @@ def core_chart_metric(spec: FillerSpec, rho) -> tuple:
     Smoothness of the solid torus shows as g_theta_theta = rho^2 + O(rho^3)
     and g_zz = exp(-2 f(L+1)) + O(rho).
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = as_real_array("rho", rho)
     if not np.all((0.0 < rho) & (rho <= 1.0)):
         raise DomainError("core chart needs 0 < rho <= 1")
     e2f = np.exp(-2.0 * spec.f(spec.depth + 1.0 - rho))
@@ -259,8 +253,7 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
     from .warped_metric import WarpedMetricSpec
 
     L = spec.depth
-    if t_max is None:
-        t_max = L + 0.5
+    t_max = L + 0.5 if t_max is None else as_float("t_max", t_max)
     if not 0.0 < t_max < L + 1.0:
         raise DomainError("t_max must lie in (0, L + 1)")
 
@@ -285,12 +278,9 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
             for j in range(order + 1)
         )
 
-    def field(fn):
-        return Field1D(*(lambda t, k=k: fn(t, k) for k in range(4)))
-
-    h = field(exp_f)
+    h = Field1D(*Field1D.by_order(exp_f))
     return WarpedMetricSpec(
-        spec.lattice, 0.0, float(t_max), h, kind="filler", a1=field(a1), a2=h
+        spec.lattice, 0.0, t_max, h, kind="filler", a1=Field1D(*Field1D.by_order(a1)), a2=h
     )
 
 

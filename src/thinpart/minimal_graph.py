@@ -136,8 +136,6 @@ class DiscreteGraph:
             raise DomainError("graph values must be a 2-d array")
         if min(self.values.shape) < 4:
             raise DomainError("need at least 4 grid points per axis")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("graph values must be finite")
 
     # -- constructors ------------------------------------------------------
 
@@ -401,14 +399,18 @@ def _window(a: np.ndarray, offset, shape) -> np.ndarray:
     return a[offset[0]:offset[0] + shape[0], offset[1]:offset[1] + shape[1]]
 
 
+def _blocks(rows: int, columns: int) -> list:
+    """The rows of a ``rows`` x ``columns`` array as slices of whole rows,
+    about ``_BLOCK_CELLS`` entries each."""
+    step = max(1, _BLOCK_CELLS // columns)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def _row_blocks(g: DiscreteGraph):
-    """The grid cells, wrapping on periodic axes, as slices of whole cell
-    rows, about ``_BLOCK_CELLS`` cells each.  Cell (i, j) has node (i, j)
-    of the ``_ghosted(..., before=0)`` grid as corner (0, 0)."""
-    m1 = g.shape[0] - (not g.periodic[0])
-    m2 = g.shape[1] - (not g.periodic[1])
-    step = max(1, _BLOCK_CELLS // m2)
-    return [slice(r, min(r + step, m1)) for r in range(0, m1, step)]
+    """The grid cells, wrapping on periodic axes, as ``_blocks`` of cell
+    rows.  Cell (i, j) has node (i, j) of the ``_ghosted(..., before=0)``
+    grid as corner (0, 0)."""
+    return _blocks(g.shape[0] - (not g.periodic[0]), g.shape[1] - (not g.periodic[1]))
 
 
 def _centroid(a: np.ndarray, rows: slice, g: DiscreteGraph, triangle: _Triangle):
@@ -450,7 +452,7 @@ def _induced_metric(a1, a2, ux, uy):
 _OUTPUTS = (1, 4, 10)
 
 
-def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int, out=None):
+def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int, out):
     """The area element W = sqrt(Q), Q = (a1 a2)^2 + a2^2 ux^2 + a1^2 uy^2
     with a_i at uc, and its derivatives in (uc, ux, uy) up to ``order``,
     from the derivatives of Q and one reciprocal 1/W (module docstring).
@@ -458,11 +460,9 @@ def _element(spec: WarpedMetricSpec, uc, ux, uy, order: int, out=None):
     Returns (W, dW, d2W): dW is a 3-tuple, d2W a symmetric 3x3 nested
     tuple whose mirrored entries are the same arrays; orders above
     ``order`` are None and their coefficient derivatives are not
-    evaluated.  The arrays are views of ``out``, where given: a float
-    array of shape (_OUTPUTS[order],) + ux.shape.
+    evaluated.  The arrays are views of ``out``, a float array of shape
+    (_OUTPUTS[order],) + ux.shape.
     """
-    if out is None:
-        out = np.empty((_OUTPUTS[order],) + ux.shape)
     (a1, *d1), (a2, *d2) = _coefficients(spec, uc, order)
     c1, c2, G11, G22, Q = _induced_metric(a1, a2, ux, uy)
     W = np.sqrt(Q, out=out[0])
@@ -600,11 +600,9 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     """
     _require_diagonal(spec)
     _check_range(spec, g.values)
-    v = np.asarray(v, dtype=float)
+    v = as_real_array("variation values", v)
     if v.shape != g.shape:
         raise DomainError(f"variation shape {v.shape} != graph shape {g.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("variation values must be finite")
     scale = float(np.max(np.abs(v))) or 1.0
     ring = v[~g.free_mask()]
     if np.max(np.abs(ring), initial=0.0) > 1e-12 * scale:
@@ -1245,9 +1243,7 @@ def graph_mean_curvature(spec: WarpedMetricSpec, g: DiscreteGraph) -> np.ndarray
     _check_range(spec, g.values)
     ghosted = _ghosted(g.values, g, 1)
     H = np.empty(g.values[g.free_slices()].shape)
-    step = max(1, _BLOCK_CELLS // H.shape[1])
-    for start in range(0, H.shape[0], step):
-        rows = slice(start, min(start + step, H.shape[0]))
+    for rows in _blocks(*H.shape):
         u, ux, uy, uxx, uyy, uxy = _node_derivatives(g, ghosted, rows)
         (a1v, a1p), (a2v, a2p) = _coefficients(spec, u, 1)
         _, _, G11, G22, W2 = _induced_metric(a1v, a2v, ux, uy)

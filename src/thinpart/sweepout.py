@@ -76,6 +76,9 @@ def project_vertex(x: GridVertex, level: int) -> GridVertex:
     (Uniqueness of the nearest vertex fails exactly at cell midpoints;
     the tie-break is part of the contract.)
     """
+    level = as_int("level", level)
+    if level < 0:
+        raise DomainError("level must be nonnegative")
     if level > x.level:
         raise DomainError("can only project to a coarser or equal level")
     den = 3**level

@@ -127,11 +127,9 @@ def slice_area(length: float, radius):
     if as_float("geodesic length", length) <= 0.0:
         raise DomainError(f"geodesic length must be positive, got {length!r}")
     radius = as_real_array("radius", radius)
-    bad = ~(np.isfinite(radius) & (radius >= 0.0))
-    if bad.any():
-        raise DomainError(
-            f"radius must be finite and nonnegative, got {float(radius[bad][0])!r}"
-        )
+    negative = radius < 0.0
+    if negative.any():
+        raise DomainError(f"radius must be nonnegative, got {float(radius[negative][0])!r}")
     return math.pi * length * np.sinh(2.0 * radius)
 
 
@@ -169,6 +167,8 @@ def tube_as_warped(params: TubeParams, margin: float = 0.5,
     R = params.radius
     if not 0.0 < as_float("margin", margin) < R:
         raise DomainError("margin must lie in (0, radius)")
+    if not isinstance(normalized, bool):
+        raise DomainError(f"normalized must be true or false, got {normalized!r}")
     sh_R = math.sinh(R)
     scale = 1.0 / sh_R if normalized else 1.0
 

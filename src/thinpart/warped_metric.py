@@ -27,7 +27,7 @@ _AXES = (1, 2, 3)
 def n_p(*indices: int) -> int:
     """Count how many of the given 1-based indices are horizontal (1 or 2)."""
     for i in indices:
-        if i not in _AXES:
+        if as_int("coordinate index", i) not in _AXES:
             raise DomainError(f"coordinate index must be 1, 2 or 3, got {i!r}")
     return sum(1 for i in indices if i != 3)
 
@@ -196,8 +196,10 @@ class WarpedMetricSpec:
         return self.coefficient_deriv((), x1, x2, x3)
 
     def coefficient_deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
-        """d_axes a_kl at (x1, x2, x3), broadcast over the coordinates:
+        """d_axes a_kl at (x1, x2, x3), broadcast over the coordinates,
+        each an array of real numbers (a DomainError naming it otherwise):
         shape (..., 3, 3); the empty multi-index gives a_kl itself."""
+        x1, x2, x3 = (as_real_array(name, c) for name, c in (("x1", x1), ("x2", x2), ("x3", x3)))
         return self.coefficients.deriv(tuple(axes), x1, x2, x3)
 
 
@@ -302,7 +304,7 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     # derivs[n, j] = d_{_MULTI_INDICES[j]} a_kl at sample n; j = 0 is a_kl.
     derivs = np.empty((npoints, len(_MULTI_INDICES), 3, 3))
     for j, axes in enumerate(_MULTI_INDICES):
-        derivs[:, j] = spec.coefficient_deriv(axes, *points)
+        derivs[:, j] = spec.coefficients.deriv(axes, *points)
     G = derivs[:, 0]
     # The warping depends on x3 alone: it is evaluated once per level.
     # Samples run through the levels in order, reps times over, so a
@@ -449,11 +451,8 @@ def spec_from_json(data: dict) -> WarpedMetricSpec:
     if kind == "tube":
         from .tube_geometry import TubeParams, tube_as_warped
 
-        normalized = data.get("normalized", False)
-        if not isinstance(normalized, bool):
-            raise DomainError(f"normalized must be true or false, got {normalized!r}")
-        return tube_as_warped(TubeParams.from_json_dict(data),
-                              margin=data.get("margin", 0.5), normalized=normalized)
+        return tube_as_warped(TubeParams.from_json_dict(data), margin=data.get("margin", 0.5),
+                              normalized=data.get("normalized", False))
     if kind == "custom":
         return WarpedMetricSpec.from_sampled(_lattice(data), *_samples(data))
     raise DomainError(f"unknown metric kind {kind!r}")

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from thinpart import cli
+from thinpart import cli, minimal_graph
 from thinpart.cli import (
     CSV_HEADER,
     EXIT_DOMAIN,
@@ -647,8 +647,8 @@ def test_graph_solve_rejects_bad_boundary_data(tmp_path, capsys, bc, message):
 @pytest.mark.parametrize("tol,extent,message", [
     ("nan", "1.0x1.0", "tolerance must be finite, got nan"),
     ("inf", "1.0x1.0", "tolerance must be finite, got inf"),
-    ("1e-8", "nanx1.0", "extent must be finite, got (nan, 1.0)"),
-    ("1e-8", "1.0xinf", "extent must be finite, got (1.0, inf)"),
+    ("1e-8", "nanx1.0", "extent must be finite, got nan at (0,)"),
+    ("1e-8", "1.0xinf", "extent must be finite, got inf at (1,)"),
 ], ids=["tol_nan", "tol_inf", "extent_nan", "extent_inf"])
 def test_graph_solve_rejects_a_nonfinite_number(tmp_path, capsys, tol, extent, message):
     (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
@@ -857,6 +857,37 @@ def test_graph_solve_that_does_not_converge_exits_verify(tmp_path, capsys):
     assert captured.err.startswith("solve failed: no convergence after 1 iterations")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _standstill(H, rhs, levels, periodic, kept=None):
+    return np.zeros_like(rhs), None, "lu", 0
+
+
+@pytest.mark.parametrize("kind,domain,patch,message", [
+    ("flat", "torus", ("_factor", _raise_runtime_error), "singular Jacobian"),
+    ("cusp", "rect", ("_linear_solve", _standstill), "line search stalled at residual"),
+], ids=["pinned_factor_raises", "line_search_stalls"])
+def test_a_solver_failure_exits_verify(tmp_path, capsys, monkeypatch, kind, domain, patch,
+                                       message):
+    # The SolveError of a pinned step whose factor raises (the flat
+    # torus), and of a line search that accepts no step (a cusp graph off
+    # its solution), exit 3.
+    monkeypatch.setattr(minimal_graph, *patch)
+    (tmp_path / "metric.json").write_text(json.dumps(
+        {"kind": kind, "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
+         "interval": [0.0, 3.0]}))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "affine", "coeffs": [0.5, 0.5, -0.2]}))
+    out = tmp_path / "u.csv"
+    code = run(["graph", "solve", "--metric", str(tmp_path / "metric.json"), "--domain", domain,
+                "--grid", "17x17", "--bc", str(tmp_path / "bc.json"), "--out", str(out)])
+    assert code == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"solve failed: {message}")
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("case,message", [

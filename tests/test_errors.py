@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from thinpart import DomainError, area_bounds, filler, sweepout
-from thinpart.errors import as_float, as_floats, as_int
+from thinpart.errors import as_float, as_floats, as_int, as_real_array
+from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice
-from thinpart.minimal_graph import DiscreteGraph, GraphBoundsParams, solve
+from thinpart.minimal_graph import DiscreteGraph, GraphBoundsParams, first_variation, solve
 from thinpart.tube_geometry import (CuspParams, TubeParams, cusp_as_warped, meyerhoff_radius,
-                                    slice_area, slice_mean_curvature)
+                                    slice_area, slice_mean_curvature, tube_as_warped)
 from thinpart.warped_metric import (WarpedMetricSpec, blowup_rescale,
-                                    level_torus_mean_curvature)
+                                    level_torus_mean_curvature, n_p)
 
 
 @pytest.mark.parametrize("value,expected", [(0, 0), (-3, -3), (2.0, 2), (10**30, 10**30)])
@@ -242,3 +243,119 @@ def test_from_vectors_rejects_string_generators():
     # from_json_dict rejected these and from_vectors read them as numbers.
     with pytest.raises(DomainError, match="^lattice generator v1 must be a list of numbers"):
         FlatTorusLattice.from_vectors(["1", "0"], ["0", "2"])
+
+
+def _filler():
+    return filler.build(14.0, _UNIT)
+
+
+def _variation(v):
+    first_variation(WarpedMetricSpec.flat(_UNIT, -1.0, 1.0),
+                    DiscreteGraph.on_rectangle((1.0, 1.0), (6, 6), 0.0), v)
+
+
+# (entry point, the name its message gives the argument, a valid array of
+# the argument's shape)
+_ARRAY_ARGUMENTS = {
+    "DiscreteGraph": (lambda a: DiscreteGraph(a, (0.1, 0.1)), "values", np.zeros((6, 6))),
+    "first_variation": (_variation, "variation values", np.zeros((6, 6))),
+    "from_samples_x": (lambda a: Field1D.from_samples(a, [1.0, 0.5, 0.25, 0.125]), "sample x",
+                       np.arange(4.0)),
+    "from_samples_y": (lambda a: Field1D.from_samples(np.arange(4.0), a), "sample y",
+                       np.ones(4)),
+    "slice_area": (lambda a: slice_area(0.1, a), "radius", np.array([0.5, 1.0])),
+    "projection_contraction_check": (lambda a: area_bounds.projection_contraction_check(0.1, a),
+                                     "radius grid", np.array([0.5, 1.0])),
+    "core_chart_metric": (lambda a: filler.core_chart_metric(_filler(), a), "rho",
+                          np.array([0.5, 0.25])),
+    "metric_at": (lambda a: filler.metric_at(_filler(), a), "point x1", np.array([0.0, 0.0, 0.5])),
+    "coefficient_deriv": (lambda a: _cusp().coefficient_deriv((3,), a, 0.0, 0.5), "x1",
+                          np.array([0.1, 0.2])),
+    "coefficient_matrix": (lambda a: _cusp().coefficient_matrix(0.0, 0.0, a), "x3",
+                           np.array([0.5, 1.0])),
+}
+
+
+def _bad_array(valid, kind):
+    """``valid`` with every entry a string, the first entry None, NaN or
+    infinite, or as a bool array."""
+    if kind == "strings":
+        return valid.astype(str)
+    if kind == "bools":
+        return valid > 0.0
+    bad = valid.tolist() if kind == "none" else valid.copy()
+    row = bad
+    for _ in range(valid.ndim - 1):
+        row = row[0]
+    row[0] = {"none": None, "nan": math.nan, "inf": math.inf}[kind]
+    return bad
+
+
+def _project_vertex(level):
+    sweepout.project_vertex(sweepout.GridVertex.from_indices(2, 4), level)
+
+
+_COMPOSE = {"in_scale": lambda x: Field1D.exp_decay().compose_affine(x, 0.0),
+            "in_shift": lambda x: Field1D.exp_decay().compose_affine(1.0, x),
+            "out_scale": lambda x: Field1D.exp_decay().compose_affine(1.0, 0.0, x)}
+
+# (entry point, the name its message gives the argument)
+_MORE_NUMBER_ARGUMENTS = {
+    "as_warped": (lambda x: filler.as_warped(_filler(), x), "t_max"),
+    "project_vertex": (_project_vertex, "level"),
+    "Field1D.constant": (lambda x: Field1D.constant(x), "constant value"),
+    **{f"compose_affine_{name}": (call, name) for name, call in _COMPOSE.items()},
+    "n_p": (lambda x: n_p(1, x), "coordinate index"),
+}
+
+_CALLER_INPUTS = (
+    [(f"{entry}-{kind}", entry, kind) for entry in _ARRAY_ARGUMENTS
+     for kind in ("strings", "none", "bools", "nan", "inf")]
+    + [(f"{entry}-{kind}", entry, value) for entry in _MORE_NUMBER_ARGUMENTS
+       for kind, value in (("string", "0.1"), ("none", None), ("bool", True), ("nan", math.nan))
+       if (entry, value) != ("as_warped", None)]  # None is t_max's default
+    + [(f"normalized-{kind}", "normalized", value) for kind, value in (("string", "false"),
+                                                                      ("int", 1))])
+
+
+@pytest.mark.parametrize("entry,value", [case[1:] for case in _CALLER_INPUTS],
+                         ids=[case[0] for case in _CALLER_INPUTS])
+def test_every_array_argument_is_read_by_one_rule(entry, value):
+    # Strings, None, bools, NaN and infinities are malformed arrays (and
+    # numbers): a DomainError that names the argument, never a TypeError,
+    # an AttributeError or a silent read as numbers.
+    if entry in _ARRAY_ARGUMENTS:
+        call, name, valid = _ARRAY_ARGUMENTS[entry]
+        value = _bad_array(valid, value)
+    elif entry == "normalized":
+        name = entry
+        call = lambda x: tube_as_warped(TubeParams(0.1, 0.0, 0.3), margin=0.1, normalized=x)  # noqa: E731
+    else:
+        call, name = _MORE_NUMBER_ARGUMENTS[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("value,message", [
+    ([[0.0, 1.0], [2.0, math.nan]], "x must be finite, got nan at (1, 1)"),
+    ([[0.0, math.inf], [math.nan, 0.0]], "x must be finite, got inf at (0, 1)"),
+    ([1.0, -math.inf], "x must be finite, got -inf at (1,)"),
+    (math.nan, "x must be finite, got nan"),
+    (np.float64(math.inf), "x must be finite, got inf"),
+    ([[1.0, 2.0], [3.0]], "x must be a rectangular array of real numbers"),
+    ([[1.0], []], "x must be a rectangular array of real numbers"),
+], ids=["matrix", "first_bad_entry", "vector", "zero_d_nan", "zero_d_inf", "ragged",
+        "ragged_empty_row"])
+def test_as_real_array_names_the_first_nonfinite_entry_by_index(value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        as_real_array("x", value)
+
+
+@pytest.mark.parametrize("value,shape", [(2, ()), (np.float32(0.5), ()), ([], (0,)),
+                                         (np.zeros((0, 3)), (0, 3)), ([[1, 2]], (1, 2))],
+                         ids=["int", "float32", "empty", "empty_rows", "ints"])
+def test_as_real_array_reads_scalars_and_empty_arrays(value, shape):
+    array = as_real_array("x", value)
+    assert array.shape == shape and array.dtype == float
+    assert np.array_equal(array, np.asarray(value, dtype=float))
+    assert as_floats("x", []) == ()

@@ -22,7 +22,7 @@ from oracles import CountingNumpy
 def test_from_samples_rejects_nonfinite_samples(name, bad):
     samples = {"x": [0.0, 1.0, 2.0, 3.0], "y": [1.0, 0.5, 0.25, 0.125]}
     samples[name][2] = bad
-    with pytest.raises(DomainError, match=f"sample {name} values must be finite"):
+    with pytest.raises(DomainError, match=f"sample {name} must be finite"):
         Field1D.from_samples(samples["x"], samples["y"])
 
 

@@ -23,6 +23,7 @@ from thinpart.minimal_graph import (
     _CG_MAX_ITER,
     _LU_ORDERING,
     _MG_MAX_ITER,
+    _OUTPUTS,
     _Pattern,
     _Band,
     _VCycle,
@@ -330,7 +331,7 @@ def test_element_matches_the_expanded_formulas_at_the_extremes(make_spec):
     ux, uy = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (2, n))) * rng.choice([-1, 1], (2, n))
     ux[::17] = 0.0
     uy[::13] = 0.0
-    W, (Wc, Wx, Wy), d2W = _element(spec, uc, ux, uy, 2)
+    W, (Wc, Wx, Wy), d2W = _element(spec, uc, ux, uy, 2, np.empty((_OUTPUTS[2], n)))
     W_ref, dW_ref, d2W_ref = element_expanded(spec, uc, ux, uy)
     (Wcc, Wcx, Wcy), (_, Wxx, Wxy), (_, _, Wyy) = d2W
     assert d2W[1][0] is Wcx and d2W[2][0] is Wcy and d2W[2][1] is Wxy
@@ -968,6 +969,76 @@ def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     # The failed V-cycle's last level, then H.
     assert [A.shape[0] for A, _ in factors] == [15 * 15, H.shape[0]]
     assert _solves_to_1e6(H, delta, rhs)
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def test_a_vcycle_that_fails_to_build_falls_back_to_the_factor(monkeypatch):
+    # The V-cycle's last-level factor raises while it is built: no CG
+    # runs, and the Hessian's own factor solves the step.
+    H, rhs = _hessian_and_rhs(65)
+    monkeypatch.setattr(minimal_graph, "_VCycle", _raise_runtime_error)
+    factors = _recording_factor(monkeypatch)
+    delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
+                                                  (False, False))
+    assert kind == "lu" and iterations == 0 and kept is factors[-1][1]
+    assert _solves_to_1e6(H, delta, rhs)
+
+
+def test_a_pinned_step_whose_factor_raises_stops_the_solve(monkeypatch):
+    spec, init = _flat_torus_32()
+    g = init.copy()
+    H = _hessian(spec, g, _Pattern(g))
+    rhs = -_gradient(spec, g).ravel()
+    monkeypatch.setattr(minimal_graph, "_factor", _raise_runtime_error)
+    assert _pinned(H, rhs) is None
+    assert _linear_solve(H, rhs, _one_level((32, 32)), (True, True)) == (None, None, "kkt", 0)
+    with pytest.raises(SolveError, match="^singular Jacobian") as info:
+        solve(spec, init, tol=1e-8)
+    assert len(info.value.residual_history) == 1
+
+
+def _uphill(H, rhs, levels, periodic, kept=None):
+    # The Newton step reversed (this module's own binding of
+    # _linear_solve is not patched).
+    delta, kept, kind, iterations = _linear_solve(H, rhs, levels, periodic, kept)
+    return -delta, kept, kind, iterations
+
+
+def test_the_line_search_retries_along_steepest_descent(monkeypatch):
+    # On the flat metric, whose area is convex, the reversed Newton step
+    # fails the Armijo test at every step length, so the step is taken
+    # along -F, a descent direction of |F|^2 for a positive definite
+    # Hessian.
+    spec = flat_spec()
+    g = DiscreteGraph.on_rectangle(
+        (1.0, 1.0), (17, 17), lambda x, y: 0.2 * x + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    free = g.free_slices()
+    F = _gradient(spec, g)[free]
+    monkeypatch.setattr(minimal_graph, "_linear_solve", _uphill)
+    out, rep = minimal_graph._newton(spec, g, 1e-8, 1, _one_level((15, 15)))
+    step = out.values[free] - g.values[free]
+    alpha = -float(np.sum(step * F)) / float(np.sum(F * F))
+    assert 0.0 < alpha <= 1.0 and np.allclose(step, -alpha * F, rtol=0.0, atol=1e-15)
+    assert rep.linear_solvers == ["lu"] and rep.residual_history[1] < rep.residual_history[0]
+
+
+def _standstill(H, rhs, levels, periodic, kept=None):
+    # A zero update: no step length lowers the gradient norm.
+    return np.zeros_like(rhs), None, "lu", 0
+
+
+def test_a_line_search_that_stalls_raises(monkeypatch):
+    # Neither direction is accepted: the zero update leaves |F|^2 where
+    # it was, and the steepest-descent retry starts at a step length of
+    # |delta| / |F| = 0.
+    spec, g = _cusp_problem((17, 17))
+    monkeypatch.setattr(minimal_graph, "_linear_solve", _standstill)
+    with pytest.raises(SolveError, match="^line search stalled at residual") as info:
+        solve(spec, g, tol=1e-8)
+    assert len(info.value.residual_history) == 1
 
 
 def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
