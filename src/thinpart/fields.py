@@ -1,25 +1,26 @@
-"""Scalar fields of one variable carrying up to three derivatives.
+"""Scalar fields of one variable and their first three derivatives.
 
-Closed-form evaluators are the preferred backing; sampled grids fall back
-to cubic-spline differentiation. ``scipy.interpolate`` (which also loads
+A ``Field1D`` is one function, ``derivative(t, order, memo)``: the
+order-th derivative at t, for order 0 to 3, at a scalar or a numpy array.
+``f(t)``, ``f.d1(t)``, ``f.d2(t)`` and ``f.d3(t)`` are that function at
+orders 0-3, and ``f.jet(t, order)`` is the tuple of its values up to
+``order``.  Fields whose derivatives share a ``memo`` (a dict, for the
+fields at one ``t``) share what they compute: the tube's
+a1 = sinh(R - t) and a2 = cosh(R - t) form R - t once and call sinh and
+cosh once each, and the cusp's a1 = a2 = exp(-t) calls exp once.  A value
+is bit for bit the same with a memo or without one.
+
+Closed forms are the preferred backing; sampled grids fall back to
+cubic-spline differentiation. ``scipy.interpolate`` (which also loads
 ``scipy.special`` and ``scipy.optimize``) is imported by the first sampled
 field built, not by ``import thinpart``.
-
-``Field1D.jet`` gives a field's value and derivatives at once.  Every
-evaluator it needs is called once per evaluation point, and fields that
-share an evaluator share its values through a ``memo``: the tube's
-a1 = sinh(R - t) and a2 = cosh(R - t) form R - t once and call sinh and
-cosh once each, and the cusp's a1 = a2 = exp(-t) calls exp once.  Each
-value of a jet is bit for bit the one its evaluator gives alone.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from .errors import DomainError, as_float, as_real_array, require_finite
+from .errors import DomainError, as_float, as_int, as_real_array, require_finite
 
 
 def _memoized(memo: dict, fn, t, name=None):
@@ -32,82 +33,76 @@ def _memoized(memo: dict, fn, t, name=None):
     return memo[key]
 
 
+def _order(order) -> int:
+    """``order`` as 0, 1, 2 or 3; a DomainError naming it otherwise."""
+    if as_int("derivative order", order) not in range(4):
+        raise DomainError(f"derivative order must be 0, 1, 2 or 3, got {order!r}")
+    return int(order)
+
+
 class Field1D:
-    """A function of x3 with derivative evaluators d1, d2, d3.
+    """A function of x3 given by ``derivative(t, order, memo)``, its
+    order-th derivative at t for order 0 to 3 (module docstring).  An
+    array it returns may be another field's, or the same for two orders,
+    so it is not written to."""
 
-    All evaluators accept scalars or numpy arrays.  ``jet``, where given,
-    evaluates ``jet(t, order, memo)`` in place of the evaluators (see
-    ``Field1D.jet``).
-    """
+    def __init__(self, derivative):
+        self._derivative = derivative
 
-    def __init__(self, f, d1, d2, d3, jet=None):
-        self._f = f
-        self._d1 = d1
-        self._d2 = d2
-        self._d3 = d3
-        self._jet = jet
+    def derivative(self, t, order: int, memo: dict | None = None):
+        """The order-th derivative at t, ``order`` 0, 1, 2 or 3 (a
+        DomainError naming it otherwise), sharing ``memo``."""
+        return self._derivative(t, _order(order), {} if memo is None else memo)
 
     def __call__(self, t):
-        return self._f(t)
+        return self._derivative(t, 0, {})
 
     def d1(self, t):
-        return self._d1(t)
+        return self._derivative(t, 1, {})
 
     def d2(self, t):
-        return self._d2(t)
+        return self._derivative(t, 2, {})
 
     def d3(self, t):
-        return self._d3(t)
+        return self._derivative(t, 3, {})
 
     def jet(self, t, order: int, memo: dict | None = None) -> tuple:
-        """(f(t), f'(t), ..., f^(order)(t)), each bit for bit its
-        evaluator's value, calling each distinct evaluator once.  Jets
-        that share ``memo`` (a dict, for the jets of fields at one ``t``)
-        share what their evaluators compute; an array in a jet may be
-        another field's, or appear twice, so it is not written to."""
-        if memo is None:
-            memo = {}
-        if self._jet is not None:
-            return self._jet(t, order, memo)
-        evaluators = (self._f, self._d1, self._d2, self._d3)[:order + 1]
-        return tuple(_memoized(memo, fn, t) for fn in evaluators)
+        """(f(t), f'(t), ..., f^(order)(t)), its derivatives sharing ``memo``."""
+        memo = {} if memo is None else memo
+        return tuple(self._derivative(t, k, memo) for k in range(_order(order) + 1))
 
-    @staticmethod
-    def by_order(derivative) -> tuple:
-        """The evaluators (f, d1, d2, d3) of a field whose order-th
-        derivative at t, order 0 to 3, is ``derivative(t, order=order)``:
-        pass them to ``Field1D``."""
-        return tuple(partial(derivative, order=order) for order in range(4))
+    @classmethod
+    def from_evaluators(cls, f, d1, d2, d3) -> "Field1D":
+        """The field whose derivatives of order 0-3 are ``f(t)`` ...
+        ``d3(t)``; a memo calls each distinct evaluator once per t, also
+        for other fields built from the same evaluators."""
+        evaluators = (f, d1, d2, d3)
+        return cls(lambda t, order, memo: _memoized(memo, evaluators[order], t))
 
     @classmethod
     def constant(cls, value: float) -> "Field1D":
         value = as_float("constant value", value)
 
-        def f(t, value=value):
+        def f(t):
             return value * np.ones_like(np.asarray(t, dtype=float))
 
         def zero(t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
-        return cls(f, zero, zero, zero)
+        return cls.from_evaluators(f, zero, zero, zero)
 
     @classmethod
     def exp_decay(cls) -> "Field1D":
-        """exp(-t), the cusp warping; its jet calls exp once."""
+        """exp(-t), the cusp warping, whose derivatives are +-exp(-t)."""
 
         def f(t):
             return np.exp(-np.asarray(t, dtype=float))
 
-        def d1(t):
-            return -np.exp(-np.asarray(t, dtype=float))
-
-        def jet(t, order, memo):
+        def derivative(t, order, memo):
             e = _memoized(memo, f, t)
-            if order == 0:
-                return (e,)
-            return (e, -e, e, -e)[:order + 1]
+            return -e if order % 2 else e
 
-        return cls(f, d1, f, d1, jet)
+        return cls(derivative)
 
     @classmethod
     def from_samples(cls, x, y) -> "Field1D":
@@ -121,38 +116,23 @@ class Field1D:
         from scipy.interpolate import CubicSpline
 
         sp = CubicSpline(x, y)
-        return cls(sp, sp.derivative(1), sp.derivative(2), sp.derivative(3))
+        return cls.from_evaluators(sp, sp.derivative(1), sp.derivative(2), sp.derivative(3))
 
     def compose_affine(self, in_scale: float, in_shift: float, out_scale: float = 1.0) -> "Field1D":
         """out_scale * f(in_scale * t + in_shift), with chain-rule
-        derivatives.  Its jet forms the argument once per ``memo``, shared
-        with every field composed with the same affine map."""
+        derivatives.  A memo forms the argument once, shared with every
+        field composed with the same affine map."""
         require_finite(in_scale=in_scale, in_shift=in_shift, out_scale=out_scale)
-        factors = tuple(out_scale * in_scale**level for level in range(4))
-        # Fields composed with the same map share its argument in a memo.
+        factors = tuple(out_scale * in_scale**order for order in range(4))
         affine_map = ("affine", in_scale, in_shift)
 
         def argument(t):
             return in_scale * np.asarray(t, dtype=float) + in_shift
 
-        def make(level):
-            base = (self._f, self._d1, self._d2, self._d3)[level]
-            fac = factors[level]
+        def derivative(t, order, memo):
+            value = self._derivative(_memoized(memo, argument, t, affine_map), order, memo)
+            factor = factors[order]
+            # 1 * x and -1 * x are x and -x exactly.
+            return value if factor == 1.0 else -value if factor == -1.0 else factor * value
 
-            def g(t, base=base, fac=fac):
-                return fac * base(argument(t))
-
-            return g
-
-        def jet(t, order, memo):
-            values = self.jet(_memoized(memo, argument, t, affine_map), order, memo)
-            scaled = {}
-            for fac, value in zip(factors, values):
-                # fac * value, once per distinct pair; 1 * x and -1 * x
-                # are x and -x exactly.
-                if (fac, id(value)) not in scaled:
-                    scaled[fac, id(value)] = (value if fac == 1.0 else
-                                              -value if fac == -1.0 else fac * value)
-            return tuple(scaled[fac, id(value)] for fac, value in zip(factors, values))
-
-        return Field1D(make(0), make(1), make(2), make(3), jet)
+        return Field1D(derivative)

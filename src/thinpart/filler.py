@@ -35,7 +35,7 @@ from numpy.polynomial import chebyshev
 from .errors import (DomainError, as_float, as_int, as_real_array, load_json,
                      require_finite)
 from .fields import Field1D
-from .flat_torus import FlatTorusLattice, diameter, systole
+from .flat_torus import FlatTorusLattice, diameter, require_lattice, systole
 
 _FORMAT = "thinpart-filler v1"
 _RAMP_SCALE = 0.75
@@ -67,10 +67,10 @@ class DepthProfile(Field1D):
     with scale s = 3/4."""
 
     def __init__(self):
-        super().__init__(*self.by_order(self._derivative))
+        super().__init__(self._derivative)
 
     @staticmethod
-    def _derivative(t, order):
+    def _derivative(t, order, memo):
         t = np.asarray(t, dtype=float)
         x = t - 1.0
         s = _RAMP_SCALE
@@ -103,9 +103,9 @@ class CollapseProfile(Field1D):
         self.v1 = self.v2 + 0.5 * K * corner_width
         if self.v1 >= 1.0:
             raise DomainError("collapse profile would exceed 1")
-        super().__init__(*self.by_order(self._derivative))
+        super().__init__(self._derivative)
 
-    def _derivative(self, x, order):
+    def _derivative(self, x, order, memo):
         x = np.asarray(x, dtype=float)
         span = self.x1 - self.x0
         w = self.x2 - self.x1
@@ -152,6 +152,7 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     """
     if not as_float("filler depth", depth) > 10.0:
         raise DomainError("filler depth must exceed 10")
+    require_lattice("lattice", lattice)
     f = DepthProfile()
     alpha = lattice.a1
     K = 2.0 * math.pi * math.exp(float(f(depth + 1.0))) / alpha
@@ -164,7 +165,7 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
 def _collar(spec: FillerSpec, t, order: int = 0):
     """eta^(order)(t - L): the collapse factor at depth t, which eta's
     flat head makes (1, 0, 0, 0)[order] before the collar t = L."""
-    return spec.eta._derivative(np.asarray(t, dtype=float) - spec.depth, order)
+    return spec.eta.derivative(np.asarray(t, dtype=float) - spec.depth, order)
 
 
 def _depths(spec: FillerSpec, t) -> np.ndarray:
@@ -231,8 +232,9 @@ def _slice_lattices(spec: FillerSpec, t) -> list:
 
 
 def slice_lattice(spec: FillerSpec, t: float) -> FlatTorusLattice:
-    """Lattice of the level torus T_t in orthonormal coordinates."""
-    return _slice_lattices(spec, [t])[0]
+    """Lattice of the level torus T_t, at one depth t, in orthonormal
+    coordinates."""
+    return _slice_lattices(spec, [as_float("depth t", t)])[0]
 
 
 def slice_area(spec: FillerSpec, t):
@@ -259,7 +261,7 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
 
     f = spec.f
 
-    def exp_f(t, order):
+    def exp_f(t, order, memo):
         """The order-th derivative of exp(-f) at t."""
         e = np.exp(-f(t))
         if order == 0:
@@ -271,17 +273,15 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
             return (fp**2 - f.d2(t)) * e
         return (-fp**3 + 3.0 * fp * f.d2(t) - f.d3(t)) * e
 
-    def a1(t, order):
+    def a1(t, order, memo):
         """The order-th derivative of exp(-f) * eta(t - L), by Leibniz."""
         return sum(
-            math.comb(order, j) * exp_f(t, j) * _collar(spec, t, order - j)
+            math.comb(order, j) * exp_f(t, j, memo) * _collar(spec, t, order - j)
             for j in range(order + 1)
         )
 
-    h = Field1D(*Field1D.by_order(exp_f))
-    return WarpedMetricSpec(
-        spec.lattice, 0.0, t_max, h, kind="filler", a1=Field1D(*Field1D.by_order(a1)), a2=h
-    )
+    h = Field1D(exp_f)
+    return WarpedMetricSpec(spec.lattice, 0.0, t_max, h, kind="filler", a1=Field1D(a1), a2=h)
 
 
 # ------------------------------------------------------------ verification

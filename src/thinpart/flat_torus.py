@@ -111,6 +111,14 @@ class FlatTorusLattice:
         return cls.from_vectors(v1, v2)
 
 
+def require_lattice(name: str, lattice) -> FlatTorusLattice:
+    """``lattice``; a DomainError naming ``name`` when it is not a
+    ``FlatTorusLattice``: the one check of a lattice a caller passes."""
+    if not isinstance(lattice, FlatTorusLattice):
+        raise DomainError(f"{name} must be a FlatTorusLattice, got {lattice!r}")
+    return lattice
+
+
 def _rotated(ux: float, uy: float, wx: float, wy: float) -> tuple[float, float, float]:
     """Well-oriented (a1, a2, b2) of the basis u, w: u rotated onto the
     positive x-axis, and w replaced by -w if it lands below it.  No
@@ -180,16 +188,19 @@ def reduce_basis(lat: FlatTorusLattice) -> FlatTorusLattice:
     |v1| <= |v2| and |<v1, v2>| <= |v1|^2 / 2, so v1 is a shortest nonzero
     lattice vector.  Reducing a reduced lattice returns it unchanged.
     """
+    require_lattice("lattice", lat)
     return FlatTorusLattice(*_reduced(lat.a1, lat.a2, lat.b2))
 
 
 def systole(lat: FlatTorusLattice) -> float:
     """Length of the shortest nonzero lattice vector."""
+    require_lattice("lattice", lat)
     return _reduced(lat.a1, lat.a2, lat.b2)[0]
 
 
 def diameter(lat: FlatTorusLattice) -> float:
     """Covering radius: the largest distance of a plane point to the lattice."""
+    require_lattice("lattice", lat)
     return _circumradius(*_reduced(lat.a1, lat.a2, lat.b2))
 
 

@@ -101,7 +101,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (DomainError, SolveError, as_floats, as_int, as_real_array,
                      require_finite)
-from .flat_torus import FlatTorusLattice
+from .flat_torus import FlatTorusLattice, require_lattice
 from .warped_metric import WarpedMetricSpec
 
 
@@ -144,6 +144,7 @@ class DiscreteGraph:
         """Periodic grid over the fundamental domain of a rectangular
         lattice (a2 = 0); sheared lattices are not supported by the
         finite-difference stencils."""
+        require_lattice("lattice", lattice)
         if abs(lattice.a2) > 1e-9 * max(lattice.norm1, lattice.norm2):
             raise DomainError(
                 "periodic graphs require a rectangular lattice (a2 = 0)"

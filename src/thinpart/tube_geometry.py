@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, as_float, as_real_array, require_finite
 from .fields import Field1D
-from .flat_torus import FlatTorusLattice
+from .flat_torus import FlatTorusLattice, require_lattice
 from .warped_metric import WarpedMetricSpec
 
 #: Largest geodesic length with a guaranteed embedded tube:
@@ -81,6 +81,7 @@ class CuspParams:
     t1: float
 
     def __post_init__(self):
+        require_lattice("lattice", self.lattice)
         require_finite(t0=self.t0, t1=self.t1)
         if not self.t0 < self.t1:
             raise DomainError("cusp depth range requires t0 < t1")
@@ -172,8 +173,8 @@ def tube_as_warped(params: TubeParams, margin: float = 0.5,
     sh_R = math.sinh(R)
     scale = 1.0 / sh_R if normalized else 1.0
 
-    sinh = Field1D(np.sinh, np.cosh, np.sinh, np.cosh)
-    cosh = Field1D(np.cosh, np.sinh, np.cosh, np.sinh)
+    sinh = Field1D.from_evaluators(np.sinh, np.cosh, np.sinh, np.cosh)
+    cosh = Field1D.from_evaluators(np.cosh, np.sinh, np.cosh, np.sinh)
     a1 = sinh.compose_affine(-1.0, R, scale)
     a2 = cosh.compose_affine(-1.0, R, scale)
     h = sinh.compose_affine(-1.0, R, 1.0 / sh_R)

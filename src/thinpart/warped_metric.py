@@ -19,17 +19,22 @@ import numpy as np
 from .errors import (DomainError, as_float, as_floats, as_int, as_real_array,
                      require_finite)
 from .fields import Field1D
-from .flat_torus import FlatTorusLattice
+from .flat_torus import FlatTorusLattice, require_lattice
 
 _AXES = (1, 2, 3)
 
 
+def _index(name: str, i) -> int:
+    """``i`` as a 1-based coordinate index, 1, 2 or 3; a DomainError
+    naming ``name`` otherwise."""
+    if as_int(name, i) not in _AXES:
+        raise DomainError(f"{name} must be 1, 2 or 3, got {i!r}")
+    return int(i)
+
+
 def n_p(*indices: int) -> int:
     """Count how many of the given 1-based indices are horizontal (1 or 2)."""
-    for i in indices:
-        if as_int("coordinate index", i) not in _AXES:
-            raise DomainError(f"coordinate index must be 1, 2 or 3, got {i!r}")
-    return sum(1 for i in indices if i != 3)
+    return sum(1 for i in indices if _index("coordinate index", i) != 3)
 
 
 class DiagonalCoefficients:
@@ -39,26 +44,29 @@ class DiagonalCoefficients:
         self.a1 = a1
         self.a2 = a2
 
-    def _sq(self, f: Field1D, t, order: int):
-        """The order-th x3-derivative of f^2.  ``np.float_power`` squares
-        by the C library's pow, as the float powers of h in
-        ``check_hypotheses`` do, so a_i^2 / h^2 is exactly 1 where a_i = h;
-        numpy's array ``** 2`` multiplies, which rounds differently."""
+    def _sq(self, f: Field1D, t, order: int, memo: dict):
+        """The order-th x3-derivative of f^2, from one jet of f.
+        ``np.float_power`` squares by the C library's pow, as the float
+        powers of h in ``check_hypotheses`` do, so a_i^2 / h^2 is exactly 1
+        where a_i = h; numpy's array ``** 2`` multiplies, which rounds
+        differently."""
+        f0, *d = f.jet(t, order, memo)
         if order == 0:
-            return np.float_power(f(t), 2)
+            return np.float_power(f0, 2)
         if order == 1:
-            return 2.0 * f(t) * f.d1(t)
+            return 2.0 * f0 * d[0]
         if order == 2:
-            return 2.0 * (np.float_power(f.d1(t), 2) + f(t) * f.d2(t))
-        return 2.0 * (3.0 * f.d1(t) * f.d2(t) + f(t) * f.d3(t))
+            return 2.0 * (np.float_power(d[0], 2) + f0 * d[1])
+        return 2.0 * (3.0 * d[0] * d[1] + f0 * d[2])
 
     def deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3))
         out = np.zeros(shape + (3, 3))
         if any(a != 3 for a in axes):
             return out
-        out[..., 0, 0] = self._sq(self.a1, x3, len(axes))
-        out[..., 1, 1] = self._sq(self.a2, x3, len(axes))
+        memo = {}
+        out[..., 0, 0] = self._sq(self.a1, x3, len(axes), memo)
+        out[..., 1, 1] = self._sq(self.a2, x3, len(axes), memo)
         if not axes:
             out[..., 2, 2] = 1.0
         return out
@@ -136,6 +144,7 @@ class WarpedMetricSpec:
     coefficients: object | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        require_lattice("lattice", self.lattice)
         require_finite(x3_min=self.x3_min, x3_max=self.x3_max)
         if self.x3_max <= self.x3_min:
             raise DomainError("empty x3 interval")
@@ -197,10 +206,15 @@ class WarpedMetricSpec:
 
     def coefficient_deriv(self, axes: tuple, x1, x2, x3) -> np.ndarray:
         """d_axes a_kl at (x1, x2, x3), broadcast over the coordinates,
-        each an array of real numbers (a DomainError naming it otherwise):
-        shape (..., 3, 3); the empty multi-index gives a_kl itself."""
+        each an array of real numbers: shape (..., 3, 3).  ``axes`` is a
+        tuple of at most three coordinate indices 1, 2 or 3; the empty
+        multi-index gives a_kl itself.  Any other argument raises a
+        DomainError naming it."""
+        if not isinstance(axes, tuple) or len(axes) > 3:
+            raise DomainError(f"axes must be a tuple of at most three indices, got {axes!r}")
+        axes = tuple(_index("axes entry", a) for a in axes)
         x1, x2, x3 = (as_real_array(name, c) for name, c in (("x1", x1), ("x2", x2), ("x3", x3)))
-        return self.coefficients.deriv(tuple(axes), x1, x2, x3)
+        return self.coefficients.deriv(axes, x1, x2, x3)
 
 
 @dataclass(frozen=True)
@@ -252,10 +266,6 @@ def _sample_points(spec: WarpedMetricSpec, n1: int, n2: int, x3s: np.ndarray):
     S, T, X3 = (a.ravel() for a in np.meshgrid(ss, ts, x3s, indexing="ij"))
     v1, v2 = spec.lattice.v1, spec.lattice.v2
     return S * v1[0] + T * v2[0], S * v1[1] + T * v2[1], X3
-
-
-def _field_samples(f, x3: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(f(x3), dtype=float), x3.shape)
 
 
 def _first_failure(points, failures) -> None:
@@ -310,9 +320,8 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     # Samples run through the levels in order, reps times over, so a
     # per-level array reshaped to (reps, n3, ...) lines up with them.
     reps = npoints // n3
-    h = _field_samples(spec.warping, levels)
-    hd = [_field_samples(f, levels)
-          for f in (spec.warping.d1, spec.warping.d2, spec.warping.d3)]
+    h, *hd = (np.broadcast_to(np.asarray(d, dtype=float), levels.shape)
+              for d in spec.warping.jet(levels, 3))
 
     with np.errstate(invalid="ignore", over="ignore"):
         g_finite = np.isfinite(G).all(axis=(1, 2))
@@ -375,8 +384,9 @@ def level_torus_mean_curvature(spec: WarpedMetricSpec, s: float) -> float:
     if not spec.diagonal_form:
         raise DomainError("level_torus_mean_curvature supports diagonal specs only")
     spec.require_inside(s)
-    a1, a2 = spec.a1, spec.a2
-    return -0.5 * float(a1.d1(s) / a1(s) + a2.d1(s) / a2(s))
+    memo = {}
+    (a1, a1p), (a2, a2p) = spec.a1.jet(s, 1, memo), spec.a2.jet(s, 1, memo)
+    return -0.5 * float(a1p / a1 + a2p / a2)
 
 
 def blowup_rescale(spec: WarpedMetricSpec, s: float, lam: float) -> WarpedMetricSpec:

@@ -199,8 +199,8 @@ def test_criterion_4_solver_oracle_equivalence():
 
 def test_criterion_5_mean_curvature_cross_check():
     with Budget("criterion 5 (mean-curvature cross-check)", 5.0):
-        a1 = Field1D(np.cosh, np.sinh, np.cosh, np.sinh)
-        a2 = Field1D(np.sinh, np.cosh, np.sinh, np.cosh)
+        a1 = Field1D.from_evaluators(np.cosh, np.sinh, np.cosh, np.sinh)
+        a2 = Field1D.from_evaluators(np.sinh, np.cosh, np.sinh, np.cosh)
         spec = WarpedMetricSpec.diagonal(UNIT, 0.2, 6.0, a1, a2, kind="tube-radial")
         for r in (0.5, 1.0, 2.0):
             g = DiscreteGraph.on_torus(UNIT, (8, 8), r)

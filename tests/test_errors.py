@@ -9,7 +9,7 @@ import pytest
 from thinpart import DomainError, area_bounds, filler, sweepout
 from thinpart.errors import as_float, as_floats, as_int, as_real_array
 from thinpart.fields import Field1D
-from thinpart.flat_torus import FlatTorusLattice
+from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
 from thinpart.minimal_graph import DiscreteGraph, GraphBoundsParams, first_variation, solve
 from thinpart.tube_geometry import (CuspParams, TubeParams, cusp_as_warped, meyerhoff_radius,
                                     slice_area, slice_mean_curvature, tube_as_warped)
@@ -333,6 +333,38 @@ def test_every_array_argument_is_read_by_one_rule(entry, value):
     else:
         call, name = _MORE_NUMBER_ARGUMENTS[entry]
     with pytest.raises(DomainError, match=f"^{re.escape(name)} must be "):
+        call(value)
+
+
+# (entry point, the name its message gives the argument, values it must
+# reject): a derivative order, a multi-index, a lattice and one depth.
+_STRUCTURED_ARGUMENTS = {
+    "jet": (lambda x: Field1D.exp_decay().jet(0.5, x), "derivative order",
+            [4, -1, 2.5, True, "1"]),
+    "constant_jet": (lambda x: Field1D.constant(1.0).jet(0.5, x), "derivative order", [5]),
+    "derivative": (lambda x: Field1D.exp_decay().derivative(0.5, x), "derivative order", [4]),
+    "coefficient_deriv": (lambda x: _cusp().coefficient_deriv(x, 0.0, 0.0, 0.5), "axes",
+                          [(4,), ("x",), (3, True), (3, 3, 3, 3), 3, [3]]),
+    "build_filler": (lambda x: filler.build(12.0, x), "lattice", [(1, 0, 1), "x"]),
+    "reduce_basis": (reduce_basis, "lattice", [(1, 0, 1)]),
+    "systole": (systole, "lattice", ["x"]),
+    "diameter": (diameter, "lattice", [None]),
+    "on_torus": (lambda x: DiscreteGraph.on_torus(x, (8, 8), 0.0), "lattice", ["x"]),
+    "CuspParams": (lambda x: CuspParams(x, 0.0, 1.0), "lattice", ["x"]),
+    "WarpedMetricSpec.flat": (WarpedMetricSpec.flat, "lattice", ["x"]),
+    "slice_lattice": (lambda x: filler.slice_lattice(_filler(), x), "depth t", [[1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    (entry, value) for entry, (_, _, values) in _STRUCTURED_ARGUMENTS.items() for value in values])
+def test_every_structured_argument_is_read_by_one_rule(entry, value):
+    # An order outside 0-3, a multi-index that is not a tuple of at most
+    # three indices 1, 2 or 3, a lattice that is not a FlatTorusLattice and
+    # a list of depths where one is read: a DomainError naming the
+    # argument, never a silent result, a TypeError or an AttributeError.
+    call, name, _ = _STRUCTURED_ARGUMENTS[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(name)}"):
         call(value)
 
 

@@ -66,8 +66,8 @@ def tube_spec():
 
 def tube_radial_spec():
     """Tube in radial coordinates: a1 = cosh(r), a2 = sinh(r), x3 = r."""
-    a1 = Field1D(np.cosh, np.sinh, np.cosh, np.sinh)
-    a2 = Field1D(np.sinh, np.cosh, np.sinh, np.cosh)
+    a1 = Field1D.from_evaluators(np.cosh, np.sinh, np.cosh, np.sinh)
+    a2 = Field1D.from_evaluators(np.sinh, np.cosh, np.sinh, np.cosh)
     return WarpedMetricSpec.diagonal(UNIT, 0.2, 6.0, a1, a2, kind="tube-radial")
 
 

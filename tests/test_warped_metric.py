@@ -529,7 +529,7 @@ def test_check_hypotheses_rejects_nonfinite_warping():
 
     one = Field1D.constant(1.0)
     spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, one, one,
-                                     warping=Field1D(h, zero, zero, zero))
+                                     warping=Field1D.from_evaluators(h, zero, zero, zero))
     with pytest.raises(DomainError) as err:
         check_hypotheses(spec, grid=8)
     assert str(err.value) == f"warping not finite at x3 = {4.0 / 7.0!r}"
@@ -541,7 +541,7 @@ def test_check_hypotheses_rejects_nonfinite_derivatives():
         return np.where(t > 0.5, np.inf, 0.0)
 
     one = Field1D.constant(1.0)
-    warping = Field1D(one, one.d1, one.d2, d3)
+    warping = Field1D.from_evaluators(one, one.d1, one.d2, d3)
     spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, one, one, warping=warping)
     with pytest.raises(DomainError) as err:
         check_hypotheses(spec, grid=8)
