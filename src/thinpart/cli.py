@@ -64,11 +64,8 @@ class ManifoldDescription:
             if "lattice" in entry:
                 lat = FlatTorusLattice.from_json_dict(entry["lattice"])
             elif "attach" in entry:
-                attach = as_int(f"filler {idx}: 'attach'", entry["attach"])
-                if not 0 <= attach < len(desc.cusps):
-                    raise DomainError(
-                        f"filler {idx}: 'attach' must be an integer cusp index "
-                        f"in [0, {len(desc.cusps)}), got {attach!r}")
+                attach = sweepout._index_below(f"filler {idx}: 'attach'", entry["attach"],
+                                               len(desc.cusps))
                 cusp = desc.cusps[attach]
                 lat = cusp.lattice.scaled(math.exp(-cusp.t1))
                 desc.attachments[idx] = attach

@@ -7,8 +7,9 @@ orders 0-3, and ``f.jet(t, order)`` is the tuple of its values up to
 ``order``.  Fields whose derivatives share a ``memo`` (a dict, for the
 fields at one ``t``) share what they compute: the tube's
 a1 = sinh(R - t) and a2 = cosh(R - t) form R - t once and call sinh and
-cosh once each, and the cusp's a1 = a2 = exp(-t) calls exp once.  A value
-is bit for bit the same with a memo or without one.
+cosh once each, the cusp's a1 = a2 = exp(-t) calls exp once, and the
+filler's a1 and a2 call it twice.  A value is bit for bit the same with a
+memo or without one.
 
 Closed forms are the preferred backing; sampled grids fall back to
 cubic-spline differentiation. ``scipy.interpolate`` (which also loads

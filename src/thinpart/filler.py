@@ -34,7 +34,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import (DomainError, as_float, as_int, as_real_array, load_json,
                      require_finite)
-from .fields import Field1D
+from .fields import Field1D, _memoized
 from .flat_torus import FlatTorusLattice, diameter, require_lattice, systole
 
 _FORMAT = "thinpart-filler v1"
@@ -62,6 +62,11 @@ def _smoothstep(u, order=0):
     return np.where((u > 0.0) & (u < 1.0), _SMOOTHSTEP[order](u), 0.0)
 
 
+def _ramp_decay(t):
+    """exp(-(t - 1)/s), the ramp's decay, which every derivative of f reads."""
+    return np.exp(-(np.asarray(t, dtype=float) - 1.0) / _RAMP_SCALE)
+
+
 class DepthProfile(Field1D):
     """The profile f: identity on [0, 1], then an exponential-tail ramp
     with scale s = 3/4."""
@@ -71,10 +76,9 @@ class DepthProfile(Field1D):
 
     @staticmethod
     def _derivative(t, order, memo):
+        decay = _memoized(memo, _ramp_decay, t)
         t = np.asarray(t, dtype=float)
-        x = t - 1.0
-        s = _RAMP_SCALE
-        decay = np.exp(-x / s)
+        x, s = t - 1.0, _RAMP_SCALE
         if order == 0:
             return np.where(t <= 1.0, t, 1.0 + 2.0 * s - (x + 2.0 * s) * decay)
         if order == 1:
@@ -143,6 +147,12 @@ class FillerSpec:
     def core_height(self) -> float:
         return float(self.f(self.depth + 1.0))
 
+    @property
+    def _collapse(self) -> Field1D:
+        """eta(t - L), the collapse factor at depth t, which eta's flat
+        head makes 1 before the collar t = L."""
+        return self.eta.compose_affine(1.0, -self.depth)
+
 
 def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     """Construct the filler for the given boundary torus and depth L > 10.
@@ -160,12 +170,6 @@ def build(depth: float, lattice: FlatTorusLattice) -> FillerSpec:
     corner_width = min(0.1 / K, 0.45)
     eta = CollapseProfile(K, tail, corner_width)
     return FillerSpec(depth, lattice, f, eta)
-
-
-def _collar(spec: FillerSpec, t, order: int = 0):
-    """eta^(order)(t - L): the collapse factor at depth t, which eta's
-    flat head makes (1, 0, 0, 0)[order] before the collar t = L."""
-    return spec.eta.derivative(np.asarray(t, dtype=float) - spec.depth, order)
 
 
 def _depths(spec: FillerSpec, t) -> np.ndarray:
@@ -197,7 +201,7 @@ def metric_at(spec: FillerSpec, point) -> tuple:
     as_real_array("point x2", x2)
     t = _depths(spec, t)
     e2f = np.exp(-2.0 * spec.f(t))
-    return (e2f * _collar(spec, t) ** 2, e2f, 1.0)
+    return (e2f * spec._collapse(t) ** 2, e2f, 1.0)
 
 
 def core_chart_metric(spec: FillerSpec, rho) -> tuple:
@@ -222,7 +226,7 @@ def _slice_lattices(spec: FillerSpec, t) -> list:
     boundary lattice with x1 scaled by exp(-f(t)) eta and x2 by exp(-f(t))."""
     t = _depths(spec, t)
     e_f = np.exp(-spec.f(t))
-    e_f_eta = e_f * _collar(spec, t)
+    e_f_eta = e_f * spec._collapse(t)
     lat = spec.lattice
     return [
         FlatTorusLattice(v1x, v2x, v2y)
@@ -240,14 +244,15 @@ def slice_lattice(spec: FillerSpec, t: float) -> FlatTorusLattice:
 def slice_area(spec: FillerSpec, t):
     """Area of the level torus T_t, at a depth or an array of depths."""
     t = _depths(spec, t)
-    return np.exp(-2.0 * spec.f(t)) * _collar(spec, t) * spec.lattice.area
+    return np.exp(-2.0 * spec.f(t)) * spec._collapse(t) * spec.lattice.area
 
 
 def mean_convexity(spec: FillerSpec, t):
     """Signed level-torus mean curvature toward +t: f'(t) - eta'/(2 eta),
     at a depth or an array of depths."""
     t = _depths(spec, t)
-    return spec.f.d1(t) - 0.5 * _collar(spec, t, 1) / _collar(spec, t)
+    eta, eta_prime = spec._collapse.jet(t, 1)
+    return spec.f.d1(t) - 0.5 * eta_prime / eta
 
 
 def as_warped(spec: FillerSpec, t_max: float | None = None):
@@ -259,24 +264,26 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
     if not 0.0 < t_max < L + 1.0:
         raise DomainError("t_max must lie in (0, L + 1)")
 
-    f = spec.f
+    f, collapse = spec.f, spec._collapse
 
     def exp_f(t, order, memo):
-        """The order-th derivative of exp(-f) at t."""
-        e = np.exp(-f(t))
+        """The order-th derivative of h = exp(-f) at t, from one exp per
+        memo and f's derivatives read through it."""
+        e = _memoized(memo, lambda t: np.exp(-f.derivative(t, 0, memo)), t, exp_f)
         if order == 0:
             return e
-        fp = f.d1(t)
+        fp = f.derivative(t, 1, memo)
         if order == 1:
             return -fp * e
+        fpp = f.derivative(t, 2, memo)
         if order == 2:
-            return (fp**2 - f.d2(t)) * e
-        return (-fp**3 + 3.0 * fp * f.d2(t) - f.d3(t)) * e
+            return (fp**2 - fpp) * e
+        return (-fp**3 + 3.0 * fp * fpp - f.derivative(t, 3, memo)) * e
 
     def a1(t, order, memo):
-        """The order-th derivative of exp(-f) * eta(t - L), by Leibniz."""
+        """The order-th derivative of h * eta(t - L), by Leibniz."""
         return sum(
-            math.comb(order, j) * exp_f(t, j, memo) * _collar(spec, t, order - j)
+            math.comb(order, j) * exp_f(t, j, memo) * collapse.derivative(t, order - j, memo)
             for j in range(order + 1)
         )
 

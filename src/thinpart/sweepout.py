@@ -12,7 +12,7 @@ explicit width upper bounds.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,9 +103,18 @@ class FormalCurrent:
     patches: tuple
 
     def __post_init__(self):
+        try:
+            entries = iter(self.patches)
+        except TypeError:
+            raise DomainError("patches must be an iterable of (patch, multiplicity, area) "
+                              f"triples, got {self.patches!r}") from None
         seen = {}
-        for entry in self.patches:
-            pid, mult, patch_area = entry
+        for entry in entries:
+            try:
+                pid, mult, patch_area = entry
+            except (TypeError, ValueError):
+                raise DomainError("patches entry must be a (patch, multiplicity, area) "
+                                  f"triple, got {entry!r}") from None
             if pid in seen:
                 raise DomainError(f"duplicate patch id {pid!r}")
             mult = as_int("multiplicity", mult)
@@ -136,6 +145,14 @@ class FormalCurrent:
             m, a2 = other._table.get(pid, (0, None))
             total += abs(n - m) * _shared_area(pid, a1, a2)
         return total
+
+
+def _require_current(name: str, current) -> FormalCurrent:
+    """``current``; a DomainError naming ``name`` when it is not a
+    ``FormalCurrent``."""
+    if not isinstance(current, FormalCurrent):
+        raise DomainError(f"{name} must be a FormalCurrent, got {current!r}")
+    return current
 
 
 def _shared_area(pid, a1, a2):
@@ -199,7 +216,7 @@ class DiscreteFamily:
     """
 
     def __init__(self, level: int, currents):
-        currents = tuple(currents)
+        currents = tuple(_require_current(f"currents[{i}]", cur) for i, cur in enumerate(currents))
         index, areas = {}, []
         for cur in currents:
             for pid, (_, area) in cur._table.items():
@@ -299,24 +316,17 @@ def interpolate_patches(a: FormalCurrent, b: FormalCurrent, k: int) -> DiscreteF
     while 3**level < k:
         level += 1
 
-    ids = sorted(set(a._table) | set(b._table), key=repr)
-    mult_a, mult_b, areas = [], [], []
-    for pid in ids:
-        n, area_a = a._table.get(pid, (0, None))
-        m, area_b = b._table.get(pid, (0, None))
-        areas.append(_shared_area(pid, area_a, area_b))
-        _require_storable(pid, n)
-        _require_storable(pid, m)
-        mult_a.append(n)
-        mult_b.append(m)
+    # The level-0 family a, b aligns the two currents' patches, their
+    # areas and multiplicities; its columns are then sorted by patch id.
+    ends = DiscreteFamily(0, (_require_current("a", a), _require_current("b", b)))
+    order = sorted(range(len(ends.patch_ids)), key=lambda j: repr(ends.patch_ids[j]))
+    mult_a, mult_b = ends.multiplicities[:, order]
 
-    piece = np.tile(np.arange(k), len(ids))
+    piece = np.tile(np.arange(k), len(order))
     steps = np.minimum(np.arange(3**level + 1), k)
-    mults = np.where(piece < steps[:, None],
-                     np.repeat(np.array(mult_b, dtype=np.int64), k),
-                     np.repeat(np.array(mult_a, dtype=np.int64), k))
-    patch_ids = tuple(f"{pid}#{p}/{k}" for pid in ids for p in range(k))
-    sub_areas = np.repeat(np.array(areas, dtype=float) / k, k)
+    mults = np.where(piece < steps[:, None], np.repeat(mult_b, k), np.repeat(mult_a, k))
+    patch_ids = tuple(f"{ends.patch_ids[j]}#{p}/{k}" for j in order for p in range(k))
+    sub_areas = np.repeat(ends.areas[order] / k, k)
     return DiscreteFamily._from_arrays(level, patch_ids, sub_areas, mults)
 
 
@@ -374,6 +384,25 @@ def _lattices_match(lat1: FlatTorusLattice, lat2: FlatTorusLattice,
     )
 
 
+def _index_below(name: str, value, count: int) -> int:
+    """``value`` as an index in [0, count); a DomainError naming ``name``
+    otherwise."""
+    if not 0 <= as_int(name, value) < count:
+        raise DomainError(f"{name} must lie in [0, {count}), got {value!r}")
+    return int(value)
+
+
+def _attachments(attachments, n_fillers: int, n_cusps: int) -> dict:
+    """``attachments`` (None for none) as a dict from filler index to cusp
+    index, both in range; a DomainError naming the argument otherwise."""
+    if attachments is None:
+        return {}
+    if not isinstance(attachments, Mapping):
+        raise DomainError(f"attachments must map filler indices to cusp indices, got {attachments!r}")
+    return {_index_below("attachments filler index", i, n_fillers):
+            _index_below("attachments cusp index", j, n_cusps) for i, j in attachments.items()}
+
+
 def profile(cusps=(), tubes=(), fillers=(), attachments=None,
             samples: int = 200) -> SweepoutProfile:
     """Slice-area profile of a thin-part description.
@@ -382,13 +411,13 @@ def profile(cusps=(), tubes=(), fillers=(), attachments=None,
     the depth range.  ``tubes``: TubeParams, areas pi ell sinh(2r)
     increasing up to the tube radius.  ``fillers``: FillerSpec, slice
     areas decreasing from the boundary torus area.  ``attachments`` maps
-    filler index -> cusp index; an attached filler must match the cusp's
-    bottom torus lattice to 1e-6 relative.
+    filler index -> cusp index, each an integer in range; an attached
+    filler must match the cusp's bottom torus lattice to 1e-6 relative.
     """
     samples = as_int("samples", samples)
     if samples < 2:
         raise DomainError("need at least two samples per segment")
-    attachments = dict(attachments or {})
+    attachments = _attachments(attachments, len(fillers), len(cusps))
     segs = []
     for idx, cusp in enumerate(cusps):
         ts = np.linspace(cusp.t0, cusp.t1, samples)

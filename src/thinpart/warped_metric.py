@@ -32,6 +32,13 @@ def _index(name: str, i) -> int:
     return int(i)
 
 
+def _require_field(name: str, value) -> Field1D:
+    """``value``; a DomainError naming ``name`` when it is not a ``Field1D``."""
+    if not isinstance(value, Field1D):
+        raise DomainError(f"{name} must be a Field1D, got {value!r}")
+    return value
+
+
 def n_p(*indices: int) -> int:
     """Count how many of the given 1-based indices are horizontal (1 or 2)."""
     return sum(1 for i in indices if _index("coordinate index", i) != 3)
@@ -130,8 +137,10 @@ class WarpedMetricSpec:
     """A metric on T x [x3_min, x3_max] with reference warping ``warping``.
 
     Diagonal specs carry ``a1``/``a2`` with a_kl = diag(a1^2, a2^2, 1);
-    non-diagonal specs carry a general ``coefficients`` field instead.
-    Immutable by convention; all evaluation is pure.
+    non-diagonal specs carry a general ``coefficients`` field instead, and
+    a spec given both raises a DomainError.  ``warping``, ``a1`` and
+    ``a2`` are ``Field1D``s.  Immutable by convention; all evaluation is
+    pure.
     """
 
     lattice: FlatTorusLattice
@@ -148,10 +157,15 @@ class WarpedMetricSpec:
         require_finite(x3_min=self.x3_min, x3_max=self.x3_max)
         if self.x3_max <= self.x3_min:
             raise DomainError("empty x3 interval")
-        if self.coefficients is None:
-            if self.a1 is None or self.a2 is None:
-                raise DomainError("diagonal spec needs a1 and a2 fields")
-            self.coefficients = DiagonalCoefficients(self.a1, self.a2)
+        _require_field("warping", self.warping)
+        if self.coefficients is not None:
+            if self.a1 is not None or self.a2 is not None:
+                raise DomainError("coefficients cannot be given together with a1 or a2")
+        elif self.a1 is None or self.a2 is None:
+            raise DomainError("diagonal spec needs a1 and a2 fields")
+        else:
+            self.coefficients = DiagonalCoefficients(_require_field("a1", self.a1),
+                                                     _require_field("a2", self.a2))
 
     # -- constructors ------------------------------------------------------
 

@@ -622,6 +622,32 @@ def test_sweepout_profile_rejects_a_non_numeric_field(tmp_path, capsys, manifold
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_sweepout_profile_reads_a_filler_given_by_its_lattice(tmp_path, capsys):
+    # A filler that is not attached carries its own boundary lattice: the
+    # profile's filler segment starts at that lattice's area, 0.9.
+    manifold = _manifold(filler={"lattice": {"v1": [1.0, 0.0], "v2": [0.3, 0.9]}})
+    del manifold["fillers"][0]["attach"]
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(manifold))
+    code, data = run_json(capsys, ["sweepout", "profile", "--manifold", str(path),
+                                   "--samples", "20", "--emit", "json"])
+    assert code == EXIT_OK
+    filler_areas = [a for _, label, a in data["samples"] if label == "filler[0]"]
+    assert len(filler_areas) == 20 and filler_areas[0] == pytest.approx(0.9, rel=1e-12)
+    assert data["width_upper_bound"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_sweepout_profile_names_a_field_of_the_wrong_type(tmp_path, capsys):
+    # "cusps" must be a list of cusp entries; a number is a bad field value.
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps({**_manifold(), "cusps": 5}))
+    code = run(["sweepout", "profile", "--manifold", str(path), "--out", str(tmp_path / "p.csv")])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"domain error: {path}: bad field value: "), captured.err
+    assert "Traceback" not in captured.err and not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("bc,message", [
     ({"kind": "affine", "coeffs": ["0.1", 0.5, -0.2]}, "coeffs must be a list of numbers"),
     ({"kind": "affine", "coeffs": [0.1, 0.5]}, "coeffs must be a list of 3 numbers"),

@@ -10,10 +10,11 @@ from thinpart import DomainError, area_bounds, filler, sweepout
 from thinpart.errors import as_float, as_floats, as_int, as_real_array
 from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
-from thinpart.minimal_graph import DiscreteGraph, GraphBoundsParams, first_variation, solve
+from thinpart.minimal_graph import (DiscreteGraph, GraphBoundsParams, area, first_variation,
+                                    rescale_graph, solve)
 from thinpart.tube_geometry import (CuspParams, TubeParams, cusp_as_warped, meyerhoff_radius,
                                     slice_area, slice_mean_curvature, tube_as_warped)
-from thinpart.warped_metric import (WarpedMetricSpec, blowup_rescale,
+from thinpart.warped_metric import (CallableCoefficients, WarpedMetricSpec, blowup_rescale,
                                     level_torus_mean_curvature, n_p)
 
 
@@ -249,6 +250,19 @@ def _filler():
     return filler.build(14.0, _UNIT)
 
 
+_ONE = Field1D.constant(1.0)
+_DIAG_4_4_1 = CallableCoefficients(
+    lambda x1, x2, x3, axes: np.diag([4.0, 4.0, 1.0]) if not axes else np.zeros((3, 3)))
+
+
+def _attached_profile(attachments):
+    """The profile of one cusp and one filler glued to its bottom torus,
+    by ``attachments``."""
+    cusp = CuspParams(_UNIT, 0.0, 1.0)
+    glued = filler.build(12.0, _UNIT.scaled(math.exp(-1.0)))
+    return sweepout.profile(cusps=[cusp], fillers=[glued], attachments=attachments, samples=8)
+
+
 def _variation(v):
     first_variation(WarpedMetricSpec.flat(_UNIT, -1.0, 1.0),
                     DiscreteGraph.on_rectangle((1.0, 1.0), (6, 6), 0.0), v)
@@ -353,6 +367,28 @@ _STRUCTURED_ARGUMENTS = {
     "CuspParams": (lambda x: CuspParams(x, 0.0, 1.0), "lattice", ["x"]),
     "WarpedMetricSpec.flat": (WarpedMetricSpec.flat, "lattice", ["x"]),
     "slice_lattice": (lambda x: filler.slice_lattice(_filler(), x), "depth t", [[1.0, 2.0]]),
+    # A spec's fields are Field1Ds, and its coefficients come from one
+    # source: a callable beside a1 and a2 is neither measured nor ignored.
+    "warping": (lambda x: WarpedMetricSpec(_UNIT, 0.0, 1.0, x, a1=_ONE, a2=_ONE), "warping",
+                [1.0, "x", None]),
+    "a1": (lambda x: WarpedMetricSpec.diagonal(_UNIT, 0.0, 1.0, x, _ONE), "a1", ["x", 1.0]),
+    "a2": (lambda x: WarpedMetricSpec.diagonal(_UNIT, 0.0, 1.0, _ONE, x), "a2", [np.exp]),
+    "coefficients_and_a1": (lambda x: WarpedMetricSpec(_UNIT, 0.0, 1.0, _ONE, a1=x,
+                                                       coefficients=_DIAG_4_4_1),
+                            "coefficients", [_ONE]),
+    "coefficients_and_a2": (lambda x: WarpedMetricSpec(_UNIT, 0.0, 1.0, _ONE, a2=x,
+                                                       coefficients=_DIAG_4_4_1),
+                            "coefficients", [_ONE]),
+    # attachments maps a filler index to a cusp index, both in range.
+    "attachments": (_attached_profile, "attachments",
+                    [{0: 5}, {0: True}, {0: "0"}, [0], {0: -1}, {3: 0}, {-1: 0}, {0.5: 0}]),
+    "FormalCurrent": (sweepout.FormalCurrent, "patches",
+                      [5, None, (("A", 1),), (("A", 1, 1.0, 2),), (5,)]),
+    "DiscreteFamily": (lambda x: sweepout.DiscreteFamily(0, x), "currents[0]",
+                       [[1, 2], [None, sweepout.FormalCurrent.zero()]]),
+    "interpolate_patches_a": (lambda x: sweepout.interpolate_patches(x, 2, 3), "a", [1]),
+    "interpolate_patches_b": (lambda x: sweepout.interpolate_patches(
+        sweepout.FormalCurrent.zero(), x, 3), "b", [{"A": 1}]),
 }
 
 
@@ -391,3 +427,54 @@ def test_as_real_array_reads_scalars_and_empty_arrays(value, shape):
     assert array.shape == shape and array.dtype == float
     assert np.array_equal(array, np.asarray(value, dtype=float))
     assert as_floats("x", []) == ()
+
+
+def test_a_glued_filler_is_attached_by_index():
+    # The valid attachments of _attached_profile: an index pair, each
+    # read by as_int (0.0 and numpy's 0 are the index 0), or none at all.
+    for attachments in ({0: 0}, {0.0: np.int64(0)}, {}, None):
+        profile = _attached_profile(attachments)
+        assert [seg.label for seg in profile.segments] == ["cusp[0]", "filler[0]"]
+
+
+def _sheared_torus():
+    DiscreteGraph.on_torus(FlatTorusLattice(1.0, 0.3, 1.0), (8, 8), 0.0)
+
+
+def _periodic_rescale():
+    params = GraphBoundsParams(1.0, 1.0, 1.0, 1.0, 1.5)
+    rescale_graph(_cusp(), DiscreteGraph.on_torus(_UNIT, (8, 8), 0.5), params)
+
+
+def _nondiagonal_area():
+    spec = WarpedMetricSpec(_UNIT, 0.0, 1.0, _ONE, coefficients=_DIAG_4_4_1)
+    area(spec, DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.5))
+
+
+def _mismatched_variation():
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (8, 8), 0.5)
+    first_variation(_cusp(), g, np.zeros((7, 8)))
+
+
+# (call, the start of its message): a rejection that no other test reaches.
+_UNREACHED_REJECTIONS = {
+    "nondiagonal_graph": (_nondiagonal_area, "graph operations support diagonal specs only"),
+    "sheared_torus": (_sheared_torus, "periodic graphs require a rectangular lattice"),
+    "periodic_rescale": (_periodic_rescale, "rescale_graph expects a rectangle grid"),
+    "variation_shape": (_mismatched_variation, "variation shape (7, 8) != graph shape (8, 8)"),
+    "solve_tol_0": (lambda: _solve_tol(0.0), "tolerance must be positive, got 0.0"),
+    "samples_not_increasing": (lambda: Field1D.from_samples([0.0, 1.0, 1.0, 2.0], [0, 1, 2, 3]),
+                               "sample abscissae must be strictly increasing"),
+    "negative_radius": (lambda: slice_area(0.1, [0.1, -0.2]),
+                        "radius must be nonnegative, got -0.2"),
+    "core_rho_0": (lambda: filler.core_chart_metric(_filler(), 0), "core chart needs 0 < rho"),
+    "t_max_at_core": (lambda: filler.as_warped(_filler(), 15.0), "t_max must lie in (0, L + 1)"),
+    "scaled_0": (lambda: _UNIT.scaled(0), "scale factor must be positive"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_UNREACHED_REJECTIONS))
+def test_each_documented_rejection_raises_its_domain_error(entry):
+    call, message = _UNREACHED_REJECTIONS[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call()

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from thinpart.filler import (
 from thinpart.flat_torus import FlatTorusLattice, diameter, systole
 from thinpart.warped_metric import check_hypotheses, level_torus_mean_curvature
 
-from oracles import random_lattice
+from oracles import CountingNumpy, random_lattice
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -404,3 +405,22 @@ def test_as_warped_a1_d3_equals_a2_d3_before_collar():
     for s in t[::50]:
         assert warped.a1.d3(float(s)) == warped.a2.d3(float(s))
     assert warped.a2 is warped.warping
+
+
+def test_a_shared_jet_of_the_filler_fields_calls_exp_twice(monkeypatch):
+    # One exp for f's ramp decay, one for h = exp(-f): every order of a1
+    # and a2 (= h) reads both through the memo, and the collar eta(t - L)
+    # calls none.
+    from thinpart import filler
+
+    warped = as_warped(build(20.0, UNIT))
+    counts = Counter(exp=0)
+    monkeypatch.setattr(filler, "np", CountingNumpy(counts))
+    t = np.linspace(0.0, 20.4, 1000)
+    memo = {}
+    jets = warped.a1.jet(t, 3, memo), warped.a2.jet(t, 3, memo)
+    assert counts == {"exp": 2}
+    monkeypatch.undo()
+    for field, jet in zip((warped.a1, warped.a2), jets):
+        for order, value in enumerate(jet):
+            assert np.array_equal(value, field.derivative(t, order))
