@@ -10,12 +10,14 @@ Profile recipe.  f(t) = t on [0, 1], then a C^2 ramp 1 + 2s - (x + 2s)
 exp(-x/s) (x = t - 1, s = 3/4) increasing to the cap 1 + 2s = 2.5 < 3
 with |f'| <= 1 and |f''| <= 1/(s e) independent of L.  The ramp slope is
 strictly positive everywhere and only exponentially small beyond L + 2/3,
-which keeps the level-torus diameters strictly decreasing in floating
-point and gives the core chart honest O(rho^3)/O(rho) smoothness
-residuals instead of exact zeros.  eta is 1 near 0, descends through a
-smoothstep, rounds the corner onto the exact linear tail
-eta(x) = (1 - x) * (2 pi / alpha) * exp(f(L+1)) near 1 (slope -K with
-K = 2 pi exp(f(L+1)) / alpha).
+which keeps the level-torus diameters strictly decreasing and gives the
+core chart O(rho^3)/O(rho) smoothness residuals with the nonzero
+constants 2 f'(L+1) and 2 f'(L+1) exp(-2 f(L+1)); ``verify`` reads both
+from the jets of f and eta, so it holds while f'(L+1) is a nonzero
+float, up to L = 558.  eta is 1 near 0,
+descends through a smoothstep, rounds the corner onto the exact linear
+tail eta(x) = (1 - x) * (2 pi / alpha) * exp(f(L+1)) near 1 (slope -K
+with K = 2 pi exp(f(L+1)) / alpha).
 
 ``build`` is the only constructor.  A filler file stores the depth and the
 lattice together with the profile parameters they determine; reading one
@@ -35,7 +37,7 @@ from numpy.polynomial import chebyshev
 from .errors import (DomainError, as_float, as_int, as_real_array, load_json,
                      require_finite)
 from .fields import Field1D, _memoized
-from .flat_torus import FlatTorusLattice, diameter, require_lattice, systole
+from .flat_torus import FlatTorusLattice, require_lattice, systole
 
 _FORMAT = "thinpart-filler v1"
 _RAMP_SCALE = 0.75
@@ -221,24 +223,17 @@ def core_chart_metric(spec: FillerSpec, rho) -> tuple:
     return (g_theta, e2f, 1.0)
 
 
-def _slice_lattices(spec: FillerSpec, t) -> list:
-    """Lattices of the level tori T_t, one per depth of the array t: the
-    boundary lattice with x1 scaled by exp(-f(t)) eta and x2 by exp(-f(t))."""
-    t = _depths(spec, t)
-    e_f = np.exp(-spec.f(t))
-    e_f_eta = e_f * spec._collapse(t)
-    lat = spec.lattice
-    return [
-        FlatTorusLattice(v1x, v2x, v2y)
-        for v1x, v2x, v2y in zip((e_f_eta * lat.a1).tolist(),
-                                 (e_f_eta * lat.a2).tolist(), (e_f * lat.b2).tolist())
-    ]
-
-
 def slice_lattice(spec: FillerSpec, t: float) -> FlatTorusLattice:
     """Lattice of the level torus T_t, at one depth t, in orthonormal
-    coordinates."""
-    return _slice_lattices(spec, [as_float("depth t", t)])[0]
+    coordinates: the boundary lattice with x1 scaled by exp(-f(t)) eta
+    and x2 by exp(-f(t))."""
+    # Read as a one-element array, as every array of depths is: numpy's
+    # scalar loops can differ from its array loops in the last bit.
+    t = _depths(spec, [as_float("depth t", t)])
+    e_f = float(np.exp(-spec.f(t))[0])
+    e_f_eta = e_f * float(spec._collapse(t)[0])
+    lat = spec.lattice
+    return FlatTorusLattice(e_f_eta * lat.a1, e_f_eta * lat.a2, e_f * lat.b2)
 
 
 def slice_area(spec: FillerSpec, t):
@@ -296,7 +291,18 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
 
 @dataclass(frozen=True)
 class FillerReport:
-    """Verification summary; carries failures rather than raising."""
+    """Verification summary; carries failures rather than raising.
+
+    The level-torus and core-chart fields read the jets of f and eta
+    (``verify``).  ``core_theta_slope`` and ``core_z_slope`` are the
+    orders in rho of g_theta - rho^2 and g_zz - exp(-2 f(L+1)) at the
+    core: the power of the first Taylor coefficient at rho = 0 that is
+    nonzero (the rho^2 one beyond 1e-12), or one past the last power read
+    (rho^3 and rho) when none is.  ``core_theta_constant`` and
+    ``core_z_constant`` are those coefficients (0 when none is nonzero).
+    A smooth core reads orders 3 and 1, with the constants 2 f'(L+1) and
+    2 f'(L+1) exp(-2 f(L+1)).
+    """
 
     flat_levels: bool
     diameters_strictly_decreasing: bool
@@ -307,10 +313,10 @@ class FillerReport:
     ramp_flatness_sup: float        # sup f' on [L + 2/3, L + 1]
     fprime_sup: float
     fsecond_sup: float
-    core_theta_constant: float      # sup |g_theta - rho^2| / rho^3
-    core_z_constant: float          # sup |g_zz - exp(-2 f(L+1))| / rho
-    core_theta_slope: float
-    core_z_slope: float
+    core_theta_constant: float      # leading coefficient of g_theta - rho^2
+    core_z_constant: float          # leading coefficient of g_zz - exp(-2 f(L+1))
+    core_theta_slope: float         # its order in rho: 0, 2, 3, or 4 past rho^3
+    core_z_slope: float             # its order in rho: 1, or 2 past rho
     ball_count_note: str
 
     @property
@@ -330,22 +336,29 @@ class FillerReport:
         )
 
 
-def _loglog_slope(xs, ys):
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    slope, _ = np.linalg.lstsq(A, ys, rcond=None)[0]
-    return float(slope)
-
-
 def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
-    """Check the defining properties on a sample grid.
+    """Check the defining properties, at ``grid`` depths for the level
+    tori.
 
     Covers: flat level tori (the metric equals its warped-product form),
-    strictly decreasing level diameters, mean convexity toward the core,
     the exact exp(-2t) collar on [0, 1], continuity of the two metric
-    formulas at t = L, profile bounds, and the core-chart smoothness
-    residuals with their power-law slopes.
+    formulas at t = L, and profile bounds, on sample grids; and, from one
+    jet of f and of eta(t - L):
+
+    - strictly decreasing level diameters.  The level lattice at depth t
+      is diag(exp(-f) eta(t - L), exp(-f)) applied to the boundary
+      lattice; where f' > 0 and eta' <= 0 both scales shrink strictly,
+      and so does the covering radius.
+    - mean convexity toward the core: ``mean_convexity``, -1/2 the sum
+      of the two scales' log-derivatives, is positive.
+    - core-chart smoothness, at rho = 0 from the jets of eta at 1 and of
+      f at L + 1.  With eta(1) = 0, g_theta = c rho^2 (1 + (2 f'(L+1) -
+      eta''(1) / eta'(1)) rho + O(rho^2)), where c = (alpha eta'(1) /
+      2 pi)^2 exp(-2 f(L+1)) is 1 when the cone angle is 2 pi, that is
+      when eta'(1) = -K; and g_zz = exp(-2 f(L+1)) (1 + 2 f'(L+1) rho +
+      O(rho^2)).  On eta's linear tail eta'' = 0, so a smooth core reads
+      orders 3 and 1 (``FillerReport``) while f'(L+1) is a nonzero float,
+      up to L = 558.
     """
     grid = as_int("grid", grid)
     if grid < 2:
@@ -363,10 +376,9 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
         for g, a in ((g11, warped.a1), (g22, warped.a2))
     )
 
-    # (ii) diameters strictly decreasing; mean convexity.
+    # (ii) diameters strictly decreasing and mean convexity.
     ts = np.linspace(0.0, L + 1.0, grid, endpoint=False)
-    diams = np.array([diameter(lat) for lat in _slice_lattices(spec, ts)])
-    decreasing = bool(np.all(np.diff(diams) < 0.0))
+    decreasing = bool(np.all(spec.f.d1(ts) > 0.0) and np.all(spec._collapse.d1(ts) <= 0.0))
     convex = bool(np.all(mean_convexity(spec, ts) > 0.0))
 
     # (iii) exact collar on [0, 1].
@@ -380,23 +392,29 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     below, above = np.array([g11, g22]).T
     continuous = bool(np.all(np.abs(below - above) <= 1e-10 * np.maximum(1.0, np.abs(below))))
 
-    # Profile bounds.
+    # Profile bounds, and f and f' at the core t = L + 1, the last depth.
     tt = np.linspace(0.0, L + 1.0, 4001)
-    fp = np.asarray(spec.f.d1(tt))
-    fpp = np.asarray(spec.f.d2(tt))
+    f, fp, fpp = spec.f.jet(tt, 2)
     tail_mask = tt >= L + 2.0 / 3.0
     ramp_flatness = float(fp[tail_mask].max())
-    cap = float(spec.f(L + 1.0))
+    cap, fp_core = float(f[-1]), float(fp[-1])
 
-    # Core-chart residuals and their slopes.
-    rho_theta = np.geomspace(spec.tail_reach / 12.0, 0.9 * spec.tail_reach, 9)
-    res_theta = np.abs(core_chart_metric(spec, rho_theta)[0] - rho_theta * rho_theta)
-    rho_z = np.geomspace(2e-3, 0.1, 10)
-    res_z = np.abs(core_chart_metric(spec, rho_z)[1] - np.exp(-2.0 * spec.core_height))
-    theta_const = float(np.max(res_theta / rho_theta**3))
-    z_const = float(np.max(res_z / rho_z))
-    theta_slope = _loglog_slope(rho_theta, np.maximum(res_theta, 1e-300))
-    z_slope = _loglog_slope(rho_z, np.maximum(res_z, 1e-300))
+    # Core chart: the first nonzero Taylor coefficient at rho = 0 of
+    # g_theta - rho^2 = (alpha eta(1 - rho) / 2 pi)^2 g_zz - rho^2, through
+    # rho^3, and of g_zz - g_zz(0) = exp(-2 f(L+1-rho)) - exp(-2 f(L+1)),
+    # from the jets of eta at 1 and of f at L + 1.  g_theta's rho^2 coefficient
+    # is 1 up to rounding exactly when the cone angle at the core is 2 pi.
+    eta_core, eta_p, eta_pp = (float(v) for v in spec.eta.jet(1.0, 2))
+    scale = (spec.lattice.a1 / (2.0 * math.pi)) ** 2 * math.exp(-2.0 * cap)
+    cone = scale * eta_p**2
+    theta_terms = (
+        (0.0, scale * eta_core**2, 0.0),
+        (2.0, cone - 1.0, 1e-12),
+        (3.0, cone * (2.0 * fp_core - eta_pp / eta_p), 0.0),
+    )
+    theta_order, theta_constant = next(
+        ((k, c) for k, c, tol in theta_terms if abs(c) > tol), (4.0, 0.0))
+    z_constant = 2.0 * fp_core * math.exp(-2.0 * cap)
 
     return FillerReport(
         flat_levels=flat_levels,
@@ -408,10 +426,10 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
         ramp_flatness_sup=ramp_flatness,
         fprime_sup=float(fp.max()),
         fsecond_sup=float(np.abs(fpp).max()),
-        core_theta_constant=theta_const,
-        core_z_constant=z_const,
-        core_theta_slope=theta_slope,
-        core_z_slope=z_slope,
+        core_theta_constant=theta_constant,
+        core_z_constant=z_constant,
+        core_theta_slope=theta_order,
+        core_z_slope=1.0 if z_constant != 0.0 else 2.0,
         ball_count_note=(
             "disjoint balls counted for t <= L - 1 (conservative reading; "
             "the looser count runs to L + 2)"

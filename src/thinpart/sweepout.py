@@ -98,7 +98,11 @@ def project_vertex(x: GridVertex, level: int) -> GridVertex:
 
 @dataclass(frozen=True)
 class FormalCurrent:
-    """Integer combination of labelled patches: ((patch_id, mult, area), ...)."""
+    """Integer combination of labelled patches: ((patch_id, mult, area), ...).
+
+    ``patches`` may be any iterable of triples; the current stores the
+    tuple of the triples it read, each as a tuple.
+    """
 
     patches: tuple
 
@@ -108,13 +112,15 @@ class FormalCurrent:
         except TypeError:
             raise DomainError("patches must be an iterable of (patch, multiplicity, area) "
                               f"triples, got {self.patches!r}") from None
-        seen = {}
+        seen, triples = {}, []
         for entry in entries:
             try:
+                entry = tuple(entry)  # a tuple is itself, not a copy
                 pid, mult, patch_area = entry
+                hash(pid)
             except (TypeError, ValueError):
                 raise DomainError("patches entry must be a (patch, multiplicity, area) "
-                                  f"triple, got {entry!r}") from None
+                                  f"triple with a hashable patch, got {entry!r}") from None
             if pid in seen:
                 raise DomainError(f"duplicate patch id {pid!r}")
             mult = as_int("multiplicity", mult)
@@ -122,6 +128,8 @@ class FormalCurrent:
             if patch_area < 0.0:
                 raise DomainError(f"patch area must be nonnegative, got {patch_area!r}")
             seen[pid] = (mult, patch_area)
+            triples.append(entry)
+        object.__setattr__(self, "patches", tuple(triples))
         object.__setattr__(self, "_table", seen)
 
     @classmethod
@@ -216,7 +224,10 @@ class DiscreteFamily:
     """
 
     def __init__(self, level: int, currents):
-        currents = tuple(_require_current(f"currents[{i}]", cur) for i, cur in enumerate(currents))
+        try:
+            currents = tuple(_require_current(f"currents[{i}]", cur) for i, cur in enumerate(currents))
+        except TypeError:
+            raise DomainError(f"currents must be an iterable of FormalCurrents, got {currents!r}") from None
         index, areas = {}, []
         for cur in currents:
             for pid, (_, area) in cur._table.items():
@@ -372,15 +383,16 @@ class SweepoutProfile:
         return SweepoutProfile(self.segments + other.segments)
 
 
-def _lattices_match(lat1: FlatTorusLattice, lat2: FlatTorusLattice,
-                    rtol: float = 1e-6) -> bool:
+def _lattices_match(lat1: FlatTorusLattice, lat2: FlatTorusLattice) -> bool:
+    """Whether the reduced bases agree to 1e-6 relative, the gluing
+    tolerance."""
     r1 = reduce_basis(lat1)
     r2 = reduce_basis(lat2)
-    scale = max(r1.norm2, r2.norm2)
+    tol = 1e-6 * max(r1.norm2, r2.norm2)
     return (
-        abs(r1.a1 - r2.a1) <= rtol * scale
-        and abs(abs(r1.a2) - abs(r2.a2)) <= rtol * scale
-        and abs(r1.b2 - r2.b2) <= rtol * scale
+        abs(r1.a1 - r2.a1) <= tol
+        and abs(abs(r1.a2) - abs(r2.a2)) <= tol
+        and abs(r1.b2 - r2.b2) <= tol
     )
 
 

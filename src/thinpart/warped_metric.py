@@ -182,10 +182,10 @@ class WarpedMetricSpec:
         return cls(lattice, x3_min, x3_max, warping, kind=kind, a1=a1, a2=a2)
 
     @classmethod
-    def from_sampled(cls, lattice, x3, a1_samples, a2_samples, h_samples,
-                     kind: str = "custom"):
-        """Spline-backed diagonal spec from grids of a1, a2 and h values,
-        each an array of real numbers (a DomainError naming it otherwise)."""
+    def from_sampled(cls, lattice, x3, a1_samples, a2_samples, h_samples):
+        """Spline-backed diagonal spec of kind "custom" from grids of a1, a2
+        and h values, each an array of real numbers (a DomainError naming
+        it otherwise)."""
         x3, a1, a2, h = (as_real_array(f"{name} samples", values) for name, values in
                          (("x3", x3), ("a1", a1_samples), ("a2", a2_samples), ("h", h_samples)))
         warping = Field1D.from_samples(x3, h)  # checks x3 before it is indexed
@@ -194,7 +194,6 @@ class WarpedMetricSpec:
             float(x3[0]),
             float(x3[-1]),
             warping,
-            kind=kind,
             a1=Field1D.from_samples(x3, a1),
             a2=Field1D.from_samples(x3, a2),
         )

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own computational paths:
 lattice quantities come from coefficient enumeration, grid search and exact
 rational arithmetic, areas from quadrature, derivatives from finite
-differences.
+differences, and the filler's core chart from its formulas at 80 digits.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -514,3 +516,48 @@ class CountingNumpy:
                 return value(*args, **kwargs)
             self.counted[name] = counted
         return self.counted[name]
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the context's precision, by the series of the ``decimal``
+    documentation's recipe."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 2
+        three = Decimal(3)
+        last, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def filler_core_chart(depth: float, alpha: float, rho, digits: int = 80) -> tuple:
+    """(g_theta, g_zz, g_theta / rho^2 - 1, g_zz exp(2 f(L+1)) - 1) of the
+    core chart of the filler of depth L whose boundary lattice has first
+    generator (alpha, 0), at radius rho on eta's linear tail, as Decimals
+    at ``digits`` digits.
+
+    Evaluated from the recipe's formulas, not from the library: the
+    ramp f(t) = 1 + 2s - (t - 1 + 2s) exp(-(t - 1)/s) (s = 3/4),
+    g_zz = exp(-2 f(L+1-rho)), the tail eta(1 - rho) = K rho with
+    K = 2 pi exp(f(L+1)) / alpha, and
+    g_theta = g_zz eta(1 - rho)^2 alpha^2 / (4 pi^2).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        s = Decimal(3) / 4
+        L, rho, alpha = Decimal(depth), Decimal(rho), Decimal(alpha)
+
+        def f(t):
+            x = t - 1
+            return 1 + 2 * s - (x + 2 * s) * (-x / s).exp()
+
+        pi = _decimal_pi()
+        f_core = f(L + 1)
+        K = 2 * pi * f_core.exp() / alpha
+        g_zz = (-2 * f(L + 1 - rho)).exp()
+        g_theta = g_zz * (K * rho) ** 2 * alpha**2 / (4 * pi**2)
+        return g_theta, g_zz, g_theta / rho**2 - 1, g_zz * (2 * f_core).exp() - 1

@@ -389,6 +389,10 @@ _STRUCTURED_ARGUMENTS = {
     "interpolate_patches_a": (lambda x: sweepout.interpolate_patches(x, 2, 3), "a", [1]),
     "interpolate_patches_b": (lambda x: sweepout.interpolate_patches(
         sweepout.FormalCurrent.zero(), x, 3), "b", [{"A": 1}]),
+    # A family's currents are an iterable, and a patch id is hashable.
+    "DiscreteFamily_currents": (lambda x: sweepout.DiscreteFamily(0, x), "currents", [5]),
+    "FormalCurrent_patch_id": (sweepout.FormalCurrent, "patches",
+                               [(([1], 1, 1.0),), ((("A", [1]), 1, 1.0),)]),
 }
 
 

@@ -1,12 +1,15 @@
 import json
 import math
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from thinpart import DomainError
 from thinpart.filler import (
+    CollapseProfile,
+    FillerSpec,
     area_lower_bound,
     as_warped,
     build,
@@ -22,7 +25,7 @@ from thinpart.filler import (
 from thinpart.flat_torus import FlatTorusLattice, diameter, systole
 from thinpart.warped_metric import check_hypotheses, level_torus_mean_curvature
 
-from oracles import CountingNumpy, random_lattice
+from oracles import CountingNumpy, filler_core_chart, random_lattice
 
 UNIT = FlatTorusLattice.unit_square()
 
@@ -174,6 +177,79 @@ def test_verify_monotone_diameters_random_lattices():
         diams = [diameter(slice_lattice(spec, float(t))) for t in ts]
         assert all(a > b for a, b in zip(diams, diams[1:])), lat
         count += 1
+
+
+# The depths and lattices of the verification ladder: every depth must
+# verify, the deep ones included, where roundoff once decided the checks.
+LADDER_DEPTHS = (12.0, 20.0, 30.0, 40.0, 60.0)
+LADDER_LATTICES = {
+    "1,0,1": FlatTorusLattice(1.0, 0.0, 1.0),
+    "0.85,0,1": FlatTorusLattice(0.85, 0.0, 1.0),
+    "1,0.3,0.9": FlatTorusLattice(1.0, 0.3, 0.9),
+}
+
+
+@pytest.mark.parametrize("lattice", LADDER_LATTICES.values(), ids=LADDER_LATTICES.keys())
+@pytest.mark.parametrize("depth", LADDER_DEPTHS)
+def test_verify_passes_at_every_depth_of_the_ladder(depth, lattice):
+    report = verify(build(depth, lattice))
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("lattice", LADDER_LATTICES.values(), ids=LADDER_LATTICES.keys())
+@pytest.mark.parametrize("depth", LADDER_DEPTHS)
+def test_core_chart_metric_matches_the_80_digit_oracle(depth, lattice):
+    spec = build(depth, lattice)
+    rho = np.geomspace(spec.tail_reach / 12.0, 0.9 * spec.tail_reach, 9)
+    g_theta, g_zz, _ = core_chart_metric(spec, rho)
+    for k, r in enumerate(rho):
+        exact_theta, exact_zz, _, _ = filler_core_chart(depth, lattice.a1, r)
+        assert g_theta[k] == pytest.approx(float(exact_theta), rel=1e-12)
+        assert g_zz[k] == pytest.approx(float(exact_zz), rel=1e-12)
+
+
+@pytest.mark.parametrize("lattice", LADDER_LATTICES.values(), ids=LADDER_LATTICES.keys())
+@pytest.mark.parametrize("depth", LADDER_DEPTHS)
+def test_core_chart_report_matches_the_80_digit_oracle(depth, lattice):
+    spec = build(depth, lattice)
+    report = verify(spec)
+    # Taylor coefficients at rho = 0, where the next term is 1e-20 relative:
+    # g_theta - rho^2 = rho^2 r_theta and g_zz - exp(-2 f(L+1)) ~ g_zz r_z.
+    rho = Decimal("1e-20")
+    _, g_zz, r_theta, r_z = filler_core_chart(depth, lattice.a1, rho)
+    assert report.core_theta_constant == pytest.approx(float(r_theta / rho), rel=1e-12)
+    assert report.core_z_constant == pytest.approx(float(r_z / rho) * float(g_zz), rel=1e-12)
+    # The orders: power laws of the oracle's residuals, at 80 digits.
+    rho_theta = np.geomspace(spec.tail_reach / 12.0, 0.9 * spec.tail_reach, 9)
+    rho_z = np.geomspace(2e-3, 0.1, 10)
+    res_theta = [float(filler_core_chart(depth, lattice.a1, r)[2]) * r * r for r in rho_theta]
+    res_z = [float(filler_core_chart(depth, lattice.a1, r)[3]) for r in rho_z]
+    theta_slope = np.polyfit(np.log(rho_theta), np.log(res_theta), 1)[0]
+    z_slope = np.polyfit(np.log(rho_z), np.log(res_z), 1)[0]
+    assert abs(theta_slope - 3.0) <= 0.05 and abs(z_slope - 1.0) <= 0.05
+    assert report.core_theta_slope == pytest.approx(theta_slope, abs=0.05)
+    assert report.core_z_slope == pytest.approx(z_slope, abs=0.05)
+
+
+def _other_lattice_eta(spec):
+    return build(spec.depth, LADDER_LATTICES["0.85,0,1"]).eta
+
+
+def _eta_slope_off_by_1e_9(spec):
+    eta = spec.eta
+    return CollapseProfile(eta.K * (1.0 + 1e-9), eta.tail, eta.corner_width)
+
+
+@pytest.mark.parametrize("eta", [_other_lattice_eta, _eta_slope_off_by_1e_9])
+def test_verify_reads_the_cone_angle_at_the_core(eta):
+    # An eta whose tail slope is not K = 2 pi exp(f(L+1)) / alpha leaves a
+    # cone at the core: g_theta - rho^2 is of order 2, and verify fails.
+    spec = build(30.0, UNIT)
+    report = verify(FillerSpec(spec.depth, spec.lattice, spec.f, eta(spec)))
+    cone = (eta(spec).K / spec.eta.K) ** 2
+    assert report.core_theta_slope == 2.0
+    assert report.core_theta_constant == pytest.approx(cone - 1.0, rel=1e-6)
+    assert not report.passed
 
 
 def test_slice_quantities():

@@ -315,6 +315,21 @@ def test_interpolate_patches_matches_per_patch_construction():
         assert fam.currents[-1].patches == reference[-1]
 
 
+@pytest.mark.parametrize("patches", [
+    lambda: (entry for entry in [("A", 1, 1.0), ("B", -2, 0.5)]),
+    lambda: [("A", 1, 1.0), ("B", -2, 0.5)],
+    lambda: [["A", 1, 1.0], ["B", -2, 0.5]],
+], ids=["generator", "list", "list_of_lists"])
+def test_a_current_stores_the_triples_it_read(patches):
+    # Built from any iterable of triples, a current is the one built from
+    # a tuple of tuples: equal, equally hashable, with the same patches.
+    reference = FormalCurrent((("A", 1, 1.0), ("B", -2, 0.5)))
+    current = FormalCurrent(patches())
+    assert current.patches == reference.patches
+    assert current == reference and hash(current) == hash(reference)
+    assert current.mass == 2.0
+
+
 def test_family_rejects_inconsistent_areas_at_construction():
     a = FormalCurrent((("T1", 1, 1.0),))
     b = FormalCurrent((("T1", 1, 2.0),))
