@@ -53,7 +53,13 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
 
     The projection kills the z direction and preserves theta and r, so
     every singular value is 0 or 1; the report records the measured
-    maxima.
+    maxima.  Both metrics are diagonal and the projection maps each
+    coordinate direction onto a coordinate direction (or to 0), so the
+    singular values are the three directions' stretches: the length of
+    the image over the length of the unit coordinate vector, (0 / cosh r,
+    sinh r / sinh r, 1 / 1).  Lengths, not squared lengths, keep every
+    radius with a finite sinh r in range; a radius beyond it (r > 710.47)
+    is a DomainError.
     """
     require_finite(length=length)
     if length <= 0.0:
@@ -61,21 +67,19 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     rs = as_real_array("radius grid", r_grid)
     if rs.ndim != 1 or rs.size == 0 or not np.all(rs > 0.0):
         raise DomainError("radius grid must be a nonempty list of positive radii")
-    dP = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # rows (theta, r)
-    max_sv = 0.0
-    per_dir = [0.0, 0.0, 0.0]
-    for r in rs:
-        src = np.diag([math.cosh(r) ** 2, math.sinh(r) ** 2, 1.0])
-        tgt = np.diag([math.sinh(r) ** 2, 1.0])
-        B = np.linalg.solve(src, dP.T @ tgt @ dP)
-        sv = np.sqrt(np.maximum(np.linalg.eigvals(B).real, 0.0))
-        max_sv = max(max_sv, float(sv.max()))
-        for k, e in enumerate(np.eye(3)):
-            stretch = math.sqrt((dP @ e) @ tgt @ (dP @ e) / (e @ src @ e))
-            per_dir[k] = max(per_dir[k], stretch)
+    with np.errstate(over="ignore"):
+        sinh, cosh = np.sinh(rs), np.cosh(rs)
+    overflow = ~np.isfinite(sinh)
+    if overflow.any():
+        index = int(np.argmax(overflow))
+        raise DomainError(f"radius grid entry {index} = {float(rs[index])!r} overflows sinh r")
+    ones = np.ones_like(rs)
+    source = np.array([cosh, sinh, ones])      # |e_z|, |e_theta|, |e_r| in the tube metric
+    image = np.array([np.zeros_like(rs), sinh, ones])  # their images' lengths in the disk metric
+    per_dir = (image / source).max(axis=1)
     return ProjectionReport(
-        max_singular_value=max_sv,
-        per_direction_max=tuple(per_dir),
+        max_singular_value=float(per_dir.max()),
+        per_direction_max=tuple(per_dir.tolist()),
         grid=int(rs.size),
     )
 

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import area_bounds, filler, flat_torus, sweepout
 from . import tube_geometry as tubes
-from .errors import DomainError, SolveError, as_float, as_floats, as_int, load_json
+from .errors import (DomainError, SolveError, as_float, as_floats, as_index, as_int, as_list,
+                     as_object, json_fields, load_json)
 from .flat_torus import FlatTorusLattice
 from .warped_metric import spec_from_json
 
@@ -53,38 +54,50 @@ class ManifoldDescription:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManifoldDescription":
         desc = cls()
-        for entry in data.get("cusps", []):
-            lat = FlatTorusLattice.from_json_dict(entry["lattice"])
-            desc.cusps.append(tubes.CuspParams(lat, as_float("t0", entry["t0"]),
-                                               as_float("t1", entry["t1"])))
-        for entry in data.get("tubes", []):
-            desc.tubes.append(tubes.TubeParams.from_json_dict(entry))
-        for idx, entry in enumerate(data.get("fillers", [])):
-            depth = as_float("L", entry["L"])
-            if "lattice" in entry:
-                lat = FlatTorusLattice.from_json_dict(entry["lattice"])
-            elif "attach" in entry:
-                attach = sweepout._index_below(f"filler {idx}: 'attach'", entry["attach"],
-                                               len(desc.cusps))
+        cusps, tube_entries, filler_entries = json_fields(
+            "manifold", data, cusps=[], tubes=[], fillers=[])
+        for idx, entry in enumerate(as_list("cusps", cusps)):
+            name = f"cusps[{idx}]"
+            lattice, t0, t1 = json_fields(name, entry, "lattice", "t0", "t1")
+            desc.cusps.append(tubes.CuspParams(FlatTorusLattice.from_json_dict(lattice),
+                                               as_float(f"{name}.t0", t0),
+                                               as_float(f"{name}.t1", t1)))
+        for idx, entry in enumerate(as_list("tubes", tube_entries)):
+            desc.tubes.append(tubes.TubeParams.from_json_dict(as_object(f"tubes[{idx}]", entry)))
+        for idx, entry in enumerate(as_list("fillers", filler_entries)):
+            name = f"fillers[{idx}]"
+            depth, lattice, attach = json_fields(name, entry, "L", lattice=None, attach=None)
+            depth = as_float(f"{name}.L", depth)
+            if lattice is not None:
+                lat = FlatTorusLattice.from_json_dict(lattice)
+            elif attach is not None:
+                attach = as_index(f"{name}.attach", attach, len(desc.cusps))
                 cusp = desc.cusps[attach]
                 lat = cusp.lattice.scaled(math.exp(-cusp.t1))
                 desc.attachments[idx] = attach
             else:
-                raise DomainError("filler entry needs 'lattice' or 'attach'")
+                raise DomainError(f"{name}: filler entry needs 'lattice' or 'attach'")
             desc.fillers.append(filler.build(depth, lat))
         return desc
 
 
+def _parse_literal(text: str, sep: str, convert, count: int, error: str) -> tuple:
+    """The ``count`` parts of ``text`` between the separators ``sep`` (in
+    any case), each read by ``convert``; a DomainError with ``error``,
+    which shows the expected form, otherwise."""
+    try:
+        values = tuple(map(convert, text.lower().split(sep)))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise DomainError(error)
+    return values
+
+
 def parse_lattice_literal(text: str) -> FlatTorusLattice:
     """Lattice literal "a1,a2,b2"."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError(f"lattice literal must be 'a1,a2,b2', got {text!r}")
-    try:
-        a1, a2, b2 = (float(p) for p in parts)
-    except ValueError as exc:
-        raise DomainError(f"bad lattice literal {text!r}") from exc
-    return FlatTorusLattice(a1, a2, b2)
+    return FlatTorusLattice(*_parse_literal(
+        text, ",", float, 3, f"bad lattice literal {text!r}: must look like a1,a2,b2"))
 
 
 def _emit(payload: dict, as_json: bool):
@@ -230,29 +243,15 @@ def _cmd_filler(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _parse_grid(text: str):
-    try:
-        n1, n2 = text.lower().split("x")
-        return int(n1), int(n2)
-    except ValueError as exc:
-        raise DomainError(f"grid must look like 64x64, got {text!r}") from exc
-
-
-def _parse_extent(text: str):
-    try:
-        x1, x2 = text.lower().split("x")
-        return float(x1), float(x2)
-    except ValueError as exc:
-        raise DomainError(f"extent must look like 1.0x1.0, got {text!r}") from exc
-
-
 def _boundary_function(bc: dict):
-    kind = bc.get("kind")
+    (kind,) = json_fields("boundary data", bc, "kind")
     if kind == "affine":
-        c0, c1, c2 = as_floats("coeffs", bc["coeffs"], 3)
+        (coeffs,) = json_fields("affine boundary data", bc, "coeffs")
+        c0, c1, c2 = as_floats("coeffs", coeffs, 3)
         return lambda x, y: c0 + c1 * x + c2 * y
     if kind == "constant":
-        v = as_float("value", bc["value"])
+        (value,) = json_fields("constant boundary data", bc, "value")
+        v = as_float("value", value)
         return lambda x, y: v + 0.0 * x
     raise DomainError(f"unsupported boundary data kind {kind!r}")
 
@@ -263,12 +262,14 @@ def _cmd_graph(args) -> int:
 
     spec = load_json(args.metric, spec_from_json)
     fn = load_json(args.bc, _boundary_function)
-    shape = _parse_grid(args.grid)
+    shape = _parse_literal(args.grid, "x", int, 2,
+                           f"grid must look like 64x64, got {args.grid!r}")
     if args.domain == "torus":
         init = minimal_graph.DiscreteGraph.on_torus(spec.lattice, shape, fn)
     else:
         periodic = (True, False) if args.domain == "stripe" else (False, False)
-        extent = _parse_extent(args.extent)
+        extent = _parse_literal(args.extent, "x", float, 2,
+                                f"extent must look like 1.0x1.0, got {args.extent!r}")
         init = minimal_graph.DiscreteGraph.on_rectangle(
             extent, shape, fn, periodic=periodic
         )
@@ -300,15 +301,17 @@ def _cmd_graph(args) -> int:
 
 
 def _family_from_json(data: dict) -> sweepout.DiscreteFamily:
-    currents = tuple(
-        sweepout.FormalCurrent(
-            tuple((p["patch"], as_int("multiplicity", p["multiplicity"]),
-                   as_float("area", p["area"]))
-                  for p in entry)
-        )
-        for entry in data["currents"]
-    )
-    return sweepout.DiscreteFamily(as_int("level", data["level"]), currents)
+    level, currents = json_fields("family", data, "level", "currents")
+    entries = []
+    for i, current in enumerate(as_list("currents", currents)):
+        patches = []
+        for j, entry in enumerate(as_list(f"currents[{i}]", current)):
+            name = f"currents[{i}][{j}]"
+            patch, mult, area = json_fields(name, entry, "patch", "multiplicity", "area")
+            patches.append((patch, as_int(f"{name}.multiplicity", mult),
+                            as_float(f"{name}.area", area)))
+        entries.append(sweepout.FormalCurrent(tuple(patches)))
+    return sweepout.DiscreteFamily(as_int("level", level), tuple(entries))
 
 
 def _cmd_sweepout(args) -> int:

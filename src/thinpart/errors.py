@@ -1,6 +1,7 @@
 """Shared exception types, the one rule for every number and every array
 a caller passes (``as_float``, ``as_real_array`` and the readers built on
-them), and the one reader of JSON input files."""
+them), the one rule for every JSON document (``json_fields``, ``as_list``,
+``as_index``), and the one reader of JSON input files."""
 
 import json
 import math
@@ -115,13 +116,52 @@ def as_real_array(name: str, value) -> np.ndarray:
     return _finite(name, np.asarray(array, dtype=float))
 
 
+def as_object(name: str, value) -> dict:
+    """``value``, a JSON object; a DomainError naming ``name`` otherwise."""
+    if not isinstance(value, dict):
+        raise DomainError(f"bad field value: {name} must be a JSON object, got {value!r}")
+    return value
+
+
+def as_list(name: str, value) -> list:
+    """``value``, a JSON list (or a tuple); a DomainError naming ``name``
+    otherwise.  Its entries are named by their path, ``name[0]``."""
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"bad field value: {name} must be a list, got {value!r}")
+    return value
+
+
+def json_fields(name: str, data, /, *required: str, **optional) -> tuple:
+    """The values of the JSON object ``data``'s ``required`` fields, then of
+    its ``optional`` ones (their defaults where absent): the one reader of
+    an object's fields.  A DomainError names ``name``: "bad field value:
+    <name> must be a JSON object" when ``data`` is not one, "<name>:
+    missing field 'a', 'b'" with every required field that is absent."""
+    data = as_object(name, data)
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise DomainError(f"{name}: missing field {', '.join(map(repr, missing))}")
+    return (*(data[key] for key in required),
+            *(data.get(key, default) for key, default in optional.items()))
+
+
+def as_index(name: str, value, count: int) -> int:
+    """``value`` as an index in [0, count); a DomainError naming ``name``
+    when it is not an integer or lies outside."""
+    index = as_int(name, value)
+    if not 0 <= index < count:
+        raise DomainError(f"{name} must lie in [0, {count}), got {value!r}")
+    return index
+
+
 def load_json(path, build):
     """``build(data)`` for the JSON document in the file at ``path``.
 
-    Malformed JSON, a document that is not a JSON object, a
-    KeyError/TypeError/ValueError raised while building from it (a
-    missing field, a field of the wrong type), and a DomainError from the
-    builder become a DomainError naming the file.
+    Malformed JSON, a document that is not a JSON object and a
+    DomainError from the builder become a DomainError naming the file.
+    Builders read the document through ``json_fields``, ``as_list`` and the
+    number rules; a KeyError/TypeError/ValueError that escapes one
+    anyway becomes a DomainError too, never a traceback.
     """
     with open(path) as fh:
         try:

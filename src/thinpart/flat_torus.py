@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_floats
+from .errors import DomainError, as_float, as_floats, json_fields
 
 # det <= DEGENERACY_RTOL * max(|v1|,|v2|)^2 is rejected: downstream code
 # divides by the area.
@@ -103,12 +103,7 @@ class FlatTorusLattice:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FlatTorusLattice":
-        try:
-            v1 = data["v1"]
-            v2 = data["v2"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError("lattice JSON needs 'v1' and 'v2'") from exc
-        return cls.from_vectors(v1, v2)
+        return cls.from_vectors(*json_fields("lattice", data, "v1", "v2"))
 
 
 def require_lattice(name: str, lattice) -> FlatTorusLattice:

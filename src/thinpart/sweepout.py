@@ -20,7 +20,7 @@ import numpy as np
 
 from . import filler as filler_mod
 from . import tube_geometry
-from .errors import DomainError, as_float, as_int
+from .errors import DomainError, as_float, as_index, as_int
 from .flat_torus import FlatTorusLattice, reduce_basis
 
 
@@ -396,14 +396,6 @@ def _lattices_match(lat1: FlatTorusLattice, lat2: FlatTorusLattice) -> bool:
     )
 
 
-def _index_below(name: str, value, count: int) -> int:
-    """``value`` as an index in [0, count); a DomainError naming ``name``
-    otherwise."""
-    if not 0 <= as_int(name, value) < count:
-        raise DomainError(f"{name} must lie in [0, {count}), got {value!r}")
-    return int(value)
-
-
 def _attachments(attachments, n_fillers: int, n_cusps: int) -> dict:
     """``attachments`` (None for none) as a dict from filler index to cusp
     index, both in range; a DomainError naming the argument otherwise."""
@@ -411,8 +403,8 @@ def _attachments(attachments, n_fillers: int, n_cusps: int) -> dict:
         return {}
     if not isinstance(attachments, Mapping):
         raise DomainError(f"attachments must map filler indices to cusp indices, got {attachments!r}")
-    return {_index_below("attachments filler index", i, n_fillers):
-            _index_below("attachments cusp index", j, n_cusps) for i, j in attachments.items()}
+    return {as_index("attachments filler index", i, n_fillers):
+            as_index("attachments cusp index", j, n_cusps) for i, j in attachments.items()}
 
 
 def profile(cusps=(), tubes=(), fillers=(), attachments=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_real_array, require_finite
+from .errors import DomainError, as_float, as_real_array, json_fields, require_finite
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, require_lattice
 from .warped_metric import WarpedMetricSpec
@@ -64,9 +64,8 @@ class TubeParams:
         """A tube from its JSON descriptor: "length", "twist" (default 0)
         and "radius", a number or "meyerhoff" (the default) for
         ``meyerhoff_radius(length)``."""
-        length = as_float("length", data["length"])
-        twist = as_float("twist", data.get("twist", 0.0))
-        radius = data.get("radius", "meyerhoff")
+        length, twist, radius = json_fields("tube", data, "length", twist=0.0, radius="meyerhoff")
+        length, twist = as_float("length", length), as_float("twist", twist)
         if radius == "meyerhoff":
             radius = meyerhoff_radius(length)
         return cls(length, twist, as_float("radius", radius))

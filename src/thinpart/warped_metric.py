@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, as_float, as_floats, as_int, as_real_array,
-                     require_finite)
+                     json_fields, require_finite)
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, require_lattice
 
@@ -438,44 +438,29 @@ def blowup_rescale(spec: WarpedMetricSpec, s: float, lam: float) -> WarpedMetric
     )
 
 
-def _lattice(data: dict) -> FlatTorusLattice:
-    """The descriptor's "lattice"; a DomainError when it is absent."""
-    if "lattice" not in data:
-        raise DomainError(f"{data['kind']} metric descriptor needs a 'lattice'")
-    return FlatTorusLattice.from_json_dict(data["lattice"])
-
-
-def _samples(data: dict) -> list:
-    """The descriptor's "samples" x3, a1, a2 and h, as float arrays."""
-    keys = ("x3", "a1", "a2", "h")
-    samples = data.get("samples")
-    if not isinstance(samples, dict):
-        raise DomainError(
-            f"custom metric descriptor needs a 'samples' object, got {samples!r}")
-    missing = [key for key in keys if key not in samples]
-    if missing:
-        raise DomainError(f"samples needs {', '.join(map(repr, missing))}")
-    return [as_floats(f"samples {key}", samples[key]) for key in keys]
-
-
 def spec_from_json(data: dict) -> WarpedMetricSpec:
     """Build a spec from a JSON descriptor {"kind": ..., ...}."""
-    try:
-        kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("metric descriptor needs a 'kind'") from exc
-    interval = data.get("interval", [0.0, 1.0])
-    if kind == "flat":
-        return WarpedMetricSpec.flat(_lattice(data), *as_floats("interval", interval, 2))
-    if kind == "cusp":
+    (kind,) = json_fields("metric descriptor", data, "kind")
+    name = f"{kind} metric descriptor"
+    if kind in ("flat", "cusp"):
+        lattice, interval = json_fields(name, data, "lattice", interval=[0.0, 1.0])
+        lattice = FlatTorusLattice.from_json_dict(lattice)
+        x3_min, x3_max = as_floats("interval", interval, 2)
+        if kind == "flat":
+            return WarpedMetricSpec.flat(lattice, x3_min, x3_max)
         from .tube_geometry import CuspParams, cusp_as_warped
 
-        return cusp_as_warped(CuspParams(_lattice(data), *as_floats("interval", interval, 2)))
+        return cusp_as_warped(CuspParams(lattice, x3_min, x3_max))
     if kind == "tube":
         from .tube_geometry import TubeParams, tube_as_warped
 
-        return tube_as_warped(TubeParams.from_json_dict(data), margin=data.get("margin", 0.5),
-                              normalized=data.get("normalized", False))
+        margin, normalized = json_fields(name, data, margin=0.5, normalized=False)
+        return tube_as_warped(TubeParams.from_json_dict(data), margin=margin, normalized=normalized)
     if kind == "custom":
-        return WarpedMetricSpec.from_sampled(_lattice(data), *_samples(data))
+        lattice, samples = json_fields(name, data, "lattice", "samples")
+        keys = ("x3", "a1", "a2", "h")
+        return WarpedMetricSpec.from_sampled(
+            FlatTorusLattice.from_json_dict(lattice),
+            *(as_floats(f"samples {key}", values)
+              for key, values in zip(keys, json_fields("samples", samples, *keys))))
     raise DomainError(f"unknown metric kind {kind!r}")

@@ -8,6 +8,7 @@ from thinpart import DomainError
 from thinpart.area_bounds import (
     MARGULIS_EPSILON_LOWER,
     BandEstimate,
+    ProjectionReport,
     annulus_band_bound,
     crossing_chain_value,
     crossing_lower_bound,
@@ -47,6 +48,19 @@ def test_projection_contraction():
     assert z_dir == 0.0
     assert theta_dir == pytest.approx(1.0, abs=1e-12)
     assert r_dir == pytest.approx(1.0, abs=1e-12)
+
+
+def test_projection_contraction_far_and_near_the_core():
+    # Stretches are ratios of lengths: cosh(400)^2 overflows a float, but
+    # cosh(400) and sinh(400) do not, and sinh(1e-200) does not underflow
+    # to 0 the way its square does.  Every singular value is exactly 0 or 1.
+    for radii in ([400.0], [710.0], [1e-200], np.linspace(0.05, 3.0, 50)):
+        rep = projection_contraction_check(0.01, radii)
+        assert rep == ProjectionReport(1.0, (0.0, 1.0, 1.0), len(radii))
+    # From r = 710.48 sinh r overflows: the first such radius is named by
+    # its index.
+    with pytest.raises(DomainError, match=r"^radius grid entry 1 = 800\.0 overflows sinh r$"):
+        projection_contraction_check(0.01, [1.0, 800.0, 900.0])
 
 
 def test_band_bound_example():

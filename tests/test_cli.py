@@ -510,7 +510,7 @@ def test_sweepout_profile_rejects_a_bad_attach_index(tmp_path, capsys, cusps, at
                 "--out", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
     assert code == EXIT_DOMAIN
-    assert err.startswith("domain error: ") and "filler 0" in err and "attach" in err
+    assert err.startswith("domain error: ") and "fillers[0].attach" in err
     assert "Traceback" not in err
 
 
@@ -557,10 +557,10 @@ def _family(level=0, multiplicity=1, area=2.0):
     (_family(level=1.5), "level"),
     (_family(level=True), "level"),
     (_family(level="0"), "level"),
-    (_family(multiplicity=2.7), "multiplicity"),
-    (_family(multiplicity=False), "multiplicity"),
-    (_family(multiplicity="1"), "multiplicity"),
-    (_family(area="2.0"), "area"),
+    (_family(multiplicity=2.7), "currents[0][0].multiplicity"),
+    (_family(multiplicity=False), "currents[0][0].multiplicity"),
+    (_family(multiplicity="1"), "currents[0][0].multiplicity"),
+    (_family(area="2.0"), "currents[0][0].area"),
 ], ids=["level_fraction", "level_bool", "level_string", "multiplicity_fraction",
         "multiplicity_bool", "multiplicity_string", "area_string"])
 def test_sweepout_fineness_rejects_a_non_integral_or_non_numeric_field(
@@ -604,12 +604,12 @@ def _manifold(cusp=None, tube=None, filler=None):
 
 
 @pytest.mark.parametrize("manifold,message", [
-    (_manifold(cusp={"t0": "0"}), "t0 must be a number"),
-    (_manifold(cusp={"t1": [1.0]}), "t1 must be a number"),
+    (_manifold(cusp={"t0": "0"}), "cusps[0].t0 must be a number"),
+    (_manifold(cusp={"t1": [1.0]}), "cusps[0].t1 must be a number"),
     (_manifold(tube={"length": "0.01"}), "length must be a number"),
     (_manifold(tube={"twist": "0"}), "twist must be a number"),
     (_manifold(tube={"radius": None}), "radius must be a number"),
-    (_manifold(filler={"L": "12"}), "L must be a number"),
+    (_manifold(filler={"L": "12"}), "fillers[0].L must be a number"),
 ], ids=["t0", "t1", "length", "twist", "radius", "L"])
 def test_sweepout_profile_rejects_a_non_numeric_field(tmp_path, capsys, manifold, message):
     path = tmp_path / "manifold.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -6,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinpart import DomainError, area_bounds, filler, sweepout
-from thinpart.errors import as_float, as_floats, as_int, as_real_array
+from thinpart import DomainError, area_bounds, cli, filler, sweepout
+from thinpart.cli import ManifoldDescription, _boundary_function, _family_from_json
+from thinpart.errors import as_float, as_floats, as_index, as_int, as_real_array, json_fields
 from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
 from thinpart.minimal_graph import (DiscreteGraph, GraphBoundsParams, area, first_variation,
@@ -15,7 +17,7 @@ from thinpart.minimal_graph import (DiscreteGraph, GraphBoundsParams, area, firs
 from thinpart.tube_geometry import (CuspParams, TubeParams, cusp_as_warped, meyerhoff_radius,
                                     slice_area, slice_mean_curvature, tube_as_warped)
 from thinpart.warped_metric import (CallableCoefficients, WarpedMetricSpec, blowup_rescale,
-                                    level_torus_mean_curvature, n_p)
+                                    level_torus_mean_curvature, n_p, spec_from_json)
 
 
 @pytest.mark.parametrize("value,expected", [(0, 0), (-3, -3), (2.0, 2), (10**30, 10**30)])
@@ -482,3 +484,104 @@ def test_each_documented_rejection_raises_its_domain_error(entry):
     call, message = _UNREACHED_REJECTIONS[entry]
     with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
         call()
+
+
+_UNIT_JSON = {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}
+_CUSP_JSON = {"lattice": _UNIT_JSON, "t0": 0.0, "t1": 1.0}
+
+# (reader, a malformed JSON document, the start of its message): every
+# reader of a JSON document, called directly, names the object, the field
+# or the list entry (by its path) that is missing or of the wrong type.
+_MALFORMED_DOCUMENTS = {
+    "lattice_list": (FlatTorusLattice.from_json_dict, [],
+                     "bad field value: lattice must be a JSON object, got []"),
+    "lattice_empty": (FlatTorusLattice.from_json_dict, {}, "lattice: missing field 'v1', 'v2'"),
+    "tube_list": (TubeParams.from_json_dict, [], "bad field value: tube must be a JSON object"),
+    "tube_no_length": (TubeParams.from_json_dict, {"twist": 0.1}, "tube: missing field 'length'"),
+    "metric_null": (spec_from_json, None,
+                    "bad field value: metric descriptor must be a JSON object, got None"),
+    "metric_no_kind": (spec_from_json, {"lattice": _UNIT_JSON},
+                       "metric descriptor: missing field 'kind'"),
+    "tube_metric_no_length": (spec_from_json, {"kind": "tube"}, "tube: missing field 'length'"),
+    "cusp_metric_lattice_list": (spec_from_json, {"kind": "cusp", "lattice": [1, 0, 1]},
+                                 "bad field value: lattice must be a JSON object"),
+    "filler_string": (filler.from_json_dict, "filler",
+                      "bad field value: filler must be a JSON object"),
+    "filler_format_only": (filler.from_json_dict, {"format": "thinpart-filler v1"},
+                           "filler: missing field 'depth', 'lattice', 'ramp_scale', 'collapse'"),
+    "manifold_list": (ManifoldDescription.from_json_dict, [],
+                      "bad field value: manifold must be a JSON object"),
+    "cusps_object": (ManifoldDescription.from_json_dict, {"cusps": {"a": 1}},
+                     "bad field value: cusps must be a list, got {'a': 1}"),
+    "cusps_null": (ManifoldDescription.from_json_dict, {"cusps": None},
+                   "bad field value: cusps must be a list, got None"),
+    "cusp_number": (ManifoldDescription.from_json_dict, {"cusps": [_CUSP_JSON, 1]},
+                    "bad field value: cusps[1] must be a JSON object, got 1"),
+    "cusp_no_t1": (ManifoldDescription.from_json_dict,
+                   {"cusps": [{"lattice": _UNIT_JSON, "t0": 0.0}]}, "cusps[0]: missing field 't1'"),
+    "cusp_empty": (ManifoldDescription.from_json_dict, {"cusps": [{}]},
+                   "cusps[0]: missing field 'lattice', 't0', 't1'"),
+    "tubes_string": (ManifoldDescription.from_json_dict, {"tubes": "x"},
+                     "bad field value: tubes must be a list, got 'x'"),
+    "tube_entry_number": (ManifoldDescription.from_json_dict, {"tubes": [5]},
+                          "bad field value: tubes[0] must be a JSON object, got 5"),
+    "fillers_number": (ManifoldDescription.from_json_dict, {"fillers": 3},
+                       "bad field value: fillers must be a list, got 3"),
+    "filler_no_L": (ManifoldDescription.from_json_dict,
+                    {"cusps": [_CUSP_JSON], "fillers": [{"attach": 0}]},
+                    "fillers[0]: missing field 'L'"),
+    "filler_attach_past_end": (ManifoldDescription.from_json_dict,
+                               {"cusps": [_CUSP_JSON], "fillers": [{"L": 12.0, "attach": 1}]},
+                               "fillers[0].attach must lie in [0, 1), got 1"),
+    "family_list": (_family_from_json, [1], "bad field value: family must be a JSON object"),
+    "family_empty": (_family_from_json, {}, "family: missing field 'level', 'currents'"),
+    "currents_number": (_family_from_json, {"level": 0, "currents": 5},
+                        "bad field value: currents must be a list, got 5"),
+    "current_object": (_family_from_json, {"level": 0, "currents": [{"patch": "A"}, []]},
+                       "bad field value: currents[0] must be a list"),
+    "patch_number": (_family_from_json, {"level": 0, "currents": [[], [5]]},
+                     "bad field value: currents[1][0] must be a JSON object, got 5"),
+    "patch_no_area": (_family_from_json,
+                      {"level": 0, "currents": [[], [{"patch": "B", "multiplicity": 1}]]},
+                      "currents[1][0]: missing field 'area'"),
+    "bc_list": (_boundary_function, [1, 2],
+                "bad field value: boundary data must be a JSON object, got [1, 2]"),
+    "bc_no_kind": (_boundary_function, {"coeffs": [0, 0, 0]},
+                   "boundary data: missing field 'kind'"),
+    "affine_no_coeffs": (_boundary_function, {"kind": "affine"},
+                         "affine boundary data: missing field 'coeffs'"),
+    "constant_no_value": (_boundary_function, {"kind": "constant"},
+                          "constant boundary data: missing field 'value'"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MALFORMED_DOCUMENTS))
+def test_every_json_document_is_read_by_one_rule(entry):
+    # A missing field, a document, entry or field of the wrong JSON type
+    # and an index out of range: a DomainError naming it, never a
+    # KeyError, a TypeError or an unnamed entry.
+    reader, document, message = _MALFORMED_DOCUMENTS[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        reader(document)
+
+
+def test_json_fields_reads_required_then_optional_fields():
+    # Field names that are also the reader's own parameter names are read
+    # like any other.
+    assert json_fields("x", {"name": 1, "data": 2}, "name", data=0, other=3) == (1, 2, 3)
+    assert as_index("i", np.int64(2), 3) == 2 and type(as_index("i", 2.0, 3)) is int
+
+
+@pytest.mark.parametrize("manifold,field", [
+    ({"cusps": {"a": 1}}, "cusps"),
+    ({"cusps": None}, "cusps"),
+    ({"cusps": [{"lattice": _UNIT_JSON, "t0": 0.0}]}, "cusps[0]"),
+], ids=["cusps_object", "cusps_null", "cusp_no_t1"])
+def test_a_malformed_manifold_exits_domain_naming_its_entry(tmp_path, capsys, manifold, field):
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(manifold))
+    assert cli.run(["sweepout", "profile", "--manifold", str(path),
+                    "--out", str(tmp_path / "p.csv")]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {path}: ") and field in err, err
+    assert "Traceback" not in err and not (tmp_path / "p.csv").exists()

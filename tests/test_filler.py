@@ -404,10 +404,10 @@ def _spoiled(key, value):
 @pytest.mark.parametrize("key,value,message", [
     ("depth", 3.0, "filler depth must exceed 10"),
     ("depth", math.nan, "filler depth must be finite"),
-    ("depth", "abc", "malformed filler JSON"),
-    ("depth", [14.0], "malformed filler JSON"),
+    ("depth", "abc", "filler depth must be a number"),
+    ("depth", [14.0], "filler depth must be a number"),
     ("format", "thinpart-filler v0", "unknown filler format"),
-    ("lattice", {"v1": [1.0, 0.0]}, "lattice JSON needs"),
+    ("lattice", {"v1": [1.0, 0.0]}, "lattice: missing field 'v2'"),
     ("ramp_scale", 0.5, "differ from the rebuilt"),
     ("slope", 1.0, "differ from the rebuilt"),
     ("tail", 0.5, "differ from the rebuilt"),
@@ -433,9 +433,9 @@ def test_from_json_dict_rejects_missing_fields():
     data = to_json_dict(build(14.0, UNIT))
     for key in ("format", "depth", "lattice", "ramp_scale", "collapse"):
         partial = {k: v for k, v in data.items() if k != key}
-        with pytest.raises(DomainError, match="malformed filler JSON"):
+        with pytest.raises(DomainError, match=f"filler: missing field '{key}'"):
             from_json_dict(partial)
-    with pytest.raises(DomainError, match="malformed filler JSON"):
+    with pytest.raises(DomainError, match=r"bad field value: filler must be a JSON object, got \[\]"):
         from_json_dict([])
 
 

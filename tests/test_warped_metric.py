@@ -287,20 +287,20 @@ def test_spec_from_json_names_a_non_numeric_field(data, message):
 
 
 @pytest.mark.parametrize("data,message", [
-    ({"kind": "flat", "interval": [0, 1]}, "flat metric descriptor needs a 'lattice'"),
-    ({"kind": "cusp"}, "cusp metric descriptor needs a 'lattice'"),
-    ({"kind": "custom"}, "custom metric descriptor needs a 'lattice'"),
+    ({"kind": "flat", "interval": [0, 1]}, "flat metric descriptor: missing field 'lattice'"),
+    ({"kind": "cusp"}, "cusp metric descriptor: missing field 'lattice'"),
+    ({"kind": "custom"}, "custom metric descriptor: missing field 'lattice', 'samples'"),
     ({"kind": "custom", "lattice": _UNIT_JSON},
-     "custom metric descriptor needs a 'samples' object, got None"),
+     "custom metric descriptor: missing field 'samples'"),
     ({"kind": "custom", "lattice": _UNIT_JSON, "samples": [[0, 1, 2, 3]]},
-     r"needs a 'samples' object, got \[\[0, 1, 2, 3\]\]"),
+     r"bad field value: samples must be a JSON object, got \[\[0, 1, 2, 3\]\]"),
     ({"kind": "custom", "lattice": _UNIT_JSON, "samples": "x3"},
-     "needs a 'samples' object, got 'x3'"),
+     "bad field value: samples must be a JSON object, got 'x3'"),
     ({"kind": "custom", "lattice": _UNIT_JSON,
       "samples": {"x3": [0, 1, 2, 3], "a1": [1] * 4, "a2": [1] * 4}},
-     "samples needs 'h'"),
+     "samples: missing field 'h'"),
     ({"kind": "custom", "lattice": _UNIT_JSON, "samples": {"a2": [1] * 4}},
-     "samples needs 'x3', 'a1', 'h'"),
+     "samples: missing field 'x3', 'a1', 'h'"),
     ({"kind": "custom", "lattice": _UNIT_JSON,
       "samples": {"x3": [0, 1, 2, 3], "a1": [1] * 4, "a2": [1] * 4,
                   "h": [1, 1, math.inf, 1]}},
