@@ -53,23 +53,29 @@ class ManifoldDescription:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ManifoldDescription":
+        """The manifold of a JSON object with optional lists "cusps",
+        "tubes" and "fillers".  A DomainError names the entry at fault by
+        its path (``cusps[0]``, ``tubes[1]``, ``fillers[0].lattice``)."""
         desc = cls()
         cusps, tube_entries, filler_entries = json_fields(
             "manifold", data, cusps=[], tubes=[], fillers=[])
         for idx, entry in enumerate(as_list("cusps", cusps)):
             name = f"cusps[{idx}]"
             lattice, t0, t1 = json_fields(name, entry, "lattice", "t0", "t1")
-            desc.cusps.append(tubes.CuspParams(FlatTorusLattice.from_json_dict(lattice),
+            desc.cusps.append(tubes.CuspParams(_entry(f"{name}.lattice",
+                                                      FlatTorusLattice.from_json_dict, lattice),
                                                as_float(f"{name}.t0", t0),
                                                as_float(f"{name}.t1", t1)))
         for idx, entry in enumerate(as_list("tubes", tube_entries)):
-            desc.tubes.append(tubes.TubeParams.from_json_dict(as_object(f"tubes[{idx}]", entry)))
+            name = f"tubes[{idx}]"
+            desc.tubes.append(_entry(name, tubes.TubeParams.from_json_dict,
+                                     as_object(name, entry)))
         for idx, entry in enumerate(as_list("fillers", filler_entries)):
             name = f"fillers[{idx}]"
             depth, lattice, attach = json_fields(name, entry, "L", lattice=None, attach=None)
             depth = as_float(f"{name}.L", depth)
             if lattice is not None:
-                lat = FlatTorusLattice.from_json_dict(lattice)
+                lat = _entry(f"{name}.lattice", FlatTorusLattice.from_json_dict, lattice)
             elif attach is not None:
                 attach = as_index(f"{name}.attach", attach, len(desc.cusps))
                 cusp = desc.cusps[attach]
@@ -79,6 +85,16 @@ class ManifoldDescription:
                 raise DomainError(f"{name}: filler entry needs 'lattice' or 'attach'")
             desc.fillers.append(filler.build(depth, lat))
         return desc
+
+
+def _entry(path: str, reader, data):
+    """``reader(data)`` for the entry at ``path`` of a document: a
+    DomainError raised inside the reader, which names only its own object
+    ("tube", "lattice"), is raised again prefixed by the path."""
+    try:
+        return reader(data)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def _parse_literal(text: str, sep: str, convert, count: int, error: str) -> tuple:

@@ -61,11 +61,12 @@ reads both mirrored entries from that sum, which keeps the Hessian
 exactly symmetric.
 
 A solve lists its grids once, finest first (``_hierarchy``, whose
-docstring states the one coarsening rule); the V-cycle, the nested start
-and the direct factor all read that list.  Every Newton step is solved by
-one rule (``_linear_solve``).  It first runs conjugate gradients
-preconditioned by what the solve kept from an earlier step (a lagged
-preconditioner: between Newton steps the Hessian changes little), at most
+docstring states the one coarsening rule, each transfer stored once as P
+and its transpose view); the V-cycle, the nested start and the direct
+factor all read that list.  Every Newton step is solved by one rule
+(``_linear_solve``).  It first runs conjugate gradients preconditioned by
+what the solve kept from an earlier step (a lagged preconditioner:
+between Newton steps the Hessian changes little), at most
 ``_CG_MAX_ITER`` iterations.  Where nothing is kept, or that run fails,
 the step builds a preconditioner of its own Hessian: a V-cycle where the
 grid has multigrid transfers (``_VCycle``: bilinear transfer, Galerkin
@@ -73,7 +74,11 @@ coarse operators, damped-Jacobi smoothing, a factored last level), at
 most ``_MG_MAX_ITER`` iterations, and where that fails, or there is
 none, a direct factor of the Hessian.  The new preconditioner is kept
 when its run took at most ``_CG_MAX_ITER`` iterations, a factor always;
-none outlives the solve.  Every direct factor is made by one function,
+none outlives the solve.  A kept V-cycle lags its coarse levels and its
+last factor only: its finest level is the current step's Hessian, with
+Jacobi weights from its diagonal.  So one fine Hessian is alive at a
+time: nothing kept holds one, and the Newton loop drops each before it
+assembles the next.  Every direct factor is made by one function,
 ``_factor``: a band by LAPACK's banded LU where a short free side allows
 (``_Band``), by SuperLU in one column ordering, ``_LU_ORDERING``,
 otherwise.  The Hessian of a flat torus annihilates the constants; it is
@@ -90,6 +95,7 @@ an O(h^2) error away, an O(1) residual).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -633,7 +639,9 @@ class _Pattern:
     kind.  ``data_source`` holds the edge of each stored entry, so both
     mirrored entries read the same sum.  Column c holds the free nodes of
     the 7-point stencil around unknown c, sorted by number: in stencil
-    order, unless a periodic axis wraps.
+    order, unless a periodic axis wraps.  Every index array is int32: the
+    4 N edges fit it on every grid whose ~7 N stored entries fit
+    ``indptr``, up to about 17000^2 nodes.
     """
 
     def __init__(self, g: DiscreteGraph):
@@ -645,9 +653,9 @@ class _Pattern:
         unknown = np.full(g.shape, n, dtype=np.int32)
         unknown[free] = np.arange(n).reshape(shape)
         unknown = _ghosted(unknown, g, 1)
-        edge = _ghosted(np.arange(g.values.size).reshape(g.shape), g, 1)
+        edge = _ghosted(np.arange(g.values.size, dtype=np.int32).reshape(g.shape), g, 1)
         rows = np.empty(shape + (len(_STENCIL),), dtype=np.int32)
-        source = np.empty(rows.shape, dtype=np.intp)
+        source = np.empty(rows.shape, dtype=np.int32)
         stored_per_column = np.zeros(shape, dtype=np.int32)
         for s, (a, b) in enumerate(_STENCIL):
             neighbour = _window(unknown, (1 + a, 1 + b), shape)
@@ -699,7 +707,9 @@ class SolveReport:
     """Outcome of ``solve``.
 
     Per Newton step, ``linear_solvers`` names what solved it: "lagged"
-    (CG preconditioned by what an earlier step kept), "multigrid" (CG
+    (CG preconditioned by what an earlier step kept: a factor of an
+    earlier Hessian, or an earlier V-cycle's coarse levels under a finest
+    level that smooths with the step's own Hessian), "multigrid" (CG
     preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
     fresh factor of the Hessian, applied directly) or "kkt" (on a torus
     whose Hessian annihilates the constants, the update of zero sum of a
@@ -859,8 +869,10 @@ def _hierarchy(free_shape, periodic):
     added while the shortest Dirichlet free side is longer than
     ``_COARSEST``, so a torus has one level.  On a grid with no periodic
     axis, every level but the last carries the V-cycle's transfer to the
-    next, (P, R) with P = kron(P1, P2) of ``_prolongation`` per axis on
-    the row-major numbering and R = P^T; every other transfer is None.
+    next, (P, P^T view): P = kron(P1, P2) of ``_prolongation`` per axis on
+    the row-major numbering, a CSR matrix, and R = P.T, the CSC matrix
+    that shares P's arrays, so each transfer is stored once; every other
+    transfer is None.
     """
     shapes = [tuple(free_shape)]
     dirichlet = [axis for axis, wrap in enumerate(periodic) if not wrap]
@@ -871,7 +883,7 @@ def _hierarchy(free_shape, periodic):
     levels = []
     for fine, coarse in zip(shapes, shapes[1:]):
         P = sp.kron(*map(_prolongation, fine, coarse), format="csr")
-        levels.append((fine, (P, P.T.tocsr())))
+        levels.append((fine, (P, P.T)))
     return levels + [(shapes[-1], None)]
 
 
@@ -932,35 +944,58 @@ def _factor(A, free_shape=None, periodic=None):
     return spla.splu(sp.csc_matrix(A), permc_spec=_LU_ORDERING)
 
 
+def _smoother(H):
+    """The finest level of a ``_VCycle`` on the symmetric CSC matrix H:
+    H as CSR and its damped-Jacobi weights."""
+    # H is symmetric: its transpose is H, and for a CSC matrix that
+    # transpose is already CSR, without a copy.
+    A = H.T.tocsr()
+    return A, _OMEGA / A.diagonal()
+
+
 class _VCycle:
     """A geometric multigrid V-cycle for a symmetric matrix A on the free
     nodes of the first of ``levels`` (``_hierarchy``), with per-axis
     ``periodic`` flags (Briggs, Henson and McCormick, *A Multigrid
     Tutorial*).
 
-    Each coarse operator is the Galerkin product R A P with the transfer
-    of the level above, and the last level's is factored (``_factor``).
-    Damped Jacobi smooths the same number of sweeps before and after each
-    coarse correction, so for a positive definite A the cycle is a
-    symmetric positive definite preconditioner for CG.  Raises
-    RuntimeError when the last level's operator is singular.
+    Its coarse levels are made once, from A: each coarse operator is the
+    Galerkin product R A P with the transfer (P, R) of the level above,
+    formed through a transient CSR copy of the view R, and the last
+    level's is factored (``_factor``).  Damped Jacobi smooths the same
+    number of sweeps before and after each coarse correction, so for a
+    positive definite A the cycle is a symmetric positive definite
+    preconditioner for CG.  Raises RuntimeError when the last level's
+    operator is singular.
+
+    Its finest level smooths with A, with Jacobi weights from A's
+    diagonal.  ``on(H)`` is the same cycle, its coarse levels and last
+    factor shared, with H in A's place: a later step lags the coarse
+    levels only, and smooths with its own Hessian.  ``on(None)``, the
+    form ``_linear_solve`` keeps, holds no fine matrix.
     """
 
     def __init__(self, A, levels, periodic):
-        # A is symmetric: its transpose is A, and for the CSC Hessian
-        # that transpose is already CSR, without a copy.
-        A = A.T.tocsr()
-        self.levels = []
-        for _, (P, R) in levels[:-1]:
-            self.levels.append((A, _OMEGA / A.diagonal(), P, R))
-            A = R @ A @ P
-        self.coarsest = _factor(A, levels[-1][0], periodic)
+        self.finest = _smoother(A)
+        self.transfers = [transfer for _, transfer in levels[:-1]]
+        operators = [self.finest[0]]
+        for P, R in self.transfers:
+            operators.append(R.tocsr() @ operators[-1] @ P)
+        self.coarsest = _factor(operators.pop(), levels[-1][0], periodic)
+        self.coarse = [(A, _OMEGA / A.diagonal()) for A in operators[1:]]
+
+    def on(self, H):
+        """This cycle with H, or no matrix, on its finest level."""
+        cycle = copy.copy(self)
+        cycle.finest = None if H is None else _smoother(H)
+        return cycle
 
     def solve(self, r, level=0):
         """One V-cycle on A x = r from x = 0."""
-        if level == len(self.levels):
+        if level == len(self.transfers):
             return self.coarsest.solve(r)
-        A, weight, P, R = self.levels[level]
+        A, weight = self.coarse[level - 1] if level else self.finest
+        P, R = self.transfers[level]
         x = weight * r
         for _ in range(_SWEEPS - 1):
             x += weight * (r - A @ x)
@@ -994,12 +1029,12 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
     ``periodic`` flags: (delta, kept, kind, iterations), with kind as in
     ``SolveReport.linear_solvers``.
 
-    ``kept`` is the ``_VCycle`` an earlier step kept; the one returned is
-    what the next step lags.  A run must meet ``_solves``.  The exact
-    factor ``_factor(H, ...)`` is applied directly, since CG stops on an
-    indefinite H.  A fully periodic H that nearly annihilates
-    the constants (a vertically flat stretch) pins the update's mean at
-    once (``_pinned``).  ``iterations`` counts every CG iteration run;
+    ``kept`` is what an earlier step kept, a factor or a ``_VCycle`` that
+    holds no fine matrix; the one returned is what the next step lags.  A
+    run must meet ``_solves``.  The exact factor ``_factor(H, ...)`` is
+    applied directly, since CG stops on an indefinite H.  A fully periodic
+    H that nearly annihilates the constants (a vertically flat stretch)
+    pins the update's mean at once (``_pinned``).  ``iterations`` counts every CG iteration run;
     delta is None when no path gives one.
     """
     if all(periodic):
@@ -1008,7 +1043,10 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
             return _pinned(H, rhs), kept, "kkt", 0
     iterations = 0
     if kept is not None:
-        delta, iterations = _pcg(H, rhs, kept.solve, _CG_MAX_ITER)
+        # A kept V-cycle smooths with H on its finest level; a kept factor
+        # is applied as it was made.
+        lagged = kept.on(H) if hasattr(kept, "on") else kept
+        delta, iterations = _pcg(H, rhs, lagged.solve, _CG_MAX_ITER)
         if delta is not None and _solves(H, delta, rhs):
             return delta, kept, "lagged", iterations
     if levels[0][1] is not None:
@@ -1019,7 +1057,7 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
             delta, run = None, 0
         iterations += run
         if delta is not None and _solves(H, delta, rhs):
-            kept = vcycle if run <= _CG_MAX_ITER else None
+            kept = vcycle.on(None) if run <= _CG_MAX_ITER else None
             return delta, kept, "multigrid", iterations
     try:
         factor = _factor(H, levels[0][0], periodic)
@@ -1175,6 +1213,9 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
 
         H = _hessian(spec, g, pattern)
         delta, kept, kind, iterations = _linear_solve(H, -F, levels, g.periodic, kept)
+        # One fine Hessian at a time: nothing kept holds H, and the next
+        # step assembles its own.
+        del H
         if delta is None:
             raise SolveError("singular Jacobian", history)
         linear_solvers.append(kind)

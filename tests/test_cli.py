@@ -606,9 +606,9 @@ def _manifold(cusp=None, tube=None, filler=None):
 @pytest.mark.parametrize("manifold,message", [
     (_manifold(cusp={"t0": "0"}), "cusps[0].t0 must be a number"),
     (_manifold(cusp={"t1": [1.0]}), "cusps[0].t1 must be a number"),
-    (_manifold(tube={"length": "0.01"}), "length must be a number"),
-    (_manifold(tube={"twist": "0"}), "twist must be a number"),
-    (_manifold(tube={"radius": None}), "radius must be a number"),
+    (_manifold(tube={"length": "0.01"}), "tubes[0]: length must be a number"),
+    (_manifold(tube={"twist": "0"}), "tubes[0]: twist must be a number"),
+    (_manifold(tube={"radius": None}), "tubes[0]: radius must be a number"),
     (_manifold(filler={"L": "12"}), "fillers[0].L must be a number"),
 ], ids=["t0", "t1", "length", "twist", "radius", "L"])
 def test_sweepout_profile_rejects_a_non_numeric_field(tmp_path, capsys, manifold, message):

@@ -530,6 +530,19 @@ _MALFORMED_DOCUMENTS = {
     "filler_no_L": (ManifoldDescription.from_json_dict,
                     {"cusps": [_CUSP_JSON], "fillers": [{"attach": 0}]},
                     "fillers[0]: missing field 'L'"),
+    # A nested reader names its own object; the manifold prefixes the
+    # entry's path.
+    "tube_entry_no_length": (ManifoldDescription.from_json_dict,
+                             {"tubes": [{"length": 0.01}, {"twist": 0.0}]},
+                             "tubes[1]: tube: missing field 'length'"),
+    "tube_entry_string_length": (ManifoldDescription.from_json_dict, {"tubes": [{"length": "x"}]},
+                                 "tubes[0]: length must be a number, got 'x'"),
+    "cusp_lattice_no_v2": (ManifoldDescription.from_json_dict,
+                           {"cusps": [{"lattice": {"v1": [1.0, 0.0]}, "t0": 0.0, "t1": 1.0}]},
+                           "cusps[0].lattice: lattice: missing field 'v2'"),
+    "filler_lattice_list": (ManifoldDescription.from_json_dict,
+                            {"fillers": [{"L": 12.0, "lattice": [1, 0, 1]}]},
+                            "fillers[0].lattice: bad field value: lattice must be a JSON object"),
     "filler_attach_past_end": (ManifoldDescription.from_json_dict,
                                {"cusps": [_CUSP_JSON], "fillers": [{"L": 12.0, "attach": 1}]},
                                "fillers[0].attach must lie in [0, 1), got 1"),
@@ -576,7 +589,9 @@ def test_json_fields_reads_required_then_optional_fields():
     ({"cusps": {"a": 1}}, "cusps"),
     ({"cusps": None}, "cusps"),
     ({"cusps": [{"lattice": _UNIT_JSON, "t0": 0.0}]}, "cusps[0]"),
-], ids=["cusps_object", "cusps_null", "cusp_no_t1"])
+    ({"tubes": [{"length": 0.01}, {"twist": 0.0}]}, "tubes[1]: tube"),
+    ({"cusps": [{"lattice": {"v1": [1.0, 0.0]}, "t0": 0.0, "t1": 1.0}]}, "cusps[0].lattice: "),
+], ids=["cusps_object", "cusps_null", "cusp_no_t1", "tube_no_length", "cusp_lattice_no_v2"])
 def test_a_malformed_manifold_exits_domain_naming_its_entry(tmp_path, capsys, manifold, field):
     path = tmp_path / "manifold.json"
     path.write_text(json.dumps(manifold))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -890,6 +892,81 @@ def test_vcycle_is_symmetric_positive_definite():
     assert x @ vx > 0.0 and y @ vy > 0.0
 
 
+@pytest.mark.parametrize("problem,tol,solvers", [
+    # An even free side, so no coarser grids: every step is solved here.
+    (lambda: (tube_spec(), _tube_4c_graph(128)), 1e-9,
+     ["multigrid", "lagged", "lagged", "lagged"]),
+    (lambda: _cusp_problem((66, 66)), 1e-8,
+     ["lu", "multigrid", "multigrid", "multigrid", "lagged", "lagged", "lagged"]),
+], ids=["tube_128", "cusp_66"])
+def test_a_kept_vcycle_solves_the_steps_where_the_iterate_moves_most(problem, tol, solvers):
+    # A kept V-cycle lags its coarse levels only, and its finest level
+    # smooths with each step's own Hessian, so it also serves the step
+    # after the first on the tube and the fifth on the cusp.  No lagged
+    # run is cut at _CG_MAX_ITER and redone by a fresh V-cycle, which
+    # would count more iterations.
+    spec, g = problem()
+    out, rep = solve(spec, g, tol=tol)
+    assert rep.converged and rep.linear_solvers == solvers
+    assert all(k <= _CG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
+               if kind == "lagged")
+
+
+def test_newton_holds_one_fine_hessian_at_a_time(monkeypatch):
+    # When a step assembles its Hessian, no earlier step's Hessian is
+    # alive: neither the kept V-cycle nor the Newton loop holds it.
+    hessian = minimal_graph._hessian
+    earlier, alive = [], []
+
+    def recording(spec, g, pattern):
+        alive.append(sum(ref() is not None for ref in earlier))
+        H = hessian(spec, g, pattern)
+        earlier.append(weakref.ref(H.data))
+        return H
+
+    monkeypatch.setattr(minimal_graph, "_hessian", recording)
+    out, rep = solve(tube_spec(), _tube_4c_graph(128), tol=1e-9)
+    assert rep.linear_solvers == ["multigrid", "lagged", "lagged", "lagged"]
+    assert alive == [0, 0, 0, 0]
+
+
+def test_a_kept_vcycle_holds_no_fine_matrix():
+    H, rhs = _hessian_and_rhs(65)
+    levels = _hierarchy((63, 63), (False, False))
+    delta, kept, kind, iterations = _linear_solve(H, rhs, levels, (False, False))
+    assert kind == "multigrid" and kept.finest is None
+    # Bound to H again, it is the cycle the step ran, bit for bit.
+    fresh = _VCycle(H, levels, (False, False))
+    r = np.random.default_rng(3).standard_normal(H.shape[0])
+    assert np.array_equal(kept.on(H).solve(r), fresh.solve(r))
+
+
+def test_the_solve_stores_an_int32_pattern_and_each_transfer_once():
+    g = _tube_4c_graph(129)
+    assert _Pattern(g).data_source.dtype == np.int32
+    # R is the transpose view of P: it shares P's arrays, and restricts
+    # as the CSR copy of P^T does, bit for bit.
+    P, R = _hierarchy((127, 127), (False, False))[0][1]
+    assert np.shares_memory(R.data, P.data)
+    r = np.random.default_rng(4).standard_normal(P.shape[0])
+    assert np.array_equal(R @ r, P.T.tocsr() @ r)
+    # The criterion-4(c) tube solve at 129^2 peaks at ~380 traced bytes
+    # per free node (one fine Hessian, the int32 pattern, the transfers
+    # and the coarse operators, the CG and V-cycle vectors).
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out, rep = solve(tube_spec(), g, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rep.converged and peak <= 420 * 127**2, peak / 127**2
+
+
 @pytest.mark.parametrize("free_shape,periodic,shapes", [
     ((255, 255), (False, False), [(255, 255), (127, 127), (63, 63), (31, 31), (15, 15)]),
     ((128, 128), (False, False), [(128, 128), (64, 64), (32, 32), (16, 16), (8, 8)]),
@@ -1201,9 +1278,9 @@ def test_a_coarsest_grid_failure_falls_back_to_the_cold_start(monkeypatch):
     _cold_start(monkeypatch)
     cold, cold_rep = solve(spec, g, tol=1e-9)
     assert rep.converged and rep.iterations == cold_rep.iterations == 4
-    # The first step's V-cycle fails as the second step's lagged
-    # preconditioner; that step's own V-cycle serves the last two.
-    assert rep.linear_solvers == ["multigrid", "multigrid", "lagged", "lagged"]
+    # The first step's V-cycle, its finest level smoothing with each later
+    # step's own Hessian, serves the last three.
+    assert rep.linear_solvers == ["multigrid", "lagged", "lagged", "lagged"]
     assert np.max(np.abs(out.values - cold.values)) <= 1e-12
 
 
