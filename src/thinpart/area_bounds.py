@@ -5,6 +5,13 @@ projection whose contraction property yields it, the comparison-surface
 band estimates, the transverse-crossing chain with its simplified
 exponential form, and the Margulis-constant bound.
 
+Each difference of hyperbolic functions is read as a product,
+cosh a - cosh b = 2 sinh((a+b)/2) sinh((a-b)/2) and sinh a - sinh b =
+2 cosh((a+b)/2) sinh((a-b)/2): one expression per bound, free of
+cancellation over the whole float range.  A value that overflows a
+float is a DomainError naming the argument at fault, by the one rule
+``errors.finite_result``; no bound returns an infinity.
+
 The universal constants of the crossing chain are never pinned down by
 theory; this module declares kappa'' = 1 by default, derives the final
 constant from the chain, prints all of them, and accepts overrides.
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_real_array, require_finite
+from .errors import DomainError, as_float, as_real_array, finite_result, require_finite
 
 #: Published lower estimate for the Margulis constant of hyperbolic
 #: 3-manifolds.  The introduction-level bound "at least 0.104" admits two
@@ -28,11 +35,15 @@ MARGULIS_EPSILON_LOWER = 0.104
 
 def parallel_disk_area(R: float) -> float:
     """Area of a geodesic parallel disk of radius R: 2 pi (cosh R - 1)."""
-    require_finite(R=R)
-    if R < 0.0:
-        raise DomainError("disk radius must be nonnegative")
-    # 4 pi sinh^2(R/2) avoids cancellation at small R.
-    return 4.0 * math.pi * math.sinh(0.5 * R) ** 2
+    return _disk_area("R", R)
+
+
+def _disk_area(name: str, R) -> float:
+    """2 pi (cosh R - 1) as 4 pi sinh^2(R/2), which does not cancel at
+    small R, for the argument ``name``."""
+    if as_float(name, R) < 0.0:
+        raise DomainError(f"{name} must be nonnegative, got {R!r}")
+    return finite_result(name, R, "the disk area", lambda: 4.0 * math.pi * math.sinh(0.5 * R) ** 2)
 
 
 @dataclass(frozen=True)
@@ -67,14 +78,10 @@ def projection_contraction_check(length: float, r_grid) -> ProjectionReport:
     rs = as_real_array("radius grid", r_grid)
     if rs.ndim != 1 or rs.size == 0 or not np.all(rs > 0.0):
         raise DomainError("radius grid must be a nonempty list of positive radii")
-    with np.errstate(over="ignore"):
-        sinh, cosh = np.sinh(rs), np.cosh(rs)
-    overflow = ~np.isfinite(sinh)
-    if overflow.any():
-        index = int(np.argmax(overflow))
-        raise DomainError(f"radius grid entry {index} = {float(rs[index])!r} overflows sinh r")
+    # cosh r overflows exactly where sinh r does.
+    sinh = finite_result("radius grid", rs, "sinh r", lambda: np.sinh(rs))
     ones = np.ones_like(rs)
-    source = np.array([cosh, sinh, ones])      # |e_z|, |e_theta|, |e_r| in the tube metric
+    source = np.array([np.cosh(rs), sinh, ones])  # |e_z|, |e_theta|, |e_r| in the tube metric
     image = np.array([np.zeros_like(rs), sinh, ones])  # their images' lengths in the disk metric
     per_dir = (image / source).max(axis=1)
     return ProjectionReport(
@@ -104,37 +111,35 @@ class BandEstimate:
 
 
 def annulus_band_bound(e: BandEstimate) -> tuple:
-    """Area bound for the comparison band: returns (bound, intermediate)
-    with bound = (2 s0 / sinh RL) cosh((rho1+rho2)/2) sinh((rho2-rho1)/2)
-    and the tighter intermediate (s0 / sinh RL)(sinh rho2 - sinh rho1);
-    the two agree identically."""
-    s0 = e.systole_bound
-    shR = math.sinh(e.tube_radius)
-    bound = (
-        2.0 * s0 / shR
+    """Area bound for the comparison band, (s0 / sinh RL)(sinh rho2 -
+    sinh rho1), evaluated as (2 s0 / sinh RL) cosh((rho1+rho2)/2)
+    sinh((rho2-rho1)/2).  Returns (bound, intermediate): the argument's
+    intermediate bound is this same value."""
+    s0, RL = e.systole_bound, e.tube_radius
+    bound = finite_result("tube_radius", RL, "the band bound", lambda: (
+        2.0 * s0 / math.sinh(RL)
         * math.cosh(0.5 * (e.rho1 + e.rho2))
         * math.sinh(0.5 * (e.rho2 - e.rho1))
-    )
-    intermediate = s0 / shR * (math.sinh(e.rho2) - math.sinh(e.rho1))
-    scale = max(abs(bound), abs(intermediate), 1e-300)
-    if abs(bound - intermediate) > 1e-10 * scale:  # pragma: no cover
-        raise RuntimeError("hyperbolic identity violated: check inputs")
-    return bound, intermediate
+    ))
+    return bound, bound
 
 
 def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
                          kappa2: float = 1.0) -> float:
     """The crossing chain (pi / (8 kappa'')) (s0 / cosh RL)
-    (cosh R - cosh(3/2)); vanishes at R = 3/2 by construction."""
+    (cosh R - cosh(3/2)), the difference read as
+    2 sinh((R + 3/2)/2) sinh((R - 3/2)/2); vanishes at R = 3/2 by
+    construction."""
     require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
                    kappa2=kappa2)
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
-    return (
-        math.pi / (8.0 * kappa2)
-        * systole_bound / math.cosh(tube_radius)
-        * (math.cosh(R) - math.cosh(1.5))
-    )
+    scale = finite_result("kappa2", kappa2, "the crossing chain",
+                          lambda: math.pi / (8.0 * kappa2) * systole_bound)
+    cosh_RL = finite_result("tube_radius", tube_radius, "cosh RL", lambda: math.cosh(tube_radius))
+    return finite_result("R", R, "the crossing chain", lambda: (
+        scale / cosh_RL * 2.0 * math.sinh(0.5 * (R + 1.5)) * math.sinh(0.5 * (R - 1.5))
+    ))
 
 
 def simplified_crossing_constant(kappa2: float = 1.0) -> float:
@@ -143,11 +148,11 @@ def simplified_crossing_constant(kappa2: float = 1.0) -> float:
     require_finite(kappa2=kappa2)
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
-    return (
+    return finite_result("kappa2", kappa2, "kappa'''", lambda: (
         math.pi / (16.0 * kappa2)
         * (1.0 - math.cosh(1.5) / math.cosh(3.0))
         / (1.0 + math.exp(-6.0))
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,4 @@ def crossing_lower_bound(R: float, tube_radius: float, systole_bound: float,
 def margulis_area_bound(eps: float) -> float:
     """Monotonicity-formula area bound from a Margulis-type constant:
     2 pi (cosh(eps) - 1)."""
-    require_finite(eps=eps)
-    if eps < 0.0:
-        raise DomainError("epsilon must be nonnegative")
-    return parallel_disk_area(eps)
+    return _disk_area("eps", eps)

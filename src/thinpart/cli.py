@@ -62,10 +62,9 @@ class ManifoldDescription:
         for idx, entry in enumerate(as_list("cusps", cusps)):
             name = f"cusps[{idx}]"
             lattice, t0, t1 = json_fields(name, entry, "lattice", "t0", "t1")
-            desc.cusps.append(tubes.CuspParams(_entry(f"{name}.lattice",
-                                                      FlatTorusLattice.from_json_dict, lattice),
-                                               as_float(f"{name}.t0", t0),
-                                               as_float(f"{name}.t1", t1)))
+            lattice = _entry(f"{name}.lattice", FlatTorusLattice.from_json_dict, lattice)
+            desc.cusps.append(_entry(name, tubes.CuspParams, lattice, as_float(f"{name}.t0", t0),
+                                     as_float(f"{name}.t1", t1)))
         for idx, entry in enumerate(as_list("tubes", tube_entries)):
             name = f"tubes[{idx}]"
             desc.tubes.append(_entry(name, tubes.TubeParams.from_json_dict,
@@ -78,21 +77,22 @@ class ManifoldDescription:
                 lat = _entry(f"{name}.lattice", FlatTorusLattice.from_json_dict, lattice)
             elif attach is not None:
                 attach = as_index(f"{name}.attach", attach, len(desc.cusps))
-                cusp = desc.cusps[attach]
-                lat = cusp.lattice.scaled(math.exp(-cusp.t1))
+                lat = desc.cusps[attach].filler_lattice
                 desc.attachments[idx] = attach
             else:
                 raise DomainError(f"{name}: filler entry needs 'lattice' or 'attach'")
-            desc.fillers.append(filler.build(depth, lat))
+            desc.fillers.append(_entry(name, filler.build, depth, lat))
         return desc
 
 
-def _entry(path: str, reader, data):
-    """``reader(data)`` for the entry at ``path`` of a document: a
-    DomainError raised inside the reader, which names only its own object
-    ("tube", "lattice"), is raised again prefixed by the path."""
+def _entry(path: str, reader, *args):
+    """``reader(*args)`` for the entry at ``path`` of a document: a
+    DomainError raised inside the reader or constructor, which names only
+    its own object ("tube", "lattice") or none, is raised again prefixed
+    by the path.  Arguments are read before the call, so a message that
+    names the entry already gets no second prefix."""
     try:
-        return reader(data)
+        return reader(*args)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Shared exception types, the one rule for every number and every array
 a caller passes (``as_float``, ``as_real_array`` and the readers built on
-them), the one rule for every JSON document (``json_fields``, ``as_list``,
+them), the one rule for a result that overflows (``finite_result``), the
+one rule for every JSON document (``json_fields``, ``as_list``,
 ``as_index``), and the one reader of JSON input files."""
 
 import json
@@ -116,6 +117,29 @@ def as_real_array(name: str, value) -> np.ndarray:
     return _finite(name, np.asarray(array, dtype=float))
 
 
+def finite_result(name: str, value, what: str, compute):
+    """``compute()``, a number or an array computed from ``value``, the
+    argument ``name``: the one rule for a result that leaves the float
+    range.  Where the computation overflows (math.sinh, math.cosh and
+    float powers raise OverflowError, a division by zero raises
+    ZeroDivisionError, numpy and float arithmetic give an infinity or
+    NaN), a DomainError names the argument: "<name> = <value> overflows
+    <what>", or for an array ``value`` the first such entry by index,
+    "<name> entry 1 = 800.0 overflows <what>"."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = compute()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    finite = np.isfinite(result)
+    if not finite.all():
+        if finite.ndim:
+            index = int(np.argmin(finite))
+            name, value = f"{name} entry {index}", float(value[index])
+        raise DomainError(f"{name} = {value!r} overflows {what}")
+    return result
+
+
 def as_object(name: str, value) -> dict:
     """``value``, a JSON object; a DomainError naming ``name`` otherwise."""
     if not isinstance(value, dict):
@@ -157,18 +181,16 @@ def as_index(name: str, value, count: int) -> int:
 def load_json(path, build):
     """``build(data)`` for the JSON document in the file at ``path``.
 
-    Malformed JSON, a document that is not a JSON object and a
-    DomainError from the builder become a DomainError naming the file.
-    Builders read the document through ``json_fields``, ``as_list`` and the
-    number rules; a KeyError/TypeError/ValueError that escapes one
-    anyway becomes a DomainError too, never a traceback.
+    Malformed JSON and a DomainError from the builder become a
+    DomainError naming the file.  Builders read the document through
+    ``json_fields``, which names the object a document that is not one
+    should have been, ``as_list`` and the number rules; a
+    KeyError/TypeError/ValueError that escapes one anyway becomes a
+    DomainError too, never a traceback.
     """
     with open(path) as fh:
         try:
-            data = json.load(fh)
-            if not isinstance(data, dict):
-                raise DomainError(f"expected a JSON object, got {type(data).__name__}")
-            return build(data)
+            return build(json.load(fh))
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}: malformed JSON: {exc}") from exc
         except DomainError as exc:

@@ -461,10 +461,7 @@ def area_lower_bound(spec: FillerSpec, monotonicity_constant: float = math.pi) -
     require_finite(monotonicity_constant=monotonicity_constant)
     if monotonicity_constant <= 0.0:
         raise DomainError("monotonicity constant must be positive")
-    sys = systole(spec.lattice)
-    if sys <= 0.0:  # pragma: no cover - lattice validation prevents this
-        raise DomainError("lattice systole must be positive")
-    rho0 = min(1.0, 0.5 * sys)
+    rho0 = min(1.0, 0.5 * systole(spec.lattice))
     spacing = 2.0 * math.exp(-3.0)
     L = spec.depth
     n0 = int(math.floor((L - 2.0) / spacing))

@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -136,6 +137,9 @@ class DiscreteGraph:
         self.origin = as_floats("origin", self.origin, 2)
         if h1 <= 0 or h2 <= 0:
             raise DomainError("grid spacing must be positive")
+        # The element kernel divides by h1^2 and h2^2.
+        if not all(sys.float_info.min <= h * h <= sys.float_info.max for h in (h1, h2)):
+            raise DomainError(f"spacing must square to a normal float, got {self.spacing!r}")
         self.periodic = _periodic_flags(self.periodic)
         self.values = as_real_array("values", self.values).copy()
         if self.values.ndim != 2:

@@ -11,7 +11,6 @@ explicit width upper bounds.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,8 +286,6 @@ def fineness(fam: DiscreteFamily) -> float:
     pairs (triangle inequality); adjacent pairs have distance 1, and
     their masses are |diff(multiplicities)| @ areas.
     """
-    if fam.multiplicities.shape[0] < 2:
-        raise DomainError("fineness needs at least two vertices")
     steps = np.diff(fam.multiplicities, axis=0)
     np.abs(steps, out=steps)
     # einsum casts the integer steps in buffered chunks, not all at once.
@@ -433,9 +430,7 @@ def profile(cusps=(), tubes=(), fillers=(), attachments=None,
         segs.append(ProfileSegment("tube", f"tube[{idx}]", rs, areas))
     for idx, fil in enumerate(fillers):
         if idx in attachments:
-            cusp = cusps[attachments[idx]]
-            bottom = cusp.lattice.scaled(math.exp(-cusp.t1))
-            if not _lattices_match(bottom, fil.lattice):
+            if not _lattices_match(cusps[attachments[idx]].filler_lattice, fil.lattice):
                 raise DomainError(
                     f"filler[{idx}] does not glue to cusp[{attachments[idx]}]: "
                     "boundary lattices differ beyond 1e-6 relative"

@@ -5,6 +5,13 @@ cosh^2(r) dz^2 + sinh^2(r) dtheta^2 + dr^2 with identifications by (2*pi, 0)
 and (twist, ell); cusp ends carry exp(-2t) dsigma^2 + dt^2.  This module
 computes the guaranteed embedded radius, slice areas and curvatures,
 boundary lattices, and the conversion into the warped-metric framework.
+
+The Meyerhoff radius is one expression over the whole float range: the
+difference 1 - sinh y, which vanishes at the threshold ELL_MAX, is read
+as the product 2 cosh((y0 + y)/2) sinh((y0 - y)/2), so nothing cancels.
+A radius whose sinh^2 overflows a float (lengths below about 7.7e-310)
+is a DomainError naming the length, by the one rule
+``errors.finite_result``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_float, as_real_array, json_fields, require_finite
+from .errors import (DomainError, as_float, as_real_array, finite_result, json_fields,
+                     require_finite)
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, require_lattice
 from .warped_metric import WarpedMetricSpec
@@ -22,10 +30,6 @@ from .warped_metric import WarpedMetricSpec
 #: Largest geodesic length with a guaranteed embedded tube:
 #: (sqrt(3) / 4 pi) * ln^2(1 + sqrt(2)).
 ELL_MAX = (math.sqrt(3.0) / (4.0 * math.pi)) * math.log(1.0 + math.sqrt(2.0)) ** 2
-
-# Within this window of ELL_MAX the direct formula loses all digits to the
-# cancellation sqrt(1 - 2k) - k -> 0; a series in (ell - ELL_MAX) is used.
-_NEAR_THRESHOLD = 1e-6
 
 _Y0 = math.log(1.0 + math.sqrt(2.0))  # sinh(_Y0) = 1, cosh(_Y0) = sqrt(2)
 _C = 4.0 * math.pi / math.sqrt(3.0)
@@ -85,14 +89,27 @@ class CuspParams:
         if not self.t0 < self.t1:
             raise DomainError("cusp depth range requires t0 < t1")
 
+    @property
+    def filler_lattice(self) -> FlatTorusLattice:
+        """The lattice of the level torus at the deep end t1, where a
+        filler attaches: ``lattice`` scaled by exp(-t1)."""
+        return self.lattice.scaled(math.exp(-self.t1))
+
 
 def meyerhoff_radius(length: float) -> float:
     """Embedded-tube radius R with sinh^2 R = ((1 - 2k)^(1/2)/k - 1)/2,
-    k = cosh(sqrt(4 pi ell / sqrt 3)) - 1.
+    k = cosh y - 1, y = sqrt(4 pi ell / sqrt 3).
 
     Strictly decreasing on (0, ELL_MAX], with R = 0 at the threshold.
     Lengths above ELL_MAX carry no embedded-tube guarantee and are
-    rejected.
+    rejected; a length so short that sinh^2 R overflows a float (below
+    about 7.7e-310) is a DomainError too.
+
+    One expression serves every length: sinh^2 R = (1 - sinh y)(1 + sinh y)
+    / (2k (sqrt(1 - 2k) + k)), k = 2 sinh^2(y/2), where 1 - sinh y =
+    2 cosh((y0 + y)/2) sinh((y0 - y)/2) with sinh y0 = 1 and y0 - y =
+    C (ELL_MAX - ell)/(y0 + y).  Nothing cancels, not even at the
+    threshold, where it gives +0.0.
     """
     if as_float("geodesic length", length) <= 0.0:
         raise DomainError(f"geodesic length must be positive, got {length!r}")
@@ -101,23 +118,12 @@ def meyerhoff_radius(length: float) -> float:
             f"length {length!r} is above the threshold {ELL_MAX!r}; "
             "no embedded tube is guaranteed"
         )
-    if length > ELL_MAX - _NEAR_THRESHOLD:
-        # Compensated branch: work with dy = y - y0 where sinh(y0) = 1
-        # exactly, so the cancellation 1 - sinh^2(y) is done analytically.
-        q = _C * (length - ELL_MAX)  # = y^2 - y0^2, tiny and <= 0
-        dy = q / (2.0 * _Y0)
-        dy = q / (2.0 * _Y0 + dy)  # one fixed-point refinement
-        y = _Y0 + dy
-        # sinh(y) - 1 without cancellation:
-        ds = 2.0 * math.cosh(0.5 * (y + _Y0)) * math.sinh(0.5 * dy)
-        k = 2.0 * math.sinh(0.5 * y) ** 2  # cosh(y) - 1
-        disc = 3.0 - 2.0 * math.cosh(y)  # = 1 - 2k, ~ 3 - 2 sqrt(2)
-        s2 = -ds * (2.0 + ds) / (2.0 * k * (math.sqrt(disc) + k))
-        s2 = max(s2, 0.0)
-        return math.asinh(math.sqrt(s2))
     y = math.sqrt(_C * length)
     k = 2.0 * math.sinh(0.5 * y) ** 2
-    s2 = 0.5 * (math.sqrt(1.0 - 2.0 * k) / k - 1.0)
+    half_gap = 0.5 * _C * (ELL_MAX - length) / (_Y0 + y)  # (y0 - y) / 2
+    one_minus_sinh_y = 2.0 * math.cosh(0.5 * (_Y0 + y)) * math.sinh(half_gap)
+    s2 = finite_result("geodesic length", length, "sinh^2 R", lambda: (
+        one_minus_sinh_y * (1.0 + math.sinh(y)) / (2.0 * k * (math.sqrt(1.0 - 2.0 * k) + k))))
     return math.asinh(math.sqrt(s2))
 
 

@@ -534,6 +534,40 @@ def _decimal_pi() -> Decimal:
     return +s
 
 
+def _decimal_sinh(x: Decimal) -> Decimal:
+    """sinh x by its Taylor series, for |x| <= 1, at the context's
+    precision: no cancellation at small x."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 2
+        term, total, n = x, x, 1
+        while True:
+            term = term * x * x / ((n + 1) * (n + 2))
+            n += 2
+            if total + term == total:
+                break
+            total += term
+    return +total
+
+
+def meyerhoff_radius_decimal(length: float, digits: int = 50) -> Decimal:
+    """The Meyerhoff radius R of the float ``length`` as a Decimal at
+    ``digits`` digits, from the closed form as stated: sinh^2 R =
+    ((1 - 2k)^(1/2) / k - 1) / 2 with k = cosh y - 1 = 2 sinh^2(y/2) and
+    y = sqrt(4 pi ell / sqrt 3), then R = ln(s + sqrt(s^2 + 1)), s = sinh R.
+
+    Independent of the library: it reads neither its float constants
+    (ELL_MAX, 4 pi / sqrt 3) nor its product form of 1 - sinh y.  At 50
+    digits the cancellation in (1 - 2k)^(1/2) - k costs 7 of them
+    1e-6 below the threshold.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        y = (4 * _decimal_pi() * Decimal(length) / Decimal(3).sqrt()).sqrt()
+        k = 2 * _decimal_sinh(y / 2) ** 2
+        s = (((1 - 2 * k).sqrt() / k - 1) / 2).sqrt()
+        return (s + (s * s + 1).sqrt()).ln()
+
+
 def filler_core_chart(depth: float, alpha: float, rho, digits: int = 80) -> tuple:
     """(g_theta, g_zz, g_theta / rho^2 - 1, g_zz exp(2 f(L+1)) - 1) of the
     core chart of the filler of depth L whose boundary lattice has first

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,16 +74,30 @@ def test_band_bound_example():
 
 
 def test_band_bound_two_forms_agree_randomized():
+    # The bound is the product form 2 s0 cosh((rho1+rho2)/2)
+    # sinh((rho2-rho1)/2) / sinh RL, evaluated in this order bit for bit,
+    # returned twice, and equal to the sinh-difference form
+    # (s0 / sinh RL)(sinh rho2 - sinh rho1) where that form does not cancel.
     rng = np.random.RandomState(77)
-    for _ in range(1000):
-        RL = rng.uniform(1.0, 12.0)
-        rho1 = rng.uniform(0.0, RL - 0.02)
-        rho2 = rng.uniform(rho1 + 0.01, RL)
-        s0 = rng.uniform(0.05, 1.0)
-        bound, intermediate = annulus_band_bound(
-            BandEstimate(rho1, rho2, s0, RL)
-        )
-        assert abs(bound - intermediate) <= 1e-12 * max(bound, intermediate)
+    for _ in range(10000):
+        RL = float(rng.uniform(1.0, 12.0))
+        rho1 = float(rng.uniform(0.0, RL - 0.02))
+        rho2 = float(rng.uniform(rho1 + 0.01, RL))
+        s0 = float(rng.uniform(0.05, 1.0))
+        bound, intermediate = annulus_band_bound(BandEstimate(rho1, rho2, s0, RL))
+        assert bound == (2.0 * s0 / math.sinh(RL) * math.cosh(0.5 * (rho1 + rho2))
+                         * math.sinh(0.5 * (rho2 - rho1)))
+        assert intermediate == bound
+        difference = s0 / math.sinh(RL) * (math.sinh(rho2) - math.sinh(rho1))
+        assert abs(bound - difference) <= 1e-12 * bound
+
+
+def test_band_bound_does_not_cancel_for_close_radii():
+    # sinh rho2 - sinh rho1 keeps 9 of 16 digits at rho2 - rho1 = 1e-7; the
+    # product form keeps them all: cosh(3) * 1e-7 / sinh(30).
+    bound, intermediate = annulus_band_bound(BandEstimate(3.0, 3.0000001, 1.0, 30.0))
+    exact = math.cosh(3.00000005) * 2.0 * math.sinh(0.5e-7) / math.sinh(30.0)
+    assert bound == intermediate == pytest.approx(exact, rel=1e-15)
 
 
 def test_band_bound_matches_exact_curve_integral():
@@ -154,6 +169,45 @@ def test_nonfinite_inputs_rejected():
             projection_contraction_check(bad, [0.5])
     with pytest.raises(DomainError):
         simplified_crossing_constant(0.0)
+
+
+def test_crossing_chain_does_not_cancel_near_the_extension_level():
+    # cosh R - cosh(3/2) is read as 2 sinh((R + 3/2)/2) sinh((R - 3/2)/2):
+    # at R = 3/2 + 1e-9 it is sinh(3/2) 1e-9 to every digit.
+    chain = crossing_chain_value(1.5 + 1e-9, 10.0, 1.0)
+    exact = math.pi / 8.0 / math.cosh(10.0) * math.sinh(1.5) * ((1.5 + 1e-9) - 1.5)
+    assert chain == pytest.approx(exact, rel=1e-8)
+    assert crossing_chain_value(1.5 - 1e-9, 10.0, 1.0) == pytest.approx(-exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parallel_disk_area(1e300), "R = 1e+300 overflows the disk area"),
+    (lambda: parallel_disk_area(710.5), "R = 710.5 overflows the disk area"),
+    (lambda: margulis_area_bound(1e300), "eps = 1e+300 overflows the disk area"),
+    (lambda: margulis_area_bound(710.5), "eps = 710.5 overflows the disk area"),
+    (lambda: annulus_band_bound(BandEstimate(1.0, 2.0, 1.0, 710.5)),
+     "tube_radius = 710.5 overflows the band bound"),
+    (lambda: annulus_band_bound(BandEstimate(0.0, 0.0, 1.0, 0.0)),
+     "tube_radius = 0.0 overflows the band bound"),
+    (lambda: crossing_lower_bound(3.0, 710.5, 1.0), "tube_radius = 710.5 overflows cosh RL"),
+    (lambda: crossing_lower_bound(5.0, 10.0, 1.0, kappa2=5e-324),
+     "kappa2 = 5e-324 overflows the crossing chain"),
+    (lambda: crossing_chain_value(1500.0, 10.0, 1.0), "R = 1500.0 overflows the crossing chain"),
+    (lambda: simplified_crossing_constant(5e-324), "kappa2 = 5e-324 overflows kappa'''"),
+], ids=["disk-1e300", "disk-710.5", "margulis-1e300", "margulis-710.5", "band-RL-710.5",
+        "band-RL-0", "crossing-RL", "crossing-kappa2", "chain-R", "kappa3"])
+def test_a_bound_that_overflows_names_its_argument(call, message):
+    # Every bound returns a finite float or raises this DomainError: never
+    # an infinity, NaN or an OverflowError.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_bounds_just_inside_the_float_range_are_finite():
+    assert math.isfinite(parallel_disk_area(707.0))
+    bound, _ = annulus_band_bound(BandEstimate(1.0, 2.0, 1.0, 710.0))
+    assert 0.0 < bound < 1e-300
+    assert math.isfinite(crossing_lower_bound(5.0, 10.0, 1.0, kappa2=1e-300).chain)
 
 
 def test_crossing_below_parallel_disk_with_defaults():

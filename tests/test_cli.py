@@ -334,11 +334,15 @@ def test_a_json_file_that_is_not_an_object_exits_domain(tmp_path, capsys, field,
             "manifold": ["sweepout", "profile", "--manifold", str(bad)],
             "family": ["sweepout", "fineness", "--family", str(bad)],
             "filler": ["filler", "verify", str(bad)]}[field]
+    # Each reader's json_fields names the object the document should be.
+    name = {"metric": "metric descriptor", "bc": "boundary data", "manifold": "manifold",
+            "family": "family", "filler": "filler"}[field]
     # run() returning at all means no exception escaped it.
     assert run(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"domain error: {bad}: expected a JSON object")
+    assert captured.err == (f"domain error: {bad}: bad field value: {name} must be a JSON "
+                            f"object, got {document!r}\n")
     assert not (tmp_path / "u.csv").exists()
 
 
@@ -943,3 +947,71 @@ def test_malformed_documented_inputs_exit_domain(tmp_path, capsys, case, message
     assert err.startswith("domain error: ") and message in err, err
     assert "Traceback" not in err
     assert not (tmp_path / "u.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects NaN and the infinities."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "disk", "--R", "1e300"], "R = 1e+300 overflows the disk area"),
+    (["--json", "bounds", "disk", "--R", "710.5"], "R = 710.5 overflows the disk area"),
+    (["bounds", "margulis", "--eps", "1e300"], "eps = 1e+300 overflows the disk area"),
+    (["--json", "bounds", "margulis", "--eps", "710.5"], "eps = 710.5 overflows the disk area"),
+    (["bounds", "band", "--rho1", "1", "--rho2", "2", "--sys", "1", "--RL", "710.5"],
+     "tube_radius = 710.5 overflows the band bound"),
+    (["bounds", "crossing", "--R", "3", "--RL", "710.5", "--sys", "1"],
+     "tube_radius = 710.5 overflows cosh RL"),
+    (["--json", "bounds", "crossing", "--R", "5", "--RL", "10", "--sys", "1", "--kpp", "5e-324"],
+     "kappa2 = 5e-324 overflows the crossing chain"),
+    (["--json", "meyerhoff", "--length", "5e-324"],
+     "geodesic length = 5e-324 overflows sinh^2 R"),
+], ids=["disk", "disk-json", "margulis", "margulis-json", "band", "crossing", "kpp", "meyerhoff"])
+def test_an_overflowing_bound_exits_domain_naming_its_argument(capsys, argv, message):
+    assert run(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: {message}\n"
+
+
+def test_close_band_radii_and_the_threshold_length_print_finite_json(capsys):
+    # The band bound no longer checks itself against a second, cancelling
+    # form, and the radius at ELL_MAX is +0.0, not -0.0.
+    code = run(["--json", "bounds", "band", "--rho1", "3", "--rho2", "3.0000001",
+                "--sys", "1", "--RL", "30"])
+    data = _strict_json(capsys.readouterr().out)
+    assert code == EXIT_OK and data["bound"] == data["intermediate"] > 0.0
+    code = run(["--json", "meyerhoff", "--length", "0.10707074542167834"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and "-0.0" not in out
+    assert _strict_json(out)["radius"] == 0.0
+
+
+def test_a_grid_spacing_whose_square_underflows_exits_domain(tmp_path, capsys):
+    (tmp_path / "metric.json").write_text(json.dumps(FLAT_METRIC))
+    (tmp_path / "bc.json").write_text(json.dumps({"kind": "constant", "value": 0.5}))
+    out = tmp_path / "u.csv"
+    code = run(["graph", "solve", "--metric", str(tmp_path / "metric.json"), "--grid", "9x9",
+                "--extent", "1e-300x1", "--bc", str(tmp_path / "bc.json"), "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "domain error: spacing must square to a normal float, got (1.25e-301, 0.125)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold, message", [
+    (_manifold(cusp={"t0": 1.0}), "cusps[0]: cusp depth range requires t0 < t1"),
+    (_manifold(filler={"L": -12.0}), "fillers[0]: filler depth must exceed 10"),
+    (_manifold(cusp={"lattice": {"v1": [1.0, 0.0], "v2": [2.0, 0.0]}}),
+     "cusps[0].lattice: degenerate lattice"),
+    (_manifold(filler={"attach": 3}), "fillers[0].attach must lie in [0, 1), got 3"),
+], ids=["cusp-depths", "filler-depth", "cusp-lattice", "attach"])
+def test_a_manifold_entry_is_named_once_in_its_message(tmp_path, capsys, manifold, message):
+    path = tmp_path / "manifold.json"
+    path.write_text(json.dumps(manifold))
+    assert run(["sweepout", "profile", "--manifold", str(path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {path}: {message}"), err

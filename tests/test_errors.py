@@ -12,12 +12,14 @@ from thinpart.cli import ManifoldDescription, _boundary_function, _family_from_j
 from thinpart.errors import as_float, as_floats, as_index, as_int, as_real_array, json_fields
 from thinpart.fields import Field1D
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
-from thinpart.minimal_graph import (DiscreteGraph, GraphBoundsParams, area, first_variation,
-                                    rescale_graph, solve)
-from thinpart.tube_geometry import (CuspParams, TubeParams, cusp_as_warped, meyerhoff_radius,
-                                    slice_area, slice_mean_curvature, tube_as_warped)
+from thinpart.minimal_graph import (DiscreteGraph, GraphBoundsParams, RescaleReport, area,
+                                    first_variation, rescale_graph, solve)
+from thinpart.tube_geometry import (CuspParams, TubeParams, boundary_lattice, cusp_as_warped,
+                                    meyerhoff_radius, slice_area, slice_mean_curvature,
+                                    tube_as_warped)
 from thinpart.warped_metric import (CallableCoefficients, WarpedMetricSpec, blowup_rescale,
-                                    level_torus_mean_curvature, n_p, spec_from_json)
+                                    check_hypotheses, level_torus_mean_curvature, n_p,
+                                    spec_from_json)
 
 
 @pytest.mark.parametrize("value,expected", [(0, 0), (-3, -3), (2.0, 2), (10**30, 10**30)])
@@ -443,6 +445,23 @@ def test_a_glued_filler_is_attached_by_index():
         assert [seg.label for seg in profile.segments] == ["cusp[0]", "filler[0]"]
 
 
+def _vertex(level, *coords):
+    sweepout.GridVertex(level, coords)
+
+
+def _cusp_profile(samples):
+    sweepout.profile(cusps=[CuspParams(_UNIT, 0.0, 1.0)], samples=samples)
+
+
+_TUBE = TubeParams(0.01, 0.0, 1.0)
+
+
+def _rescale_with_zero_warping():
+    spec = WarpedMetricSpec(_UNIT, 0.0, 1.0, Field1D.constant(0.0), a1=_ONE, a2=_ONE)
+    g = DiscreteGraph.on_rectangle((4.0, 4.0), (8, 8), 0.0, origin=(-2.0, -2.0))
+    rescale_graph(spec, g, GraphBoundsParams(1.0, 1.0, 1.0, 0.5, 1.5))
+
+
 def _sheared_torus():
     DiscreteGraph.on_torus(FlatTorusLattice(1.0, 0.3, 1.0), (8, 8), 0.0)
 
@@ -476,6 +495,70 @@ _UNREACHED_REJECTIONS = {
     "core_rho_0": (lambda: filler.core_chart_metric(_filler(), 0), "core chart needs 0 < rho"),
     "t_max_at_core": (lambda: filler.as_warped(_filler(), 15.0), "t_max must lie in (0, L + 1)"),
     "scaled_0": (lambda: _UNIT.scaled(0), "scale factor must be positive"),
+    # Sweep-out vertices, profiles and masses.
+    "vertex_level": (lambda: _vertex(-1, Fraction(0)), "grid level must be nonnegative"),
+    "vertex_empty": (lambda: _vertex(0), "vertex needs at least one coordinate"),
+    "vertex_float": (lambda: _vertex(1, 0.5), "vertex coordinates must be Fractions"),
+    "vertex_outside": (lambda: _vertex(1, Fraction(4, 3)), "vertex coordinates must lie in [0, 1]"),
+    "vertex_off_grid": (lambda: _vertex(1, Fraction(1, 2)), "1/2 is not a level-1 grid coordinate"),
+    "project_negative": (lambda: _project_vertex(-1), "level must be nonnegative"),
+    "profile_samples_1": (lambda: _cusp_profile(1),
+                          "need at least two samples per segment"),
+    "profile_empty": (lambda: sweepout.profile(), "empty thin-part description"),
+    "max_mass_number": (lambda: sweepout.max_mass(5), "cannot take max mass of 5"),
+    # Tubes.
+    "tube_radius_0": (lambda: TubeParams(0.01, 0.0, 0.0), "tube radius must be positive"),
+    "slice_length_0": (lambda: slice_area(0.0, 1.0), "geodesic length must be positive, got 0.0"),
+    "boundary_radius_0": (lambda: boundary_lattice(_TUBE, 0.0),
+                          "boundary lattice needs radius > 0"),
+    "boundary_beyond_tube": (lambda: boundary_lattice(_TUBE, 1.5),
+                             "radius exceeds the tube radius"),
+    "tube_margin": (lambda: tube_as_warped(_TUBE, margin=1.0), "margin must lie in (0, radius)"),
+    # Warped metrics and graphs.
+    "spec_empty_interval": (lambda: WarpedMetricSpec(_UNIT, 1.0, 1.0, _ONE, a1=_ONE, a2=_ONE),
+                            "empty x3 interval"),
+    "spec_a1_only": (lambda: WarpedMetricSpec(_UNIT, 0.0, 1.0, _ONE, a1=_ONE),
+                     "diagonal spec needs a1 and a2 fields"),
+    # Both ends of [0, 1] about 1/2, times 5e-324, round to zero.
+    "blowup_underflow": (
+        lambda: blowup_rescale(WarpedMetricSpec.flat(_UNIT, 0.0, 1.0), 0.5, 5e-324),
+        "transformed interval is empty"),
+    "graph_spacing_0": (lambda: DiscreteGraph(np.zeros((6, 6)), (0.0, 0.1)),
+                        "grid spacing must be positive"),
+    "graph_spacing_tiny": (lambda: DiscreteGraph(np.zeros((6, 6)), (0.1, 1e-160)),
+                           "spacing must square to a normal float, got (0.1, 1e-160)"),
+    "graph_spacing_huge": (lambda: DiscreteGraph(np.zeros((6, 6)), (1e160, 0.1)),
+                           "spacing must square to a normal float, got (1e+160, 0.1)"),
+    "graph_values_1d": (lambda: DiscreteGraph(np.zeros(6), (0.1, 0.1)),
+                        "graph values must be a 2-d array"),
+    "graph_values_3_rows": (lambda: DiscreteGraph(np.zeros((3, 6)), (0.1, 0.1)),
+                            "need at least 4 grid points per axis"),
+    "bounds_comparison": (lambda: GraphBoundsParams(0.5, 1.0, 1.0, 1.0, 1.5),
+                          "comparison constant must be >= 1"),
+    "bounds_radius_0": (lambda: GraphBoundsParams(1.0, 0.0, 1.0, 1.0, 1.5),
+                        "intrinsic_radius must be positive"),
+    "rescale_warping_0": (_rescale_with_zero_warping,
+                          "warping must be positive at the tangency level"),
+    # Fillers.
+    "metric_at_pair": (lambda: filler.metric_at(_filler(), (0.0, 0.5)),
+                       "point must be (x1, x2, t), got (0.0, 0.5)"),
+    "area_bound_c_0": (lambda: filler.area_lower_bound(_filler(), 0.0),
+                       "monotonicity constant must be positive"),
+    "collapse_slope_0": (lambda: filler.CollapseProfile(0.0, 0.1, 0.1),
+                         "collapse slope must be positive"),
+    "collapse_knots": (lambda: filler.CollapseProfile(1.0, 0.5, 0.5),
+                       "collapse profile knots out of order"),
+    "collapse_above_1": (lambda: filler.CollapseProfile(10.0, 0.1, 0.05),
+                         "collapse profile would exceed 1"),
+    # Area bounds.
+    "chain_kappa2_0": (lambda: area_bounds.crossing_chain_value(5.0, 10.0, 1.0, 0.0),
+                       "kappa'' must be positive"),
+    "projection_length_0": (lambda: area_bounds.projection_contraction_check(0.0, [1.0]),
+                            "geodesic length must be positive"),
+    **{f"projection_grid_{name}": (
+        lambda grid=grid: area_bounds.projection_contraction_check(0.1, grid),
+        "radius grid must be a nonempty list of positive radii")
+       for name, grid in (("empty", []), ("2d", [[1.0]]), ("zero", [1.0, 0.0]))},
 }
 
 
@@ -484,6 +567,19 @@ def test_each_documented_rejection_raises_its_domain_error(entry):
     call, message = _UNREACHED_REJECTIONS[entry]
     with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
         call()
+
+
+def test_masses_reports_and_current_slices_read_what_they_hold():
+    # The branches of max_mass, HypothesisReport.constant, a family's
+    # currents sliced and a missing RescaleReport check.
+    current = sweepout.FormalCurrent((("A", 2, 1.5), ("B", -1, 0.25)))
+    assert sweepout.max_mass(current) == current.mass == 3.25
+    fam = sweepout.interpolate_patches(current, sweepout.FormalCurrent((("A", 1, 1.5),)), 3)
+    assert fam.currents[1:3] == (fam.currents[1], fam.currents[2])
+    report = check_hypotheses(_cusp(), grid=8)
+    assert report.constant == max(report.a_h1, report.a_h2, report.a_h3)
+    with pytest.raises(KeyError, match="missing"):
+        RescaleReport(())["missing"]
 
 
 _UNIT_JSON = {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}

@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import meyerhoff_radius_decimal
 from thinpart import DomainError
 from thinpart.flat_torus import FlatTorusLattice, systole
 from thinpart.tube_geometry import (
@@ -47,6 +49,18 @@ def test_radius_domain_errors():
         meyerhoff_radius(ELL_MAX * 1.0001)
 
 
+def test_radius_whose_sinh_squared_overflows_names_the_length():
+    # sinh^2 R ~ sqrt(3) / (4 pi ell) leaves the float range below
+    # ell ~ 7.7e-310, where R itself would be about 355.6.
+    for ell in (5e-324, 1e-315, 7e-310):
+        with pytest.raises(DomainError, match=f"^geodesic length = {ell!r} overflows sinh\\^2 R$"):
+            meyerhoff_radius(ell)
+    # Just above, R has every digit: it depends on ell through its log.
+    for ell in (8e-310, 1e-309):
+        exact = float(meyerhoff_radius_decimal(ell))
+        assert meyerhoff_radius(ell) == pytest.approx(exact, rel=1e-15)
+
+
 def test_radius_closed_form_against_root_solve():
     for ell in (1e-5, 1e-3, 0.01, 0.05, 0.09, 0.105, ELL_MAX - 2e-6):
         assert meyerhoff_radius(ell) == pytest.approx(
@@ -62,12 +76,31 @@ def test_radius_example_and_small_length_anchor():
     assert 1e-5 * math.sinh(R) ** 2 == pytest.approx(SQRT3_OVER_4PI, rel=1e-3)
 
 
-def test_compensated_branch_matches_direct_branch_in_overlap():
-    # Just inside and outside the 1e-6 switchover window.
-    for ell in (ELL_MAX - 9.9e-7, ELL_MAX - 1.01e-6, ELL_MAX - 5e-7):
-        assert meyerhoff_radius(ell) == pytest.approx(
-            radius_by_root_solve(ell), rel=1e-9, abs=1e-12
-        )
+def test_radius_against_decimal_oracle_down_to_the_threshold():
+    # Relative error against the 50-digit closed form: at most 2e-15 on
+    # 1000 lengths from 1e-300 to 0.07, where the condition number
+    # kappa = ell / (2 (ELL_MAX - ell)) of ell -> R is at most 1.  Nearer
+    # the threshold R ~ sqrt(ELL_MAX - ell), and the rounding of the float
+    # constants ELL_MAX and 4 pi / sqrt 3 (about 1e-17) is amplified by
+    # kappa, so the bound there is 2e-15 kappa: on 400 lengths from 0.07
+    # to 1e-6 below ELL_MAX, where 1 - sinh y would cancel.
+    near = np.concatenate([np.linspace(0.07, ELL_MAX - 1e-3, 200),
+                           ELL_MAX - np.geomspace(1e-3, 1e-6, 200)])
+    for ell in np.concatenate([np.geomspace(1e-300, 0.07, 1000), near]).tolist():
+        exact = meyerhoff_radius_decimal(ell)
+        error = float(abs((Decimal(meyerhoff_radius(ell)) - exact) / exact))
+        assert error <= 2e-15 * max(1.0, ell / (2.0 * (ELL_MAX - ell))), ell
+
+
+def test_radius_nonincreasing_up_to_the_threshold_where_it_is_plus_zero():
+    ells = np.concatenate([
+        np.geomspace(1e-300, ELL_MAX, 4000),
+        np.linspace(ELL_MAX - 1e-3, ELL_MAX, 20001),
+        ELL_MAX - np.arange(4000)[::-1] * np.spacing(ELL_MAX),  # the last floats
+    ])
+    rs = np.array([meyerhoff_radius(ell) for ell in np.unique(ells).tolist()])
+    assert np.all(np.diff(rs) <= 0.0)
+    assert math.copysign(1.0, meyerhoff_radius(ELL_MAX)) == 1.0 and rs[-1] == 0.0
 
 
 def test_radius_strictly_decreasing():
