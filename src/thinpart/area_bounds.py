@@ -106,6 +106,8 @@ class BandEstimate:
                        systole_bound=self.systole_bound, tube_radius=self.tube_radius)
         if not 0.0 <= self.rho1 <= self.rho2 <= self.tube_radius:
             raise DomainError("need 0 <= rho1 <= rho2 <= tube_radius")
+        if not self.tube_radius > 0.0:
+            raise DomainError(f"tube radius must be positive, got {self.tube_radius!r}")
         if not 0.0 < self.systole_bound <= 1.0:
             raise DomainError("systole bound must lie in (0, 1]")
 
@@ -129,9 +131,11 @@ def crossing_chain_value(R: float, tube_radius: float, systole_bound: float,
     """The crossing chain (pi / (8 kappa'')) (s0 / cosh RL)
     (cosh R - cosh(3/2)), the difference read as
     2 sinh((R + 3/2)/2) sinh((R - 3/2)/2); vanishes at R = 3/2 by
-    construction."""
+    construction.  The systole bound s0 must lie in (0, 1]."""
     require_finite(R=R, tube_radius=tube_radius, systole_bound=systole_bound,
                    kappa2=kappa2)
+    if not 0.0 < systole_bound <= 1.0:
+        raise DomainError("systole bound must lie in (0, 1]")
     if kappa2 <= 0.0:
         raise DomainError("kappa'' must be positive")
     scale = finite_result("kappa2", kappa2, "the crossing chain",
@@ -174,8 +178,6 @@ def crossing_lower_bound(R: float, tube_radius: float, systole_bound: float,
         raise DomainError("the crossing estimate needs R >= 3")
     if R > tube_radius:
         raise DomainError("R must not exceed the tube radius")
-    if not 0.0 < systole_bound <= 1.0:
-        raise DomainError("systole bound must lie in (0, 1]")
     chain = crossing_chain_value(R, tube_radius, systole_bound, kappa2)
     kappa3 = simplified_crossing_constant(kappa2)
     simplified = kappa3 * systole_bound * math.exp(R - tube_radius)

@@ -308,11 +308,16 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     """Measure the H1-H4 comparison ratios on a sample grid.
 
     ``grid`` is points per axis (scalar or (n1, n2, n3)); at least 8 per
-    sampled axis.  Every sample is validated before anything is measured:
+    sampled axis.  Every sample is validated before anything is reported:
     the first point (in sample order) whose coefficient matrix is not
     finite, not symmetric or not positive definite, whose warping is not
     finite or not positive, or whose derivatives are not finite raises a
     DomainError naming it.
+
+    Each of the 20 derivative multi-indices of orders 0-3 is read once,
+    over all samples, in increasing order, and folded in as it arrives:
+    only a_kl, its three first derivatives and per-level maxima are kept,
+    never all 20 at once.
     """
     sizes = [as_int("grid", n) for n in (list(grid) if np.ndim(grid) else [grid])]
     if len(sizes) not in (1, 3):
@@ -324,15 +329,28 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     levels = np.linspace(spec.x3_min, spec.x3_max, n3)
     points = _sample_points(spec, n1, n2, levels)
     npoints = points[2].size
-    # derivs[n, j] = d_{_MULTI_INDICES[j]} a_kl at sample n; j = 0 is a_kl.
-    derivs = np.empty((npoints, len(_MULTI_INDICES), 3, 3))
-    for j, axes in enumerate(_MULTI_INDICES):
-        derivs[:, j] = spec.coefficients.deriv(axes, *points)
-    G = derivs[:, 0]
-    # The warping depends on x3 alone: it is evaluated once per level.
     # Samples run through the levels in order, reps times over, so a
-    # per-level array reshaped to (reps, n3, ...) lines up with them.
+    # per-sample array reshaped to (reps, n3, ...) lines up with the
+    # per-level ones.
     reps = npoints // n3
+    # Kept of each multi-index: G = a_kl, its first derivatives
+    # first[:, m] = d_{m+1} G, whether every derivative is finite, and per
+    # level the largest |d a_kl|, k <= l, over the reps, which H3 divides
+    # by a power of h once h is validated.
+    first = np.empty((npoints, 3, 3, 3))
+    derivs_finite = np.ones(npoints, dtype=bool)
+    upper_max = np.empty((len(_MULTI_INDICES), n3, len(_UPPER[0])))
+    for j, axes in enumerate(_MULTI_INDICES):
+        # One float matrix per sample, whatever a coefficient field returns.
+        d = np.broadcast_to(np.asarray(spec.coefficients.deriv(axes, *points), dtype=float),
+                            (npoints, 3, 3))
+        if j == 0:
+            G = d
+        elif j <= 3:
+            first[:, j - 1] = d
+        derivs_finite &= np.isfinite(d).all(axis=(1, 2))
+        upper_max[j] = np.abs(d[:, _UPPER[0], _UPPER[1]]).reshape(reps, n3, -1).max(axis=0)
+    # The warping depends on x3 alone: it is evaluated once per level.
     h, *hd = (np.broadcast_to(np.asarray(d, dtype=float), levels.shape)
               for d in spec.warping.jet(levels, 3))
 
@@ -342,8 +360,7 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
         asymmetric = ~(np.abs(G - Gt) <= 1e-14 + 1e-10 * np.abs(Gt)).all(axis=(1, 2))
         # Non-finite samples are reported before their eigenvalues matter.
         ev_min = np.linalg.eigvalsh(np.where(g_finite[:, None, None], G, np.eye(3)))[:, 0]
-        derivs_finite = (np.isfinite(derivs).all(axis=(1, 2, 3))
-                         & np.tile(np.isfinite(np.stack(hd)).all(axis=0), reps))
+        derivs_finite &= np.tile(np.isfinite(np.stack(hd)).all(axis=0), reps)
         _first_failure(points, [
             (~g_finite, "coefficient matrix not finite at {point}"),
             (asymmetric, "coefficient matrix not symmetric at {point}"),
@@ -362,16 +379,16 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     sup_h2 = [max(0.0, float(np.max(np.abs(d) / h))) for d in hd]
     h_monotone = not bool(np.any(hd[0] > 0.0))
 
-    # Powers of h through Python's float pow, one row per level.
+    # Powers of h through Python's float pow, one row per level.  h > 0,
+    # so the largest |d a_kl| over the reps gives the largest quotient.
     h_pow = np.array([[v**n for n in range(_MAX_EXPONENT + 1)] for v in h.tolist()])
-    upper = np.abs(derivs[:, :, _UPPER[0], _UPPER[1]])
-    weighted = upper.reshape((reps, n3) + _H3_EXPONENTS.shape) / h_pow[:, _H3_EXPONENTS]
+    weighted = upper_max / h_pow[:, _H3_EXPONENTS].transpose(1, 0, 2)
     sup_h3 = [
-        max(0.0, float(np.max(weighted[:, :, lo:hi])))
+        max(0.0, float(np.max(weighted[lo:hi])))
         for lo, hi in zip(_ORDER_BOUNDS, _ORDER_BOUNDS[1:])
     ]
 
-    mean_convex = not bool(np.any(_mean_convexity_indicator(G, derivs[:, 1:4]) < -1e-12))
+    mean_convex = not bool(np.any(_mean_convexity_indicator(G, first) < -1e-12))
 
     if spec.diagonal_form:
         desc = f"x3: {n3} points (coefficients x1,x2-independent)"

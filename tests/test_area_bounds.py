@@ -122,6 +122,26 @@ def test_band_estimate_validation():
         BandEstimate(1.0, 2.0, 0.5, 1.5)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.0])
+def test_a_band_in_a_tube_of_radius_zero_is_rejected_at_construction(radius):
+    # The band bound divides by sinh RL: a degenerate tube is a domain
+    # error of its own, not an overflow; a subnormal radius still is one.
+    with pytest.raises(DomainError, match=f"^tube radius must be positive, got {radius!r}$"):
+        BandEstimate(0.0, 0.0, 1.0, radius)
+    with pytest.raises(DomainError, match="^tube_radius = 5e-324 overflows the band bound$"):
+        annulus_band_bound(BandEstimate(0.0, 0.0, 1.0, 5e-324))
+
+
+@pytest.mark.parametrize("s0", [1e308, 1.5, 0.0, -0.5])
+def test_the_crossing_chain_checks_its_systole_bound(s0):
+    # As BandEstimate and crossing_lower_bound do: a huge systole bound is
+    # not blamed on kappa''.
+    with pytest.raises(DomainError, match=re.escape("systole bound must lie in (0, 1]")):
+        crossing_chain_value(5.0, 10.0, s0, 0.1)
+    with pytest.raises(DomainError, match=re.escape("systole bound must lie in (0, 1]")):
+        crossing_lower_bound(5.0, 10.0, s0)
+
+
 def test_crossing_chain_example():
     # R = 5, RL = 10, s0 = 1, kappa'' = 1.
     cb = crossing_lower_bound(5.0, 10.0, 1.0)
@@ -187,15 +207,15 @@ def test_crossing_chain_does_not_cancel_near_the_extension_level():
     (lambda: margulis_area_bound(710.5), "eps = 710.5 overflows the disk area"),
     (lambda: annulus_band_bound(BandEstimate(1.0, 2.0, 1.0, 710.5)),
      "tube_radius = 710.5 overflows the band bound"),
-    (lambda: annulus_band_bound(BandEstimate(0.0, 0.0, 1.0, 0.0)),
-     "tube_radius = 0.0 overflows the band bound"),
+    (lambda: annulus_band_bound(BandEstimate(0.0, 0.0, 1.0, 1e-320)),
+     "tube_radius = 1e-320 overflows the band bound"),
     (lambda: crossing_lower_bound(3.0, 710.5, 1.0), "tube_radius = 710.5 overflows cosh RL"),
     (lambda: crossing_lower_bound(5.0, 10.0, 1.0, kappa2=5e-324),
      "kappa2 = 5e-324 overflows the crossing chain"),
     (lambda: crossing_chain_value(1500.0, 10.0, 1.0), "R = 1500.0 overflows the crossing chain"),
     (lambda: simplified_crossing_constant(5e-324), "kappa2 = 5e-324 overflows kappa'''"),
 ], ids=["disk-1e300", "disk-710.5", "margulis-1e300", "margulis-710.5", "band-RL-710.5",
-        "band-RL-0", "crossing-RL", "crossing-kappa2", "chain-R", "kappa3"])
+        "band-RL-subnormal", "crossing-RL", "crossing-kappa2", "chain-R", "kappa3"])
 def test_a_bound_that_overflows_names_its_argument(call, message):
     # Every bound returns a finite float or raises this DomainError: never
     # an infinity, NaN or an OverflowError.

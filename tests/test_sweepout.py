@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from thinpart import DomainError
+from thinpart import DomainError, sweepout
 from thinpart.filler import build as build_filler
 from thinpart.filler import slice_area as filler_slice_area
 from thinpart.flat_torus import FlatTorusLattice
@@ -385,3 +386,78 @@ def test_family_rejects_multiplicities_beyond_int64_differences():
             DiscreteFamily(0, (a, b))
     with pytest.raises(DomainError, match="2\\^62"):
         interpolate_patches(big, neg, 3)
+
+
+# ------------------------------------------------ storage type and memory
+
+
+@pytest.mark.parametrize("multiplicity, dtype", [
+    (0, np.int8), (127, np.int8), (-127, np.int8), (128, np.int16), (-128, np.int16),
+    (32767, np.int16), (-32768, np.int32), (2**31 - 1, np.int32), (-2**31, np.int64),
+    (2**62 - 1, np.int64),
+])
+def test_a_family_stores_the_narrowest_type_that_holds_plus_minus_its_largest_multiplicity(
+        multiplicity, dtype):
+    # -128 fits an int8, but +128 does not: the type holds +-max|m|, so
+    # that |m| and the negation of any entry fit it as well.
+    a = FormalCurrent((("A", 1, 1.0), ("B", multiplicity, 0.5)))
+    b = FormalCurrent((("A", -1, 1.0),))
+    fam = DiscreteFamily(0, (a, b))
+    assert fam.multiplicities.dtype == dtype
+    assert fam.multiplicities.tolist() == [[1, multiplicity], [-1, 0]]
+    assert interpolate_patches(a, b, 4).multiplicities.dtype == dtype
+    assert fineness(fam) == 2.0 + abs(multiplicity) * 0.5
+
+
+@pytest.mark.parametrize("level, patches", [(3, 7), (2, 9000)])
+def test_fineness_is_the_same_wherever_its_blocks_end(monkeypatch, level, patches):
+    # Rows of 9000 entries are wider than numpy's 8192-element casting
+    # buffer, so a row's terms are summed in more than one chunk.
+    rng = np.random.default_rng(5)
+    areas = rng.uniform(0.1, 2.0, patches)
+    fam = DiscreteFamily(level, [
+        FormalCurrent(tuple((f"P{j}", int(m), float(areas[j]))
+                            for j, m in enumerate(rng.integers(-300, 301, patches))))
+        for _ in range(3**level + 1)
+    ])
+    whole = fineness(fam)
+    assert whole == pytest.approx(fineness_exhaustive(fam), rel=1e-12)
+    for entries in (1, patches, 2 * patches, 5 * patches, 1 << 20):
+        monkeypatch.setattr(sweepout, "_BLOCK_ENTRIES", entries)
+        assert fineness(fam) == whole
+
+
+def _traced(call):
+    """``call()`` and the peak traced bytes above the start while it ran."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak
+
+
+def test_interpolation_and_fineness_make_no_int64_copy_of_the_family():
+    # The benchmark's family: k = 200 steps over 30 patches, each end
+    # holding half of them with multiplicity 1.  An int64 copy of its
+    # 244 x 6000 matrix takes 11.7 MB; the int8 matrix takes 1.5 MB,
+    # and fineness widens 2^16 entries at a time.
+    rng = np.random.default_rng(6)
+    areas = rng.uniform(0.1, 2.0, 30)
+    half = np.arange(30) < 15
+    ends = [rng.permutation(half).astype(int) for _ in range(2)]
+    a, b = (FormalCurrent(tuple((f"S{i}", int(m), float(x)) for i, (m, x) in enumerate(zip(end, areas))))
+            for end in ends)
+    fam, built = _traced(lambda: interpolate_patches(a, b, 200))
+    int64_copy = fam.multiplicities.size * 8
+    assert fam.multiplicities.dtype == np.int8 and fam.multiplicities.shape == (244, 6000)
+    assert built < int64_copy / 4, built
+    fine, peak = _traced(lambda: fineness(fam))
+    assert peak < int64_copy / 4, peak
+    assert fine == pytest.approx(float(np.abs(ends[0] - ends[1]) @ areas) / 200, rel=1e-12)

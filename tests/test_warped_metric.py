@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -374,12 +375,33 @@ def _sheared_cusp(t1=3.0):
     )
 
 
+def _modulated_cusp():
+    """The sheared cusp with its horizontal block scaled by 1 + sin(x1)/2:
+    its coefficients, unlike the others here, vary along the torus."""
+
+    def fn(x1, x2, x3, axes):
+        out = np.zeros((3, 3))
+        if 2 in axes:
+            return out
+        p = axes.count(1)
+        wave = (p == 0) + 0.5 * math.sin(x1 + p * math.pi / 2)
+        out[:2, :2] = (-2.0) ** axes.count(3) * math.exp(-2.0 * x3) * wave * SHEAR
+        out[2, 2] = 1.0 if not axes else 0.0
+        return out
+
+    return WarpedMetricSpec(
+        FlatTorusLattice(1.0, 0.2, 1.1), 0.0, 3.0, Field1D.exp_decay(),
+        coefficients=CallableCoefficients(fn),
+    )
+
+
 def _equivalence_specs():
     sheared = _sheared_cusp()
     cusp = cusp_as_warped(CuspParams(FlatTorusLattice(1.05, -0.1, 0.9), 0.0, 3.0))
     tube = tube_as_warped(TubeParams(1e-5, 0.3, 5.0), margin=0.5)
     return {
         "sheared": sheared,
+        "modulated": _modulated_cusp(),
         "cusp": cusp,
         "tube": tube,
         "blowup_sheared": blowup_rescale(sheared, 1.2, 2.5),
@@ -463,6 +485,8 @@ def test_check_hypotheses_calls_fn_once_per_point_and_multi_index():
     check_hypotheses(spec, grid=(8, 9, 10))
     assert len(calls) == 8 * 9 * 10 * 20
     assert Counter(call[4] for call in calls) == {axes: 8 * 9 * 10 for axes in multi_indices}
+    # One pass over the samples per multi-index, in increasing order.
+    assert [call[4] for call in calls[::8 * 9 * 10]] == multi_indices
     assert {call[:4] for call in calls} == {(float, float, float, tuple)}
 
     # Every call is made before any sample is validated.
@@ -473,6 +497,26 @@ def test_check_hypotheses_calls_fn_once_per_point_and_multi_index():
         check_hypotheses(failing, grid=8)
     assert len(calls) == 8**3 * 20
     assert {call[:4] for call in calls} == {(float, float, float, tuple)}
+
+
+def test_check_hypotheses_holds_no_array_of_all_twenty_multi_indices():
+    # Each multi-index is folded in as it is read: at grid 16 the report
+    # peaks below the bytes of one (N, 20, 3, 3) float64 array, N = 16^3,
+    # the callable's per-point returns included.
+    spec = _sheared_cusp()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_hypotheses(spec, grid=16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rep.npoints == 16**3
+    assert peak < 16**3 * 20 * 9 * 8, peak
 
 
 @pytest.mark.parametrize("value, seen", [
