@@ -124,17 +124,18 @@ def finite_result(name: str, value, what: str, compute):
     float powers raise OverflowError, a division by zero raises
     ZeroDivisionError, numpy and float arithmetic give an infinity or
     NaN), a DomainError names the argument: "<name> = <value> overflows
-    <what>", or for an array ``value`` the first such entry by index,
-    "<name> entry 1 = 800.0 overflows <what>"."""
+    <what>", or for an array ``value``, whose entries index the first
+    axis of the result, the first such entry by index, "<name> entry 1 =
+    800.0 overflows <what>"."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             result = compute()
     except (OverflowError, ZeroDivisionError):
         result = math.inf
     finite = np.isfinite(result)
     if not finite.all():
         if finite.ndim:
-            index = int(np.argmin(finite))
+            index = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
             name, value = f"{name} entry {index}", float(value[index])
         raise DomainError(f"{name} = {value!r} overflows {what}")
     return result

@@ -13,8 +13,10 @@ strictly positive everywhere and only exponentially small beyond L + 2/3,
 which keeps the level-torus diameters strictly decreasing and gives the
 core chart O(rho^3)/O(rho) smoothness residuals with the nonzero
 constants 2 f'(L+1) and 2 f'(L+1) exp(-2 f(L+1)); ``verify`` reads both
-from the jets of f and eta, so it holds while f'(L+1) is a nonzero
-float, up to L = 558.  eta is 1 near 0,
+from the jets of f and eta, and the sign of f' from log f', which stays
+finite where f' underflows (from L = 559), so it holds at every depth
+below 2^49, past which L + 0.95, the end of its flat-level probe,
+rounds to L + 1.  eta is 1 near 0,
 descends through a smoothstep, rounds the corner onto the exact linear
 tail eta(x) = (1 - x) * (2 pi / alpha) * exp(f(L+1)) near 1 (slope -K
 with K = 2 pi exp(f(L+1)) / alpha).
@@ -88,6 +90,14 @@ class DepthProfile(Field1D):
         if order == 2:
             return np.where(t <= 1.0, 0.0, -(x / s**2) * decay)
         return np.where(t <= 1.0, 0.0, ((x - s) / s**3) * decay)
+
+    @staticmethod
+    def log_slope(t):
+        """log f'(t): 0 on [0, 1], then log1p(x/s) - x/s.  It is finite
+        at every depth, also where f' = (1 + x/s) exp(-x/s) underflows to
+        0 (from x/s ~ 745), so ``verify`` reads the sign of f' from it."""
+        x = np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0) / _RAMP_SCALE
+        return np.log1p(x) - x
 
 
 class CollapseProfile(Field1D):
@@ -301,7 +311,9 @@ class FillerReport:
     (rho^3 and rho) when none is.  ``core_theta_constant`` and
     ``core_z_constant`` are those coefficients (0 when none is nonzero).
     A smooth core reads orders 3 and 1, with the constants 2 f'(L+1) and
-    2 f'(L+1) exp(-2 f(L+1)).
+    2 f'(L+1) exp(-2 f(L+1)).  A coefficient whose sign is known from log
+    f' (``DepthProfile.log_slope``) is nonzero even where its float value
+    underflows to 0, as both constants do from L = 559.
     """
 
     flat_levels: bool
@@ -329,8 +341,8 @@ class FillerReport:
             and self.ramp_flatness_sup <= 1e-4
             and self.core_theta_constant <= 1e-4
             and self.core_z_constant <= 1e-4
-            and 2.6 <= self.core_theta_slope <= 3.4
-            and 0.7 <= self.core_z_slope <= 1.4
+            and self.core_theta_slope == 3.0
+            and self.core_z_slope == 1.0
         )
 
 
@@ -346,17 +358,21 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     - strictly decreasing level diameters.  The level lattice at depth t
       is diag(exp(-f) eta(t - L), exp(-f)) applied to the boundary
       lattice; where f' > 0 and eta' <= 0 both scales shrink strictly,
-      and so does the covering radius.
+      and so does the covering radius.  f' > 0 is read from log f'
+      (``DepthProfile.log_slope``), which stays finite where f'
+      underflows.
     - mean convexity toward the core: ``mean_convexity``, -1/2 the sum
-      of the two scales' log-derivatives, is positive.
+      of the two scales' log-derivatives, f' - eta'/(2 eta), is positive.
+      It is where f' > 0 and eta'/eta <= 0, and its float value decides
+      elsewhere.
     - core-chart smoothness, at rho = 0 from the jets of eta at 1 and of
       f at L + 1.  With eta(1) = 0, g_theta = c rho^2 (1 + (2 f'(L+1) -
       eta''(1) / eta'(1)) rho + O(rho^2)), where c = (alpha eta'(1) /
       2 pi)^2 exp(-2 f(L+1)) is 1 when the cone angle is 2 pi, that is
       when eta'(1) = -K; and g_zz = exp(-2 f(L+1)) (1 + 2 f'(L+1) rho +
       O(rho^2)).  On eta's linear tail eta'' = 0, so a smooth core reads
-      orders 3 and 1 (``FillerReport``) while f'(L+1) is a nonzero float,
-      up to L = 558.
+      orders 3 and 1 (``FillerReport``) at every depth: both coefficients
+      are positive where f'(L+1) > 0, read from its log.
     """
     grid = as_int("grid", grid)
     if grid < 2:
@@ -376,8 +392,11 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
 
     # (ii) diameters strictly decreasing and mean convexity.
     ts = np.linspace(0.0, L + 1.0, grid, endpoint=False)
-    decreasing = bool(np.all(spec.f.d1(ts) > 0.0) and np.all(spec._collapse.d1(ts) <= 0.0))
-    convex = bool(np.all(mean_convexity(spec, ts) > 0.0))
+    rising = spec.f.log_slope(ts) > -np.inf
+    eta, eta_prime = spec._collapse.jet(ts, 1)
+    decreasing = bool(np.all(rising) and np.all(eta_prime <= 0.0))
+    convex = bool(np.all((rising & (eta_prime / eta <= 0.0))
+                         | (mean_convexity(spec, ts) > 0.0)))
 
     # (iii) exact collar on [0, 1].
     ts_collar = np.linspace(0.0, 1.0, 21, endpoint=False)
@@ -402,16 +421,21 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     # rho^3, and of g_zz - g_zz(0) = exp(-2 f(L+1-rho)) - exp(-2 f(L+1)),
     # from the jets of eta at 1 and of f at L + 1.  g_theta's rho^2 coefficient
     # is 1 up to rounding exactly when the cone angle at the core is 2 pi.
+    # A term is nonzero where its float value exceeds its tolerance, or
+    # where its sign is known: the rho^3 one, cone (2 f'(L+1) - eta''/eta'),
+    # is positive where f'(L+1) > 0 and eta''/eta' <= 0.
     eta_core, eta_p, eta_pp = (float(v) for v in spec.eta.jet(1.0, 2))
     scale = (spec.lattice.a1 / (2.0 * math.pi)) ** 2 * math.exp(-2.0 * cap)
     cone = scale * eta_p**2
+    core_rising = bool(spec.f.log_slope(L + 1.0) > -np.inf)
     theta_terms = (
-        (0.0, scale * eta_core**2, 0.0),
-        (2.0, cone - 1.0, 1e-12),
-        (3.0, cone * (2.0 * fp_core - eta_pp / eta_p), 0.0),
+        (0.0, scale * eta_core**2, 0.0, False),
+        (2.0, cone - 1.0, 1e-12, False),
+        (3.0, cone * (2.0 * fp_core - eta_pp / eta_p), 0.0,
+         core_rising and cone > 0.0 and eta_pp / eta_p <= 0.0),
     )
     theta_order, theta_constant = next(
-        ((k, c) for k, c, tol in theta_terms if abs(c) > tol), (4.0, 0.0))
+        ((k, c) for k, c, tol, positive in theta_terms if positive or abs(c) > tol), (4.0, 0.0))
     z_constant = 2.0 * fp_core * math.exp(-2.0 * cap)
 
     return FillerReport(
@@ -425,7 +449,7 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
         core_theta_constant=theta_constant,
         core_z_constant=z_constant,
         core_theta_slope=theta_order,
-        core_z_slope=1.0 if z_constant != 0.0 else 2.0,
+        core_z_slope=1.0 if core_rising or z_constant != 0.0 else 2.0,
         ball_count_note=(
             "disjoint balls counted for t <= L - 1 (conservative reading; "
             "the looser count runs to L + 2)"

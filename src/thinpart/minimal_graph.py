@@ -91,6 +91,20 @@ takes one Newton step on coarser levels, and each grid starts from its
 injected data plus the cubic interpolation of the coarser grid's
 correction (``_refined``; the V-cycle's bilinear transfer would start it
 an O(h^2) error away, an O(1) residual).
+
+Every Newton step moves along its Newton direction delta alone, by
+Armijo backtracking on the merit ||F||^2, F the area gradient on the free
+nodes (``_newton``): the step length alpha halves from 1, a trial that
+leaves the spec's range is skipped, the first trial with
+||F(u + alpha delta)||^2 <= (1 - 1e-4 alpha) ||F||^2 is taken, and a
+search that reaches alpha = 2^-30 stops the solve ("line search
+stalled").  Every delta meets ``_solves``, ||H delta + F|| <= 1e-6 ||F||
+(for a pinned step with F less its mean in place of F, the part of F a
+step of zero sum can change), so the slope 2 F.H delta of the merit
+along it is at most -2 (1 - 1e-6) ||F||^2 < 0: delta is a descent
+direction (Nocedal and Wright, *Numerical Optimization*, ch. 3).  Where
+backtracking still fails, ||F||^2 is at its roundoff floor or the
+quadratic model is poor, and no other direction repairs either.
 """
 
 from __future__ import annotations
@@ -715,13 +729,13 @@ class SolveReport:
     earlier Hessian, or an earlier V-cycle's coarse levels under a finest
     level that smooths with the step's own Hessian), "multigrid" (CG
     preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
-    fresh factor of the Hessian, applied directly) or "kkt" (on a torus
+    fresh factor of the Hessian, applied directly) or "pinned" (on a torus
     whose Hessian annihilates the constants, the update of zero sum of a
     factor of the Hessian with one unknown pinned), and
     ``linear_iterations`` the CG iterations it ran, discarded runs
     included.  ``iterations``, ``pinned_mean`` and ``factorizations`` are
     read off the former: a factor of the grid's Hessian, pinned or not,
-    is made on each "lu" and "kkt" step, and on no other (a V-cycle
+    is made on each "lu" and "pinned" step, and on no other (a V-cycle
     factors its last level only).
 
     All of these describe the grid of the solve only.  A grid solved by
@@ -743,11 +757,11 @@ class SolveReport:
 
     @property
     def pinned_mean(self) -> bool:
-        return "kkt" in self.linear_solvers
+        return "pinned" in self.linear_solvers
 
     @property
     def factorizations(self) -> int:
-        return sum(kind in ("lu", "kkt") for kind in self.linear_solvers)
+        return sum(kind in ("lu", "pinned") for kind in self.linear_solvers)
 
     @property
     def final_residual(self) -> float:
@@ -1044,7 +1058,7 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
         if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
-            return _pinned(H, rhs), kept, "kkt", 0
+            return _pinned(H, rhs), kept, "pinned", 0
     iterations = 0
     if kept is not None:
         # A kept V-cycle smooths with H on its finest level; a kept factor
@@ -1190,9 +1204,15 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             max_iter: int, levels):
     """At most ``max_iter`` Newton steps on g, the grid of the first of
     ``levels``, from its values, each solved by ``_linear_solve``:
-    (graph, report).  The report says whether max|el_residual| <= tol was
-    reached; a line search that stalls or a singular Jacobian raises
-    SolveError."""
+    (graph, report).  Each step is taken by Armijo backtracking on
+    ||F||^2 along the Newton step, F the area gradient on the free nodes:
+    the step length halves from 1, a trial that leaves the spec's range is
+    skipped, and the first trial that lowers ||F||^2 by the factor
+    1 - 1e-4 alpha is taken.  The Newton step meets ``_solves``, which
+    makes it a descent direction of ||F||^2 (module docstring), so it is
+    the only direction tried.  The report says whether max|el_residual|
+    <= tol was reached; a line search that finds no such trial above
+    alpha = 2^-30, or a singular Jacobian, raises SolveError."""
     free = g.free_slices()
     free_shape = levels[0][0]
     h1, h2 = g.spacing
@@ -1225,32 +1245,20 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
         linear_solvers.append(kind)
         linear_iterations.append(iterations)
 
-        # Armijo backtracking on ||gradient||^2, with a steepest-descent
-        # fallback when the Newton direction fails.
+        # Armijo backtracking on ||F||^2 along the Newton step.
         phi0 = float(np.dot(F, F))
-        accepted = False
-        for direction in (delta, -F):
-            alpha = 1.0
-            if direction is not delta:
-                nrm = float(np.linalg.norm(direction))
-                if nrm > 0:
-                    alpha = min(1.0, float(np.linalg.norm(delta)) / nrm + 1e-30)
-            while alpha > 2.0**-30:
-                trial = g.copy()
-                trial.values[free] = g.values[free] + alpha * direction.reshape(free_shape)
-                if not _in_range(spec, trial.values):
-                    alpha *= 0.5
-                    continue
+        alpha = 1.0
+        while alpha > 2.0**-30:
+            trial = g.copy()
+            trial.values[free] = g.values[free] + alpha * delta.reshape(free_shape)
+            if _in_range(spec, trial.values):
                 F_trial = _gradient(spec, trial)[free].ravel()
                 if float(np.dot(F_trial, F_trial)) <= (1.0 - 1e-4 * alpha) * phi0:
-                    g, F = trial, F_trial
-                    accepted = True
                     break
-                alpha *= 0.5
-            if accepted:
-                break
-        if not accepted:
+            alpha *= 0.5
+        else:
             raise SolveError(f"line search stalled at residual {rmax:.3e}", history)
+        g, F = trial, F_trial
 
     history.append(float(np.max(np.abs(F))) / cell_w)
     return g, SolveReport(False, history, linear_iterations, linear_solvers)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, as_float, as_floats, as_int, as_real_array,
-                     json_fields, require_finite)
+                     finite_result, json_fields, require_finite)
 from .fields import Field1D
 from .flat_torus import FlatTorusLattice, require_lattice
 
@@ -266,6 +266,8 @@ _H3_EXPONENTS = np.array(
     [[[n_p(k, l, *axes) for l in _AXES] for k in _AXES] for axes in _MULTI_INDICES]
 )[:, _UPPER[0], _UPPER[1]]
 _MAX_EXPONENT = int(_H3_EXPONENTS.max())
+# The least normal float: a divisor below it has lost digits.
+_TINY = np.finfo(float).tiny
 
 
 def _sample_points(spec: WarpedMetricSpec, n1: int, n2: int, x3s: np.ndarray):
@@ -318,6 +320,14 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
     over all samples, in increasing order, and folded in as it arrives:
     only a_kl, its three first derivatives and per-level maxima are kept,
     never all 20 at once.
+
+    Each constant is first taken per x3 level, through
+    ``errors.finite_result``: where one leaves the float range, a
+    DomainError names the warping at the first such level, "warping
+    entry <level> = <h> overflows the H1 ratio".  A level whose H1 ratios
+    fall below the normal range, or whose power h^n does under a nonzero
+    derivative, counts as leaving it; a zero derivative reads 0 whatever
+    h^n is.
     """
     sizes = [as_int("grid", n) for n in (list(grid) if np.ndim(grid) else [grid])]
     if len(sizes) not in (1, 3):
@@ -370,23 +380,41 @@ def check_hypotheses(spec: WarpedMetricSpec, grid=24) -> HypothesisReport:
             (~derivs_finite, "coefficient or warping derivatives not finite at {point}"),
         ])
 
-    scale = np.stack([1.0 / h, 1.0 / h, np.ones_like(h)], axis=1)
-    ratios = np.linalg.eigvalsh(G.reshape(reps, n3, 3, 3)
-                                * scale[:, :, None] * scale[:, None, :])
-    sup_h1 = max(0.0, float(np.max(np.sqrt(ratios[..., -1]))),
-                 float(np.max(1.0 / np.sqrt(ratios[..., 0]))))
+    def h1_ratio():
+        scale = np.stack([1.0 / h, 1.0 / h, np.ones_like(h)], axis=1)
+        scaled = G.reshape(reps, n3, 3, 3) * scale[:, :, None] * scale[:, None, :]
+        # A level whose scaled matrices left the float range reads NaN,
+        # and eigvalsh sees the identity there; so does a least ratio below
+        # the normal range, whose reciprocal root has lost its digits.
+        finite = np.isfinite(scaled).all(axis=(0, 2, 3))
+        scaled[:, ~finite] = np.eye(3)
+        ratios = np.linalg.eigvalsh(scaled)
+        least = np.where(ratios[..., 0] < _TINY, np.nan, ratios[..., 0])
+        worst = np.maximum(np.sqrt(ratios[..., -1]), 1.0 / np.sqrt(least)).max(axis=0)
+        return np.where(finite, worst, np.nan)
 
-    sup_h2 = [max(0.0, float(np.max(np.abs(d) / h))) for d in hd]
+    sup_h1 = max(0.0, float(np.max(finite_result("warping", h, "the H1 ratio", h1_ratio))))
+
+    per_level = finite_result("warping", h, "the H2 ratios",
+                              lambda: np.stack([np.abs(d) / h for d in hd], axis=1))
+    sup_h2 = [max(0.0, float(np.max(column))) for column in per_level.T]
     h_monotone = not bool(np.any(hd[0] > 0.0))
 
-    # Powers of h through Python's float pow, one row per level.  h > 0,
-    # so the largest |d a_kl| over the reps gives the largest quotient.
-    h_pow = np.array([[v**n for n in range(_MAX_EXPONENT + 1)] for v in h.tolist()])
-    weighted = upper_max / h_pow[:, _H3_EXPONENTS].transpose(1, 0, 2)
-    sup_h3 = [
-        max(0.0, float(np.max(weighted[lo:hi])))
-        for lo, hi in zip(_ORDER_BOUNDS, _ORDER_BOUNDS[1:])
-    ]
+    def h3_ratios():
+        # Powers of h by the C library's pow, as ``DiagonalCoefficients``
+        # squares a_i.  A power outside the normal range reads NaN, so its
+        # quotient does too, but a zero |d a_kl| reads 0 whatever h^n is.
+        # h > 0, so the largest |d a_kl| over the reps gives the largest
+        # quotient.
+        powers = np.float_power(h[:, None], np.arange(_MAX_EXPONENT + 1))
+        powers[(powers < _TINY) | (powers == np.inf)] = np.nan
+        weighted = np.where(upper_max == 0.0, 0.0,
+                            upper_max / powers[:, _H3_EXPONENTS].transpose(1, 0, 2))
+        return np.stack([weighted[lo:hi].max(axis=(0, 2))
+                         for lo, hi in zip(_ORDER_BOUNDS, _ORDER_BOUNDS[1:])], axis=1)
+
+    per_level = finite_result("warping", h, "the H3 ratios", h3_ratios)
+    sup_h3 = [max(0.0, float(np.max(column))) for column in per_level.T]
 
     mean_convex = not bool(np.any(_mean_convexity_indicator(G, first) < -1e-12))
 

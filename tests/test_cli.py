@@ -410,8 +410,8 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
     steps, solvers = data["linear_iterations"], data["linear_solvers"]
     assert len(steps) == len(solvers) == data["iterations"] and steps[0] == 0
     assert set(solvers) <= {"lu", "lagged"} and solvers[0] == "lu"
-    # Each "lu" or "kkt" step made one fine-grid factorization.
-    assert data["factorizations"] == sum(s in ("lu", "kkt") for s in solvers)
+    # Each "lu" or "pinned" step made one fine-grid factorization.
+    assert data["factorizations"] == sum(s in ("lu", "pinned") for s in solvers)
     assert data["coarse_grids"] == []
 
 
@@ -857,7 +857,7 @@ def test_readme_library_example_runs():
 
 def test_graph_solve_on_the_flat_torus(tmp_path, capsys):
     # The flat 32^2 torus of the console-script CI step: its Hessian
-    # annihilates the constants, so each step is a pinned ("kkt") factor.
+    # annihilates the constants, so each step is a "pinned" factor.
     (tmp_path / "flat.json").write_text(json.dumps(
         {"kind": "flat", "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.2]},
          "interval": [-5.0, 5.0]}))
@@ -867,7 +867,7 @@ def test_graph_solve_on_the_flat_torus(tmp_path, capsys):
                                    "--domain", "torus", "--grid", "32x32",
                                    "--bc", str(tmp_path / "bc.json"), "--out", str(out)])
     assert code == EXIT_OK
-    assert data["linear_solvers"] == ["kkt"] * 5 and data["pinned_mean"]
+    assert data["linear_solvers"] == ["pinned"] * 5 and data["pinned_mean"]
     assert data["final_residual"] <= 1e-8 and data["grid"] == "32x32"
     assert len(out.read_text().splitlines()) == 2 + 32
 

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -229,6 +230,33 @@ def test_core_chart_report_matches_the_80_digit_oracle(depth, lattice):
     assert abs(theta_slope - 3.0) <= 0.05 and abs(z_slope - 1.0) <= 0.05
     assert report.core_theta_slope == pytest.approx(theta_slope, abs=0.05)
     assert report.core_z_slope == pytest.approx(z_slope, abs=0.05)
+
+
+def test_log_slope_is_the_log_of_f_prime():
+    # log1p(x/s) - x/s equals log f' wherever f' is a normal float, and
+    # stays finite where f' underflows to 0.
+    f = build(20.0, UNIT).f
+    tt = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 500.0, 200)])
+    assert np.allclose(f.log_slope(tt), np.log(f.d1(tt)), rtol=1e-14, atol=1e-15)
+    deep = np.array([560.0, 1e4, 1e9])
+    assert np.all(f.d1(deep) == 0.0) and np.all(np.isfinite(f.log_slope(deep)))
+
+
+@pytest.mark.parametrize("depth", [559.0, 600.0, 1000.0])
+def test_verify_passes_where_f_prime_underflows(depth):
+    # From L = 559 on f'(L + 1) underflows to 0, and from about L = 564
+    # f' does at depths the grid samples; the signs come from log f'.
+    report = verify(build(depth, UNIT))
+    assert report.passed, report
+    assert (report.core_theta_slope, report.core_z_slope) == (3.0, 1.0)
+    assert report.core_z_constant == 0.0
+
+
+def test_passed_reads_the_core_orders_exactly():
+    report = verify(build(20.0, UNIT))
+    assert report.passed
+    for theta, z in ((2.0, 1.0), (4.0, 1.0), (3.0, 2.0)):
+        assert not replace(report, core_theta_slope=theta, core_z_slope=z).passed
 
 
 def _other_lattice_eta(spec):

@@ -570,20 +570,20 @@ def _flat_torus_32():
         + 0.03 * np.cos(4 * np.pi * x + 1.0))
 
 
-def _kkt_factor(monkeypatch):
+def _pinned_factor(monkeypatch):
     # The first pinned-mean factor of a flat 32^2 torus solve: its
     # Hessian with the first unknown pinned.
     spec, init = _flat_torus_32()
     factors = _recording_factor(monkeypatch)
     _, rep = solve(spec, init, tol=1e-9)
-    assert rep.linear_solvers[0] == "kkt"
+    assert rep.linear_solvers[0] == "pinned"
     return factors[0]
 
 
 @pytest.mark.parametrize("factor,ratio", [
     (_hessian_factor, 0.65),
-    (_kkt_factor, 1.0),
-], ids=["rectangle_129", "torus_32_kkt"])
+    (_pinned_factor, 1.0),
+], ids=["rectangle_129", "torus_32_pinned"])
 def test_factor_fill_against_colamd(monkeypatch, factor, ratio):
     # Fill counts of SuperLU: the solver's own factor, in _LU_ORDERING,
     # against COLAMD on the same row-major matrix.
@@ -1071,35 +1071,10 @@ def test_a_pinned_step_whose_factor_raises_stops_the_solve(monkeypatch):
     rhs = -_gradient(spec, g).ravel()
     monkeypatch.setattr(minimal_graph, "_factor", _raise_runtime_error)
     assert _pinned(H, rhs) is None
-    assert _linear_solve(H, rhs, _one_level((32, 32)), (True, True)) == (None, None, "kkt", 0)
+    assert _linear_solve(H, rhs, _one_level((32, 32)), (True, True)) == (None, None, "pinned", 0)
     with pytest.raises(SolveError, match="^singular Jacobian") as info:
         solve(spec, init, tol=1e-8)
     assert len(info.value.residual_history) == 1
-
-
-def _uphill(H, rhs, levels, periodic, kept=None):
-    # The Newton step reversed (this module's own binding of
-    # _linear_solve is not patched).
-    delta, kept, kind, iterations = _linear_solve(H, rhs, levels, periodic, kept)
-    return -delta, kept, kind, iterations
-
-
-def test_the_line_search_retries_along_steepest_descent(monkeypatch):
-    # On the flat metric, whose area is convex, the reversed Newton step
-    # fails the Armijo test at every step length, so the step is taken
-    # along -F, a descent direction of |F|^2 for a positive definite
-    # Hessian.
-    spec = flat_spec()
-    g = DiscreteGraph.on_rectangle(
-        (1.0, 1.0), (17, 17), lambda x, y: 0.2 * x + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
-    free = g.free_slices()
-    F = _gradient(spec, g)[free]
-    monkeypatch.setattr(minimal_graph, "_linear_solve", _uphill)
-    out, rep = minimal_graph._newton(spec, g, 1e-8, 1, _one_level((15, 15)))
-    step = out.values[free] - g.values[free]
-    alpha = -float(np.sum(step * F)) / float(np.sum(F * F))
-    assert 0.0 < alpha <= 1.0 and np.allclose(step, -alpha * F, rtol=0.0, atol=1e-15)
-    assert rep.linear_solvers == ["lu"] and rep.residual_history[1] < rep.residual_history[0]
 
 
 def _standstill(H, rhs, levels, periodic, kept=None):
@@ -1108,14 +1083,64 @@ def _standstill(H, rhs, levels, periodic, kept=None):
 
 
 def test_a_line_search_that_stalls_raises(monkeypatch):
-    # Neither direction is accepted: the zero update leaves |F|^2 where
-    # it was, and the steepest-descent retry starts at a step length of
-    # |delta| / |F| = 0.
+    # No step length is accepted: the zero update leaves |F|^2 where it
+    # was at every trial, down to alpha = 2^-30.
     spec, g = _cusp_problem((17, 17))
     monkeypatch.setattr(minimal_graph, "_linear_solve", _standstill)
     with pytest.raises(SolveError, match="^line search stalled at residual") as info:
         solve(spec, g, tol=1e-8)
     assert len(info.value.residual_history) == 1
+
+
+def test_the_tube_at_its_roundoff_floor_stalls_after_three_steps():
+    # The criterion-4(c) tube at 129^2 bottoms out near 2.1e-10, above
+    # the default tolerance: the line search along the Newton step stalls
+    # at the fourth iterate.
+    with pytest.raises(SolveError, match="^line search stalled at residual") as info:
+        solve(tube_spec(), _tube_4c_graph(129))
+    history = info.value.residual_history
+    assert len(history) == 4 and 1e-10 < history[-1] < 1e-9
+
+
+class _NanFactor:
+    # A factor whose every solve is NaN.
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
+def test_a_factor_that_solves_to_nan_is_a_singular_jacobian(monkeypatch):
+    # 17^2 has no coarser levels, so the first step is solved by the
+    # factor alone; its NaN update fails _solves on finiteness.
+    spec, g = _cusp_problem((17, 17))
+    monkeypatch.setattr(minimal_graph, "_factor", lambda *args: _NanFactor())
+    H = _hessian(spec, g, _Pattern(g))
+    rhs = -_gradient(spec, g)[g.free_slices()].ravel()
+    assert not _solves(H, _NanFactor().solve(rhs), rhs)
+    with pytest.raises(SolveError, match="^singular Jacobian") as info:
+        solve(spec, g, tol=1e-8)
+    assert len(info.value.residual_history) == 1
+
+
+def _out_of_range(fine, coarse, u):
+    # A corrected start 10 above every free node: past the tube's
+    # interval [0, 4.5] from data near 3.8.
+    start = fine.copy()
+    start.values[fine.free_slices()] += 10.0
+    return start
+
+
+def test_a_nested_start_that_leaves_the_range_is_not_taken(monkeypatch):
+    # Every corrected start of the 65^2 ladder leaves the range, so each
+    # grid starts from its injected values: the 65^2 grid from its own
+    # data, as a Newton solve without coarser grids does.
+    spec, init = tube_spec(), _tube_4c_graph(65)
+    monkeypatch.setattr(minimal_graph, "_corrected", _out_of_range)
+    out, rep = solve(spec, init, tol=1e-9)
+    assert [c.shape for c in rep.coarse_grids] == [(17, 17), (33, 33)]
+    direct, direct_rep = minimal_graph._newton(spec, init, 1e-9, 60,
+                                               _hierarchy((63, 63), (False, False)))
+    assert rep.converged and np.array_equal(out.values, direct.values)
+    assert rep.residual_history == direct_rep.residual_history
 
 
 def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):

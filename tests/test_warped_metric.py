@@ -594,6 +594,87 @@ def test_check_hypotheses_rejects_nonfinite_derivatives():
     )
 
 
+# ------------------------------------------- constants near the float range
+
+
+def _constant_warping(value, a=None):
+    """a1 = a2 = ``a`` (1 by default) on [0, 1] under the constant warping
+    ``value``."""
+    a = Field1D.constant(1.0) if a is None else a
+    return WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, a, a, warping=Field1D.constant(value))
+
+
+@pytest.mark.parametrize("value", [1e200, 1e160, 1e-160, 1e-200])
+def test_check_hypotheses_names_a_warping_that_takes_h1_out_of_range(value):
+    # a_11 / h^2 = h^-2 is 1e-400, 1e-320 (below the normal range), 1e320
+    # or 1e400: no reciprocal root of it is a faithful float.
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(_constant_warping(value), grid=8)
+    assert str(err.value) == f"warping entry 0 = {value!r} overflows the H1 ratio"
+
+
+def test_check_hypotheses_reports_a_large_warping_in_range():
+    # a_11 / h^2 = 1e-300 is a normal float; h^3 overflows, but every
+    # derivative it would divide is zero.
+    report = check_hypotheses(_constant_warping(1e150), grid=8)
+    assert report.a_h1 == pytest.approx(1e150, rel=1e-15)
+    assert report.h2_ratios == (0.0, 0.0, 0.0)
+    assert report.h3_ratios == (1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [1e-70, 1e-120])
+def test_check_hypotheses_reads_a_zero_derivative_over_an_underflowed_power_as_zero(value):
+    # a_11 = exp(-2 x3), whose order-p derivative over h^2 is largest at
+    # x3 = 0, 2^p / h^2.  The multi-indices with a horizontal axis are
+    # zero over h^3 or h^5, which underflow to 0: they read 0, not NaN.
+    report = check_hypotheses(_constant_warping(value, Field1D.exp_decay()), grid=8)
+    assert report.h3_ratios == pytest.approx([2.0**p / value**2 for p in range(4)], rel=1e-14)
+
+
+def test_check_hypotheses_names_a_warping_that_takes_h2_out_of_range():
+    # h = 1e-150 + 1e160 x3 on [0, 1e-300] under a1 = a2 = 1: h' / h =
+    # 1e310 at x3 = 0, and below 1e301 at every other level.
+    def h(t):
+        return 1e-150 + 1e160 * np.asarray(t, dtype=float)
+
+    def slope(t):
+        return np.full(np.shape(t), 1e160)
+
+    def zero(t):
+        return np.zeros(np.shape(t))
+
+    one = Field1D.constant(1.0)
+    spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1e-300, one, one,
+                                     warping=Field1D.from_evaluators(h, slope, zero, zero))
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == "warping entry 0 = 1e-150 overflows the H2 ratios"
+
+
+def test_check_hypotheses_names_the_first_level_where_h3_leaves_the_float_range():
+    # a_11 = a_22 = h^2 (1 + sin(2 pi x1) / 10) under h = 1e-50 exp(-100 x3):
+    # d_111 a_11 / h^5 is about 25 / h^3, but h^5 falls below the normal
+    # range from x3 = 0.27 on, at the third level, 2/7.
+    def h(t, order=0):
+        return (-100.0) ** order * 1e-50 * np.exp(-100.0 * np.asarray(t, dtype=float))
+
+    def fn(x1, x2, x3, axes):
+        out = np.zeros((3, 3))
+        if 2 in axes:
+            return out
+        p = axes.count(1)
+        wave = (p == 0) + 0.1 * (2 * math.pi) ** p * math.sin(2 * math.pi * x1 + p * math.pi / 2)
+        out[0, 0] = out[1, 1] = (-200.0) ** axes.count(3) * 1e-100 * math.exp(-200.0 * x3) * wave
+        out[2, 2] = 1.0 if not axes else 0.0
+        return out
+
+    warping = Field1D.from_evaluators(*(lambda t, k=k: h(t, k) for k in range(4)))
+    spec = WarpedMetricSpec(UNIT, 0.0, 1.0, warping, coefficients=CallableCoefficients(fn))
+    with pytest.raises(DomainError) as err:
+        check_hypotheses(spec, grid=8)
+    assert str(err.value) == f"warping entry 2 = {float(h(2.0 / 7.0))!r} overflows the H3 ratios"
+
+
 # ------------------------------------------- array and per-point evaluation
 
 
