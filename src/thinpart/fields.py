@@ -2,10 +2,9 @@
 
 A ``Field1D`` is one function, ``derivative(t, order, memo)``: the
 order-th derivative at t, for order 0 to 3, at a scalar or a numpy array.
-``f(t)``, ``f.d1(t)``, ``f.d2(t)`` and ``f.d3(t)`` are that function at
-orders 0-3, and ``f.jet(t, order)`` is the tuple of its values up to
-``order``.  Fields whose derivatives share a ``memo`` (a dict, for the
-fields at one ``t``) share what they compute: the tube's
+``f(t)`` is its value, and ``f.jet(t, order)`` is the tuple of its
+values up to ``order``.  Fields whose derivatives share a ``memo`` (a
+dict, for the fields at one ``t``) share what they compute: the tube's
 a1 = sinh(R - t) and a2 = cosh(R - t) form R - t once and call sinh and
 cosh once each, the cusp's a1 = a2 = exp(-t) calls exp once, and the
 filler's a1 and a2 call it twice.  A value is bit for bit the same with a
@@ -57,15 +56,6 @@ class Field1D:
 
     def __call__(self, t):
         return self._derivative(t, 0, {})
-
-    def d1(self, t):
-        return self._derivative(t, 1, {})
-
-    def d2(self, t):
-        return self._derivative(t, 2, {})
-
-    def d3(self, t):
-        return self._derivative(t, 3, {})
 
     def jet(self, t, order: int, memo: dict | None = None) -> tuple:
         """(f(t), f'(t), ..., f^(order)(t)), its derivatives sharing ``memo``."""

@@ -15,8 +15,9 @@ core chart O(rho^3)/O(rho) smoothness residuals with the nonzero
 constants 2 f'(L+1) and 2 f'(L+1) exp(-2 f(L+1)); ``verify`` reads both
 from the jets of f and eta, and the sign of f' from log f', which stays
 finite where f' underflows (from L = 559), so it holds at every depth
-below 2^49, past which L + 0.95, the end of its flat-level probe,
-rounds to L + 1.  eta is 1 near 0,
+below 2^50; from 2^50 on L + 0.9, the end of its flat-level probe,
+rounds to L + 1, and ``verify`` raises a DomainError naming the filler
+depth.  eta is 1 near 0,
 descends through a smoothstep, rounds the corner onto the exact linear
 tail eta(x) = (1 - x) * (2 pi / alpha) * exp(f(L+1)) near 1 (slope -K
 with K = 2 pi exp(f(L+1)) / alpha).
@@ -257,17 +258,12 @@ def mean_convexity(spec: FillerSpec, t):
     at a depth or an array of depths."""
     t = _depths(spec, t)
     eta, eta_prime = spec._collapse.jet(t, 1)
-    return spec.f.d1(t) - 0.5 * eta_prime / eta
+    return spec.f.derivative(t, 1) - 0.5 * eta_prime / eta
 
 
-def as_warped(spec: FillerSpec, t_max: float | None = None):
-    """The filler body as a diagonal warped spec on [0, t_max]."""
+def as_warped(spec: FillerSpec):
+    """The filler body as a diagonal warped spec on [0, L + 1/2]."""
     from .warped_metric import WarpedMetricSpec
-
-    L = spec.depth
-    t_max = L + 0.5 if t_max is None else as_float("t_max", t_max)
-    if not 0.0 < t_max < L + 1.0:
-        raise DomainError("t_max must lie in (0, L + 1)")
 
     f, collapse = spec.f, spec._collapse
 
@@ -293,7 +289,8 @@ def as_warped(spec: FillerSpec, t_max: float | None = None):
         )
 
     h = Field1D(exp_f)
-    return WarpedMetricSpec(spec.lattice, 0.0, t_max, h, kind="filler", a1=Field1D(a1), a2=h)
+    return WarpedMetricSpec(spec.lattice, 0.0, spec.depth + 0.5, h, kind="filler",
+                            a1=Field1D(a1), a2=h)
 
 
 # ------------------------------------------------------------ verification
@@ -351,10 +348,12 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     tori.
 
     Covers: flat level tori (the metric equals its warped-product form),
-    the exact exp(-2t) collar on [0, 1], continuity of the two metric
-    formulas at t = L, and profile bounds, on sample grids; and, from one
-    jet of f and of eta(t - L):
+    the exact exp(-2t) collar on [0, 1] and continuity of the two metric
+    formulas at t = L, on sample grids; and, from one jet of f and of
+    eta(t - L):
 
+    - profile bounds: the cap f(L + 1), and sup f' on [L + 2/3, L + 1],
+      which is f'(L + 2/3) because f' falls on the ramp.
     - strictly decreasing level diameters.  The level lattice at depth t
       is diag(exp(-f) eta(t - L), exp(-f)) applied to the boundary
       lattice; where f' > 0 and eta' <= 0 both scales shrink strictly,
@@ -373,17 +372,24 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
       O(rho^2)).  On eta's linear tail eta'' = 0, so a smooth core reads
       orders 3 and 1 (``FillerReport``) at every depth: both coefficients
       are positive where f'(L+1) > 0, read from its log.
+
+    A DomainError names a depth L from 2^50 on, where L + 0.9 rounds to
+    L + 1 and the collar [L, L + 1] cannot be sampled.
     """
     grid = as_int("grid", grid)
     if grid < 2:
         raise DomainError(f"verify needs a grid of at least 2 depths, got {grid!r}")
     L = spec.depth
+    if L + 0.9 == L + 1.0:
+        raise DomainError(f"filler depth {L!r} is too deep to verify: L + 0.9 rounds to "
+                          "L + 1, so the collar [L, L + 1] cannot be sampled")
 
     # (i) flat level tori: the metric is the warped product of the level
     # lattice, so metric_at (the collar formula) gives the squares of the
-    # warped spec's a1 and a2 (a Leibniz series) to 1e-12 relative.
+    # warped spec's a1 and a2 (a Leibniz series) to 1e-12 relative.  Those
+    # fields do not depend on the warped spec's range.
     ts_probe = np.linspace(0.0, L + 0.9, 23)
-    warped = as_warped(spec, L + 0.95)
+    warped = as_warped(spec)
     g11, g22, _ = metric_at(spec, (0.0, 0.0, ts_probe))
     flat_levels = all(
         bool(np.all(np.abs(g - np.asarray(a(ts_probe)) ** 2) <= 1e-12 * np.abs(g)))
@@ -409,12 +415,12 @@ def verify(spec: FillerSpec, grid: int = 200) -> FillerReport:
     below, above = np.array([g11, g22]).T
     continuous = bool(np.all(np.abs(below - above) <= 1e-10 * np.maximum(1.0, np.abs(below))))
 
-    # Profile bounds, and f and f' at the core t = L + 1, the last depth.
-    tt = np.linspace(0.0, L + 1.0, 4001)
-    f, fp = spec.f.jet(tt, 1)
-    tail_mask = tt >= L + 2.0 / 3.0
-    ramp_flatness = float(fp[tail_mask].max())
-    cap, fp_core = float(f[-1]), float(fp[-1])
+    # Profile bounds, and f and f' at the core t = L + 1.  On the ramp
+    # f' = (1 + x/s) exp(-x/s) falls for x > 0, so its sup on
+    # [L + 2/3, L + 1] is f'(L + 2/3); f rises to its cap f(L + 1).
+    f, fp = spec.f.jet(np.array([L + 2.0 / 3.0, L + 1.0]), 1)
+    ramp_flatness = float(fp[0])
+    cap, fp_core = float(f[1]), float(fp[1])
 
     # Core chart: the first nonzero Taylor coefficient at rho = 0 of
     # g_theta - rho^2 = (alpha eta(1 - rho) / 2 pi)^2 g_zz - rho^2, through

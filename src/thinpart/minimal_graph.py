@@ -620,8 +620,8 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
     """Derivative of the graph area along the variation v.
 
     v must be finite and vanish on Dirichlet boundary rings (or be
-    periodic).  Equals -sum(el_residual * v * cell_weight) by
-    construction.
+    periodic).  Equals -sum(el_residual * v * cell_weight) to machine
+    precision: the two sums round differently.
     """
     _require_diagonal(spec)
     _check_range(spec, g.values)
@@ -634,6 +634,10 @@ def first_variation(spec: WarpedMetricSpec, g: DiscreteGraph, v) -> float:
         raise DomainError("variation must vanish on the Dirichlet boundary")
 
     v = _ghosted(v, g, 0)
+    # dW contracted with v's centroid values, not the residual's nodal
+    # scatter paired with v: at 257^2 on a noisy cusp graph this takes
+    # 4.8-6.9 ms against 7.6-10.9 ms for el_residual and the dot product
+    # (best of 25, two runs, shared 2-core Xeon, one thread).
     # Summed per cell row first, as in ``area``.
     sums = np.zeros(g.shape[0])
     for rows, types in _elements(spec, g, 1):

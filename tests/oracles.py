@@ -94,8 +94,8 @@ def mse_ode_rhs(spec, u, p):
     with c0 = (a1 a2)^2, c1 = a1^2 evaluated at u."""
     a1v = np.asarray(spec.a1(u), dtype=float)
     a2v = np.asarray(spec.a2(u), dtype=float)
-    a1p = np.asarray(spec.a1.d1(u), dtype=float)
-    a2p = np.asarray(spec.a2.d1(u), dtype=float)
+    a1p = np.asarray(spec.a1.derivative(u, 1), dtype=float)
+    a2p = np.asarray(spec.a2.derivative(u, 1), dtype=float)
     c0 = (a1v * a2v) ** 2
     c0p = 2.0 * (a1v * a2v) * (a1p * a2v + a1v * a2p)
     c1 = a1v**2
@@ -195,7 +195,7 @@ def check_hypotheses_loop(spec, grid):
         D = np.diag([1.0 / h, 1.0 / h, 1.0])
         ratios = np.linalg.eigvalsh(D @ G @ D)
         sup_h1 = max(sup_h1, math.sqrt(ratios[-1]), 1.0 / math.sqrt(ratios[0]))
-        derivs = (spec.warping.d1(x3), spec.warping.d2(x3), spec.warping.d3(x3))
+        derivs = tuple(spec.warping.derivative(x3, k) for k in (1, 2, 3))
         for i, d in enumerate(derivs):
             sup_h2[i] = max(sup_h2[i], abs(float(d)) / h)
         if float(derivs[0]) > 0.0:
@@ -330,8 +330,8 @@ def _tri_fields(g, tri, values=None):
 def _coefficients(spec, uc):
     a1v = np.asarray(spec.a1(uc), dtype=float)
     a2v = np.asarray(spec.a2(uc), dtype=float)
-    a1p = np.asarray(spec.a1.d1(uc), dtype=float)
-    a2p = np.asarray(spec.a2.d1(uc), dtype=float)
+    a1p = np.asarray(spec.a1.derivative(uc, 1), dtype=float)
+    a2p = np.asarray(spec.a2.derivative(uc, 1), dtype=float)
     return a1v, a2v, a1p, a2p
 
 
@@ -367,10 +367,10 @@ def element_expanded(spec, uc, ux, uy):
     ("x", "y"), ("y", "y")."""
     a1v = np.asarray(spec.a1(uc), dtype=float)
     a2v = np.asarray(spec.a2(uc), dtype=float)
-    a1p = np.asarray(spec.a1.d1(uc), dtype=float)
-    a2p = np.asarray(spec.a2.d1(uc), dtype=float)
-    a1s = np.asarray(spec.a1.d2(uc), dtype=float)
-    a2s = np.asarray(spec.a2.d2(uc), dtype=float)
+    a1p = np.asarray(spec.a1.derivative(uc, 1), dtype=float)
+    a2p = np.asarray(spec.a2.derivative(uc, 1), dtype=float)
+    a1s = np.asarray(spec.a1.derivative(uc, 2), dtype=float)
+    a2s = np.asarray(spec.a2.derivative(uc, 2), dtype=float)
 
     prod = a1v * a2v
     dprod = a1p * a2v + a1v * a2p

@@ -234,6 +234,29 @@ def test_filler_build_verify_cycle(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("depth,code", [
+    ("562949953421312", EXIT_OK),             # 2^49
+    ("1125899906842623.9", EXIT_OK),          # the float below 2^50
+    ("1125899906842624", EXIT_DOMAIN),        # 2^50
+    ("1e16", EXIT_DOMAIN),
+    ("1e300", EXIT_DOMAIN),
+])
+def test_filler_verify_from_2_to_the_50_exits_domain(tmp_path, capsys, depth, code):
+    # From 2^50 on L + 0.9 rounds to L + 1, so the collar [L, L + 1]
+    # cannot be sampled, and the message names the filler depth.
+    path = tmp_path / "f.json"
+    assert run(["filler", "build", "--L", depth, "--lattice", "1,0,1",
+                "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["filler", "verify", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_DOMAIN:
+        assert err.startswith("domain error: filler depth ")
+        assert err.endswith("the collar [L, L + 1] cannot be sampled\n")
+    else:
+        assert err == ""
+
+
 def _strict_json(text):
     """The JSON document in ``text``; NaN and Infinity are not JSON."""
     def reject(constant):

@@ -319,7 +319,6 @@ _COMPOSE = {"in_scale": lambda x: Field1D.exp_decay().compose_affine(x, 0.0),
 
 # (entry point, the name its message gives the argument)
 _MORE_NUMBER_ARGUMENTS = {
-    "as_warped": (lambda x: filler.as_warped(_filler(), x), "t_max"),
     "project_vertex": (_project_vertex, "level"),
     "Field1D.constant": (lambda x: Field1D.constant(x), "constant value"),
     **{f"compose_affine_{name}": (call, name) for name, call in _COMPOSE.items()},
@@ -330,8 +329,7 @@ _CALLER_INPUTS = (
     [(f"{entry}-{kind}", entry, kind) for entry in _ARRAY_ARGUMENTS
      for kind in ("strings", "none", "bools", "nan", "inf")]
     + [(f"{entry}-{kind}", entry, value) for entry in _MORE_NUMBER_ARGUMENTS
-       for kind, value in (("string", "0.1"), ("none", None), ("bool", True), ("nan", math.nan))
-       if (entry, value) != ("as_warped", None)]  # None is t_max's default
+       for kind, value in (("string", "0.1"), ("none", None), ("bool", True), ("nan", math.nan))]
     + [(f"normalized-{kind}", "normalized", value) for kind, value in (("string", "false"),
                                                                       ("int", 1))])
 
@@ -493,7 +491,6 @@ _UNREACHED_REJECTIONS = {
     "negative_radius": (lambda: slice_area(0.1, [0.1, -0.2]),
                         "radius must be nonnegative, got -0.2"),
     "core_rho_0": (lambda: filler.core_chart_metric(_filler(), 0), "core chart needs 0 < rho"),
-    "t_max_at_core": (lambda: filler.as_warped(_filler(), 15.0), "t_max must lie in (0, L + 1)"),
     "scaled_0": (lambda: _UNIT.scaled(0), "scale factor must be positive"),
     # Sweep-out vertices, profiles and masses.
     "vertex_level": (lambda: _vertex(-1, Fraction(0)), "grid level must be nonnegative"),

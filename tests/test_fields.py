@@ -54,7 +54,7 @@ ts = np.linspace(0.0, 3.0, 400)
 spec = WarpedMetricSpec.from_sampled(
     FlatTorusLattice.unit_square(), ts, np.exp(-ts), np.exp(-ts), np.exp(-ts))
 loaded["sampled"] = "scipy.interpolate" in sys.modules
-probes = [[float(spec.a1(t)), float(spec.a1.d1(t)), float(spec.a1.d2(t))]
+probes = [[float(spec.a1(t)), float(spec.a1.derivative(t, 1)), float(spec.a1.derivative(t, 2))]
           for t in (0.5, 1.2, 2.4)]
 print(json.dumps({"codes": codes, "loaded": loaded, "probes": probes}))
 """
@@ -133,7 +133,8 @@ JET_FIELDS = _jet_fields()
 
 
 def _evaluators(field):
-    return (field, field.d1, field.d2, field.d3)
+    """Each order read on its own, with a memo of its own."""
+    return tuple(lambda t, k=k: field.derivative(t, k) for k in range(4))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

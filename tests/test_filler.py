@@ -6,6 +6,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinpart import DomainError
 from thinpart.filler import (
@@ -56,16 +58,16 @@ def test_profile_cap_and_tail_flatness():
     tt = np.linspace(0.0, 21.0, 2001)
     assert float(np.max(spec.f(tt))) <= 3.0
     # f' > 0 everywhere, and vanishes on [L + 2/3, L + 1] to ramp tolerance.
-    assert float(np.min(spec.f.d1(tt))) > 0.0
-    assert float(spec.f.d1(20.9)) == pytest.approx(0.0, abs=1e-6)
+    assert float(np.min(spec.f.derivative(tt, 1))) > 0.0
+    assert float(spec.f.derivative(20.9, 1)) == pytest.approx(0.0, abs=1e-6)
     # f' and f'' bounded independently of the depth.
     sup_fp = {}
     sup_fpp = {}
     for L in (12.0, 20.0, 35.0):
         s = build(L, UNIT)
         tt = np.linspace(0.0, L + 1.0, 4001)
-        sup_fp[L] = float(np.max(np.abs(s.f.d1(tt))))
-        sup_fpp[L] = float(np.max(np.abs(s.f.d2(tt))))
+        sup_fp[L] = float(np.max(np.abs(s.f.derivative(tt, 1))))
+        sup_fpp[L] = float(np.max(np.abs(s.f.derivative(tt, 2))))
     assert max(sup_fp.values()) <= 1.0 + 1e-12
     assert max(sup_fpp.values()) <= 1.0
     assert max(sup_fpp.values()) == pytest.approx(min(sup_fpp.values()), rel=1e-3)
@@ -80,8 +82,7 @@ def test_profile_c2_continuity_at_knots():
     eps = 1e-9
     f = spec.f
     for order, bound in ((0, 1.0), (1, 1.0), (2, 2.0)):
-        fn = (f, f.d1, f.d2)[order]
-        gap = abs(float(fn(1.0 - eps)) - float(fn(1.0 + eps)))
+        gap = abs(float(f.derivative(1.0 - eps, order)) - float(f.derivative(1.0 + eps, order)))
         assert gap <= 2.5 * bound * eps + 1e-15, order
 
     eta = spec.eta
@@ -90,8 +91,8 @@ def test_profile_c2_continuity_at_knots():
     scales = (K, 1.875 * K / w, 5.8 * K / w**2)  # |eta'|, |eta''|, |eta'''|
     for knot in (eta.x0, eta.x1, eta.x2):
         for order in (0, 1, 2):
-            fn = (eta, eta.d1, eta.d2)[order]
-            gap = abs(float(fn(knot - eps)) - float(fn(knot + eps)))
+            gap = abs(float(eta.derivative(knot - eps, order))
+                      - float(eta.derivative(knot + eps, order)))
             assert gap <= 2.5 * scales[order] * eps + 1e-13, (knot, order)
 
 
@@ -100,7 +101,7 @@ def test_eta_endpoint_and_tail_slope():
     eta = spec.eta
     K_expected = 2.0 * math.pi * math.exp(spec.core_height) / UNIT.a1
     assert float(eta(1.0)) == 0.0
-    assert float(eta.d1(1.0)) == pytest.approx(-K_expected, rel=1e-12)
+    assert float(eta.derivative(1.0, 1)) == pytest.approx(-K_expected, rel=1e-12)
     xs = np.linspace(0.0, 1.0, 801)
     vals = np.asarray(eta(xs))
     assert np.all(np.diff(vals) <= 1e-15)  # nonincreasing
@@ -237,19 +238,41 @@ def test_log_slope_is_the_log_of_f_prime():
     # stays finite where f' underflows to 0.
     f = build(20.0, UNIT).f
     tt = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 500.0, 200)])
-    assert np.allclose(f.log_slope(tt), np.log(f.d1(tt)), rtol=1e-14, atol=1e-15)
+    assert np.allclose(f.log_slope(tt), np.log(f.derivative(tt, 1)), rtol=1e-14, atol=1e-15)
     deep = np.array([560.0, 1e4, 1e9])
-    assert np.all(f.d1(deep) == 0.0) and np.all(np.isfinite(f.log_slope(deep)))
+    assert np.all(f.derivative(deep, 1) == 0.0) and np.all(np.isfinite(f.log_slope(deep)))
 
 
-@pytest.mark.parametrize("depth", [559.0, 600.0, 1000.0])
+@pytest.mark.parametrize("depth", [559.0, 600.0, 1000.0, 2.0**49,
+                                   float(np.nextafter(2.0**50, 0.0))])
 def test_verify_passes_where_f_prime_underflows(depth):
     # From L = 559 on f'(L + 1) underflows to 0, and from about L = 564
     # f' does at depths the grid samples; the signs come from log f'.
+    # Below 2^50, L + 0.9, the end of the flat-level probe, stays below
+    # L + 1.
     report = verify(build(depth, UNIT))
     assert report.passed, report
     assert (report.core_theta_slope, report.core_z_slope) == (3.0, 1.0)
     assert report.core_z_constant == 0.0
+
+
+@pytest.mark.parametrize("depth", [2.0**50, 1e16, 1e300])
+def test_verify_names_a_depth_whose_collar_cannot_be_sampled(depth):
+    with pytest.raises(DomainError, match=r"^filler depth .* L \+ 0\.9 rounds to L \+ 1, so "
+                       r"the collar \[L, L \+ 1\] cannot be sampled$"):
+        verify(build(depth, UNIT))
+
+
+@pytest.mark.parametrize("depth", [10.5, 12.0, 20.0, 100.0])
+def test_ramp_flatness_is_f_prime_at_two_thirds_of_the_collar(depth):
+    # f' falls on the ramp, so its sup on [L + 2/3, L + 1] is f'(L + 2/3),
+    # read exactly; the cap is f(L + 1).
+    spec = build(depth, UNIT)
+    report = verify(spec)
+    assert report.ramp_flatness_sup == spec.f.derivative(depth + 2.0 / 3.0, 1)
+    tail = np.linspace(depth + 2.0 / 3.0, depth + 1.0, 1001)
+    assert report.ramp_flatness_sup == np.max(spec.f.derivative(tail, 1))
+    assert report.profile_cap == spec.core_height
 
 
 def test_passed_reads_the_core_orders_exactly():
@@ -420,6 +443,19 @@ def test_json_round_trip_random_fillers():
             spec.eta.K, spec.eta.tail, spec.eta.corner_width)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.floats(10.0, 1000.0, exclude_min=True, exclude_max=True),
+       st.floats(0.8, 1.25), st.floats(-0.3, 0.3), st.floats(0.8, 1.25))
+def test_a_filler_file_reads_back_byte_for_byte(depth, a1, a2, b2):
+    # Near-unit lattices at depths in (10, 1000): the file a read filler
+    # writes is the file it was read from, and it verifies the same.
+    spec = build(depth, FlatTorusLattice(a1, a2, b2))
+    text = json.dumps(to_json_dict(spec))
+    again = from_json_dict(json.loads(text))
+    assert json.dumps(to_json_dict(again)) == text
+    assert repr(verify(again)) == repr(verify(spec))
+
+
 def _spoiled(key, value):
     data = json.loads(json.dumps(to_json_dict(build(14.0, UNIT))))
     if key in data:
@@ -491,13 +527,12 @@ def test_as_warped_a1_derivatives_closed_form():
         "corner": (L + eta.x1, L + eta.x2),
         "tail": (L + eta.x2, L + 1.0),
     }
-    orders = (a1, a1.d1, a1.d2, a1.d3)
     for name, (lo, hi) in pieces.items():
         width = hi - lo
         t = lo + width * np.linspace(0.2, 0.8, 7)
         for k in (1, 2, 3):
-            exact = np.asarray(orders[k](t))
-            approx = _richardson(orders[k - 1], t, min(width / 50.0, 1e-2))
+            exact = np.asarray(a1.derivative(t, k))
+            approx = _richardson(lambda t: a1.derivative(t, k - 1), t, min(width / 50.0, 1e-2))
             assert np.max(np.abs(exact - approx)) <= 1e-5 * np.max(np.abs(exact)), (name, k)
 
 
@@ -505,9 +540,9 @@ def test_as_warped_a1_d3_equals_a2_d3_before_collar():
     spec = build(14.0, UNIT)
     warped = as_warped(spec)
     t = np.linspace(0.0, np.nextafter(spec.depth, 0.0), 1001)
-    assert np.array_equal(warped.a1.d3(t), warped.a2.d3(t))
+    assert np.array_equal(warped.a1.derivative(t, 3), warped.a2.derivative(t, 3))
     for s in t[::50]:
-        assert warped.a1.d3(float(s)) == warped.a2.d3(float(s))
+        assert warped.a1.derivative(float(s), 3) == warped.a2.derivative(float(s), 3)
     assert warped.a2 is warped.warping
 
 

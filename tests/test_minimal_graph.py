@@ -352,7 +352,7 @@ def test_element_matches_the_expanded_formulas_at_the_extremes(make_spec):
     # by 1e-7 of its value, the tube's Wcx by 1e-8 at |grad u| = 1), so they
     # agree at 1e-13 of (|P| + |R|) / W (measured: 6e-16).
     a1, a2 = spec.a1(uc), spec.a2(uc)
-    e1, e2 = a1 * spec.a1.d1(uc), a2 * spec.a2.d1(uc)
+    e1, e2 = a1 * spec.a1.derivative(uc, 1), a2 * spec.a2.derivative(uc, 1)
     Wc, Wx, Wy = dW_ref["c"], dW_ref["x"], dW_ref["y"]
     for value, key, P, R in [(Wcx, ("c", "x"), 2.0 * e2 * ux, Wc * Wx),
                              (Wcy, ("c", "y"), 2.0 * e1 * uy, Wc * Wy),

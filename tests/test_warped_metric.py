@@ -166,7 +166,7 @@ def test_blowup_flat_spec_is_flat():
         # constant multiples of the identity block: still a flat spec.
         for y in np.linspace(res.x3_min, res.x3_max, 5):
             assert float(res.warping(y)) == pytest.approx(1.0, rel=1e-14)
-            assert float(res.a1.d1(y)) == 0.0
+            assert float(res.a1.derivative(y, 1)) == 0.0
             G = res.coefficient_matrix(0.0, 0.0, float(y))
             assert G[0, 0] == pytest.approx(lam**2, rel=1e-14)
             assert G[2, 2] == 1.0
@@ -351,8 +351,8 @@ def test_sampled_spec_tracks_closed_form():
     )
     for t in (0.5, 1.2, 2.4):
         assert float(spec.a1(t)) == pytest.approx(math.exp(-t), rel=1e-8)
-        assert float(spec.a1.d1(t)) == pytest.approx(-math.exp(-t), rel=1e-5)
-        assert float(spec.a1.d2(t)) == pytest.approx(math.exp(-t), rel=1e-3)
+        assert float(spec.a1.derivative(t, 1)) == pytest.approx(-math.exp(-t), rel=1e-5)
+        assert float(spec.a1.derivative(t, 2)) == pytest.approx(math.exp(-t), rel=1e-3)
 
 
 # ------------------------------------------- batched vs per-point reference
@@ -584,8 +584,8 @@ def test_check_hypotheses_rejects_nonfinite_derivatives():
         t = np.asarray(t, dtype=float)
         return np.where(t > 0.5, np.inf, 0.0)
 
-    one = Field1D.constant(1.0)
-    warping = Field1D.from_evaluators(one, one.d1, one.d2, d3)
+    one, zero = Field1D.constant(1.0), Field1D.constant(0.0)
+    warping = Field1D.from_evaluators(one, zero, zero, d3)
     spec = WarpedMetricSpec.diagonal(UNIT, 0.0, 1.0, one, one, warping=warping)
     with pytest.raises(DomainError) as err:
         check_hypotheses(spec, grid=8)
