@@ -14,7 +14,7 @@ which keeps the level-torus diameters strictly decreasing and gives the
 core chart O(rho^3)/O(rho) smoothness residuals with the nonzero
 constants 2 f'(L+1) and 2 f'(L+1) exp(-2 f(L+1)); ``verify`` reads both
 from the jets of f and eta, and the sign of f' from log f', which stays
-finite where f' underflows (from L = 559), so it holds at every depth
+finite where f' underflows (from L = 564), so it holds at every depth
 below 2^50; from 2^50 on L + 0.9, the end of its flat-level probe,
 rounds to L + 1, and ``verify`` raises a DomainError naming the filler
 depth.  eta is 1 near 0,
@@ -67,9 +67,14 @@ def _smoothstep(u, order=0):
     return np.where((u > 0.0) & (u < 1.0), _SMOOTHSTEP[order](u), 0.0)
 
 
-def _ramp_decay(t):
-    """exp(-(t - 1)/s), the ramp's decay, which every derivative of f reads."""
-    return np.exp(-(np.asarray(t, dtype=float) - 1.0) / _RAMP_SCALE)
+def _ramp_exponentials(t):
+    """exp(-(t - 1)/s), the ramp's decay, which f and its second and third
+    derivatives read, and f'(t) = exp(log f'(t)) (``DepthProfile.log_slope``),
+    in one exp call.  f' in log space keeps its precision where the decay
+    is subnormal (from t ~ 532), which the product (1 + x/s) exp(-x/s)
+    loses."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(np.stack([-(t - 1.0) / _RAMP_SCALE, DepthProfile.log_slope(t)]))
 
 
 class DepthProfile(Field1D):
@@ -81,13 +86,13 @@ class DepthProfile(Field1D):
 
     @staticmethod
     def _derivative(t, order, memo):
-        decay = _memoized(memo, _ramp_decay, t)
+        decay, slope = _memoized(memo, _ramp_exponentials, t)
         t = np.asarray(t, dtype=float)
         x, s = t - 1.0, _RAMP_SCALE
         if order == 0:
             return np.where(t <= 1.0, t, 1.0 + 2.0 * s - (x + 2.0 * s) * decay)
         if order == 1:
-            return np.where(t <= 1.0, 1.0, (1.0 + x / s) * decay)
+            return np.where(t <= 1.0, 1.0, slope)
         if order == 2:
             return np.where(t <= 1.0, 0.0, -(x / s**2) * decay)
         return np.where(t <= 1.0, 0.0, ((x - s) / s**3) * decay)
@@ -96,7 +101,7 @@ class DepthProfile(Field1D):
     def log_slope(t):
         """log f'(t): 0 on [0, 1], then log1p(x/s) - x/s.  It is finite
         at every depth, also where f' = (1 + x/s) exp(-x/s) underflows to
-        0 (from x/s ~ 745), so ``verify`` reads the sign of f' from it."""
+        0 (from x/s ~ 752), so ``verify`` reads the sign of f' from it."""
         x = np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0) / _RAMP_SCALE
         return np.log1p(x) - x
 
@@ -310,7 +315,8 @@ class FillerReport:
     A smooth core reads orders 3 and 1, with the constants 2 f'(L+1) and
     2 f'(L+1) exp(-2 f(L+1)).  A coefficient whose sign is known from log
     f' (``DepthProfile.log_slope``) is nonzero even where its float value
-    underflows to 0, as both constants do from L = 559.
+    underflows to 0, as the second constant does from L = 561 and the
+    first from L = 564.
     """
 
     flat_levels: bool

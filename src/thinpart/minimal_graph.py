@@ -65,9 +65,11 @@ docstring states the one coarsening rule, each transfer stored once as P
 and its transpose view); the V-cycle, the nested start and the direct
 factor all read that list.  Every Newton step is solved by one rule
 (``_linear_solve``).  It first runs conjugate gradients preconditioned by
-what the solve kept from an earlier step (a lagged preconditioner:
-between Newton steps the Hessian changes little), at most
-``_CG_MAX_ITER`` iterations.  Where nothing is kept, or that run fails,
+what the solve kept from an earlier step, or by what the coarser grids of
+a nested start carried up (below), at most ``_CG_MAX_ITER`` iterations: a
+lagged preconditioner, since between Newton steps the Hessian changes
+little.  A kept band factor is not lagged, since refactoring the band of
+a short side costs less.  Where nothing is lagged, or that run fails,
 the step builds a preconditioner of its own Hessian: a V-cycle where the
 grid has multigrid transfers (``_VCycle``: bilinear transfer, Galerkin
 coarse operators, damped-Jacobi smoothing, a factored last level), at
@@ -90,7 +92,13 @@ McCormick, *A Multigrid Tutorial*, ch. 6 (``_nested_start``): it first
 takes one Newton step on coarser levels, and each grid starts from its
 injected data plus the cubic interpolation of the coarser grid's
 correction (``_refined``; the V-cycle's bilinear transfer would start it
-an O(h^2) error away, an O(1) residual).
+an O(h^2) error away, an O(1) residual).  Each coarser grid also hands
+the grid above it the Hessian of its step and what the step kept, as that
+grid's coarse levels (``_carried``): the coarse operators are the coarser
+grids' own Hessians, not Galerkin products, and the first step of the
+grid above lags them.  So from a coarsest grid that is the last level,
+whose step factors its band Hessian, up to the grid of the solve, no
+V-cycle is built afresh unless a lagged run fails.
 
 Every Newton step moves along its Newton direction delta alone, by
 Armijo backtracking on the merit ||F||^2, F the area gradient on the free
@@ -731,7 +739,9 @@ class SolveReport:
     Per Newton step, ``linear_solvers`` names what solved it: "lagged"
     (CG preconditioned by what an earlier step kept: a factor of an
     earlier Hessian, or an earlier V-cycle's coarse levels under a finest
-    level that smooths with the step's own Hessian), "multigrid" (CG
+    level that smooths with the step's own Hessian; on the first step of
+    a grid solved by nested iteration, the V-cycle its coarser grids
+    carried up, whose coarse levels are their Hessians), "multigrid" (CG
     preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
     fresh factor of the Hessian, applied directly) or "pinned" (on a torus
     whose Hessian annihilates the constants, the update of zero sum of a
@@ -786,7 +796,7 @@ class CoarseSolve:
 
 
 # Iteration cap of a lagged CG run, and the bound of the keep rule.  With
-# a lagged factor (a grid of one level, a periodic axis, or a multigrid
+# a lagged SuperLU factor (a grid with a periodic axis, or a multigrid
 # fallback) each iteration is one product with H and
 # one pair of triangular solves; on the tube solves of criterion 4(c) by
 # the factor, 2-core machine, one factorization costs more than 8 such
@@ -994,7 +1004,9 @@ class _VCycle:
     diagonal.  ``on(H)`` is the same cycle, its coarse levels and last
     factor shared, with H in A's place: a later step lags the coarse
     levels only, and smooths with its own Hessian.  ``on(None)``, the
-    form ``_linear_solve`` keeps, holds no fine matrix.
+    form ``_linear_solve`` keeps, holds no fine matrix.  A cycle whose
+    coarse levels are the Hessians of the coarser grids of a nested
+    start, and so forms no Galerkin product, is made by ``_carried``.
     """
 
     def __init__(self, A, levels, periodic):
@@ -1027,6 +1039,28 @@ class _VCycle:
         return x
 
 
+def _carried(H, kept, transfer):
+    """What a coarser grid of a nested start hands the grid above it
+    (``_nested_start``), ``transfer`` the transfer between them: a
+    ``_VCycle`` that holds no fine matrix, for the finer grid's steps to
+    lag, whose coarse levels are the coarser grid's own.  H is the Hessian
+    of the coarser grid's step, or None where it took none, and ``kept``
+    what that step kept (``_linear_solve``): a factor of H is the last
+    level, and a kept cycle's levels follow H, smoothed as the first coarse
+    level.  So the finer grid forms no Galerkin product.  None where there
+    was no step or it kept nothing, or the grids have no transfer."""
+    if H is None or kept is None or transfer is None:
+        return None
+    if isinstance(kept, _VCycle):
+        cycle = kept.on(None)
+        cycle.transfers = [transfer] + kept.transfers
+        cycle.coarse = [_smoother(H)] + kept.coarse
+        return cycle
+    cycle = object.__new__(_VCycle)
+    cycle.finest, cycle.transfers, cycle.coarse, cycle.coarsest = None, [transfer], [], kept
+    return cycle
+
+
 def _pinned(H, rhs):
     """The update of zero sum that solves H delta = rhs - mean(rhs), for
     an H that annihilates the constants: the factor of H with its first
@@ -1052,19 +1086,24 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
     ``SolveReport.linear_solvers``.
 
     ``kept`` is what an earlier step kept, a factor or a ``_VCycle`` that
-    holds no fine matrix; the one returned is what the next step lags.  A
-    run must meet ``_solves``.  The exact factor ``_factor(H, ...)`` is
-    applied directly, since CG stops on an indefinite H.  A fully periodic
-    H that nearly annihilates the constants (a vertically flat stretch)
-    pins the update's mean at once (``_pinned``).  ``iterations`` counts every CG iteration run;
-    delta is None when no path gives one.
+    holds no fine matrix, or the cycle a nested start carried up from the
+    coarser grids (``_carried``); the one returned is what the next step
+    lags.  A kept band factor (``_Band``) is not lagged: the step refactors,
+    which costs less than a lagged run on a side of at most ``_COARSEST``
+    nodes; it is returned as kept all the same, for a nested start to
+    carry up.  A run must meet ``_solves``.  The exact factor
+    ``_factor(H, ...)`` is applied directly, since CG stops on an
+    indefinite H.  A fully periodic H that nearly annihilates the
+    constants (a vertically flat stretch) pins the update's mean at once
+    (``_pinned``).  ``iterations`` counts every CG iteration run; delta is
+    None when no path gives one.
     """
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
         if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
             return _pinned(H, rhs), kept, "pinned", 0
     iterations = 0
-    if kept is not None:
+    if kept is not None and not isinstance(kept, _Band):
         # A kept V-cycle smooths with H on its finest level; a kept factor
         # is applied as it was made.
         lagged = kept.on(H) if hasattr(kept, "on") else kept
@@ -1101,7 +1140,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     (flat periodic problems have a constant near-kernel) the mean of the
     update is pinned.  The grids of the solve are the levels of
     ``_hierarchy``; where nested iteration applies, the grid starts from
-    one Newton step on each coarser one (``_nested_start``).  Raises
+    one Newton step on each coarser one, and lags the coarse levels they
+    carry up (``_nested_start``).  Raises
     SolveError with the residual history on failure.
     """
     _require_diagonal(spec)
@@ -1114,8 +1154,8 @@ def solve(spec: WarpedMetricSpec, init: DiscreteGraph, tol: float = 1e-10,
     g = init.copy()
     _check_range(spec, g.values)
     levels = _hierarchy(g.values[g.free_slices()].shape, g.periodic)
-    g, coarse_grids = _nested_start(spec, g, levels, tol)
-    g, report = _newton(spec, g, tol, max_iter, levels)
+    g, coarse_grids, kept = _nested_start(spec, g, levels, tol)
+    g, report, _ = _newton(spec, g, tol, max_iter, levels, kept)
     if not report.converged:
         raise SolveError(
             f"no convergence after {max_iter} iterations; last residual "
@@ -1129,8 +1169,8 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
                   tol: float):
     """The start of a solve by nested iteration, the full multigrid
     scheme of Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6:
-    (start, records), one ``CoarseSolve`` record per coarser grid,
-    coarsest first.
+    (start, records, kept), one ``CoarseSolve`` record per coarser grid,
+    coarsest first, and what grid 1 hands grid 0 (below), or None.
 
     Grid 0 is ``init``, on the first of its ``levels``.  The ladder walks
     down the levels while every Dirichlet free side is odd, and grid
@@ -1140,8 +1180,13 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
     values plus the cubic interpolation (``_corrected``) of the
     correction grid k + 1 made to its own injected values.  A grid that
     raises SolveError contributes no correction, and a start that leaves
-    the spec's range is not taken.  Without coarser grids the start is
-    ``init``, and there are no records.
+    the spec's range is not taken.  Each grid hands the one above it its
+    step's Hessian and what the step kept, as that grid's coarse levels
+    (``_carried``), and that grid's first step lags them.  A grid that
+    raises SolveError or whose step keeps nothing hands on nothing, nor
+    does any grid with a periodic axis, which has no transfers; the grid
+    above then builds a fresh V-cycle if it has transfers.  Without coarser grids the
+    start is ``init``, there are no records, and nothing is carried.
     """
     steps = tuple(1 if wrap else 2 for wrap in init.periodic)
     grids = [init]
@@ -1153,20 +1198,21 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
                                    (steps[0] * fine.spacing[0], steps[1] * fine.spacing[1]),
                                    init.periodic, init.origin))
     records = []
-    u = grids[-1]
+    u, kept = grids[-1], None
     for k in range(len(grids) - 1, 0, -1):
         try:
-            u_k, report = _newton(spec, u, tol, 1, levels[k:])
+            u_k, report, (H, kept) = _newton(spec, u, tol, 1, levels[k:], kept)
             records.append(CoarseSolve(grids[k].shape, report.iterations,
                                        report.final_residual))
-            u = u_k
+            u, kept = u_k, _carried(H, kept, levels[k - 1][1])
         except SolveError as exc:
             history = exc.residual_history
             records.append(CoarseSolve(grids[k].shape, len(history) - 1,
                                        history[-1], str(exc)))
+            kept = None
         start = _corrected(grids[k - 1], grids[k], u)
         u = start if _in_range(spec, start.values) else grids[k - 1]
-    return u, records
+    return u, records, kept
 
 
 def _refined(c: np.ndarray) -> np.ndarray:
@@ -1205,14 +1251,16 @@ def _corrected(fine: DiscreteGraph, coarse: DiscreteGraph,
 
 
 def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
-            max_iter: int, levels):
+            max_iter: int, levels, kept=None):
     """At most ``max_iter`` Newton steps on g, the grid of the first of
-    ``levels``, from its values, each solved by ``_linear_solve``:
-    (graph, report).  Each step is taken by Armijo backtracking on
-    ||F||^2 along the Newton step, F the area gradient on the free nodes:
-    the step length halves from 1, a trial that leaves the spec's range is
-    skipped, and the first trial that lowers ||F||^2 by the factor
-    1 - 1e-4 alpha is taken.  The Newton step meets ``_solves``, which
+    ``levels``, from its values, each solved by ``_linear_solve``, the
+    first with ``kept`` as what an earlier step kept: (graph, report,
+    (H, kept)), with H the Hessian of the last step, None if there was
+    none, and kept what that step kept.  Each step is taken by Armijo
+    backtracking on ||F||^2 along the Newton step, F the area gradient on
+    the free nodes: the step length halves from 1, a trial that leaves the
+    spec's range is skipped, and the first trial that lowers ||F||^2 by
+    the factor 1 - 1e-4 alpha is taken.  The Newton step meets ``_solves``, which
     makes it a descent direction of ||F||^2 (module docstring), so it is
     the only direction tried.  The report says whether max|el_residual|
     <= tol was reached; a line search that finds no such trial above
@@ -1225,25 +1273,24 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
     # Per Newton step: what solved it, and the CG iterations it ran.
     linear_solvers = []
     linear_iterations = []
-    # The preconditioner an earlier step kept for the later ones.
-    kept = None
     # The area gradient on the free nodes at the current iterate; each
     # accepted trial's gradient carries over to the next iteration.
     F = _gradient(spec, g)[free].ravel()
     pattern = _Pattern(g)
+    H = None
 
     for _ in range(max_iter):
         rmax = float(np.max(np.abs(F))) / cell_w
         history.append(rmax)
         if rmax <= tol:
             return g, SolveReport(True, history, linear_iterations,
-                                  linear_solvers)
+                                  linear_solvers), (H, kept)
 
+        # One fine Hessian at a time: nothing kept holds one, and the last
+        # step's goes before this step's is assembled.
+        del H
         H = _hessian(spec, g, pattern)
         delta, kept, kind, iterations = _linear_solve(H, -F, levels, g.periodic, kept)
-        # One fine Hessian at a time: nothing kept holds H, and the next
-        # step assembles its own.
-        del H
         if delta is None:
             raise SolveError("singular Jacobian", history)
         linear_solvers.append(kind)
@@ -1265,7 +1312,7 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
         g, F = trial, F_trial
 
     history.append(float(np.max(np.abs(F))) / cell_w)
-    return g, SolveReport(False, history, linear_iterations, linear_solvers)
+    return g, SolveReport(False, history, linear_iterations, linear_solvers), (H, kept)
 
 
 def _node_derivatives(g: DiscreteGraph, ghosted: np.ndarray, rows: slice):

@@ -23,7 +23,7 @@ from thinpart.cli import (
     run,
 )
 from thinpart.flat_torus import FlatTorusLattice, diameter, reduce_basis, systole
-from thinpart.minimal_graph import _CG_MAX_ITER
+from thinpart.minimal_graph import _CG_MAX_ITER, _MG_MAX_ITER
 from thinpart.tube_geometry import TubeParams, boundary_lattice, meyerhoff_radius
 
 
@@ -431,8 +431,9 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
     ])
     assert code == EXIT_OK and data["iterations"] > 1
     steps, solvers = data["linear_iterations"], data["linear_solvers"]
-    assert len(steps) == len(solvers) == data["iterations"] and steps[0] == 0
-    assert set(solvers) <= {"lu", "lagged"} and solvers[0] == "lu"
+    assert len(steps) == len(solvers) == data["iterations"]
+    # A 17^2 grid's Hessian is a band, refactored on every step.
+    assert solvers == ["lu"] * data["iterations"] and steps == [0] * data["iterations"]
     # Each "lu" or "pinned" step made one fine-grid factorization.
     assert data["factorizations"] == sum(s in ("lu", "pinned") for s in solvers)
     assert data["coarse_grids"] == []
@@ -440,8 +441,9 @@ def test_graph_solve_reports_the_linear_solves(tmp_path, capsys):
 
 def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
     # A 65^2 Dirichlet grid starts from one Newton step on each of its
-    # 17^2 and 33^2 grids.  Its first step's V-cycle is kept and
-    # preconditions the second, last step.
+    # 17^2 and 33^2 grids.  The V-cycle those grids carry up, their
+    # Hessians and the 17^2 grid's factor under its finest level,
+    # preconditions both its steps.
     metric = tmp_path / "m.json"
     metric.write_text(json.dumps(
         {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
@@ -452,8 +454,8 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
         "--grid", "65x65", "--extent", "0.35x0.35", "--bc", str(bc),
         "--out", str(tmp_path / "u.csv"),
     ])
-    assert code == EXIT_OK and data["linear_solvers"] == ["multigrid", "lagged"]
-    assert data["factorizations"] == 0
+    assert code == EXIT_OK and data["linear_solvers"] == ["lagged", "lagged"]
+    assert data["linear_iterations"] == [7, 7] and data["factorizations"] == 0
     coarsest, coarser = data["coarse_grids"]
     assert coarsest["shape"] == [17, 17] and coarser["shape"] == [33, 33]
     for record in (coarsest, coarser):
@@ -462,27 +464,23 @@ def test_graph_solve_reports_the_coarser_grids(tmp_path, capsys):
 
 
 def test_graph_solve_reports_discarded_cg_runs(tmp_path, capsys):
-    # The cusp stripe of criterion 4(a) with 2048 nodes across: its free
-    # side is even, so it has no coarser grids and starts from its data.
-    # On steps 2 and 3 CG with the lagged factor runs to its cap, is
-    # discarded, and H is factored.
+    # The criterion-4(c) tube at 129^2 on cells four times as tall as
+    # wide, which point Jacobi smooths poorly.  Its first step's CG run
+    # with the V-cycle its coarser grids carry up is cut at its cap, so is
+    # the fresh V-cycle's at its own, both are discarded, and H is
+    # factored; the second step lags the factor.
     metric = tmp_path / "m.json"
-    metric.write_text(json.dumps({
-        "kind": "cusp",
-        "lattice": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]},
-        "interval": [0.0, 3.0],
-    }))
+    metric.write_text(json.dumps(
+        {"kind": "tube", "length": 1e-5, "twist": 0.3, "radius": 5.0}))
     bc = tmp_path / "bc.json"
-    bc.write_text(json.dumps({"kind": "affine", "coeffs": [0.15, 0.0, 0.4]}))
+    bc.write_text(json.dumps({"kind": "constant", "value": 3.8}))
     code, data = run_json(capsys, [
-        "graph", "solve", "--metric", str(metric), "--domain", "stripe",
-        "--grid", "4x2048", "--extent", f"{4 / 2047!r}x1.0", "--bc", str(bc),
-        "--out", str(tmp_path / "u.csv"),
+        "graph", "solve", "--metric", str(metric), "--grid", "129x129",
+        "--extent", "0.35x1.4", "--bc", str(bc), "--out", str(tmp_path / "u.csv"),
     ])
-    assert code == EXIT_OK and data["iterations"] == 6
-    assert data["linear_solvers"] == ["lu"] * 3 + ["lagged"] * 3
-    assert data["linear_iterations"][:3] == [0, _CG_MAX_ITER, _CG_MAX_ITER]
-    assert data["factorizations"] == 3 and data["coarse_grids"] == []
+    assert code == EXIT_OK and data["linear_solvers"] == ["lu", "lagged"]
+    assert data["linear_iterations"] == [_CG_MAX_ITER + _MG_MAX_ITER, 3]
+    assert data["factorizations"] == 1 and len(data["coarse_grids"]) == 3
 
 
 def test_write_csv_matches_fmt_bytes(tmp_path):

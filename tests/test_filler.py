@@ -239,21 +239,38 @@ def test_log_slope_is_the_log_of_f_prime():
     f = build(20.0, UNIT).f
     tt = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 500.0, 200)])
     assert np.allclose(f.log_slope(tt), np.log(f.derivative(tt, 1)), rtol=1e-14, atol=1e-15)
-    deep = np.array([560.0, 1e4, 1e9])
+    deep = np.array([565.0, 1e4, 1e9])
     assert np.all(f.derivative(deep, 1) == 0.0) and np.all(np.isfinite(f.log_slope(deep)))
+
+
+@pytest.mark.parametrize("depth", [540.0, 553.0, 558.0])
+def test_f_prime_keeps_its_precision_where_the_ramp_decay_is_subnormal(depth):
+    # Past t ~ 532 exp(-x/s) is subnormal, and (1 + x/s) exp(-x/s) read
+    # 8.909e-321 as 7.357e-321 at L = 558; f' = exp(log f') is right to
+    # rounding, or to a subnormal float's resolution, against 50 digits.
+    import mpmath
+
+    t = depth + 2.0 / 3.0
+    with mpmath.workdps(50):
+        x = (mpmath.mpf(t) - 1) / mpmath.mpf(0.75)
+        exact = float((1 + x) * mpmath.exp(-x))
+    value = float(build(depth, UNIT).f.derivative(t, 1))
+    assert abs(value - exact) <= max(1e-12 * exact, 2.0 * 2.0**-1074)
 
 
 @pytest.mark.parametrize("depth", [559.0, 600.0, 1000.0, 2.0**49,
                                    float(np.nextafter(2.0**50, 0.0))])
 def test_verify_passes_where_f_prime_underflows(depth):
-    # From L = 559 on f'(L + 1) underflows to 0, and from about L = 564
+    # At L = 559 f'(L + 1) is subnormal and the z constant
+    # 2 f'(L + 1) exp(-2 f(L + 1)) is 2e-323; from L = 561 that constant
+    # underflows to 0, from L = 564 f'(L + 1) does, and from about L = 563
     # f' does at depths the grid samples; the signs come from log f'.
     # Below 2^50, L + 0.9, the end of the flat-level probe, stays below
     # L + 1.
     report = verify(build(depth, UNIT))
     assert report.passed, report
     assert (report.core_theta_slope, report.core_z_slope) == (3.0, 1.0)
-    assert report.core_z_constant == 0.0
+    assert report.core_z_constant == (2e-323 if depth == 559.0 else 0.0)
 
 
 @pytest.mark.parametrize("depth", [2.0**50, 1e16, 1e300])

@@ -643,7 +643,7 @@ def test_a_singular_band_raises_the_error_of_superlu():
 
 @pytest.mark.parametrize("problem,solvers", [
     (lambda: (cusp_spec(), _stripe_graph(0.0)), ["lu"]),
-    (lambda: (tube_spec(), _tube_4c_graph(129)), ["multigrid", "lagged"]),
+    (lambda: (tube_spec(), _tube_4c_graph(129)), ["lagged", "lagged"]),
 ], ids=["stripe_4x2049", "multigrid_129"])
 def test_narrow_grids_make_no_superlu_factor(monkeypatch, problem, solvers):
     # Every ladder rung, the stripe itself and every V-cycle's last level
@@ -824,21 +824,39 @@ def _cusp_problem(shape):
         lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x)
 
 
-def test_solve_factors_the_hessian_once(monkeypatch):
+def test_solve_factors_a_band_hessian_on_every_step(monkeypatch):
     # 17^2 is the largest square grid whose multigrid hierarchy has no
-    # levels: the steps are solved by the factor and CG preconditioned by
-    # it.
+    # levels: its Hessian is a band, refactored on every step, and no
+    # step runs CG.
     calls = _recording_factor(monkeypatch)
     out, rep = solve(tube_spec(), _tube_4c_graph(17), tol=1e-9)
     assert rep.converged and rep.iterations == 4
     assert rep.final_residual <= 1e-9
-    assert len(calls) == 1 and rep.factorizations == 1
-    # The first step is solved by the factor; the later ones by CG
-    # preconditioned by it.
-    assert len(rep.linear_iterations) == rep.iterations
-    assert rep.linear_iterations[0] == 0
-    assert all(1 <= k <= _CG_MAX_ITER for k in rep.linear_iterations[1:])
-    assert rep.linear_solvers == ["lu"] + ["lagged"] * 3
+    assert len(calls) == 4 and rep.factorizations == 4
+    assert all(isinstance(factor, _Band) for _, factor in calls)
+    assert rep.linear_iterations == [0] * 4
+    assert rep.linear_solvers == ["lu"] * 4
+
+
+@pytest.mark.parametrize("problem,tol,steps", [
+    (lambda: _cusp_problem((17, 17)), 1e-10, 6),
+    (lambda: _noisy_plane(6), 1e-8, 34),
+], ids=["cusp_17", "flat_17_noise_6"])
+def test_a_band_factor_is_not_lagged(problem, tol, steps):
+    # Lagged, a band factor runs CG to its cap on the cusp's steps 2-4
+    # (CG [0, 8, 8, 8, 5, 5]), and leaves the noisy plane unconverged
+    # after 60 steps; refactored on every step, neither runs CG.
+    spec, g = problem()
+    out, rep = solve(spec, g, tol=tol)
+    assert rep.converged and rep.linear_solvers == ["lu"] * steps
+    assert rep.linear_iterations == [0] * steps
+
+
+def _noisy_plane(seed):
+    # The flat zero plane at 17^2 with uniform interior noise of +-0.05.
+    g = DiscreteGraph.on_rectangle((1.0, 1.0), (17, 17), 0.0)
+    g.values[1:-1, 1:-1] += np.random.default_rng(seed).uniform(-0.05, 0.05, (17, 17))[1:-1, 1:-1]
+    return flat_spec(), g
 
 
 def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
@@ -854,14 +872,14 @@ def test_solve_by_multigrid_makes_no_fine_grid_factorization(monkeypatch):
     assert rep.converged and rep.iterations == 2
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1), ((65, 65), 1)]
-    assert rep.linear_solvers == ["multigrid", "lagged"]
+    assert rep.linear_solvers == ["lagged", "lagged"]
     assert rep.factorizations == 0
-    # Only the last level of each V-cycle is factored: the 17^2 step's,
-    # which is that level, one 33^2 and one 65^2 step's, and the first
-    # 129^2 step's, whose V-cycle the second step lags.
-    sizes = [A.shape[0] for A, _ in factors]
-    assert len(sizes) == 3 + 1 and max(sizes) <= 15 * 15
-    assert all(1 <= k <= _MG_MAX_ITER for k in rep.linear_iterations)
+    # One factor is made: the 17^2 step's, of its band Hessian.  Each
+    # grid above lags the coarser grids' Hessians as its coarse levels,
+    # and that factor as its last.
+    [(A, factor)] = factors
+    assert A.shape[0] == 15 * 15 and isinstance(factor, _Band)
+    assert rep.linear_iterations == [8, 8]
     # The LU path reaches the same graph.
     assert np.max(np.abs(out.values - reference.values)) <= 1e-12
 
@@ -870,12 +888,12 @@ def test_multigrid_iterations_are_grid_independent():
     counts = {}
     for n in (65, 129, 257):
         out, rep = solve(tube_spec(), _tube_4c_graph(n), tol=1e-8)
-        # The first step's V-cycle is kept and preconditions the others.
+        # The V-cycle carried up the coarser grids preconditions every
+        # step.
         assert rep.converged
-        assert rep.linear_solvers == ["multigrid"] + ["lagged"] * (rep.iterations - 1)
+        assert rep.linear_solvers == ["lagged"] * rep.iterations
         counts[n] = rep.linear_iterations
-    every = [k for steps in counts.values() for k in steps]
-    assert max(every) - min(every) <= 2, counts
+    assert counts == {65: [8, 8], 129: [8, 8], 257: [8, 8]}
 
 
 def test_vcycle_is_symmetric_positive_definite():
@@ -1008,12 +1026,12 @@ def test_nested_start_steps_each_grid_on_its_own_levels(monkeypatch, problem, la
     calls = []
     newton = minimal_graph._newton
 
-    def recording(spec, u, tol, max_iter, levels):
+    def recording(spec, u, tol, max_iter, levels, kept):
         calls.append((u.values[u.free_slices()].shape, levels))
-        return newton(spec, u, tol, max_iter, levels)
+        return newton(spec, u, tol, max_iter, levels, kept)
 
     monkeypatch.setattr(minimal_graph, "_newton", recording)
-    start, records = minimal_graph._nested_start(spec, g, levels, 1e-8)
+    start, records, _ = minimal_graph._nested_start(spec, g, levels, 1e-8)
     assert [free for free, _ in calls] == ladder
     assert all(own == levels[len(levels) - len(own):] and own[0][0] == free
                for free, own in calls)
@@ -1029,16 +1047,19 @@ def test_prolongation_reaches_every_fine_node(n):
     assert np.array_equal(P[1::2][: n // 2], np.eye(n // 2))
 
 
-def _negated_vcycle(A, levels, periodic):
-    # A V-cycle of -A: negative definite, so CG stops at once.
-    return _VCycle(-A, levels, periodic)
+class _NegatedVCycle(_VCycle):
+    # Every V-cycle, fresh or carried up a nested start, applied negated:
+    # negative definite, so CG stops at once.
+    def solve(self, r, level=0):
+        x = super().solve(r, level)
+        return -x if level == 0 else x
 
 
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     spec, g = tube_spec(), _tube_4c_graph(65)
     H = _hessian(spec, g, _Pattern(g))
     rhs = -_gradient(spec, g)[g.free_slices()].ravel()
-    monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
+    monkeypatch.setattr(minimal_graph, "_VCycle", _NegatedVCycle)
     factors = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
                                                   (False, False))
@@ -1093,13 +1114,13 @@ def test_a_line_search_that_stalls_raises(monkeypatch):
 
 
 def test_the_tube_at_its_roundoff_floor_stalls_after_three_steps():
-    # The criterion-4(c) tube at 129^2 bottoms out near 2.1e-10, above
-    # the default tolerance: the line search along the Newton step stalls
-    # at the fourth iterate.
+    # The criterion-4(c) tube at 129^2 bottoms out near 2.0e-10, above
+    # the default tolerance: two steps reach it, and the line search of
+    # the third, along the Newton step, stalls at the third iterate.
     with pytest.raises(SolveError, match="^line search stalled at residual") as info:
         solve(tube_spec(), _tube_4c_graph(129))
     history = info.value.residual_history
-    assert len(history) == 4 and 1e-10 < history[-1] < 1e-9
+    assert len(history) == 3 and 1e-10 < history[-1] < 1e-9
 
 
 class _NanFactor:
@@ -1133,27 +1154,32 @@ def test_a_nested_start_that_leaves_the_range_is_not_taken(monkeypatch):
     # Every corrected start of the 65^2 ladder leaves the range, so each
     # grid starts from its injected values: the 65^2 grid from its own
     # data, as a Newton solve without coarser grids does.
+    # It still lags the coarse levels the ladder carried up.
     spec, init = tube_spec(), _tube_4c_graph(65)
     monkeypatch.setattr(minimal_graph, "_corrected", _out_of_range)
     out, rep = solve(spec, init, tol=1e-9)
     assert [c.shape for c in rep.coarse_grids] == [(17, 17), (33, 33)]
-    direct, direct_rep = minimal_graph._newton(spec, init, 1e-9, 60,
-                                               _hierarchy((63, 63), (False, False)))
+    levels = _hierarchy((63, 63), (False, False))
+    start, _, kept = minimal_graph._nested_start(spec, init, levels, 1e-9)
+    assert np.array_equal(start.values, init.values)
+    direct, direct_rep, _ = minimal_graph._newton(spec, init, 1e-9, 60, levels, kept)
     assert rep.converged and np.array_equal(out.values, direct.values)
     assert rep.residual_history == direct_rep.residual_history
 
 
 def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
-    monkeypatch.setattr(minimal_graph, "_VCycle", _negated_vcycle)
+    monkeypatch.setattr(minimal_graph, "_VCycle", _NegatedVCycle)
     out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
     # The 65^2 grid starts from one step on each of its 17^2 and 33^2
     # grids: the 17^2 step is solved by its factor, the 33^2 step by a
-    # factor after its V-cycle fails.
+    # factor after the cycle carried up to it and a fresh V-cycle fail.
+    # So does the first 65^2 step, whose failed runs take one iteration
+    # each; the second lags its factor.
     assert [(c.shape, c.iterations) for c in rep.coarse_grids] == [
         ((17, 17), 1), ((33, 33), 1)]
     assert rep.converged and rep.iterations == 2 and rep.factorizations == 1
     assert rep.linear_solvers == ["lu", "lagged"]
-    assert rep.linear_iterations[0] == 1
+    assert rep.linear_iterations[0] == 2
 
 
 def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
@@ -1185,24 +1211,24 @@ def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
     assert all(event[1] is not factor for event in events[fresh + 1:])
 
 
-@pytest.mark.parametrize("name,height,solvers", [
-    ("readme_tube", 0.7, ["multigrid", "multigrid"]),
-    ("tube_4c", 1.4, ["lu", "lagged"]),
+@pytest.mark.parametrize("name,height,solvers,iterations", [
+    ("readme_tube", 0.7, ["multigrid", "multigrid"], [15, 14]),
+    ("tube_4c", 1.4, ["lu", "lagged"], [_CG_MAX_ITER + _MG_MAX_ITER, 3]),
 ], ids=["readme_tube_aspect_2", "tube_4c_aspect_4"])
-def test_slow_fresh_vcycles_are_not_kept(name, height, solvers):
+def test_slow_fresh_vcycles_are_not_kept(name, height, solvers, iterations):
     # Cells twice and four times as tall as wide, which point Jacobi
     # smooths poorly: fresh V-cycles take more than _CG_MAX_ITER
-    # iterations, so no step lags them.  At aspect ratio 4 the first
-    # step's run reaches _MG_MAX_ITER and is discarded, and the factor
-    # made in its place is kept.
+    # iterations, so no step lags them.  At aspect ratio 2 no cycle
+    # reaches the 129^2 grid: a coarser grid's fresh one is not kept.  At
+    # aspect ratio 4 the cycle carried up the coarser grids reaches it,
+    # and the first step's run with it is cut at _CG_MAX_ITER, the fresh
+    # V-cycle's at _MG_MAX_ITER; both are discarded, and the factor made
+    # in their place is kept.
     spec, g = _graph_large_problem(name, (129, 129))
     g = DiscreteGraph.on_rectangle((0.35, height), g.shape, g.values)
     out, rep = solve(spec, g, tol=1e-8)
     assert rep.converged and rep.linear_solvers == solvers
-    assert all(k > _CG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
-               if kind == "multigrid")
-    assert all(k == _MG_MAX_ITER for k, kind in zip(rep.linear_iterations, solvers)
-               if kind == "lu")
+    assert rep.linear_iterations == iterations
 
 
 # ------------------------------------------------- nested iteration
@@ -1263,6 +1289,53 @@ def test_solve_without_coarser_grids(make_spec, init):
     # data.
     out, rep = solve(make_spec(), init(), tol=1e-8)
     assert rep.converged and rep.coarse_grids == []
+
+
+@pytest.mark.parametrize("n,name,iterations", [
+    (129, "readme_tube", [8, 7]),
+    (129, "tube_4c", [7, 7]),
+    (257, "readme_tube", [8, 7]),
+    (257, "tube_4c", [7, 7]),
+], ids=["129_readme_tube", "129_tube_4c", "257_readme_tube", "257_tube_4c"])
+def test_the_graph_large_ladders_build_no_fresh_vcycle(monkeypatch, n, name, iterations):
+    # The 17^2 grid factors its band Hessian, and every grid above lags
+    # the Hessians of the grids below it as its coarse levels: no V-cycle
+    # is built, so no Galerkin product is formed, on the coarser grids or
+    # on the grid of the solve, whose two steps are both lagged.
+    built = []
+    init = _VCycle.__init__
+
+    def counting(self, *args):
+        built.append(args[0].shape)
+        init(self, *args)
+
+    monkeypatch.setattr(_VCycle, "__init__", counting)
+    spec, g = _graph_large_problem(name, (n, n))
+    out, rep = solve(spec, g, tol=1e-8)
+    assert built == []
+    assert rep.converged and rep.final_residual <= 1e-8
+    assert rep.linear_solvers == ["lagged", "lagged"]
+    assert rep.linear_iterations == iterations
+    assert [c.iterations for c in rep.coarse_grids] == [1] * int(math.log2(n // 16))
+
+
+def test_a_carried_vcycle_is_symmetric_positive_definite():
+    # The cycle the 65^2 tube's coarser grids carry up: the 33^2 grid's
+    # Hessian smoothed under the 65^2 Hessian, the 17^2 grid's band factor
+    # last.  Its transfers are the V-cycle's, R = P^T, and it smooths as
+    # many sweeps before each coarse correction as after.
+    spec, g = tube_spec(), _tube_4c_graph(65)
+    levels = _hierarchy((63, 63), (False, False))
+    start, _, kept = minimal_graph._nested_start(spec, g, levels, 1e-8)
+    assert kept.finest is None and len(kept.transfers) == 2
+    assert [A.shape[0] for A, _ in kept.coarse] == [31 * 31]
+    assert isinstance(kept.coarsest, _Band)
+    cycle = kept.on(_hessian(spec, start, _Pattern(start)))
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 63 * 63))
+    vx, vy = cycle.solve(x), cycle.solve(y)
+    assert abs(y @ vx - x @ vy) <= 1e-12 * np.linalg.norm(vx) * np.linalg.norm(y)
+    assert x @ vx > 0.0 and y @ vy > 0.0
 
 
 @pytest.mark.parametrize("n", [17, 19, 25, 41, 57])
