@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import (DomainError, as_float, as_int, as_real_array, json_fields, load_json,
-                     require_finite)
+from .errors import (DomainError, as_float, as_int, as_real_array, finite_result,
+                     json_fields, load_json, require_finite)
 from .fields import Field1D, _memoized
 from .flat_torus import FlatTorusLattice, require_lattice, systole
 
@@ -493,6 +493,11 @@ def area_lower_bound(spec: FillerSpec, monotonicity_constant: float = math.pi) -
     The monotonicity constant c is not pinned down universally; the
     default pi is the small-ball Euclidean comparison and can be
     overridden.  Returns the bound together with kappa = bound / L.
+
+    A ball count or a bound that leaves the float range raises a
+    DomainError (``errors.finite_result``): the ball count names the
+    filler depth, and the bound, the product of the ball count and c,
+    names the argument of the larger factor.
     """
     require_finite(monotonicity_constant=monotonicity_constant)
     if monotonicity_constant <= 0.0:
@@ -500,8 +505,12 @@ def area_lower_bound(spec: FillerSpec, monotonicity_constant: float = math.pi) -
     rho0 = min(1.0, 0.5 * systole(spec.lattice))
     spacing = 2.0 * math.exp(-3.0)
     L = spec.depth
-    n0 = int(math.floor((L - 2.0) / spacing))
-    bound = (n0 + 1) * monotonicity_constant * math.exp(-6.0) * rho0**2
+    n0 = math.floor(finite_result("filler depth", L, "the ball count",
+                                  lambda: (L - 2.0) / spacing))
+    name, value = (("filler depth", L) if n0 + 1 > monotonicity_constant
+                   else ("monotonicity_constant", monotonicity_constant))
+    bound = finite_result(name, value, "the area lower bound",
+                          lambda: (n0 + 1) * monotonicity_constant * math.exp(-6.0) * rho0**2)
     return AreaBound(
         bound=bound,
         kappa=bound / L,

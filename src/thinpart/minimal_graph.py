@@ -64,27 +64,32 @@ A solve lists its grids once, finest first (``_hierarchy``, whose
 docstring states the one coarsening rule, each transfer stored once as P
 and its transpose view); the V-cycle, the nested start and the direct
 factor all read that list.  Every Newton step is solved by one rule
-(``_linear_solve``).  It first runs conjugate gradients preconditioned by
-what the solve kept from an earlier step, or by what the coarser grids of
-a nested start carried up (below), at most ``_CG_MAX_ITER`` iterations: a
-lagged preconditioner, since between Newton steps the Hessian changes
-little.  A kept band factor is not lagged, since refactoring the band of
-a short side costs less.  Where nothing is lagged, or that run fails,
-the step builds a preconditioner of its own Hessian: a V-cycle where the
-grid has multigrid transfers (``_VCycle``: bilinear transfer, Galerkin
-coarse operators, damped-Jacobi smoothing, a factored last level), at
-most ``_MG_MAX_ITER`` iterations, and where that fails, or there is
-none, a direct factor of the Hessian.  The new preconditioner is kept
-when its run took at most ``_CG_MAX_ITER`` iterations, a factor always;
-none outlives the solve.  A kept V-cycle lags its coarse levels and its
-last factor only: its finest level is the current step's Hessian, with
-Jacobi weights from its diagonal.  So one fine Hessian is alive at a
-time: nothing kept holds one, and the Newton loop drops each before it
-assembles the next.  Every direct factor is made by one function,
-``_factor``: a band by LAPACK's banded LU where a short free side allows
-(``_Band``), by SuperLU in one column ordering, ``_LU_ORDERING``,
-otherwise.  The Hessian of a flat torus annihilates the constants; it is
-factored with one unknown pinned (``_pinned``).
+(``_linear_solve``), and what one step hands the next is one kind of
+value: None or a ``_VCycle``, an immutable record of transfers, coarse
+levels and a factored last level that holds no fine matrix.  A direct
+factor is the cycle with no transfers.  A step first runs conjugate
+gradients preconditioned by the cycle the solve kept from an earlier
+step, or by the one the coarser grids of a nested start carried up
+(below), at most ``_CG_MAX_ITER`` iterations: a lagged preconditioner,
+since between Newton steps the Hessian changes little.  A kept band
+factor is not lagged, since refactoring the band of a short side costs
+less.  Where nothing is lagged, or that run fails, the step builds a
+preconditioner of its own Hessian: where the grid has multigrid
+transfers, a V-cycle of bilinear transfers, Galerkin coarse operators,
+damped-Jacobi smoothing and a factored last level (``_galerkin``), at
+most ``_MG_MAX_ITER`` iterations, and where that fails, or there are
+none, a direct factor of the Hessian.  The new cycle is kept when its
+run took at most ``_CG_MAX_ITER`` iterations, a factor always; none
+outlives the solve.  Every V-cycle takes its finest level from the step
+that applies it: the step's Hessian, with Jacobi weights from its
+diagonal (``_smoother``), so a kept cycle lags its coarse levels and its
+last factor only.  So one fine Hessian is alive at a time: nothing kept
+holds one, and the Newton loop drops each before it assembles the next.
+Every direct factor is made by one function, ``_factor``: a band by
+LAPACK's banded LU where a short free side allows (``_Band``), by
+SuperLU in one column ordering, ``_LU_ORDERING``, otherwise.  The
+Hessian of a flat torus annihilates the constants; it is factored with
+one unknown pinned (``_pinned``).
 
 A grid with coarser levels whose Dirichlet free sides are odd is solved
 by nested iteration, the full multigrid scheme of Briggs, Henson and
@@ -93,12 +98,14 @@ takes one Newton step on coarser levels, and each grid starts from its
 injected data plus the cubic interpolation of the coarser grid's
 correction (``_refined``; the V-cycle's bilinear transfer would start it
 an O(h^2) error away, an O(1) residual).  Each coarser grid also hands
-the grid above it the Hessian of its step and what the step kept, as that
-grid's coarse levels (``_carried``): the coarse operators are the coarser
-grids' own Hessians, not Galerkin products, and the first step of the
-grid above lags them.  So from a coarsest grid that is the last level,
-whose step factors its band Hessian, up to the grid of the solve, no
-V-cycle is built afresh unless a lagged run fails.
+the grid above it the cycle its step kept, extended by one level
+(``_carried``): the transfer between the two grids, then the Hessian of
+the step, smoothed, or, where the step kept a factor of it, factored.
+So the coarse operators are the coarser grids' own Hessians, not
+Galerkin products, and the first step of the grid above lags them.  From
+a coarsest grid that is the last level, whose step factors its band
+Hessian, up to the grid of the solve, no V-cycle is built afresh unless
+a lagged run fails.
 
 Every Newton step moves along its Newton direction delta alone, by
 Armijo backtracking on the merit ||F||^2, F the area gradient on the free
@@ -117,7 +124,6 @@ quadratic model is poor, and no other direction repairs either.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass, field
@@ -737,20 +743,20 @@ class SolveReport:
     """Outcome of ``solve``.
 
     Per Newton step, ``linear_solvers`` names what solved it: "lagged"
-    (CG preconditioned by what an earlier step kept: a factor of an
-    earlier Hessian, or an earlier V-cycle's coarse levels under a finest
-    level that smooths with the step's own Hessian; on the first step of
-    a grid solved by nested iteration, the V-cycle its coarser grids
-    carried up, whose coarse levels are their Hessians), "multigrid" (CG
-    preconditioned by a fresh V-cycle of the step's Hessian), "lu" (a
-    fresh factor of the Hessian, applied directly) or "pinned" (on a torus
-    whose Hessian annihilates the constants, the update of zero sum of a
-    factor of the Hessian with one unknown pinned), and
-    ``linear_iterations`` the CG iterations it ran, discarded runs
-    included.  ``iterations``, ``pinned_mean`` and ``factorizations`` are
-    read off the former: a factor of the grid's Hessian, pinned or not,
-    is made on each "lu" and "pinned" step, and on no other (a V-cycle
-    factors its last level only).
+    (CG preconditioned by the V-cycle an earlier step kept, its finest
+    level the step's own Hessian: a factor of an earlier Hessian, the
+    cycle with no transfers, or an earlier V-cycle's coarse levels and
+    last factor; on the first step of a grid solved by nested iteration,
+    the V-cycle its coarser grids carried up, whose coarse levels are
+    their Hessians), "multigrid" (CG preconditioned by a fresh V-cycle
+    of the step's Hessian), "lu" (a fresh factor of the Hessian, applied
+    directly) or "pinned" (on a torus whose Hessian annihilates the
+    constants, the update of zero sum of a factor of the Hessian with one
+    unknown pinned), and ``linear_iterations`` the CG iterations it ran,
+    discarded runs included.  ``iterations``, ``pinned_mean`` and
+    ``factorizations`` are read off the former: a factor of the grid's
+    Hessian, pinned or not, is made on each "lu" and "pinned" step, and on
+    no other (a V-cycle factors its last level only).
 
     All of these describe the grid of the solve only.  A grid solved by
     nested iteration (``_nested_start``) first takes one Newton step on
@@ -845,16 +851,18 @@ def _solves(H, delta, rhs) -> bool:
     return float(np.linalg.norm(H @ delta - rhs)) <= 1e-6 * scale
 
 
-def _pcg(H, rhs, precondition, max_iter):
-    """Conjugate gradients on H x = rhs from x = 0, preconditioned by
-    ``precondition``: (x, iterations), with x None when the run does not
-    reach ``_CG_RTOL`` within ``max_iter`` iterations, or stops at a
-    nonpositive curvature p.Hp or product r.z (H or the preconditioner is
-    then not positive definite)."""
+def _pcg(H, rhs, cycle, max_iter):
+    """Conjugate gradients on H x = rhs from x = 0, preconditioned by one
+    V-cycle of ``cycle`` (``_VCycle``) whose finest level is H: (x,
+    iterations), with x None when the run does not reach ``_CG_RTOL``
+    within ``max_iter`` iterations, or stops at a nonpositive curvature
+    p.Hp or product r.z (H or the preconditioner is then not positive
+    definite)."""
+    finest = _smoother(H)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     target = _CG_RTOL * float(np.linalg.norm(rhs))
-    z = precondition(r)
+    z = cycle.solve(r, finest)
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
@@ -867,7 +875,7 @@ def _pcg(H, rhs, precondition, max_iter):
         r -= alpha * q
         if float(np.linalg.norm(r)) <= target:
             return x, k
-        z = precondition(r)
+        z = cycle.solve(r, finest)
         rz, rz_prev = float(r @ z), rz
         p = z + (rz / rz_prev) * p
     return None, k
@@ -985,80 +993,76 @@ def _smoother(H):
     return A, _OMEGA / A.diagonal()
 
 
-class _VCycle:
-    """A geometric multigrid V-cycle for a symmetric matrix A on the free
-    nodes of the first of ``levels`` (``_hierarchy``), with per-axis
-    ``periodic`` flags (Briggs, Henson and McCormick, *A Multigrid
-    Tutorial*).
+class _VCycle(NamedTuple):
+    """A geometric multigrid V-cycle for a symmetric matrix on the free
+    nodes of a grid (Briggs, Henson and McCormick, *A Multigrid
+    Tutorial*), without its finest level: the ``last`` level's factor
+    (``_factor``), the ``transfers`` (P, R) from each level to the next
+    (``_hierarchy``), and the ``coarse`` levels between the finest and
+    the last as (CSR matrix, damped-Jacobi weights) pairs.  It holds no
+    fine matrix: ``solve`` takes the finest level, a step's
+    ``_smoother(H)``, so a later step lags the coarse levels and the last
+    factor only, and smooths with its own Hessian.  A cycle with no
+    transfers is a direct factor, applied as it was made.
 
-    Its coarse levels are made once, from A: each coarse operator is the
-    Galerkin product R A P with the transfer (P, R) of the level above,
-    formed through a transient CSR copy of the view R, and the last
-    level's is factored (``_factor``).  Damped Jacobi smooths the same
-    number of sweeps before and after each coarse correction, so for a
-    positive definite A the cycle is a symmetric positive definite
-    preconditioner for CG.  Raises RuntimeError when the last level's
-    operator is singular.
-
-    Its finest level smooths with A, with Jacobi weights from A's
-    diagonal.  ``on(H)`` is the same cycle, its coarse levels and last
-    factor shared, with H in A's place: a later step lags the coarse
-    levels only, and smooths with its own Hessian.  ``on(None)``, the
-    form ``_linear_solve`` keeps, holds no fine matrix.  A cycle whose
-    coarse levels are the Hessians of the coarser grids of a nested
-    start, and so forms no Galerkin product, is made by ``_carried``.
+    Damped Jacobi smooths the same number of sweeps before and after each
+    coarse correction, so for positive definite levels the cycle is a
+    symmetric positive definite preconditioner for CG.  The coarse levels
+    are Galerkin products (``_galerkin``) or the Hessians of the coarser
+    grids of a nested start (``_carried``).
     """
 
-    def __init__(self, A, levels, periodic):
-        self.finest = _smoother(A)
-        self.transfers = [transfer for _, transfer in levels[:-1]]
-        operators = [self.finest[0]]
-        for P, R in self.transfers:
-            operators.append(R.tocsr() @ operators[-1] @ P)
-        self.coarsest = _factor(operators.pop(), levels[-1][0], periodic)
-        self.coarse = [(A, _OMEGA / A.diagonal()) for A in operators[1:]]
+    last: object
+    transfers: tuple = ()
+    coarse: tuple = ()
 
-    def on(self, H):
-        """This cycle with H, or no matrix, on its finest level."""
-        cycle = copy.copy(self)
-        cycle.finest = None if H is None else _smoother(H)
-        return cycle
-
-    def solve(self, r, level=0):
-        """One V-cycle on A x = r from x = 0."""
+    def solve(self, r, finest, level=0):
+        """One V-cycle on A x = r from x = 0, ``finest`` the (A, weights)
+        of its finest level."""
         if level == len(self.transfers):
-            return self.coarsest.solve(r)
-        A, weight = self.coarse[level - 1] if level else self.finest
+            return self.last.solve(r)
+        A, weight = self.coarse[level - 1] if level else finest
         P, R = self.transfers[level]
         x = weight * r
         for _ in range(_SWEEPS - 1):
             x += weight * (r - A @ x)
-        x += P @ self.solve(R @ (r - A @ x), level + 1)
+        x += P @ self.solve(R @ (r - A @ x), finest, level + 1)
         for _ in range(_SWEEPS):
             x += weight * (r - A @ x)
         return x
 
 
+def _galerkin(H, levels, periodic):
+    """The ``_VCycle`` of the symmetric CSC matrix H on the free nodes of
+    the first of ``levels`` (``_hierarchy``), with per-axis ``periodic``
+    flags: each coarse operator is the Galerkin product R A P with the
+    transfer (P, R) of the level above, formed through a transient CSR
+    copy of the view R, and the last level's is factored.  Raises
+    RuntimeError when that operator is singular."""
+    transfers = tuple(transfer for _, transfer in levels[:-1])
+    operators = [_smoother(H)[0]]
+    for P, R in transfers:
+        operators.append(R.tocsr() @ operators[-1] @ P)
+    last = _factor(operators.pop(), levels[-1][0], periodic)
+    return _VCycle(last, transfers, tuple((A, _OMEGA / A.diagonal()) for A in operators[1:]))
+
+
 def _carried(H, kept, transfer):
     """What a coarser grid of a nested start hands the grid above it
     (``_nested_start``), ``transfer`` the transfer between them: a
-    ``_VCycle`` that holds no fine matrix, for the finer grid's steps to
-    lag, whose coarse levels are the coarser grid's own.  H is the Hessian
-    of the coarser grid's step, or None where it took none, and ``kept``
-    what that step kept (``_linear_solve``): a factor of H is the last
-    level, and a kept cycle's levels follow H, smoothed as the first coarse
-    level.  So the finer grid forms no Galerkin product.  None where there
-    was no step or it kept nothing, or the grids have no transfer."""
+    ``_VCycle`` for the finer grid's steps to lag, whose coarse levels are
+    the coarser grid's own.  H is the Hessian of the coarser grid's step,
+    or None where it took none, and ``kept`` the cycle that step kept
+    (``_linear_solve``), whose finest level was H.  The new cycle puts
+    ``transfer`` before the kept cycle's transfers and, where it has
+    some, H, smoothed, before its coarse levels; a kept factor of H, the
+    cycle with no transfers, is the new cycle's last level.  So the finer
+    grid forms no Galerkin product.  None where there was no step or it
+    kept nothing, or the grids have no transfer."""
     if H is None or kept is None or transfer is None:
         return None
-    if isinstance(kept, _VCycle):
-        cycle = kept.on(None)
-        cycle.transfers = [transfer] + kept.transfers
-        cycle.coarse = [_smoother(H)] + kept.coarse
-        return cycle
-    cycle = object.__new__(_VCycle)
-    cycle.finest, cycle.transfers, cycle.coarse, cycle.coarsest = None, [transfer], [], kept
-    return cycle
+    coarse = ((_smoother(H),) if kept.transfers else ()) + kept.coarse
+    return _VCycle(kept.last, (transfer,) + kept.transfers, coarse)
 
 
 def _pinned(H, rhs):
@@ -1085,48 +1089,45 @@ def _linear_solve(H, rhs, levels, periodic, kept=None):
     ``periodic`` flags: (delta, kept, kind, iterations), with kind as in
     ``SolveReport.linear_solvers``.
 
-    ``kept`` is what an earlier step kept, a factor or a ``_VCycle`` that
-    holds no fine matrix, or the cycle a nested start carried up from the
-    coarser grids (``_carried``); the one returned is what the next step
-    lags.  A kept band factor (``_Band``) is not lagged: the step refactors,
-    which costs less than a lagged run on a side of at most ``_COARSEST``
-    nodes; it is returned as kept all the same, for a nested start to
-    carry up.  A run must meet ``_solves``.  The exact factor
-    ``_factor(H, ...)`` is applied directly, since CG stops on an
-    indefinite H.  A fully periodic H that nearly annihilates the
-    constants (a vertically flat stretch) pins the update's mean at once
-    (``_pinned``).  ``iterations`` counts every CG iteration run; delta is
-    None when no path gives one.
+    ``kept`` is None or a ``_VCycle``, and so is the ``kept`` returned,
+    which the next step lags: what an earlier step kept, or the cycle a
+    nested start carried up from the coarser grids (``_carried``).  A
+    step lags it unless it is a band factor (a cycle with no transfers
+    whose last level is a ``_Band``): the step refactors, which costs less
+    than a lagged run on a side of at most ``_COARSEST`` nodes, and keeps
+    that cycle all the same, for a nested start to carry up.  A run must
+    meet ``_solves``.  A fresh factor of H is the cycle with no transfers,
+    applied directly, since CG stops on an indefinite H.  A fully
+    periodic H that nearly annihilates the constants (a vertically flat
+    stretch) pins the update's mean at once (``_pinned``).
+    ``iterations`` counts every CG iteration run; delta is None when no
+    path gives one.
     """
     if all(periodic):
         scale = float(np.max(np.abs(H.data))) if H.nnz else 1.0
         if float(np.max(np.abs(H @ np.ones(H.shape[0])))) < 1e-10 * scale:
             return _pinned(H, rhs), kept, "pinned", 0
     iterations = 0
-    if kept is not None and not isinstance(kept, _Band):
-        # A kept V-cycle smooths with H on its finest level; a kept factor
-        # is applied as it was made.
-        lagged = kept.on(H) if hasattr(kept, "on") else kept
-        delta, iterations = _pcg(H, rhs, lagged.solve, _CG_MAX_ITER)
+    if kept is not None and (kept.transfers or not isinstance(kept.last, _Band)):
+        delta, iterations = _pcg(H, rhs, kept, _CG_MAX_ITER)
         if delta is not None and _solves(H, delta, rhs):
             return delta, kept, "lagged", iterations
     if levels[0][1] is not None:
         try:
-            vcycle = _VCycle(H, levels, periodic)
-            delta, run = _pcg(H, rhs, vcycle.solve, _MG_MAX_ITER)
+            cycle = _galerkin(H, levels, periodic)
+            delta, run = _pcg(H, rhs, cycle, _MG_MAX_ITER)
         except (RuntimeError, ValueError):
             delta, run = None, 0
         iterations += run
         if delta is not None and _solves(H, delta, rhs):
-            kept = vcycle.on(None) if run <= _CG_MAX_ITER else None
-            return delta, kept, "multigrid", iterations
+            return delta, cycle if run <= _CG_MAX_ITER else None, "multigrid", iterations
     try:
         factor = _factor(H, levels[0][0], periodic)
         delta = factor.solve(rhs)
     except (RuntimeError, ValueError):
         delta = None
     if delta is not None and _solves(H, delta, rhs):
-        return delta, factor, "lu", iterations
+        return delta, _VCycle(factor), "lu", iterations
     return None, None, "lu", iterations
 
 
@@ -1170,7 +1171,8 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
     """The start of a solve by nested iteration, the full multigrid
     scheme of Briggs, Henson and McCormick, *A Multigrid Tutorial*, ch. 6:
     (start, records, kept), one ``CoarseSolve`` record per coarser grid,
-    coarsest first, and what grid 1 hands grid 0 (below), or None.
+    coarsest first, and the ``_VCycle`` grid 1 hands grid 0 (below), or
+    None.
 
     Grid 0 is ``init``, on the first of its ``levels``.  The ladder walks
     down the levels while every Dirichlet free side is odd, and grid
@@ -1180,13 +1182,13 @@ def _nested_start(spec: WarpedMetricSpec, init: DiscreteGraph, levels,
     values plus the cubic interpolation (``_corrected``) of the
     correction grid k + 1 made to its own injected values.  A grid that
     raises SolveError contributes no correction, and a start that leaves
-    the spec's range is not taken.  Each grid hands the one above it its
-    step's Hessian and what the step kept, as that grid's coarse levels
-    (``_carried``), and that grid's first step lags them.  A grid that
-    raises SolveError or whose step keeps nothing hands on nothing, nor
-    does any grid with a periodic axis, which has no transfers; the grid
-    above then builds a fresh V-cycle if it has transfers.  Without coarser grids the
-    start is ``init``, there are no records, and nothing is carried.
+    the spec's range is not taken.  Each grid hands the one above it the
+    cycle its step kept, extended by its step's Hessian (``_carried``),
+    and that grid's first step lags it.  A grid that raises SolveError or
+    whose step keeps nothing hands on nothing, nor does any grid with a
+    periodic axis, which has no transfers; the grid above then builds a
+    fresh V-cycle if it has transfers.  Without coarser grids the start
+    is ``init``, there are no records, and nothing is carried.
     """
     steps = tuple(1 if wrap else 2 for wrap in init.periodic)
     grids = [init]
@@ -1254,15 +1256,15 @@ def _newton(spec: WarpedMetricSpec, g: DiscreteGraph, tol: float,
             max_iter: int, levels, kept=None):
     """At most ``max_iter`` Newton steps on g, the grid of the first of
     ``levels``, from its values, each solved by ``_linear_solve``, the
-    first with ``kept`` as what an earlier step kept: (graph, report,
-    (H, kept)), with H the Hessian of the last step, None if there was
-    none, and kept what that step kept.  Each step is taken by Armijo
-    backtracking on ||F||^2 along the Newton step, F the area gradient on
-    the free nodes: the step length halves from 1, a trial that leaves the
-    spec's range is skipped, and the first trial that lowers ||F||^2 by
-    the factor 1 - 1e-4 alpha is taken.  The Newton step meets ``_solves``, which
-    makes it a descent direction of ||F||^2 (module docstring), so it is
-    the only direction tried.  The report says whether max|el_residual|
+    first with ``kept``, None or the ``_VCycle`` an earlier step kept:
+    (graph, report, (H, kept)), with H the Hessian of the last step, None
+    if there was none, and kept the cycle that step kept, or None.  Each
+    step is taken by Armijo backtracking on ||F||^2 along the Newton step,
+    F the area gradient on the free nodes: the step length halves from 1,
+    a trial that leaves the spec's range is skipped, and the first trial
+    that lowers ||F||^2 by the factor 1 - 1e-4 alpha is taken.  The Newton
+    step meets ``_solves``, which makes it a descent direction of ||F||^2
+    (module docstring), so it is the only direction tried.  The report says whether max|el_residual|
     <= tol was reached; a line search that finds no such trial above
     alpha = 2^-30, or a singular Jacobian, raises SolveError."""
     free = g.free_slices()
@@ -1418,12 +1420,15 @@ def rescale_graph(spec: WarpedMetricSpec, g: DiscreteGraph,
     |Hess u| <= h(t_bar)^2 / C on the covering disk.
 
     The input must be a Dirichlet rectangle grid containing the disk of
-    radius sqrt(2) C / h(t_bar) about the origin.  Returns the rescaled
-    graph together with the bound report.
+    radius sqrt(2) C / h(t_bar) about the origin, and the tangency level
+    t_bar must lie in the spec's x3 range (``require_inside``): h is not
+    extrapolated.  Any other input raises a DomainError.  Returns the
+    rescaled graph together with the bound report.
     """
     _require_diagonal(spec)
     if any(g.periodic):
         raise DomainError("rescale_graph expects a rectangle grid")
+    spec.require_inside(params.tangency_level)
     h_t = float(spec.warping(params.tangency_level))
     if h_t <= 0:
         raise DomainError("warping must be positive at the tangency level")

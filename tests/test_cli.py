@@ -998,6 +998,25 @@ def test_an_overflowing_bound_exits_domain_naming_its_argument(capsys, argv, mes
     assert captured.err == f"domain error: {message}\n"
 
 
+@pytest.mark.parametrize("depth,flags,message", [
+    ("1e308", [], "filler depth = 1e+308 overflows the ball count"),
+    ("1e307", [], "filler depth = 1e+307 overflows the area lower bound"),
+    ("20", ["--c", "1e308"], "monotonicity_constant = 1e+308 overflows the area lower bound"),
+], ids=["count", "depth", "constant"])
+def test_filler_verify_whose_area_bound_overflows_exits_domain(tmp_path, capsys, depth,
+                                                               flags, message):
+    # No traceback and no Infinity in the JSON: the bound names its
+    # argument, and the command exits 2.
+    path = tmp_path / "f.json"
+    assert run(["filler", "build", "--L", depth, "--lattice", "1,0,1",
+                "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["--json", "filler", "verify", str(path)] + flags) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: {message}\n"
+
+
 def test_close_band_radii_and_the_threshold_length_print_finite_json(capsys):
     # The band bound no longer checks itself against a second, cancelling
     # form, and the radius at ELL_MAX is +0.0, not -0.0.

@@ -460,6 +460,12 @@ def _rescale_with_zero_warping():
     rescale_graph(spec, g, GraphBoundsParams(1.0, 1.0, 1.0, 0.5, 1.5))
 
 
+def _rescale_at_level(level):
+    # The cusp [0, 3], whose warping exp(-t) is not extrapolated below 0.
+    g = DiscreteGraph.on_rectangle((4.0, 4.0), (8, 8), 0.0, origin=(-2.0, -2.0))
+    rescale_graph(_cusp(), g, GraphBoundsParams(1.0, 1.0, 1.0, level, 1.5))
+
+
 def _sheared_torus():
     DiscreteGraph.on_torus(FlatTorusLattice(1.0, 0.3, 1.0), (8, 8), 0.0)
 
@@ -536,6 +542,10 @@ _UNREACHED_REJECTIONS = {
                         "intrinsic_radius must be positive"),
     "rescale_warping_0": (_rescale_with_zero_warping,
                           "warping must be positive at the tangency level"),
+    "rescale_level_below": (lambda: _rescale_at_level(-5.0), "x3 = -5.0 outside [0.0, 3.0]"),
+    "rescale_level_far_below": (lambda: _rescale_at_level(-800.0),
+                                "x3 = -800.0 outside [0.0, 3.0]"),
+    "rescale_level_above": (lambda: _rescale_at_level(3.5), "x3 = 3.5 outside [0.0, 3.0]"),
     # Fillers.
     "metric_at_pair": (lambda: filler.metric_at(_filler(), (0.0, 0.5)),
                        "point must be (x1, x2, t), got (0.0, 0.5)"),

@@ -379,6 +379,30 @@ def test_area_lower_bound_unit_square_L20():
     assert ab.kappa == pytest.approx(expected / 20.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("depth,c,message", [
+    (1e308, math.pi, "filler depth = 1e+308 overflows the ball count"),
+    (1e307, math.pi, "filler depth = 1e+307 overflows the area lower bound"),
+    (20.0, 1e308, "monotonicity_constant = 1e+308 overflows the area lower bound"),
+], ids=["count", "depth", "constant"])
+def test_an_area_lower_bound_past_the_float_range_names_its_argument(depth, c, message):
+    # (L - 2) / spacing overflows at L = 1e308; the product of the ball
+    # count and c overflows at L = 1e307 with c = pi, and at L = 20 with
+    # c = 1e308.  The bound names the argument of the larger factor.
+    with pytest.raises(DomainError) as info:
+        area_lower_bound(build(depth, UNIT), c)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth,c", [(20.0, math.pi), (1e306, math.pi), (20.0, 1e305)])
+def test_a_finite_area_lower_bound_is_the_chain_bit_for_bit(depth, c):
+    spec = build(depth, UNIT)
+    ab = area_lower_bound(spec, c)
+    n0 = math.floor((depth - 2.0) / (2.0 * math.exp(-3.0)))
+    bound = (n0 + 1) * c * math.exp(-6.0) * 0.25
+    assert ab.ball_count == n0 and ab.bound == bound and ab.kappa == bound / depth
+    assert math.isfinite(ab.bound) and math.isfinite(ab.kappa)
+
+
 def test_area_lower_bound_scaling_and_saturation():
     spec20 = build(20.0, UNIT)
     spec40 = build(40.0, UNIT)

@@ -32,6 +32,7 @@ from thinpart.minimal_graph import (
     _corrected,
     _element,
     _factor,
+    _galerkin,
     _gradient,
     _hessian,
     _hierarchy,
@@ -39,6 +40,7 @@ from thinpart.minimal_graph import (
     _pcg,
     _pinned,
     _prolongation,
+    _smoother,
     _solves,
 )
 from thinpart.tube_geometry import (
@@ -606,8 +608,8 @@ def _galerkin_257(monkeypatch):
     # The last level of the 257^2 tube Hessian's V-cycle.
     spec, g = tube_spec(), _tube_4c_graph(257)
     factors = _recording_factor(monkeypatch)
-    _VCycle(_hessian(spec, g, _Pattern(g)), _hierarchy((255, 255), (False, False)),
-            (False, False))
+    _galerkin(_hessian(spec, g, _Pattern(g)), _hierarchy((255, 255), (False, False)),
+              (False, False))
     monkeypatch.undo()
     return factors[0][0], (15, 15), (False, False)
 
@@ -901,11 +903,11 @@ def test_vcycle_is_symmetric_positive_definite():
     # smooths as many sweeps before the coarse correction as after.
     spec, g = tube_spec(), _tube_4c_graph(65)
     pattern = _Pattern(g)
-    vcycle = _VCycle(_hessian(spec, g, pattern), _hierarchy((63, 63), (False, False)),
-                     (False, False))
+    H = _hessian(spec, g, pattern)
+    vcycle = _galerkin(H, _hierarchy((63, 63), (False, False)), (False, False))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, pattern.shape[0]))
-    vx, vy = vcycle.solve(x), vcycle.solve(y)
+    vx, vy = vcycle.solve(x, _smoother(H)), vcycle.solve(y, _smoother(H))
     assert abs(y @ vx - x @ vy) <= 1e-12 * np.linalg.norm(vx) * np.linalg.norm(y)
     assert x @ vx > 0.0 and y @ vy > 0.0
 
@@ -952,11 +954,46 @@ def test_a_kept_vcycle_holds_no_fine_matrix():
     H, rhs = _hessian_and_rhs(65)
     levels = _hierarchy((63, 63), (False, False))
     delta, kept, kind, iterations = _linear_solve(H, rhs, levels, (False, False))
-    assert kind == "multigrid" and kept.finest is None
-    # Bound to H again, it is the cycle the step ran, bit for bit.
-    fresh = _VCycle(H, levels, (False, False))
+    # Its fields are the transfers, the coarse levels and the last factor:
+    # no level is on the fine grid.
+    assert kind == "multigrid" and kept._fields == ("last", "transfers", "coarse")
+    assert all(A.shape[0] < H.shape[0] for A, _ in kept.coarse)
+    # With H as its finest level again, it is the cycle the step ran, bit
+    # for bit.
+    fresh = _galerkin(H, levels, (False, False))
     r = np.random.default_rng(3).standard_normal(H.shape[0])
-    assert np.array_equal(kept.on(H).solve(r), fresh.solve(r))
+    assert np.array_equal(kept.solve(r, _smoother(H)), fresh.solve(r, _smoother(H)))
+
+
+@pytest.mark.parametrize("problem,kinds", [
+    (lambda: (tube_spec(), _tube_4c_graph(65)), {"lagged"}),
+    (lambda: (tube_spec(), _tube_4c_graph(128)), {"multigrid", "lagged"}),
+    (lambda: _cusp_problem((17, 17)), {"lu"}),
+    (lambda: (cusp_spec(), DiscreteGraph.on_rectangle((1.0, 1.0), (65, 128), _bump,
+                                                      periodic=(True, False))), {"lu", "lagged"}),
+    (_flat_torus_32, {"pinned"}),
+], ids=["carried_65", "galerkin_128", "band_17", "superlu_stripe_65x128", "pinned_torus_32"])
+def test_every_kept_preconditioner_is_none_or_a_vcycle(monkeypatch, problem, kinds):
+    # One kind of state passes from step to step, coarser grids included:
+    # a V-cycle with no fine matrix, a factor being the one with no
+    # transfers, or nothing.
+    linear_solve, seen = minimal_graph._linear_solve, []
+
+    def recording(*args):
+        result = linear_solve(*args)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(minimal_graph, "_linear_solve", recording)
+    spec, g = problem()
+    out, rep = solve(spec, g, tol=1e-8)
+    assert rep.converged and set(rep.linear_solvers) == kinds
+    for delta, kept, kind, iterations in seen:
+        assert kept is None or type(kept) is _VCycle
+        if kept is not None:
+            assert kept._fields == ("last", "transfers", "coarse")
+            assert len(kept.coarse) == max(len(kept.transfers) - 1, 0)
+            assert all(A.shape[0] < delta.size for A, _ in kept.coarse)
 
 
 def test_the_solve_stores_an_int32_pattern_and_each_transfer_once():
@@ -1048,22 +1085,36 @@ def test_prolongation_reaches_every_fine_node(n):
 
 
 class _NegatedVCycle(_VCycle):
-    # Every V-cycle, fresh or carried up a nested start, applied negated:
-    # negative definite, so CG stops at once.
-    def solve(self, r, level=0):
-        x = super().solve(r, level)
+    # A V-cycle applied negated: negative definite, so CG stops at once.
+    __slots__ = ()
+
+    def solve(self, r, finest, level=0):
+        x = super().solve(r, finest, level)
         return -x if level == 0 else x
+
+
+def _negating(monkeypatch, *names):
+    # Every V-cycle the named functions make, fresh (``_galerkin``) or
+    # carried up a nested start (``_carried``), applied negated.
+    for name in names:
+        def negated(*args, build=getattr(minimal_graph, name)):
+            cycle = build(*args)
+            return None if cycle is None else _NegatedVCycle(*cycle)
+
+        monkeypatch.setattr(minimal_graph, name, negated)
 
 
 def test_multigrid_failure_falls_back_to_a_factor(monkeypatch):
     spec, g = tube_spec(), _tube_4c_graph(65)
     H = _hessian(spec, g, _Pattern(g))
     rhs = -_gradient(spec, g)[g.free_slices()].ravel()
-    monkeypatch.setattr(minimal_graph, "_VCycle", _NegatedVCycle)
+    _negating(monkeypatch, "_galerkin")
     factors = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
                                                   (False, False))
-    assert kind == "lu" and iterations == 1 and kept is factors[-1][1]
+    # The factor kept is the cycle with no transfers.
+    assert kind == "lu" and iterations == 1
+    assert kept == _VCycle(factors[-1][1])
     # The failed V-cycle's last level, then H.
     assert [A.shape[0] for A, _ in factors] == [15 * 15, H.shape[0]]
     assert _solves_to_1e6(H, delta, rhs)
@@ -1077,11 +1128,11 @@ def test_a_vcycle_that_fails_to_build_falls_back_to_the_factor(monkeypatch):
     # The V-cycle's last-level factor raises while it is built: no CG
     # runs, and the Hessian's own factor solves the step.
     H, rhs = _hessian_and_rhs(65)
-    monkeypatch.setattr(minimal_graph, "_VCycle", _raise_runtime_error)
+    monkeypatch.setattr(minimal_graph, "_galerkin", _raise_runtime_error)
     factors = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _hierarchy((63, 63), (False, False)),
                                                   (False, False))
-    assert kind == "lu" and iterations == 0 and kept is factors[-1][1]
+    assert kind == "lu" and iterations == 0 and kept == _VCycle(factors[-1][1])
     assert _solves_to_1e6(H, delta, rhs)
 
 
@@ -1168,7 +1219,7 @@ def test_a_nested_start_that_leaves_the_range_is_not_taken(monkeypatch):
 
 
 def test_solve_moves_to_the_factor_after_a_multigrid_failure(monkeypatch):
-    monkeypatch.setattr(minimal_graph, "_VCycle", _NegatedVCycle)
+    _negating(monkeypatch, "_galerkin", "_carried")
     out, rep = solve(tube_spec(), _tube_4c_graph(65), tol=1e-9)
     # The 65^2 grid starts from one step on each of its 17^2 and 33^2
     # grids: the 17^2 step is solved by its factor, the 33^2 step by a
@@ -1196,9 +1247,9 @@ def test_a_factor_is_not_lagged_past_a_fresh_vcycle(monkeypatch):
         events.append(("step", result[2], result[1]))
         return result
 
-    def recording_pcg(H, rhs, precondition, max_iter):
-        events.append(("pcg", precondition.__self__))
-        return pcg(H, rhs, precondition, max_iter)
+    def recording_pcg(H, rhs, cycle, max_iter):
+        events.append(("pcg", cycle))
+        return pcg(H, rhs, cycle, max_iter)
 
     monkeypatch.setattr(minimal_graph, "_linear_solve", recording_solve)
     monkeypatch.setattr(minimal_graph, "_pcg", recording_pcg)
@@ -1303,13 +1354,13 @@ def test_the_graph_large_ladders_build_no_fresh_vcycle(monkeypatch, n, name, ite
     # is built, so no Galerkin product is formed, on the coarser grids or
     # on the grid of the solve, whose two steps are both lagged.
     built = []
-    init = _VCycle.__init__
+    galerkin = minimal_graph._galerkin
 
-    def counting(self, *args):
-        built.append(args[0].shape)
-        init(self, *args)
+    def counting(H, *args):
+        built.append(H.shape)
+        return galerkin(H, *args)
 
-    monkeypatch.setattr(_VCycle, "__init__", counting)
+    monkeypatch.setattr(minimal_graph, "_galerkin", counting)
     spec, g = _graph_large_problem(name, (n, n))
     out, rep = solve(spec, g, tol=1e-8)
     assert built == []
@@ -1327,13 +1378,13 @@ def test_a_carried_vcycle_is_symmetric_positive_definite():
     spec, g = tube_spec(), _tube_4c_graph(65)
     levels = _hierarchy((63, 63), (False, False))
     start, _, kept = minimal_graph._nested_start(spec, g, levels, 1e-8)
-    assert kept.finest is None and len(kept.transfers) == 2
+    assert kept._fields == ("last", "transfers", "coarse") and len(kept.transfers) == 2
     assert [A.shape[0] for A, _ in kept.coarse] == [31 * 31]
-    assert isinstance(kept.coarsest, _Band)
-    cycle = kept.on(_hessian(spec, start, _Pattern(start)))
+    assert isinstance(kept.last, _Band)
+    finest = _smoother(_hessian(spec, start, _Pattern(start)))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 63 * 63))
-    vx, vy = cycle.solve(x), cycle.solve(y)
+    vx, vy = kept.solve(x, finest), kept.solve(y, finest)
     assert abs(y @ vx - x @ vy) <= 1e-12 * np.linalg.norm(vx) * np.linalg.norm(y)
     assert x @ vx > 0.0 and y @ vy > 0.0
 
@@ -1429,11 +1480,11 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
     # A factor unrelated to H, and an indefinite one (r.z < 0 at once).
     other = (3.0 * sp.identity(H.shape[0], format="csc") if lagged == "scaled_identity"
              else -H)
-    unrelated = _factor(other, (31, 31), (False, False))
+    unrelated = _VCycle(_factor(other, (31, 31), (False, False)))
     calls = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
                                                   unrelated)
-    assert len(calls) == 1 and kind == "lu" and kept is not unrelated
+    assert len(calls) == 1 and kind == "lu" and kept == _VCycle(calls[0][1])
     # The discarded run's iterations are counted: the unrelated factor
     # runs to the cap, the indefinite one stops in its first iteration.
     assert iterations == (_CG_MAX_ITER if lagged == "scaled_identity" else 1)
@@ -1442,7 +1493,7 @@ def test_linear_solve_refactors_when_the_lagged_factor_fails(monkeypatch, lagged
 
 def test_linear_solve_with_the_factor_of_h_makes_no_factorization(monkeypatch):
     H, rhs = _hessian_and_rhs()
-    own = _factor(H, (31, 31), (False, False))
+    own = _VCycle(_factor(H, (31, 31), (False, False)))
     calls = _recording_factor(monkeypatch)
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((31, 31)), (False, False),
                                                   own)
@@ -1463,9 +1514,10 @@ def test_a_fresh_factor_solves_an_indefinite_hessian():
     rhs = H @ x
     assert rhs @ x < 0.0
     delta, kept, kind, iterations = _linear_solve(H, rhs, _one_level((n, 1)), (False, False))
-    assert kind == "lu" and iterations == 0 and isinstance(kept, _Band)
+    assert kind == "lu" and iterations == 0 and isinstance(kept.last, _Band)
+    assert kept.transfers == ()
     assert _solves(H, delta, rhs)
-    assert _pcg(H, rhs, kept.solve, _CG_MAX_ITER)[0] is None
+    assert _pcg(H, rhs, kept, _CG_MAX_ITER)[0] is None
 
 
 def test_a_stripe_whose_factor_fails_gets_no_update(monkeypatch):
